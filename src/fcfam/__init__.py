@@ -34,8 +34,6 @@ from .ratlp import (
     Feasible,
     Infeasible,
     LinearProgram,
-    Optimal,
-    Unbounded,
     lp_solve,
 )
 from .sepip import (

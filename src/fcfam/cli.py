@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from . import enumfam, fcsolve, verify as verifymod
@@ -39,22 +38,6 @@ from .setfam import (
 )
 
 OUTPUT_DIR_ENV = "FCFAM_OUTPUT_DIR"
-
-
-@dataclass
-class RunConfig:
-    jobs: int = 1
-    time_limit: Optional[float] = None  # seconds per isFC call
-    output_dir: Optional[str] = None
-    symmetry: bool = False
-    warm_start: bool = False
-    domain: Optional[Family] = None
-
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time limit must be positive")
 
 
 def _progress(msg: str) -> None:
@@ -91,22 +74,25 @@ def _out_path(args, default_name: str) -> Optional[str]:
     return os.path.join(directory, default_name)
 
 
-def _deadline(cfg: RunConfig) -> Optional[float]:
-    return time.monotonic() + cfg.time_limit if cfg.time_limit else None
+def _positive_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"not a positive number of seconds: {text!r}")
+    return value
 
 
 def _cmd_isfc(args) -> int:
-    cfg = RunConfig(
-        time_limit=args.time_limit, symmetry=args.symmetry, warm_start=args.warm_start
-    )
     fam = _load_family(args.family)
     domain = _parse_domain(args.v, fam.n)
     cert = is_fc(
         fam,
-        symmetry=cfg.symmetry,
-        warm_start=cfg.warm_start,
+        symmetry=args.symmetry,
+        warm_start=args.warm_start,
         domain=domain,
-        deadline=_deadline(cfg),
+        deadline=time.monotonic() + args.time_limit if args.time_limit else None,
         progress=_progress,
     )
     payload = json.dumps(certificate_to_dict(cert), indent=1)
@@ -288,9 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, jobs=False):
+    def add_common(p, time_limit=True, jobs=False):
         p.add_argument("-o", "--output", help="output directory")
-        p.add_argument("--time-limit", type=float, help="seconds per isFC call")
+        if time_limit:
+            p.add_argument("--time-limit", type=_positive_seconds, help="seconds per isFC call")
         if jobs:
             p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
@@ -322,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lexscan", help="first FC lexicographic prefix")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    add_common(p)
+    add_common(p, time_limit=False)
     p.set_defaults(func=_cmd_lexscan)
 
     p = sub.add_parser("vfcvalue", help="compute FC_V(k, n)")
@@ -342,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translates", help="torus translate family and its FC status")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--r", required=True, help="three residues, e.g. 0,1,2")
-    add_common(p)
+    add_common(p, time_limit=False)
     p.set_defaults(func=_cmd_translates)
 
     p = sub.add_parser("canon", help="print the canonical form of a family")
@@ -368,12 +355,12 @@ def dispatch(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
+    except TimeoutError as exc:  # an OSError, so it must come first
+        print(f"timeout: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TimeoutError as exc:
-        print(f"timeout: {exc}", file=sys.stderr)
-        return 1
 
 
 def main() -> None:

@@ -8,11 +8,14 @@ form.  `get_nfc` is the recursive Non-FC enumeration: memoized bottom-up
 over universe sizes J = {max(k, n-k), ..., n}, with isomorph rejection
 against both accumulators and the skip of any extension containing a
 proper FC subfamily (checked one member down against the previous level's
-FC registry; an FC verdict there also covers deeper containment because
-such families were pruned earlier).
+FC keys; an FC verdict there also covers deeper containment because such
+families were pruned earlier).
 
-Everything downstream of the candidate collection is embarrassingly
-parallel, so classification can fan out over worker processes.
+FC and V-FC share one classification path: `EnumSession.classify` decides
+each family with `is_fc` over the session's domain (all of P([n]) unless
+one is given) and streams (family, certificate) pairs in input order, so a
+driver keeps only the certificates it reports.  With jobs > 1 the decisions
+fan out over one worker pool per session.
 """
 
 from __future__ import annotations
@@ -45,13 +48,16 @@ CanonKey = tuple[int, tuple[int, ...]]
 
 @dataclass
 class NfcRegistry:
-    """Canonical-form keyed accumulators for one (n, k, m) cell."""
+    """Non-FC families and FC keys of one (n, k, m) cell, by canonical form."""
 
     nfc: dict[CanonKey, Family] = field(default_factory=dict)
-    fc: dict[CanonKey, Family] = field(default_factory=dict)
+    fc: set[CanonKey] = field(default_factory=set)
 
-    def seen(self, key: CanonKey) -> bool:
-        return key in self.nfc or key in self.fc
+    def record(self, key: CanonKey, fam: Family, cert: Certificate) -> None:
+        if isinstance(cert, FcCertificate):
+            self.fc.add(key)
+        else:
+            self.nfc[key] = fam
 
     def nfc_sorted(self) -> list[Family]:
         return sorted(self.nfc.values(), key=lambda f: (f.n, f.members))
@@ -121,17 +127,22 @@ def gen_noniso_families(n: int, k: int, m: int) -> list[Family]:
     return [f for f in last if f.n == n]
 
 
-def _classify(args: tuple[tuple[int, ...], int, bool, bool, Optional[float]]) -> bool:
-    members, n, symmetry, warm_start, time_limit = args
+def _decide(
+    args: tuple[Family, Optional[Family], bool, bool, Optional[float]]
+) -> Certificate:
+    family, domain, symmetry, warm_start, time_limit = args
     deadline = time.monotonic() + time_limit if time_limit else None
-    cert = is_fc(
-        Family(n, members), symmetry=symmetry, warm_start=warm_start, deadline=deadline
+    return is_fc(
+        family, symmetry=symmetry, warm_start=warm_start, domain=domain, deadline=deadline
     )
-    return isinstance(cert, FcCertificate)
 
 
 class EnumSession:
-    """Shared memo of getNFC cells plus the isFC configuration."""
+    """Shared memo of getNFC cells plus the isFC configuration.
+
+    A context manager: the worker pool of jobs > 1 opens on first use and
+    closes with the session.
+    """
 
     def __init__(
         self,
@@ -141,6 +152,7 @@ class EnumSession:
         deadline: Optional[float] = None,
         progress: Optional[ProgressFn] = None,
         time_limit: Optional[float] = None,
+        domain: Optional[Family] = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -149,26 +161,39 @@ class EnumSession:
         self.warm_start = warm_start
         self.deadline = deadline
         self.time_limit = time_limit  # per isFC call
+        self.domain = domain  # None means all of P([n])
         self.progress = progress
         self.memo: dict[tuple[int, int, int], NfcRegistry] = {}
-        self.isfc_calls = 0
+        self._pool = None
+
+    def __enter__(self) -> "EnumSession":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+            self._pool = None
 
     def _say(self, msg: str) -> None:
         if self.progress:
             self.progress(msg)
 
-    def _classify_batch(self, fams: Sequence[Family]) -> list[bool]:
-        self.isfc_calls += len(fams)
-        args = [
-            (f.members, f.n, self.symmetry, self.warm_start, self.time_limit)
-            for f in fams
-        ]
-        if self.jobs > 1 and len(fams) > 1:
-            from multiprocessing import Pool
+    def check_deadline(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise TimeoutError("enumeration deadline exceeded")
 
-            with Pool(self.jobs) as pool:
-                return pool.map(_classify, args)
-        return [_classify(a) for a in args]
+    def classify(self, fams: Sequence[Family]) -> Iterator[tuple[Family, Certificate]]:
+        """Decide each family lazily, yielding (family, certificate) in input order."""
+        args = [(f, self.domain, self.symmetry, self.warm_start, self.time_limit) for f in fams]
+        if self.jobs > 1 and len(fams) > 1:
+            if self._pool is None:
+                from multiprocessing import Pool
+
+                self._pool = Pool(self.jobs)
+            chunk = -(-len(args) // (4 * self.jobs))  # Pool.map's default chunking
+            return zip(fams, self._pool.imap(_decide, args, chunk))
+        return zip(fams, map(_decide, args))
 
     def get_nfc(self, n: int, k: int, m: int) -> NfcRegistry:
         if not (n >= k >= 3):
@@ -176,18 +201,15 @@ class EnumSession:
         key = (n, k, m)
         if key in self.memo:
             return self.memo[key]
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise TimeoutError("enumeration deadline exceeded")
+        self.check_deadline()
         reg = NfcRegistry()
         if k * m < n or m > math.comb(n, k):
             self.memo[key] = reg
             return reg
         if k * (m - 1) < n:
-            fams = gen_noniso_families(n, k, m)
-            verdicts = self._classify_batch(fams)
-            for fam, fc in zip(fams, verdicts):
+            for fam, cert in self.classify(gen_noniso_families(n, k, m)):
                 cf = canonical_form(fam)
-                (reg.fc if fc else reg.nfc)[cf.key] = cf.relabeled
+                reg.record(cf.key, cf.relabeled, cert)
             self._say(f"getNFC({n},{k},{m}): base level, {len(reg.nfc)} Non-FC")
             self.memo[key] = reg
             return reg
@@ -198,9 +220,7 @@ class EnumSession:
             parents.extend(self.get_nfc(i, k, m - 1).nfc_sorted())
         full = (1 << n) - 1
         ksets = lex_ksets(n, k)
-        prev_fc: dict[int, dict[CanonKey, Family]] = {
-            i: self.get_nfc(i, k, m - 1).fc for i in j_range
-        }
+        prev_fc: dict[int, set[CanonKey]] = {i: self.get_nfc(i, k, m - 1).fc for i in j_range}
 
         pending: set[CanonKey] = set()
         candidates: list[Family] = []
@@ -221,16 +241,14 @@ class EnumSession:
                 candidates.append(cf.relabeled)
         candidates.sort(key=lambda f: f.members)
         self._say(f"getNFC({n},{k},{m}): {len(candidates)} candidates to classify")
-        verdicts = self._classify_batch(candidates)
-        for fam, fc in zip(candidates, verdicts):
-            (reg.fc if fc else reg.nfc)[(fam.n, fam.members)] = fam
+        for fam, cert in self.classify(candidates):
+            reg.record((fam.n, fam.members), fam, cert)
         self._say(f"getNFC({n},{k},{m}): {len(reg.nfc)} Non-FC, {len(reg.fc)} FC")
         self.memo[key] = reg
         return reg
 
     def _contains_proper_fc(
-        self, fam: Family, k: int, m: int,
-        prev_fc: dict[int, dict[CanonKey, Family]],
+        self, fam: Family, k: int, m: int, prev_fc: dict[int, set[CanonKey]]
     ) -> bool:
         for drop in range(len(fam.members)):
             rest = fam.members[:drop] + fam.members[drop + 1 :]
@@ -258,8 +276,8 @@ def get_nfc(
     """All pairwise nonisomorphic Non-FC families of m distinct k-sets with
     universe [n] (families containing a proper FC subfamily are not
     explored)."""
-    session = EnumSession(jobs, symmetry, warm_start, deadline, progress, time_limit)
-    return session.get_nfc(n, k, m).nfc_sorted()
+    with EnumSession(jobs, symmetry, warm_start, deadline, progress, time_limit) as session:
+        return session.get_nfc(n, k, m).nfc_sorted()
 
 
 def fc_value(
@@ -280,34 +298,35 @@ def fc_value(
     if not (n > k >= 3):
         raise ValueError("need n > k >= 3")
     t0 = time.monotonic()
-    session = EnumSession(jobs, symmetry, warm_start, deadline, progress, time_limit)
     cap = math.comb(n, k)
     counts: dict[tuple[int, int], int] = {}
     witness: Optional[Family] = None
     value: Optional[int] = None
     status = "exhausted"
     m = 1
-    while m <= (m_max if m_max is not None else cap):
-        level_witness = None
-        all_empty = True
-        for i in range(k, n + 1):
-            lst = session.get_nfc(i, k, m).nfc_sorted()
-            counts[(i, m)] = len(lst)
-            if lst and level_witness is None:
-                level_witness = lst[0]
-            if lst:
-                all_empty = False
-        if progress:
-            progress(f"fc_value({k},{n}): m={m} Non-FC classes="
-                     f"{sum(counts[(i, m)] for i in range(k, n + 1))}")
-        if all_empty:
-            value, status = m, "found"
-            break
-        witness = level_witness
-        m += 1
-    else:
-        if m_max is None or m_max >= cap:
-            status = "undefined"
+    with EnumSession(jobs, symmetry, warm_start, deadline, progress, time_limit) as session:
+        while m <= (m_max if m_max is not None else cap):
+            level_witness = None
+            all_empty = True
+            for i in range(k, n + 1):
+                lst = session.get_nfc(i, k, m).nfc_sorted()
+                counts[(i, m)] = len(lst)
+                if lst and level_witness is None:
+                    level_witness = lst[0]
+                if lst:
+                    all_empty = False
+            if progress:
+                progress(f"fc_value({k},{n}): m={m} Non-FC classes="
+                         f"{sum(counts[(i, m)] for i in range(k, n + 1))}")
+            if all_empty:
+                value, status = m, "found"
+                break
+            witness = level_witness
+            m += 1
+        else:
+            if m_max is None or m_max >= cap:
+                status = "undefined"
+    # the cell registries keep no certificates, so the witness is decided again
     cert = None
     if witness is not None and status == "found":
         cert = is_fc(witness, symmetry=symmetry, warm_start=warm_start)
@@ -341,17 +360,22 @@ def lex_scan(
             break
     if m0 is None:
         raise ValueError("prefixes never reach universe [n]")
+    prev_nonfc: Optional[NonFcCertificate] = None
     for m in range(m0, len(order) + 1):
         fam = Family.from_masks(n, order[:m])
         cert = is_fc(fam, symmetry=symmetry, warm_start=warm_start, deadline=deadline)
         if progress:
             progress(f"lex_scan({k},{n}): prefix {m} is {cert.kind}")
-        if isinstance(cert, FcCertificate):
+        if isinstance(cert, NonFcCertificate):
+            prev_nonfc = cert
+            continue
+        if m == m0:
+            # the predecessor lies on a smaller universe, so the scan never decided it
             prev, _ = compact_universe(Family.from_masks(n, order[: m - 1]))
-            prev_cert = is_fc(prev, symmetry=symmetry, warm_start=warm_start)
-            if isinstance(prev_cert, FcCertificate):
-                prev_cert = None
-            return LexScanResult(m, cert, prev_cert)
+            prev_cert = is_fc(prev, symmetry=symmetry, warm_start=warm_start, deadline=deadline)
+            if isinstance(prev_cert, NonFcCertificate):
+                prev_nonfc = prev_cert
+        return LexScanResult(m, cert, prev_nonfc)
     raise ValueError(f"no FC prefix up to C({n},{k})")
 
 
@@ -391,80 +415,52 @@ def fcv_value(
     counts: dict[tuple[int, int], int] = {}
     bad_levels: list[int] = []
     witness: Optional[Family] = None
+    witness_cert: Optional[NonFcCertificate] = None
     prev_vfc: set[CanonKey] = set()
     levels = noniso_levels(n, k, cap)
     value: Optional[int] = None
     status = "found"
-    for m in range(1, cap + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("enumeration deadline exceeded")
-        level = next(levels)
-        reps = [f for f in level if f.n == n]
-        vfc_here: set[CanonKey] = set()
-        to_solve: list[Family] = []
-        for fam in reps:
-            if _has_vfc_subfamily(fam, prev_vfc):
-                vfc_here.add((fam.n, fam.members))
-            else:
-                to_solve.append(fam)
-        bad_here = 0
-        verdicts = _classify_vfc_batch(to_solve, dom, jobs, warm_start, time_limit)
-        for fam, ok in zip(to_solve, verdicts):
-            if ok:
-                vfc_here.add((fam.n, fam.members))
-            else:
-                bad_here += 1
-                witness = fam
-        counts[(n, m)] = bad_here
-        if progress:
-            progress(
-                f"fcv_value({k},{n}): m={m} classes={len(reps)} "
-                f"solved={len(to_solve)} non-V-FC={bad_here}"
-            )
-        if bad_here:
-            bad_levels.append(m)
-        prev_vfc = vfc_here
-        if not bad_here and m >= n:
-            break
-    else:
-        if bad_levels and bad_levels[-1] == cap:
-            status = "undefined"
+    with EnumSession(
+        jobs, warm_start=warm_start, deadline=deadline, time_limit=time_limit, domain=dom
+    ) as session:
+        for m in range(1, cap + 1):
+            session.check_deadline()
+            level = next(levels)
+            reps = [f for f in level if f.n == n]
+            vfc_here: set[CanonKey] = set()
+            to_solve: list[Family] = []
+            for fam in reps:
+                if _has_vfc_subfamily(fam, prev_vfc):
+                    vfc_here.add((fam.n, fam.members))
+                else:
+                    to_solve.append(fam)
+            bad_here = 0
+            for fam, cert in session.classify(to_solve):
+                if isinstance(cert, FcCertificate):
+                    vfc_here.add((fam.n, fam.members))
+                else:
+                    bad_here += 1
+                    witness, witness_cert = fam, cert
+            counts[(n, m)] = bad_here
+            if progress:
+                progress(
+                    f"fcv_value({k},{n}): m={m} classes={len(reps)} "
+                    f"solved={len(to_solve)} non-V-FC={bad_here}"
+                )
+            if bad_here:
+                bad_levels.append(m)
+            prev_vfc = vfc_here
+            if not bad_here and m >= n:
+                break
+        else:
+            if bad_levels and bad_levels[-1] == cap:
+                status = "undefined"
     if status != "undefined":
         value = (bad_levels[-1] + 1) if bad_levels else 1
-    cert = None
-    if witness is not None and status == "found" and bad_levels:
-        last_bad_witness = witness
-        cert = is_fc(last_bad_witness, domain=dom, warm_start=warm_start)
-        assert isinstance(cert, NonFcCertificate), "witness re-verification failed"
-        witness = last_bad_witness
     return FcValueReport(
-        k, n, value, status, witness, counts, time.monotonic() - t0, cert
+        k, n, value, status, witness, counts, time.monotonic() - t0,
+        witness_cert if status == "found" else None,
     )
-
-
-def _classify_vfc_batch(
-    fams: Sequence[Family], dom: Family, jobs: int, warm_start: bool,
-    time_limit: Optional[float] = None,
-) -> list[bool]:
-    args = [(f.members, f.n, dom.members, warm_start, time_limit) for f in fams]
-    if jobs > 1 and len(fams) > 1:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            return pool.map(_classify_vfc, args)
-    return [_classify_vfc(a) for a in args]
-
-
-def _classify_vfc(
-    args: tuple[tuple[int, ...], int, tuple[int, ...], bool, Optional[float]]
-) -> bool:
-    members, n, dom_members, warm_start, time_limit = args
-    deadline = time.monotonic() + time_limit if time_limit else None
-    cert = is_fc(
-        Family(n, members), domain=Family(n, dom_members), warm_start=warm_start,
-        deadline=deadline,
-    )
-    return isinstance(cert, FcCertificate)
 
 
 def _has_vfc_subfamily(fam: Family, prev_keys: set[CanonKey]) -> bool:

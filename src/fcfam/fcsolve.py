@@ -47,11 +47,7 @@ from .ratlp import (
     frac_str,
     lp_solve,
 )
-from .sepip import (
-    SeparationProblem,
-    build_separation,
-    solve_separation,
-)
+from .sepip import build_separation, solve_separation
 
 ProgressFn = Callable[[str], None]
 
@@ -91,10 +87,6 @@ class FcCertificate:
 
     kind = "fc"
 
-    @property
-    def is_fc_family(self) -> bool:
-        return True
-
 
 @dataclass
 class NonFcCertificate:
@@ -109,10 +101,6 @@ class NonFcCertificate:
     orbit_partition: Optional[OrbitPartition] = None
 
     kind = "non-fc"
-
-    @property
-    def is_fc_family(self) -> bool:
-        return False
 
 
 Certificate = Union[FcCertificate, NonFcCertificate]
@@ -157,19 +145,11 @@ def symmetry_reduce(lp: LinearProgram, orbits: OrbitPartition) -> LinearProgram:
             out[oid[j]] += c
         return tuple(out)
 
-    nonneg = [True] * k
-    for j, nn in enumerate(lp.nonneg):
-        if not nn:
-            nonneg[oid[j]] = False
-    red = LinearProgram(
+    return LinearProgram(
         k,
         [(reduce_row(c), r) for c, r in lp.eq_rows],
         [(reduce_row(c), r) for c, r in lp.ge_rows],
-        tuple(nonneg),
     )
-    if lp.objective is not None:
-        red.set_objective(reduce_row(lp.objective), lp.maximize)
-    return red
 
 
 def lift_point(point: Sequence[Fraction], orbits: OrbitPartition) -> tuple[Fraction, ...]:
@@ -417,10 +397,3 @@ def load_certificate(path: str) -> Certificate:
         except json.JSONDecodeError as exc:
             raise CertificateError(f"not valid JSON: {exc}") from exc
     return certificate_from_dict(data)
-
-
-def separation_problem_for(cert: Certificate) -> SeparationProblem:
-    """Rebuild the separation instance a certificate talks about."""
-    closure = union_closure(cert.family)
-    dom = cert.domain if cert.domain is not None else powerset_family(cert.n)
-    return build_separation(closure, _uniform_weights(cert.n), dom)

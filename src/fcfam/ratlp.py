@@ -1,11 +1,11 @@
-"""Exact linear programming over rationals.
+"""Exact linear feasibility over rationals.
 
-Two-phase dense-tableau primal simplex with Bland's anti-cycling rule, all
-arithmetic in `fractions.Fraction`.  There is no tolerance anywhere: points
-satisfy constraints exactly, infeasibility comes with a Farkas certificate
-that replays by pure arithmetic, and unboundedness comes with an improving
-ray.  Free variables are split into differences of nonnegatives; each
-inequality a.x >= b gets a surplus variable.
+Phase one of a dense-tableau primal simplex with Bland's anti-cycling rule,
+all arithmetic in `fractions.Fraction`.  Every variable is nonnegative and
+there is no objective: the solver returns either a point that satisfies the
+constraints exactly or a Farkas certificate of infeasibility that replays by
+pure arithmetic.  There is no tolerance anywhere.  Each inequality a.x >= b
+gets a surplus variable.
 
 Built for the small, dense systems of the cutting-plane loop (tens of
 variables, up to a few hundred rows), not for sparse large-scale work.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 Rat = Union[int, str, Fraction]
 
@@ -35,23 +35,16 @@ def frac_str(x: Fraction) -> str:
 
 @dataclass
 class LinearProgram:
+    """Find x >= 0 with every equality row and every >=-row satisfied."""
+
     num_vars: int
     eq_rows: list[tuple[tuple[Fraction, ...], Fraction]] = field(default_factory=list)
     ge_rows: list[tuple[tuple[Fraction, ...], Fraction]] = field(default_factory=list)
-    nonneg: tuple[bool, ...] = ()
-    objective: Optional[tuple[Fraction, ...]] = None
-    maximize: bool = True
 
     def __post_init__(self):
-        if not self.nonneg:
-            self.nonneg = (True,) * self.num_vars
-        if len(self.nonneg) != self.num_vars:
-            raise ValueError("nonneg flag count does not match variable count")
         for coeffs, _ in list(self.eq_rows) + list(self.ge_rows):
             if len(coeffs) != self.num_vars:
                 raise ValueError("row length does not match variable count")
-        if self.objective is not None and len(self.objective) != self.num_vars:
-            raise ValueError("objective length does not match variable count")
 
     def add_eq(self, coeffs: Sequence[Rat], rhs: Rat) -> None:
         self._check_len(coeffs)
@@ -60,11 +53,6 @@ class LinearProgram:
     def add_ge(self, coeffs: Sequence[Rat], rhs: Rat) -> None:
         self._check_len(coeffs)
         self.ge_rows.append((tuple(frac(c) for c in coeffs), frac(rhs)))
-
-    def set_objective(self, coeffs: Sequence[Rat], maximize: bool = True) -> None:
-        self._check_len(coeffs)
-        self.objective = tuple(frac(c) for c in coeffs)
-        self.maximize = maximize
 
     def _check_len(self, coeffs: Sequence[Rat]) -> None:
         if len(coeffs) != self.num_vars:
@@ -77,8 +65,8 @@ class FarkasCertificate:
 
     With y >= 0 on the >=-rows and free lambda on the equality rows, the
     aggregated combination sum(y_l * g_l) + sum(lambda_k * e_k) has a
-    nonpositive coefficient on every nonnegative variable, a zero
-    coefficient on every free variable, and a strictly positive right side.
+    nonpositive coefficient on every variable and a strictly positive right
+    side.
     """
 
     ge_multipliers: tuple[Fraction, ...]
@@ -91,31 +79,19 @@ class Feasible:
 
 
 @dataclass(frozen=True)
-class Optimal:
-    point: tuple[Fraction, ...]
-    value: Fraction
-
-
-@dataclass(frozen=True)
 class Infeasible:
     certificate: FarkasCertificate
 
 
-@dataclass(frozen=True)
-class Unbounded:
-    ray: tuple[Fraction, ...]
-
-
-LPResult = Union[Feasible, Optimal, Infeasible, Unbounded]
+LPResult = Union[Feasible, Infeasible]
 
 
 def check_point(lp: LinearProgram, point: Sequence[Fraction]) -> bool:
     """Exact feasibility of a point."""
     if len(point) != lp.num_vars:
         return False
-    for x, nn in zip(point, lp.nonneg):
-        if nn and x < 0:
-            return False
+    if any(x < 0 for x in point):
+        return False
     for coeffs, rhs in lp.eq_rows:
         if sum(c * x for c, x in zip(coeffs, point)) != rhs:
             return False
@@ -143,13 +119,7 @@ def check_farkas(lp: LinearProgram, cert: FarkasCertificate) -> bool:
         for j, c in enumerate(coeffs):
             agg[j] += lam * c
         rhs += lam * b
-    for j in range(lp.num_vars):
-        if lp.nonneg[j]:
-            if agg[j] > 0:
-                return False
-        elif agg[j] != 0:
-            return False
-    return rhs > 0
+    return all(a <= 0 for a in agg) and rhs > 0
 
 
 class _Tableau:
@@ -199,11 +169,8 @@ class _Tableau:
             self.obj_val += f * self.rhs[r]
         self.basis[r] = c
 
-    def run(self, allowed_cols: int) -> Optional[int]:
-        """Bland-rule simplex to optimality.
-
-        Returns None at optimum, or the entering column when unbounded.
-        """
+    def run(self, allowed_cols: int) -> None:
+        """Bland-rule simplex to optimality of a bounded-below objective."""
         while True:
             enter = -1
             for j in range(allowed_cols):
@@ -211,7 +178,7 @@ class _Tableau:
                     enter = j
                     break
             if enter < 0:
-                return None
+                return
             leave = -1
             best = None
             for r in range(len(self.rows)):
@@ -223,26 +190,14 @@ class _Tableau:
                     ):
                         best = ratio
                         leave = r
-            if leave < 0:
-                return enter
+            assert leave >= 0, "phase one cannot be unbounded"
             self.pivot(leave, enter)
 
 
 def lp_solve(lp: LinearProgram) -> LPResult:
-    """Solve exactly; returns Feasible when no objective is set."""
+    """Decide feasibility exactly: a point, or a Farkas certificate."""
     n = lp.num_vars
-    # variable split: free x = pos - neg
-    pos_col = list(range(n))
-    neg_col: dict[int, int] = {}
-    ncols = n
-    for j in range(n):
-        if not lp.nonneg[j]:
-            neg_col[j] = ncols
-            ncols += 1
-    slack_col: list[int] = []
-    for _ in lp.ge_rows:
-        slack_col.append(ncols)
-        ncols += 1
+    ncols = n + len(lp.ge_rows)  # x, then one surplus column per >=-row
 
     raw_rows: list[tuple[tuple[Fraction, ...], Fraction, int]] = []
     for coeffs, rhs in lp.eq_rows:
@@ -260,21 +215,17 @@ def lp_solve(lp: LinearProgram) -> LPResult:
         row = [ZERO] * (ncols + m)
         for j, c in enumerate(coeffs):
             if c:
-                row[pos_col[j]] = sigma[r] * c
-                if j in neg_col:
-                    row[neg_col[j]] = -sigma[r] * c
+                row[j] = sigma[r] * c
         if ge_idx >= 0:
-            row[slack_col[ge_idx]] = -sigma[r]
+            row[n + ge_idx] = -sigma[r]
         row[ncols + r] = ONE  # artificial
         rows.append(row)
         rhs_v.append(sigma[r] * rhs)
 
     tab = _Tableau(rows, rhs_v)
     tab.basis = [ncols + r for r in range(m)]
-    phase1_costs = [ZERO] * ncols + [ONE] * m
-    tab.set_costs(phase1_costs)
-    unb = tab.run(allowed_cols=ncols)
-    assert unb is None, "phase one cannot be unbounded"
+    tab.set_costs([ZERO] * ncols + [ONE] * m)
+    tab.run(allowed_cols=ncols)
 
     if tab.obj_val > 0:
         # infeasible: dual y of phase one; reduced cost of artificial r is 1 - y_r
@@ -292,63 +243,10 @@ def lp_solve(lp: LinearProgram) -> LPResult:
         assert check_farkas(lp, cert), "extracted Farkas certificate failed to replay"
         return Infeasible(cert)
 
-    # drive artificials out of the basis; drop redundant rows
-    drop: list[int] = []
-    for r in range(m):
-        if tab.basis[r] >= ncols:
-            piv = next((j for j in range(ncols) if tab.rows[r][j] != 0), None)
-            if piv is None:
-                drop.append(r)
-            else:
-                tab.pivot(r, piv)
-    if drop:
-        for r in reversed(drop):
-            del tab.rows[r]
-            del tab.rhs[r]
-            del tab.basis[r]
-
-    def extract_point() -> tuple[Fraction, ...]:
-        vals = [ZERO] * ncols
-        for r, b in enumerate(tab.basis):
-            if b < ncols:
-                vals[b] = tab.rhs[r]
-        out = []
-        for j in range(n):
-            x = vals[pos_col[j]]
-            if j in neg_col:
-                x -= vals[neg_col[j]]
-            out.append(x)
-        return tuple(out)
-
-    if lp.objective is None:
-        point = extract_point()
-        assert check_point(lp, point)
-        return Feasible(point)
-
-    sense = -ONE if lp.maximize else ONE
-    phase2_costs = [ZERO] * (ncols + m)
-    for j in range(n):
-        c = sense * lp.objective[j]
-        phase2_costs[pos_col[j]] = c
-        if j in neg_col:
-            phase2_costs[neg_col[j]] = -c
-    tab.set_costs(phase2_costs)
-    enter = tab.run(allowed_cols=ncols)
-    if enter is not None:
-        # improving ray: increase the entering variable, adjust basics
-        d = [ZERO] * ncols
-        d[enter] = ONE
-        for r, b in enumerate(tab.basis):
-            if b < ncols:
-                d[b] = -tab.rows[r][enter]
-        ray = []
-        for j in range(n):
-            x = d[pos_col[j]]
-            if j in neg_col:
-                x -= d[neg_col[j]]
-            ray.append(x)
-        return Unbounded(tuple(ray))
-    point = extract_point()
+    vals = [ZERO] * n
+    for r, b in enumerate(tab.basis):
+        if b < n:
+            vals[b] = tab.rhs[r]
+    point = tuple(vals)
     assert check_point(lp, point)
-    value = sum(c * x for c, x in zip(lp.objective, point))
-    return Optimal(point, value)
+    return Feasible(point)

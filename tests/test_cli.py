@@ -110,3 +110,18 @@ class TestBatchCommands:
     def test_usage_error_exit_code(self):
         assert dispatch(["fcvalue", "-k", "3"]) == 2
         assert dispatch(["nonsense"]) == 2
+
+
+class TestTimeLimit:
+    def test_timeout_exits_1(self, capsys):
+        assert dispatch(["getnfc", "-n", "4", "-k", "3", "-m", "2", "--time-limit", "1e-9"]) == 1
+        assert capsys.readouterr().err.startswith("timeout:")
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
+    def test_nonpositive_limit_rejected(self, fam_file, value):
+        assert dispatch(["getnfc", "-n", "4", "-k", "3", "-m", "2", "--time-limit", value]) == 2
+        assert dispatch(["isfc", fam_file, "--time-limit", value]) == 2
+
+    def test_commands_without_decisions_take_no_limit(self):
+        assert dispatch(["translates", "-n", "4", "--r", "0,1,2", "--time-limit", "5"]) == 2
+        assert dispatch(["lexscan", "-k", "4", "-n", "5", "--time-limit", "5"]) == 2

@@ -1,12 +1,15 @@
 import itertools
 import math
+import multiprocessing
 import random
+import re
 
 import pytest
 
-from fcfam.setfam import Family, lex_ksets, universe
+import fcfam.enumfam
+from fcfam.setfam import Family, lex_ksets, no_singletons_family, universe
 from fcfam.canon import canonical_key
-from fcfam.fcsolve import is_fc
+from fcfam.fcsolve import certificate_to_dict, is_fc
 from fcfam.verify import verify_certificate
 from fcfam.enumfam import (
     fc_value,
@@ -180,3 +183,83 @@ class TestFcvValue:
         dom = Family.from_masks(4, tuple(m for m in range(16) if m != 0b0001))
         with pytest.raises(ValueError, match="symmetric"):
             fcv_value(3, 4, dom)
+
+
+@pytest.fixture
+def isfc_calls(monkeypatch):
+    """Count the decisions the drivers make through enumfam.is_fc."""
+    calls = []
+
+    def counting(family, **kwargs):
+        calls.append(family)
+        return is_fc(family, **kwargs)
+
+    monkeypatch.setattr(fcfam.enumfam, "is_fc", counting)
+    return calls
+
+
+def first_full_prefix(n, k):
+    uni = 0
+    for idx, s in enumerate(lex_ksets(n, k)):
+        uni |= s
+        if uni == (1 << n) - 1:
+            return idx + 1
+
+
+class TestOneDecisionPerFamily:
+    def test_fcv_value_decides_each_family_once(self, isfc_calls):
+        solved = []
+
+        def count_solved(msg):
+            solved.append(int(re.search(r"solved=(\d+)", msg)[1]))
+
+        rep = fcv_value(5, 6, progress=count_solved)
+        assert rep.value == 3
+        assert len(isfc_calls) == sum(solved) > 0
+        assert rep.witness in isfc_calls
+
+    def test_fcv_witness_certificate_is_a_fresh_decision(self):
+        rep = fcv_value(5, 6)
+        fresh = is_fc(rep.witness, domain=no_singletons_family(6), warm_start=True)
+        assert certificate_to_dict(rep.witness_certificate) == certificate_to_dict(fresh)
+
+    def test_lex_scan_decides_each_prefix_once(self, isfc_calls):
+        res = lex_scan(4, 5)
+        assert len(isfc_calls) == res.m - first_full_prefix(5, 4) + 1
+        prev = Family.from_masks(5, lex_ksets(5, 4)[: res.m - 1])
+        fresh = is_fc(prev, warm_start=True)
+        assert certificate_to_dict(res.prev_nonfc) == certificate_to_dict(fresh)
+
+    def test_lex_scan_decides_the_predecessor_on_its_own_universe(self, isfc_calls):
+        res = lex_scan(3, 6)
+        assert res.m == first_full_prefix(6, 3)
+        assert res.prev_nonfc is None
+        assert len(isfc_calls) == 2 and isfc_calls[1].n == 5
+
+
+class TestWorkerPool:
+    def test_fcv_value_jobs_do_not_change_results(self):
+        seq = fcv_value(5, 6, jobs=1)
+        par = fcv_value(5, 6, jobs=2)
+        assert (par.value, par.status, par.counts, par.witness) == (
+            seq.value, seq.status, seq.counts, seq.witness
+        )
+        assert certificate_to_dict(par.witness_certificate) == certificate_to_dict(
+            seq.witness_certificate
+        )
+
+    @pytest.mark.parametrize("k,n", [(3, 5), (3, 6)])
+    def test_fc_value_opens_one_pool(self, monkeypatch, k, n):
+        # (3, 6) classifies two batches of several families each
+        real = multiprocessing.Pool
+        pools = []
+
+        def counting(*args, **kwargs):
+            pools.append(real(*args, **kwargs))
+            return pools[-1]
+
+        monkeypatch.setattr(multiprocessing, "Pool", counting)
+        rep = fc_value(k, n, jobs=2)
+        assert len(pools) == 1
+        seq = fc_value(k, n)
+        assert (rep.value, rep.counts, rep.witness) == (seq.value, seq.counts, seq.witness)

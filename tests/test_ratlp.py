@@ -9,8 +9,6 @@ from fcfam.ratlp import (
     Feasible,
     Infeasible,
     LinearProgram,
-    Optimal,
-    Unbounded,
     check_farkas,
     check_point,
     frac,
@@ -41,14 +39,6 @@ class TestExamples:
         assert res.certificate.ge_multipliers == (Fraction(1), Fraction(1))
         assert res.certificate.eq_multipliers == (Fraction(-1),)
 
-    def test_maximize_with_upper_bound(self):
-        lp = LinearProgram(1)
-        lp.add_ge([-1], -3)  # x <= 3
-        lp.set_objective([1], maximize=True)
-        res = lp_solve(lp)
-        assert isinstance(res, Optimal)
-        assert res.value == 3 and res.point == (Fraction(3),)
-
 
 class TestExactness:
     def test_points_satisfy_exactly(self):
@@ -65,26 +55,6 @@ class TestExactness:
             else:
                 assert isinstance(res, Infeasible)
                 assert check_farkas(lp, res.certificate)
-
-    def test_unbounded_ray(self):
-        lp = LinearProgram(2)
-        lp.add_ge([1, -1], 0)
-        lp.set_objective([1, 1], maximize=True)
-        res = lp_solve(lp)
-        assert isinstance(res, Unbounded)
-        ray = res.ray
-        assert ray[0] - ray[1] >= 0
-        assert all(x >= 0 for x in ray)
-        assert ray[0] + ray[1] > 0  # objective strictly improves
-
-    def test_free_variables(self):
-        lp = LinearProgram(2, nonneg=(False, True))
-        lp.add_eq([1, 1], 0)
-        lp.add_ge([0, 1], 2)
-        lp.set_objective([1, 0], maximize=True)
-        res = lp_solve(lp)
-        assert isinstance(res, Optimal)
-        assert res.value == -2
 
 
 def gauss_solve(rows, rhs, n):
@@ -103,31 +73,26 @@ def gauss_solve(rows, rhs, n):
     return [m[r][n] for r in range(n)]
 
 
-def brute_boxed_optimum(lp):
-    """Enumerate all vertices of a bounded-feasible region via active sets."""
+def brute_boxed_feasible(lp):
+    """Whether a bounded region has a vertex, by solving every active set."""
     n = lp.num_vars
     rows = [(c, r) for c, r in lp.eq_rows] + [(c, r) for c, r in lp.ge_rows]
     for j in range(n):
         e = [Fraction(0)] * n
         e[j] = Fraction(1)
         rows.append((tuple(e), Fraction(0)))
-    best = None
-    feasible = False
     for active in itertools.combinations(range(len(rows)), n):
         x = gauss_solve([rows[i][0] for i in active], [rows[i][1] for i in active], n)
-        if x is None or not check_point(lp, tuple(x)):
-            continue
-        feasible = True
-        val = sum(c * v for c, v in zip(lp.objective, x))
-        if best is None or (lp.maximize and val > best) or (not lp.maximize and val < best):
-            best = val
-    return feasible, best
+        if x is not None and check_point(lp, tuple(x)):
+            return True
+    return False
 
 
 class TestBruteForceCrossCheck:
     def test_random_boxed_lps(self):
+        # 0 <= x <= U bounds the region, so it is nonempty iff it has a vertex
         rng = random.Random(7)
-        optimal_seen = 0
+        feasible_seen = infeasible_seen = 0
         for _ in range(200):
             n = rng.randint(1, 4)
             lp = LinearProgram(n)
@@ -139,17 +104,17 @@ class TestBruteForceCrossCheck:
                 lp.add_ge([rng.randint(-3, 3) for _ in range(n)], rng.randint(-4, 4))
             if rng.random() < 0.4:
                 lp.add_eq([rng.randint(-2, 2) for _ in range(n)], rng.randint(-2, 3))
-            lp.set_objective([rng.randint(-3, 3) for _ in range(n)], maximize=rng.random() < 0.5)
             res = lp_solve(lp)
-            feasible, best = brute_boxed_optimum(lp)
+            feasible = brute_boxed_feasible(lp)
             if isinstance(res, Infeasible):
                 assert not feasible
                 assert check_farkas(lp, res.certificate)
+                infeasible_seen += 1
             else:
-                assert isinstance(res, Optimal)
-                assert feasible and best == res.value
-                optimal_seen += 1
-        assert optimal_seen > 50
+                assert isinstance(res, Feasible)
+                assert feasible and check_point(lp, res.point)
+                feasible_seen += 1
+        assert feasible_seen > 50 and infeasible_seen > 20
 
 
 class TestSerialization:
