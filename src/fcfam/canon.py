@@ -5,10 +5,26 @@ universe, of the normal-form member list (sorted bit masks, compared
 lexicographically).  Families are first compacted to their universe, so two
 families are isomorphic iff their canonical forms are identical.
 
-The search assigns new labels from the highest bit down and prunes with an
-optimistic completion bound plus interchangeable-element (twin) collapsing;
-plain enumeration of all permutations is kept in the test suite as the
-reference oracle for small universes.
+The search assigns new labels from the highest bit down, trying elements in
+order of degree and collapsing interchangeable elements (twins).  The
+identity relabeling is the first incumbent, and a child is searched only if
+a lower bound on every leaf below it is strictly smaller than the incumbent.
+Two bounds are used, both elementwise lower bounds on the members' final
+values, so their sorted lists are lexicographic lower bounds:
+
+- the optimistic bound: each member keeps its placed (high) bits and puts
+  its unplaced elements on the lowest free labels.  It is kept per member
+  and updated only for the members that contain the element just placed;
+- the distinct bound, tried only when the optimistic one passes: members
+  with the same placed bits and the same number r of unplaced elements must
+  end with distinct low parts, so the i-th of them is raised to the i-th
+  smallest number with r bits set.
+
+Neither bound can prune the first optimal leaf in search order (its bound
+is at most the optimum, which is below the incumbent until that leaf), so
+the result, witness included, is the same as without them.  Plain
+enumeration of all permutations is kept in the test suite as the reference
+oracle for small universes.
 """
 
 from __future__ import annotations
@@ -114,6 +130,25 @@ def _twin_classes(members: Sequence[int], u: int) -> list[int]:
     return twin
 
 
+def _distinct_bound(bound: list[int], low_mask: int) -> list[int]:
+    """Raise runs of equal values in the sorted elementwise bound.
+
+    Equal entries are members with the same placed bits and the same number
+    r of unplaced elements, whose final low parts (under `low_mask`) must be
+    distinct r-element sets: the i-th of a run is at least the i-th smallest
+    number of popcount r (one Gosper step per repeat).
+    """
+    out = bound.copy()
+    for i in range(1, len(out)):
+        if bound[i] == bound[i - 1]:
+            low = out[i - 1] & low_mask
+            c = low & -low
+            nxt = low + c
+            out[i] = (bound[i] & ~low_mask) | (((nxt ^ low) >> 2) // c) | nxt
+    out.sort()
+    return out
+
+
 def canonical_form(family: Family) -> CanonicalForm:
     """Deterministic minimum relabeling over the compacted universe."""
     if family.n > ORBIT_UNIVERSE_CAP:
@@ -126,32 +161,30 @@ def canonical_form(family: Family) -> CanonicalForm:
 
     twin = _twin_classes(members, u)
     nm = len(members)
-    sizes = [m.bit_count() for m in members]
     degree = [sum(m >> e & 1 for m in members) for e in range(u)]
     elem_order = sorted(range(u), key=lambda e: (degree[e], e))
+    inc = [[j for j in range(nm) if members[j] >> e & 1] for e in range(u)]
 
     # incumbent from the identity relabeling
     best = list(members)
     best_assign: list[int] = list(range(u))  # best_assign[pos] = old element index for new label pos+1
 
-    # partial[j] = bits of member j already placed (high labels); assigned old elements
-    partial = [0] * nm
-    remaining = list(sizes)
+    # remaining[j] = unplaced elements of member j; opt[j] = its placed bits
+    # (high labels) plus those elements on the lowest free labels
+    remaining = [m.bit_count() for m in members]
+    opt = [(1 << r) - 1 for r in remaining]
     order: list[int] = [0] * u  # order[pos] = old element index receiving new label pos+1
     used = [False] * u
-
-    def optimistic() -> list[int]:
-        return sorted(partial[j] | ((1 << remaining[j]) - 1) for j in range(nm))
 
     def rec(label: int) -> None:
         nonlocal best, best_assign
         if label == 0:
-            cur = sorted(partial)
-            if cur < best:
-                best = cur
-                best_assign = order.copy()
+            # the bound is exact at a leaf, and it passed the test against best
+            best = sorted(opt)
+            best_assign = order.copy()
             return
         bit = 1 << (label - 1)
+        low_mask = bit - 1
         tried_twins = set()
         for e in elem_order:
             if used[e]:
@@ -162,17 +195,18 @@ def canonical_form(family: Family) -> CanonicalForm:
             tried_twins.add(rep)
             used[e] = True
             order[label - 1] = e
-            touched = []
-            for j in range(nm):
-                if members[j] >> e & 1:
-                    partial[j] |= bit
-                    remaining[j] -= 1
-                    touched.append(j)
-            if optimistic() < best:
+            touched = inc[e]
+            for j in touched:
+                r = remaining[j]
+                opt[j] += bit - (1 << (r - 1))
+                remaining[j] = r - 1
+            bound = sorted(opt)
+            if bound < best and _distinct_bound(bound, low_mask) < best:
                 rec(label - 1)
             for j in touched:
-                partial[j] ^= bit
-                remaining[j] += 1
+                r = remaining[j] + 1
+                opt[j] -= bit - (1 << (r - 1))
+                remaining[j] = r
             used[e] = False
         return
 

@@ -4,18 +4,23 @@
 incremental augmentation: each (m-1)-set representative over a compacted
 universe [u] is extended by every k-set that takes j fresh elements
 (canonically u+1..u+j) and k-j old ones, then deduplicated by canonical
-form.  `get_nfc` is the recursive Non-FC enumeration: memoized bottom-up
+form, so every representative is its own canonical form.  `get_nfc` is the
+recursive Non-FC enumeration: memoized bottom-up
 over universe sizes J = {max(k, n-k), ..., n}, with isomorph rejection
 against both accumulators and the skip of any extension containing a
 proper FC subfamily (checked one member down against the previous level's
 FC keys; an FC verdict there also covers deeper containment because such
-families were pruned earlier).
+families were pruned earlier).  A subfamily is canonicalized for that check
+only when the previous level has an FC key of its universe size, so runs
+whose previous levels are all Non-FC never canonicalize a subfamily.
 
 FC and V-FC share one classification path: `EnumSession.classify` decides
 each family with `is_fc` over the session's domain (all of P([n]) unless
 one is given) and streams (family, certificate) pairs in input order, so a
-driver keeps only the certificates it reports.  With jobs > 1 the decisions
-fan out over one worker pool per session.
+driver keeps only the certificates it reports: each getNFC cell keeps the
+certificate of its smallest Non-FC family, which `fc_value` reports as its
+witness without solving it again.  With jobs > 1 the decisions fan out
+over one worker pool per session.
 """
 
 from __future__ import annotations
@@ -48,16 +53,24 @@ CanonKey = tuple[int, tuple[int, ...]]
 
 @dataclass
 class NfcRegistry:
-    """Non-FC families and FC keys of one (n, k, m) cell, by canonical form."""
+    """Non-FC families and FC keys of one (n, k, m) cell, by canonical form.
+
+    `witness` is `nfc_sorted()[0]`, and its certificate is the only one kept:
+    all Non-FC certificates of a cell can take megabytes.
+    """
 
     nfc: dict[CanonKey, Family] = field(default_factory=dict)
     fc: set[CanonKey] = field(default_factory=set)
+    witness: Optional[Family] = None
+    witness_certificate: Optional[NonFcCertificate] = None
 
     def record(self, key: CanonKey, fam: Family, cert: Certificate) -> None:
         if isinstance(cert, FcCertificate):
             self.fc.add(key)
-        else:
-            self.nfc[key] = fam
+            return
+        self.nfc[key] = fam
+        if self.witness is None or (fam.n, fam.members) < (self.witness.n, self.witness.members):
+            self.witness, self.witness_certificate = fam, cert
 
     def nfc_sorted(self) -> list[Family]:
         return sorted(self.nfc.values(), key=lambda f: (f.n, f.members))
@@ -207,9 +220,9 @@ class EnumSession:
             self.memo[key] = reg
             return reg
         if k * (m - 1) < n:
+            # gen_noniso_families already returns canonical representatives
             for fam, cert in self.classify(gen_noniso_families(n, k, m)):
-                cf = canonical_form(fam)
-                reg.record(cf.key, cf.relabeled, cert)
+                reg.record((fam.n, fam.members), fam, cert)
             self._say(f"getNFC({n},{k},{m}): base level, {len(reg.nfc)} Non-FC")
             self.memo[key] = reg
             return reg
@@ -254,7 +267,7 @@ class EnumSession:
             rest = fam.members[:drop] + fam.members[drop + 1 :]
             sub, _ = compact_universe(Family.from_masks(fam.n, rest))
             table = prev_fc.get(sub.n)
-            if table is None:
+            if not table:
                 continue
             if canonical_form(sub).key in table:
                 return True
@@ -300,37 +313,29 @@ def fc_value(
     t0 = time.monotonic()
     cap = math.comb(n, k)
     counts: dict[tuple[int, int], int] = {}
-    witness: Optional[Family] = None
+    witness_cell: Optional[NfcRegistry] = None  # first nonempty cell of the last Non-FC level
     value: Optional[int] = None
     status = "exhausted"
     m = 1
     with EnumSession(jobs, symmetry, warm_start, deadline, progress, time_limit) as session:
         while m <= (m_max if m_max is not None else cap):
-            level_witness = None
-            all_empty = True
-            for i in range(k, n + 1):
-                lst = session.get_nfc(i, k, m).nfc_sorted()
-                counts[(i, m)] = len(lst)
-                if lst and level_witness is None:
-                    level_witness = lst[0]
-                if lst:
-                    all_empty = False
+            cells = [session.get_nfc(i, k, m) for i in range(k, n + 1)]
+            for i, reg in zip(range(k, n + 1), cells):
+                counts[(i, m)] = len(reg.nfc)
             if progress:
                 progress(f"fc_value({k},{n}): m={m} Non-FC classes="
-                         f"{sum(counts[(i, m)] for i in range(k, n + 1))}")
-            if all_empty:
+                         f"{sum(len(reg.nfc) for reg in cells)}")
+            level_cell = next((reg for reg in cells if reg.nfc), None)
+            if level_cell is None:
                 value, status = m, "found"
                 break
-            witness = level_witness
+            witness_cell = level_cell
             m += 1
         else:
             if m_max is None or m_max >= cap:
                 status = "undefined"
-    # the cell registries keep no certificates, so the witness is decided again
-    cert = None
-    if witness is not None and status == "found":
-        cert = is_fc(witness, symmetry=symmetry, warm_start=warm_start)
-        assert isinstance(cert, NonFcCertificate), "witness re-verification failed"
+    witness = witness_cell.witness if witness_cell else None
+    cert = witness_cell.witness_certificate if witness_cell and status == "found" else None
     return FcValueReport(
         k, n, value, status, witness, counts, time.monotonic() - t0, cert
     )

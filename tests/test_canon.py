@@ -63,6 +63,29 @@ class TestCanonicalForm:
             cf = canonical_form(fam)
             assert apply_perm_family(cf.witness, comp) == cf.relabeled
 
+    def test_canonical_form_is_a_fixed_point(self):
+        rng = random.Random(47)
+        for _ in range(200):
+            cf = canonical_form(random_family(rng, max_n=7))
+            assert canonical_form(cf.relabeled).relabeled == cf.relabeled
+
+    def test_uniform_families_match_brute_minimum(self):
+        # the distinct-low-parts bound prunes most where many members share
+        # a size, so draw k-uniform families over 6 and 7 elements
+        rng = random.Random(53)
+        for trial in range(48):
+            n = rng.choice((6, 7))
+            k = rng.randint(2, 5)
+            pool = [sum(1 << e for e in c) for c in itertools.combinations(range(n), k)]
+            masks = rng.sample(pool, rng.randint(2, min(9, len(pool))))
+            if trial % 4 == 0:
+                masks.append(0)  # the empty set as a member
+            fam = Family.from_masks(n, masks)
+            comp, _ = compact_universe(fam)
+            cf = canonical_form(fam)
+            assert cf.key == brute_min_canonical(fam)
+            assert apply_perm_family(cf.witness, comp) == cf.relabeled
+
 
 class TestIsomorphism:
     def test_same_class_different_grounds(self):

@@ -8,10 +8,12 @@ import pytest
 
 import fcfam.enumfam
 from fcfam.setfam import Family, lex_ksets, no_singletons_family, universe
-from fcfam.canon import canonical_key
+from fcfam.canon import canonical_form, canonical_key
 from fcfam.fcsolve import certificate_to_dict, is_fc
 from fcfam.verify import verify_certificate
 from fcfam.enumfam import (
+    EnumSession,
+    NfcRegistry,
     fc_value,
     fcv_value,
     gen_noniso_families,
@@ -56,6 +58,12 @@ class TestGenNonIso:
         keys = {canonical_key(f) for f in fams}
         assert len(keys) == len(fams)
         assert all(universe(f) == (1 << 5) - 1 for f in fams)
+
+    def test_outputs_are_canonical_forms(self):
+        # get_nfc records base-level families without canonicalizing them again
+        for n, k, m in [(5, 3, 2), (6, 4, 2), (7, 5, 2), (6, 3, 3)]:
+            for fam in gen_noniso_families(n, k, m):
+                assert canonical_form(fam).relabeled == fam
 
     def test_impossible_parameters(self):
         assert gen_noniso_families(4, 3, 5) == []  # m > C(4,3)
@@ -223,6 +231,23 @@ class TestOneDecisionPerFamily:
         fresh = is_fc(rep.witness, domain=no_singletons_family(6), warm_start=True)
         assert certificate_to_dict(rep.witness_certificate) == certificate_to_dict(fresh)
 
+    @pytest.mark.parametrize("k,n", [(3, 5), (4, 6)])
+    def test_fc_value_decides_each_family_once(self, isfc_calls, monkeypatch, k, n):
+        recorded = []
+        real = NfcRegistry.record
+
+        def counting(self, key, fam, cert):
+            recorded.append(fam)
+            real(self, key, fam, cert)
+
+        monkeypatch.setattr(NfcRegistry, "record", counting)
+        rep = fc_value(k, n)
+        assert rep.status == "found"
+        assert isfc_calls == recorded
+        assert rep.witness in isfc_calls
+        fresh = is_fc(rep.witness, warm_start=True)
+        assert certificate_to_dict(rep.witness_certificate) == certificate_to_dict(fresh)
+
     def test_lex_scan_decides_each_prefix_once(self, isfc_calls):
         res = lex_scan(4, 5)
         assert len(isfc_calls) == res.m - first_full_prefix(5, 4) + 1
@@ -263,3 +288,25 @@ class TestWorkerPool:
         assert len(pools) == 1
         seq = fc_value(k, n)
         assert (rep.value, rep.counts, rep.witness) == (seq.value, seq.counts, seq.witness)
+        assert certificate_to_dict(rep.witness_certificate) == certificate_to_dict(
+            seq.witness_certificate
+        )
+
+
+class TestCanonicalLabelingCalls:
+    def test_no_subfamily_lookups_into_empty_fc_tables(self, monkeypatch):
+        session = EnumSession()
+        for i in range(5, 8):
+            session.get_nfc(i, 5, 3)
+        assert all(not session.memo[(i, 5, 3)].fc for i in range(5, 8))
+        seen = []
+        real = fcfam.enumfam.canonical_form
+
+        def recording(family):
+            seen.append(family)
+            return real(family)
+
+        monkeypatch.setattr(fcfam.enumfam, "canonical_form", recording)
+        session.get_nfc(7, 5, 4)
+        assert seen
+        assert all(len(f.members) == 4 for f in seen)
