@@ -1,4 +1,4 @@
-"""Canonical labeling, isomorphism tests, automorphisms and element orbits.
+"""Canonical labeling, isomorphism tests, automorphism generators and orbits.
 
 The canonical form of a family is the minimum, over all relabelings of its
 universe, of the normal-form member list (sorted bit masks, compared
@@ -25,12 +25,27 @@ is at most the optimum, which is below the incumbent until that leaf), so
 the result, witness included, is the same as without them.  Plain
 enumeration of all permutations is kept in the test suite as the reference
 oracle for small universes.
+
+Automorphisms come from one find-one search, `_find_automorphism`: it
+assigns images in domain order under a member-multiset consistency test,
+with the images of a prefix of elements forced.  `generating_set` drives it
+along the base 0, 1, ..., u-1 from the bottom up.  At level d every
+generator found so far fixes 0..d-1, so it lies in the pointwise stabilizer
+G_d of 0..d-1.  The orbit of d under those generators is grown, and each
+j > d it has not reached gets one search with 0..d-1 fixed and d sent to j;
+a hit is a new generator.  Skipping a reached j is sound, since a product
+of generators in G_d already sends d there, and no j < d is tried, since
+G_d fixes it.  So at every level the generators reach the whole G_d-orbit
+of d: they form a strong generating set, and the group order is the product
+of those orbit lengths (Seress, *Permutation Group Algorithms*, 2003).  The
+element orbits and the listing in `automorphism_group` are closures of these
+generators; no decision lists the group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .setfam import Family, compact_universe, universe
 
@@ -38,6 +53,8 @@ Permutation = tuple[int, ...]  # images[i-1] = image of element i, 1-based value
 
 AUTOMORPHISM_UNIVERSE_CAP = 10
 ORBIT_UNIVERSE_CAP = 16
+
+T = TypeVar("T")
 
 
 def identity_perm(n: int) -> Permutation:
@@ -106,8 +123,17 @@ class OrbitPartition:
             out[oid].append(i + 1)
         return [tuple(o) for o in out]
 
-
-
+    @classmethod
+    def from_generators(cls, gens: Sequence[Permutation], n: int) -> "OrbitPartition":
+        """Orbits on [n] of the group the gens generate, numbered by first appearance."""
+        ids = [-1] * n
+        count = 0
+        for i in range(1, n + 1):
+            if ids[i - 1] < 0:
+                for x in _orbit(i, gens, _image):
+                    ids[x - 1] = count
+                count += 1
+        return cls(tuple(ids))
 
 
 def _twin_classes(members: Sequence[int], u: int) -> list[int]:
@@ -232,22 +258,20 @@ def are_isomorphic(a: Family, b: Family) -> bool:
     return canonical_key(a) == canonical_key(b)
 
 
-def _search_automorphisms(
-    members: Sequence[int],
-    u: int,
-    first_image: Optional[tuple[int, int]] = None,
-    find_one: bool = False,
-) -> list[Permutation]:
-    """Backtracking over bijections of [u] fixing the member multiset.
+def _find_automorphism(
+    members: Sequence[int], u: int, prefix: Sequence[int]
+) -> Optional[Permutation]:
+    """One bijection of [u] fixing the member multiset, or None.
 
-    Elements are assigned in domain order 1..u; a partial map phi on the
-    first t elements survives iff the multiset of (phi(S n [t]), |S|) over
-    members equals the multiset of (M n V_t, |M|) over members, where V_t is
-    the set of assigned values.
+    Elements are assigned in domain order 0..u-1, element t < len(prefix)
+    to prefix[t] (0-based); a partial map phi on the first t elements
+    survives iff the multiset of (phi(S n [t]), |S|) over members equals the
+    multiset of (M n V_t, |M|) over members, where V_t is the set of
+    assigned values.
     """
     nm = len(members)
     sizes = [m.bit_count() for m in members]
-    found: list[Permutation] = []
+    inc = [[j for j in range(nm) if members[j] >> d & 1] for d in range(u)]
     images = [0] * u
     used = [False] * u
     val_mask = 0  # bits of assigned target values (0-based)
@@ -270,138 +294,102 @@ def _search_automorphisms(
     def rec(d: int) -> bool:
         nonlocal val_mask
         if d == u:
-            found.append(tuple(images))
-            return find_one
-        dom_bit = 1 << d
-        choices = range(u) if first_image is None or d != first_image[0] else (first_image[1],)
-        for v in choices:
+            return True
+        for v in (prefix[d],) if d < len(prefix) else range(u):
             if used[v]:
                 continue
+            bit = 1 << v
             used[v] = True
             images[d] = v + 1
-            val_mask |= 1 << v
-            touched = [j for j in range(nm) if members[j] & dom_bit]
-            for j in touched:
-                img[j] |= 1 << v
-            if consistent() and rec(d + 1):
-                for j in touched:
-                    img[j] ^= 1 << v
-                val_mask ^= 1 << v
-                used[v] = False
-                return True
-            for j in touched:
-                img[j] ^= 1 << v
-            val_mask ^= 1 << v
+            val_mask |= bit
+            for j in inc[d]:
+                img[j] |= bit
+            # passing the test at d implies passing it at every earlier
+            # step, so inside the forced prefix it runs at the prefix's end
+            found = (d + 1 < len(prefix) or consistent()) and rec(d + 1)
+            for j in inc[d]:
+                img[j] ^= bit
+            val_mask ^= bit
             used[v] = False
+            if found:
+                return True
         return False
 
-    rec(0)
-    return found
+    return tuple(images) if rec(0) else None
+
+
+def _orbit(start: T, gens: Sequence[Permutation], act: Callable[[Permutation, T], T]) -> set[T]:
+    """Everything reached from start under the group the gens generate."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = act(g, x)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def _image(g: Permutation, x: int) -> int:
+    return g[x - 1]
+
+
+def generating_set(family: Family) -> list[Permutation]:
+    """Strong generating set of the automorphism group of a family.
+
+    Built bottom-up along the base 0..u-1 of the compacted universe (see the
+    module docstring); the permutations act on the full ground set, fixing
+    non-universe elements pointwise.  Capped at universes of 16 elements.
+    """
+    fam, compaction = compact_universe(family)
+    if not universe(family):
+        return []
+    u = fam.n
+    if u > ORBIT_UNIVERSE_CAP:
+        raise ValueError(f"universe of {u} elements exceeds cap {ORBIT_UNIVERSE_CAP}")
+    gens: list[Permutation] = []
+    for d in range(u - 1, -1, -1):
+        # every generator so far fixes 0..d-1; grow the orbit of d under them
+        reached = _orbit(d + 1, gens, _image)
+        for j in range(d + 1, u):
+            if j + 1 in reached:
+                continue
+            g = _find_automorphism(fam.members, u, (*range(d), j))
+            if g is not None:
+                gens.append(g)
+                reached = _orbit(d + 1, gens, _image)
+    out = []
+    for g in gens:
+        full = list(range(1, family.n + 1))
+        for i, old in enumerate(compaction):
+            full[old - 1] = compaction[g[i] - 1]
+        out.append(tuple(full))
+    return out
 
 
 def automorphism_group(family: Family) -> list[Permutation]:
-    """All bijections of the universe fixing the family setwise.
+    """All bijections of the universe fixing the family setwise, sorted.
 
-    Returned permutations act on the full ground set, fixing non-universe
-    elements pointwise.  Listing is capped at universes of 10 elements.
+    The closure of `generating_set`, so it acts on the full ground set the
+    same way.  Listing is capped at universes of 10 elements.
     """
-    fam, compaction = compact_universe(family)
-    if universe(family) == 0:
-        return [identity_perm(family.n)]
-    if fam.n > AUTOMORPHISM_UNIVERSE_CAP:
-        raise ValueError(
-            f"universe of {fam.n} elements exceeds cap {AUTOMORPHISM_UNIVERSE_CAP}"
-        )
-    perms = _search_automorphisms(fam.members, fam.n)
-    out = []
-    for p in perms:
-        full = list(range(1, family.n + 1))
-        for i, old in enumerate(compaction):
-            full[old - 1] = compaction[p[i] - 1]
-        out.append(tuple(full))
-    return sorted(out)
+    u = universe(family).bit_count()
+    if u > AUTOMORPHISM_UNIVERSE_CAP:
+        raise ValueError(f"universe of {u} elements exceeds cap {AUTOMORPHISM_UNIVERSE_CAP}")
+    return sorted(_orbit(identity_perm(family.n), generating_set(family), compose))
 
 
 def orbits(family: Family) -> OrbitPartition:
-    """Automorphism orbits of the ground elements.
+    """Automorphism orbits of the ground elements, from `generating_set`.
 
-    Avoids full group listing: merges elements via individual automorphism
-    searches, so it also handles larger highly symmetric universes (cap 16).
+    The group is never listed, so universes up to 16 elements are handled;
+    non-universe elements sit in singletons.
     """
-    fam, compaction = compact_universe(family)
-    u = fam.n if universe(family) else 0
-    if u > ORBIT_UNIVERSE_CAP:
-        raise ValueError(f"universe of {u} elements exceeds cap {ORBIT_UNIVERSE_CAP}")
-
-    parent = list(range(u))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
-
-    blocked: set[tuple[int, int]] = set()
-    for i in range(u):
-        for j in range(i + 1, u):
-            a, b = find(i), find(j)
-            if a == b or (min(a, b), max(a, b)) in blocked:
-                continue
-            hit = _search_automorphisms(fam.members, u, first_image=(i, j), find_one=True)
-            if hit:
-                for x in range(u):
-                    union(x, hit[0][x] - 1)
-            else:
-                blocked.add((min(a, b), max(a, b)))
-
-    # map back to the full ground set; non-universe elements sit in singletons
-    comp_of = {old: find(i) for i, old in enumerate(compaction)}
-    ids: list[int] = []
-    assign: dict[tuple[str, int], int] = {}
-    for e in range(1, family.n + 1):
-        key = ("u", comp_of[e]) if e in comp_of else ("s", e)
-        if key not in assign:
-            assign[key] = len(assign)
-        ids.append(assign[key])
-    return OrbitPartition(tuple(ids))
-
-
-def generating_set(group: Iterable[Permutation]) -> list[Permutation]:
-    """Small generating set of a permutation group given by full listing."""
-    gens: list[Permutation] = []
-    known: set[Permutation] = set()
-    ident: Optional[Permutation] = None
-    for p in group:
-        if ident is None:
-            ident = identity_perm(len(p))
-            known = {ident}
-        if p in known:
-            continue
-        gens.append(p)
-        frontier = [p]
-        while frontier:
-            q = frontier.pop()
-            if q in known:
-                continue
-            known.add(q)
-            for g in gens:
-                frontier.append(compose(g, q))
-                frontier.append(compose(q, g))
-    return gens
+    return OrbitPartition.from_generators(generating_set(family), family.n)
 
 
 def family_orbit(family: Family, gens: Sequence[Permutation]) -> list[Family]:
     """Distinct images of a family under the group generated by gens."""
-    seen = {family}
-    frontier = [family]
-    while frontier:
-        f = frontier.pop()
-        for g in gens:
-            img = apply_perm_family(g, f)
-            if img not in seen:
-                seen.add(img)
-                frontier.append(img)
-    return sorted(seen, key=lambda f: f.members)
+    return sorted(_orbit(family, gens, apply_perm_family), key=lambda f: f.members)

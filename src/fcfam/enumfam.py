@@ -13,6 +13,7 @@ FC keys; an FC verdict there also covers deeper containment because such
 families were pruned earlier).  A subfamily is canonicalized for that check
 only when the previous level has an FC key of its universe size, so runs
 whose previous levels are all Non-FC never canonicalize a subfamily.
+`fcv_value` skips families with a V-FC subfamily by the same check.
 
 FC and V-FC share one classification path: `EnumSession.classify` decides
 each family with `is_fc` over the session's domain (all of P([n]) unless
@@ -248,7 +249,7 @@ class EnumSession:
                 cf = canonical_form(ext)
                 if cf.key in pending:
                     continue
-                if self._contains_proper_fc(ext, k, m, prev_fc):
+                if _has_subfamily_in(ext, prev_fc):
                     continue
                 pending.add(cf.key)
                 candidates.append(cf.relabeled)
@@ -259,19 +260,6 @@ class EnumSession:
         self._say(f"getNFC({n},{k},{m}): {len(reg.nfc)} Non-FC, {len(reg.fc)} FC")
         self.memo[key] = reg
         return reg
-
-    def _contains_proper_fc(
-        self, fam: Family, k: int, m: int, prev_fc: dict[int, set[CanonKey]]
-    ) -> bool:
-        for drop in range(len(fam.members)):
-            rest = fam.members[:drop] + fam.members[drop + 1 :]
-            sub, _ = compact_universe(Family.from_masks(fam.n, rest))
-            table = prev_fc.get(sub.n)
-            if not table:
-                continue
-            if canonical_form(sub).key in table:
-                return True
-        return False
 
 
 def get_nfc(
@@ -435,7 +423,7 @@ def fcv_value(
             vfc_here: set[CanonKey] = set()
             to_solve: list[Family] = []
             for fam in reps:
-                if _has_vfc_subfamily(fam, prev_vfc):
+                if _has_subfamily_in(fam, {n: prev_vfc}):
                     vfc_here.add((fam.n, fam.members))
                 else:
                     to_solve.append(fam)
@@ -468,16 +456,15 @@ def fcv_value(
     )
 
 
-def _has_vfc_subfamily(fam: Family, prev_keys: set[CanonKey]) -> bool:
-    if not prev_keys:
-        return False
-    full = (1 << fam.n) - 1
+def _has_subfamily_in(fam: Family, tables: dict[int, set[CanonKey]]) -> bool:
+    """Whether dropping one member of fam leaves a family whose canonical key
+    is in the table of its compacted universe size; a subfamily whose size
+    has no table, or an empty one, is not canonicalized."""
     for drop in range(len(fam.members)):
         rest = fam.members[:drop] + fam.members[drop + 1 :]
-        sub = Family.from_masks(fam.n, rest)
-        if universe(sub) != full:
-            continue
-        if canonical_form(sub).key in prev_keys:
+        sub, _ = compact_universe(Family.from_masks(fam.n, rest))
+        table = tables.get(sub.n)
+        if table and canonical_form(sub).key in table:
             return True
     return False
 

@@ -12,7 +12,10 @@ With symmetry enabled the LP is projected to one variable per automorphism
 orbit of <A> (sound: averaging a feasible point over the group gives an
 orbit-constant feasible point), every witness is stored with its full orbit
 of images, and Farkas multipliers are spread uniformly over each orbit so
-the emitted certificate replays over the original, unprojected system.
+the emitted certificate replays over the original, unprojected system.  The
+group enters only as the strong generating set of `canon.generating_set`:
+the element orbits and each witness's images are closures of those
+generators, so a decision never lists the group.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .setfam import (
 )
 from .canon import (
     OrbitPartition,
-    automorphism_group,
+    automorphism_group,  # noqa: F401  (not called here; bench/spans.py wraps it by name)
     family_orbit,
     generating_set,
 )
@@ -83,7 +86,6 @@ class FcCertificate:
     weights: tuple[Fraction, ...]
     cuts: list[Cut]
     symmetry: bool
-    orbit_partition: Optional[OrbitPartition] = None
 
     kind = "fc"
 
@@ -98,7 +100,6 @@ class NonFcCertificate:
     multipliers: tuple[Fraction, ...]  # one per cut, >= 0
     lam: Fraction  # multiplier of sum(c) = 1
     symmetry: bool
-    orbit_partition: Optional[OrbitPartition] = None
 
     kind = "non-fc"
 
@@ -157,30 +158,6 @@ def lift_point(point: Sequence[Fraction], orbits: OrbitPartition) -> tuple[Fract
     return tuple(point[orbits.orbit_id[j]] for j in range(len(orbits.orbit_id)))
 
 
-def _orbits_from_group(group: Sequence[tuple[int, ...]], n: int) -> OrbitPartition:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in group:
-        for i in range(n):
-            a, b = find(i), find(p[i] - 1)
-            if a != b:
-                parent[a] = b
-    ids: dict[int, int] = {}
-    out = []
-    for i in range(n):
-        r = find(i)
-        if r not in ids:
-            ids[r] = len(ids)
-        out.append(ids[r])
-    return OrbitPartition(tuple(out))
-
-
 @dataclass
 class _CutClass:
     images: list[Family]  # distinct orbit images, sorted by members
@@ -214,9 +191,8 @@ def is_fc(
     gens: list[tuple[int, ...]] = []
     orbit_part: Optional[OrbitPartition] = None
     if symmetry:
-        group = automorphism_group(closure)
-        gens = generating_set(group)
-        orbit_part = _orbits_from_group(group, n)
+        gens = generating_set(closure)
+        orbit_part = OrbitPartition.from_generators(gens, n)
 
     classes: list[_CutClass] = []
     seen: set[tuple[int, ...]] = set()
@@ -263,7 +239,7 @@ def is_fc(
             res = lp_solve(lp)
         if isinstance(res, Infeasible):
             return _build_nonfc(
-                family, n, closure, domain, classes, res.certificate, symmetry, orbit_part
+                family, n, closure, domain, classes, res.certificate, symmetry
             )
         assert isinstance(res, Feasible)
         point = lift_point(res.point, orbit_part) if symmetry else res.point
@@ -283,7 +259,6 @@ def is_fc(
             weights=tuple(point),
             cuts=expanded_cuts(),
             symmetry=symmetry,
-            orbit_partition=orbit_part,
         )
 
 
@@ -299,7 +274,6 @@ def _build_nonfc(
     classes: list[_CutClass],
     farkas: FarkasCertificate,
     symmetry: bool,
-    orbit_part: Optional[OrbitPartition],
 ) -> NonFcCertificate:
     lam = farkas.eq_multipliers[0]
     cut_mult: list[tuple[Cut, Fraction]] = []
@@ -323,7 +297,6 @@ def _build_nonfc(
         multipliers=tuple(y for _, y in cut_mult),
         lam=lam,
         symmetry=symmetry,
-        orbit_partition=orbit_part,
     )
 
 

@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from fcfam.setfam import Family, compact_universe, frequencies, lex_prefix, translates_family, union_closure
+from fcfam.setfam import (
+    Family,
+    compact_universe,
+    frequencies,
+    lex_ksets,
+    lex_prefix,
+    translates_family,
+    union_closure,
+)
 from fcfam.canon import (
     apply_perm_family,
     are_isomorphic,
@@ -19,6 +27,19 @@ from fcfam.canon import (
 )
 
 from oracles import brute_automorphisms, brute_min_canonical, random_family
+
+
+def generated_group(gens, n):
+    group = {identity_perm(n)}
+    frontier = [identity_perm(n)]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = compose(g, p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
 
 
 def random_perm(rng, n):
@@ -173,6 +194,18 @@ class TestOrbits:
             for orbit in part.orbit_sets():
                 assert len({counts[i - 1] for i in orbit}) == 1
 
+    def test_matches_brute_orbits(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            fam = random_family(rng, max_n=6)
+            group = brute_automorphisms(fam)
+            # the orbit of i is {p(i)}; number orbits by first appearance
+            first: dict[int, int] = {}
+            expected = tuple(
+                first.setdefault(min(p[i] for p in group), len(first)) for i in range(fam.n)
+            )
+            assert orbits(fam).orbit_id == expected
+
     def test_singletons_outside_universe(self):
         fam = Family.from_sets(4, [[2, 3]])
         assert orbits(fam).orbit_sets() == [(1,), (2, 3), (4,)]
@@ -180,23 +213,24 @@ class TestOrbits:
 
 class TestGroupHelpers:
     def test_generating_set_regenerates(self):
-        fam = Family.from_sets(4, [[1, 2], [3, 4]])
-        group = automorphism_group(fam)
-        gens = generating_set(group)
-        regen = {identity_perm(4)}
-        frontier = [identity_perm(4)]
-        while frontier:
-            p = frontier.pop()
-            for g in gens:
-                q = compose(g, p)
-                if q not in regen:
-                    regen.add(q)
-                    frontier.append(q)
-        assert regen == set(group)
+        rng = random.Random(59)
+        fams = [Family.from_sets(4, [[1, 2], [3, 4]])]
+        fams += [random_family(rng, max_n=6) for _ in range(40)]
+        for fam in fams:
+            assert generated_group(generating_set(fam), fam.n) == set(brute_automorphisms(fam))
 
     def test_family_orbit(self):
         fam = Family.from_sets(4, [[1, 2], [3, 4]])
-        gens = generating_set(automorphism_group(union_closure(Family.from_sets(4, [[1, 2, 3, 4]]))))
+        gens = generating_set(union_closure(Family.from_sets(4, [[1, 2, 3, 4]])))
         orbit = family_orbit(fam, gens)
         # images of {12},{34} under S_4: all perfect matchings of [4]
         assert len(orbit) == 3
+
+    def test_closure_of_all_4sets_of_8(self):
+        # |G| = 8! = 40,320: the chain reaches it without listing the group
+        closure = union_closure(Family.from_masks(8, lex_ksets(8, 4)))
+        gens = generating_set(closure)
+        assert len(gens) <= 7
+        assert all(apply_perm_family(g, closure) == closure for g in gens)
+        assert orbits(closure).num_orbits == 1
+        assert len(family_orbit(Family.from_sets(8, [[1, 2, 3, 4]]), gens)) == 70

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import fcfam.canon
+import fcfam.fcsolve
 from fcfam.setfam import (
     Family,
+    lex_ksets,
     no_singletons_family,
     powerset_family,
     union_closure,
@@ -131,6 +134,21 @@ class TestSymmetryReduce:
         lifted = lift_point(res.point, part)
         assert lifted[0] == lifted[1] == lifted[2]
         assert lifted[3] == lifted[4] == lifted[5]
+
+    def test_decisions_never_list_the_group(self, monkeypatch):
+        def refuse(family):
+            raise AssertionError("a decision listed the automorphism group")
+
+        monkeypatch.setattr(fcfam.fcsolve, "automorphism_group", refuse)
+        monkeypatch.setattr(fcfam.canon, "automorphism_group", refuse)
+        fams = [
+            Family.from_masks(6, lex_ksets(6, 3)),  # all 3-subsets of [6]: |G| = 720
+            Family.from_sets(4, [[1, 2], [3, 4]]),
+            Family.from_sets(5, [[1, 2, 3], [3, 4, 5]]),  # Non-FC
+            Family.from_sets(6, [[1, 2, 3], [3, 4, 5], [1, 5, 6]]),
+        ]
+        for fam in fams:
+            assert is_fc(fam, symmetry=True).kind == is_fc(fam).kind
 
 
 class TestLoopProperties:
