@@ -6,7 +6,8 @@ the variable domain with <A> |+| B = B.  The decision alternates a pure
 feasibility LP over the inequalities collected so far with the exact
 separation solve: an LP-infeasibility ends in a Non-FC certificate (cuts
 plus Farkas multipliers), a separation optimum <= 0 ends in an FC
-certificate (the weights plus the cuts that pinned them down).
+certificate (the weights, the cuts that pinned them down, and the final
+separation's search tree, which proves that optimum).
 
 With symmetry enabled the LP is projected to one variable per automorphism
 orbit of <A> (sound: averaging a feasible point over the group gives an
@@ -50,7 +51,7 @@ from .ratlp import (
     frac_str,
     lp_solve,
 )
-from .sepip import build_separation, solve_separation
+from .sepip import LEAF, build_separation, solve_separation
 
 ProgressFn = Callable[[str], None]
 
@@ -86,6 +87,7 @@ class FcCertificate:
     weights: tuple[Fraction, ...]
     cuts: list[Cut]
     symmetry: bool
+    proof: tuple[int, ...]  # the final separation's search tree (sepip.LEAF = pruned)
 
     kind = "fc"
 
@@ -259,6 +261,7 @@ def is_fc(
             weights=tuple(point),
             cuts=expanded_cuts(),
             symmetry=symmetry,
+            proof=sep.proof,
         )
 
 
@@ -315,6 +318,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
     if isinstance(cert, FcCertificate):
         out["weights"] = [frac_str(w) for w in cert.weights]
+        out["proof"] = list(cert.proof)
     else:
         out["farkas"] = {
             "multipliers": [frac_str(y) for y in cert.multipliers],
@@ -340,7 +344,14 @@ def certificate_from_dict(data: dict) -> Certificate:
             weights = tuple(frac(w) for w in data["weights"])
             if len(weights) != n:
                 raise CertificateError("weight count does not match n")
-            return FcCertificate(family, n, closure_size, domain, weights, cuts, symmetry)
+            if "proof" not in data:
+                raise CertificateError("FC certificate carries no separation proof")
+            proof = tuple(data["proof"])
+            if not all(type(x) is int and (x == LEAF or 0 <= x < 1 << n) for x in proof):
+                raise CertificateError(f"proof entries must be {LEAF} or set masks below 2^{n}")
+            return FcCertificate(
+                family, n, closure_size, domain, weights, cuts, symmetry, proof
+            )
         if kind == "non-fc":
             farkas = data["farkas"]
             multipliers = tuple(frac(y) for y in farkas["multipliers"])

@@ -16,6 +16,13 @@ of the single-set forcing relation (an integral relaxation of the LP,
 computed by min cut), and the relaxed solution either closes into a feasible
 incumbent or yields the branching set.  `brute_separation` is the
 independent oracle: exhaustive enumeration over all subfamilies of D.
+
+Every solve records its search tree in preorder: each branching node adds
+its branch set S (the left child fixes S and its closure to 1, the right
+child fixes S to 0; a left child whose closure meets a 0-fixed set is
+infeasible and has no entries) and each pruned node adds `LEAF`.  When the
+optimum is <= 0 the list is returned as `SeparationResult.proof`, which is
+what an FC certificate carries and what `verify` replays without searching.
 """
 
 from __future__ import annotations
@@ -31,12 +38,14 @@ from .ratlp import frac
 
 SOLVE_GROUND_CAP = 8
 BRUTE_DOMAIN_CAP = 16
+LEAF = -1  # proof entry of a pruned node
 
 
 @dataclass(frozen=True)
 class SeparationResult:
     optimum: Fraction
     witness: Family
+    proof: Optional[tuple[int, ...]] = None  # preorder search tree, if optimum <= 0
 
 
 class SeparationProblem:
@@ -156,26 +165,21 @@ class SeparationTimeout(TimeoutError):
 def solve_separation(
     problem: SeparationProblem,
     mode: str = "optimal",
-    branch_order: str = "default",
     deadline: Optional[float] = None,
 ) -> SeparationResult:
     """Exact maximum (mode="optimal") or any positive point (mode="violation")."""
     if mode not in ("optimal", "violation"):
         raise ValueError(f"unknown mode {mode!r}")
-    if branch_order not in ("default", "opposite"):
-        raise ValueError(f"unknown branch order {branch_order!r}")
     tab = problem.tables
     W = problem.wmask
     force0 = tab.force0
     base_members = tab.base_members
-    if branch_order == "default":
-        pos_order = sorted(problem.positives, key=lambda s: (-W[s], s))
-    else:
-        pos_order = sorted(problem.positives, key=lambda s: (W[s], -s))
+    pos_order = sorted(problem.positives, key=lambda s: (-W[s], s))
 
     best_val = 0
     best_masks: tuple[int, ...] = ()
     ticks = 0
+    proof: list[int] = []
 
     def tick() -> None:
         nonlocal ticks
@@ -238,9 +242,11 @@ def solve_separation(
 
         trivial = val + sum(W[s] for s in cands)
         if trivial <= cutoff:
+            proof.append(LEAF)
             return
         bound_extra, picked = _closure_relaxation(cands, targets, ones, W)
         if val + bound_extra <= cutoff:
+            proof.append(LEAF)
             return
 
         # try to close the relaxed pick into a feasible incumbent
@@ -254,6 +260,7 @@ def solve_separation(
                     raise _Found()
                 cutoff = best_val if mode == "optimal" else 0
             if wval == val + bound_extra:
+                proof.append(LEAF)
                 return  # relaxation is exact here
         # branch on a picked set whose pairwise unions escape the relaxed
         # pick into uncounted negative-weight territory; fixing it either
@@ -275,6 +282,7 @@ def solve_separation(
             if hit:
                 branch = s
                 break
+        proof.append(branch)
         ones1 = frozenset(close(ones, [branch]))
         if not (ones1 & zeros):
             node(ones1, sum(W[s] for s in ones1), zeros)
@@ -285,7 +293,10 @@ def solve_separation(
     except _Found:
         pass
     witness = Family.from_masks(problem.base.n, best_masks)
-    return SeparationResult(Fraction(best_val, problem.scale), witness)
+    return SeparationResult(
+        Fraction(best_val, problem.scale), witness,
+        tuple(proof) if best_val <= 0 else None,
+    )
 
 
 def _closure_relaxation(
@@ -334,13 +345,16 @@ def _closure_relaxation(
     inf = total_pos + 1
     for a, b in edges:
         cap_edges.append((a, b, inf))
-    flow, reach = _max_flow(nv + 2, src, snk, cap_edges)
+    flow, reach, _ = _max_flow(nv + 2, src, snk, cap_edges)
     picked = {order[i] for i in range(nv) if i in reach}
     return total_pos - flow, picked
 
 
 def _max_flow(nv: int, src: int, snk: int, arcs: list[tuple[int, int, int]]):
-    """Dinic max flow on integer capacities; returns (flow, source side).
+    """Dinic max flow on integer capacities.
+
+    Returns (flow, source side of a minimum cut, residual capacities); the
+    flow on arc i is the residual capacity of its reverse edge, index 2i+1.
 
     The blocking-flow search walks an explicit path stack instead of
     recursing; paths here are short (the forcing graphs are almost
@@ -410,7 +424,7 @@ def _max_flow(nv: int, src: int, snk: int, arcs: list[tuple[int, int, int]]):
             if cap[e] > 0 and to[e] not in reach:
                 reach.add(to[e])
                 queue.append(to[e])
-    return flow, reach
+    return flow, reach, cap
 
 
 def brute_separation(base: UCFamily, weights: Sequence, domain: Family) -> SeparationResult:

@@ -43,6 +43,21 @@ class TestIsfcAndVerify:
         assert data["kind"] == "fc"
         assert data["domain"] != "full"
 
+    def test_fc_certificate_needs_its_proof(self, tmp_path, capsys):
+        path = tmp_path / "k4_n6.fam"
+        path.write_text("n=6\n1,2,3,4\n1,2,3,5\n1,2,4,6\n1,3,5,6\n2,4,5,6\n3,4,5,6\n1,2,5,6\n")
+        out = tmp_path / "out"
+        assert dispatch(["isfc", str(path), "-o", str(out)]) == 0
+        cert_path = out / "certificate.json"
+        data = json.loads(cert_path.read_text())
+        assert data["kind"] == "fc" and data["proof"]
+        assert dispatch(["verify", str(cert_path)]) == 0
+        assert "PASS" in capsys.readouterr().out
+        del data["proof"]
+        cert_path.write_text(json.dumps(data))
+        assert dispatch(["verify", str(cert_path)]) == 2
+        assert "no separation proof" in capsys.readouterr().err
+
     def test_gappy_family_compacted(self, tmp_path, capsys):
         path = tmp_path / "gap.fam"
         path.write_text("2,5\n5,7\n")

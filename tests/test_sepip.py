@@ -179,16 +179,6 @@ class TestOracleEquivalence:
                 assert uplus(Family(4, base.members), wit) == wit
             assert prob.violation(wit) == got.optimum
 
-    def test_branch_orders_agree(self):
-        rng = random.Random(43)
-        for _ in range(60):
-            base, w, dom = random_instance(rng, 4)
-            prob = build_separation(base, w, dom)
-            assert (
-                solve_separation(prob, branch_order="default").optimum
-                == solve_separation(prob, branch_order="opposite").optimum
-            )
-
     def test_violation_mode_consistent(self):
         rng = random.Random(44)
         for _ in range(60):

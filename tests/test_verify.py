@@ -1,11 +1,15 @@
 import copy
+import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from fcfam.setfam import Family, no_singletons_family
+import fcfam.verify
+from fcfam.setfam import Family, no_singletons_family, powerset_family, union_closure
 from fcfam.fcsolve import (
+    CertificateError,
     Cut,
     FcCertificate,
     NonFcCertificate,
@@ -13,9 +17,16 @@ from fcfam.fcsolve import (
     certificate_to_dict,
     is_fc,
 )
-from fcfam.verify import verify_certificate, verify_fc, verify_nonfc
+from fcfam.sepip import LEAF, brute_separation, build_separation, solve_separation
+from fcfam.verify import (
+    check_separation_proof,
+    verify_certificate,
+    verify_fc,
+    verify_nonfc,
+)
 
 from oracles import random_family
+from test_sepip import random_instance, random_weights
 
 
 def make_pool(seed=100):
@@ -38,14 +49,15 @@ def make_pool(seed=100):
 
 def tamper(cert, rng):
     """One random single-field mutation over the integrity-checked fields:
-    a ground element of a cut family, a cached cut count, or one rational
-    (weight, Farkas multiplier, or lambda)."""
+    a ground element of a cut family, a cached cut count, one rational
+    (weight, Farkas multiplier, or lambda), or the separation proof cut
+    short or extended by one entry."""
     cert = copy.deepcopy(cert)
     choices = []
     if cert.cuts:
         choices += ["cut-element", "cut-freq", "cut-size"]
     if isinstance(cert, FcCertificate):
-        choices.append("weight")
+        choices += ["weight", "proof-truncate", "proof-extend"]
     else:
         choices += ["multiplier", "lambda"]
     kind = rng.choice(choices)
@@ -75,6 +87,10 @@ def tamper(cert, rng):
         if w[j] == cert.weights[j]:
             w[j] += 1
         cert.weights = tuple(w)
+    elif kind == "proof-truncate":
+        cert.proof = cert.proof[: rng.randrange(len(cert.proof))]
+    elif kind == "proof-extend":
+        cert.proof = cert.proof + (rng.choice([LEAF, rng.randrange(1 << cert.n)]),)
     elif kind == "multiplier":
         y = list(cert.multipliers)
         j = rng.randrange(len(y))
@@ -158,3 +174,164 @@ class TestRandomTampers:
             bad = tamper(cert, rng)
             rep = verify_certificate(bad)
             assert not rep.passed, (cert.kind, bad)
+
+
+@pytest.fixture(scope="module")
+def larger_certs():
+    """FC and V-FC certificates on 5 and 6 elements, every one with a
+    branching root."""
+    k4_of_6 = [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 6], [1, 3, 5, 6], [2, 4, 5, 6],
+               [3, 4, 5, 6], [1, 2, 5, 6]]
+    certs = [
+        is_fc(Family.from_sets(5, list(combinations(range(1, 6), 4)))),
+        is_fc(Family.from_sets(5, [[1, 2, 3], [1, 2, 4], [1, 2, 5]]), symmetry=True),
+        is_fc(Family.from_sets(6, list(combinations(range(1, 7), 5))[:3]),
+              domain=no_singletons_family(6), warm_start=True),
+        is_fc(Family.from_sets(6, k4_of_6), symmetry=True, warm_start=True),
+    ]
+    assert all(c.kind == "fc" and c.proof[0] != LEAF for c in certs)
+    return certs
+
+
+def subtree_end(proof, i, ones, zeros, base):
+    """Index just past the subtree that starts at proof[i]."""
+    b = proof[i]
+    if b == LEAF:
+        return i + 1
+    grown = ones | {b | x for x in base | ones}
+    j = i + 1
+    if grown.isdisjoint(zeros):
+        j = subtree_end(proof, j, grown, zeros, base)
+    return subtree_end(proof, j, ones, zeros | {b}, base)
+
+
+class TestProofTampers:
+    def test_untampered_pass_after_roundtrip(self, larger_certs):
+        for cert in larger_certs:
+            again = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+            assert again.proof == cert.proof
+            assert verify_fc(again).passed
+
+    def test_truncated_proof(self, larger_certs):
+        for cert in larger_certs:
+            bad = copy.deepcopy(cert)
+            bad.proof = bad.proof[:-1]
+            rep = verify_fc(bad)
+            assert not rep.passed and "ends before" in rep.failure
+
+    def test_extended_proof(self, larger_certs):
+        for cert in larger_certs:
+            for extra in (LEAF, 0, (1 << cert.n) - 1):
+                bad = copy.deepcopy(cert)
+                bad.proof = bad.proof + (extra,)
+                rep = verify_fc(bad)
+                assert not rep.passed and "left over" in rep.failure
+
+    def test_branch_set_already_in_zeros(self, larger_certs):
+        # the root's right child has the root's branch set fixed to 0;
+        # branching on it there again must be refused
+        for cert in larger_certs:
+            base = frozenset(union_closure(cert.family).members)
+            b = cert.proof[0]
+            grown = frozenset({b | x for x in base})
+            right = subtree_end(cert.proof, 1, grown, frozenset(), base)
+            bad = copy.deepcopy(cert)
+            bad.proof = cert.proof[:right] + (b,) + cert.proof[right + 1:]
+            rep = verify_fc(bad)
+            assert not rep.passed and "already fixed" in rep.failure
+
+    def test_branch_set_outside_domain(self, larger_certs):
+        vfc = larger_certs[2]
+        assert vfc.domain is not None
+        bad = copy.deepcopy(vfc)
+        bad.proof = (0b000001,) + vfc.proof[1:]  # a singleton
+        rep = verify_fc(bad)
+        assert not rep.passed and "outside the domain" in rep.failure
+
+    def test_proof_of_another_certificate(self, larger_certs):
+        for n in (5, 6):
+            same_n = [c for c in larger_certs if c.n == n]
+            for cert, other in zip(same_n, same_n[1:] + same_n[:1]):
+                bad = copy.deepcopy(cert)
+                bad.proof = other.proof
+                assert not verify_fc(bad).passed
+
+    def test_weights_moved_so_leaf_bounds_fail(self, larger_certs):
+        # without cuts, the proof alone vouches for the weights; moving them
+        # halfway to a vertex of the simplex opens a violated family
+        for cert in larger_certs:
+            bad = copy.deepcopy(cert)
+            bad.cuts = []
+            assert verify_fc(bad).passed
+            bad.weights = tuple(w / 2 + (Fraction(1, 2) if i == 0 else 0)
+                                for i, w in enumerate(cert.weights))
+            dom = cert.domain or powerset_family(cert.n)
+            prob = build_separation(union_closure(cert.family), bad.weights, dom)
+            assert solve_separation(prob).optimum > 0
+            rep = verify_fc(bad)
+            assert not rep.passed and "a leaf bounds" in rep.failure
+
+    def test_missing_or_malformed_proof_in_file(self, larger_certs):
+        data = certificate_to_dict(larger_certs[0])
+        for proof in ([LEAF, -2], [1 << 5], [True], ["3"], 7):
+            with pytest.raises(CertificateError):
+                certificate_from_dict(dict(data, proof=proof))
+        del data["proof"]
+        with pytest.raises(CertificateError, match="no separation proof"):
+            certificate_from_dict(data)
+
+
+class TestProofReplay:
+    def test_sound_against_brute_oracle(self):
+        # producer proofs replayed under other weights: wherever the oracle
+        # finds a positive family, the replay must refuse the proof
+        rng = random.Random(7301)
+        accepted = rejected = proofs = 0
+        while proofs < 60:
+            n = rng.randint(2, 4)
+            base, w, dom = random_instance(rng, n)
+            sep = solve_separation(build_separation(base, w, dom), mode="violation")
+            if sep.optimum > 0:
+                assert sep.proof is None
+                continue
+            proofs += 1
+            assert check_separation_proof(base, dom, w, sep.proof) is None
+            other = random_weights(rng, n)
+            for t in (Fraction(1), Fraction(1, 2), Fraction(1, 10)):
+                moved = [(1 - t) * a + t * b for a, b in zip(w, other)]
+                failure = check_separation_proof(base, dom, moved, sep.proof)
+                if brute_separation(base, moved, dom).optimum > 0:
+                    assert failure is not None
+                if failure is None:
+                    accepted += 1
+                else:
+                    rejected += 1
+        assert accepted > 20 and rejected > 20
+
+    @pytest.mark.parametrize("corrupt, failure", [
+        (lambda cap: [c * 2 if i % 2 else c for i, c in enumerate(cap)], "capacity"),
+        (lambda cap: [c + 1 if i == 1 else c for i, c in enumerate(cap)], "not conserved"),
+    ], ids=["doubled", "unbalanced"])
+    def test_flow_is_checked_not_trusted(self, monkeypatch, larger_certs, corrupt, failure):
+        # a flow code that reports more flow than the graph carries must not
+        # make a leaf pass
+        max_flow = fcfam.verify._max_flow
+
+        def bad_flow(nv, src, snk, arcs):
+            flow, reach, cap = max_flow(nv, src, snk, arcs)
+            return flow, reach, corrupt(cap)
+
+        monkeypatch.setattr(fcfam.verify, "_max_flow", bad_flow)
+        for cert in larger_certs:
+            rep = verify_fc(cert)
+            assert not rep.passed and failure in rep.failure
+
+    def test_verify_never_searches(self, monkeypatch, larger_certs):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_fc must not search")
+
+        monkeypatch.setattr(fcfam.verify, "solve_separation", refuse)
+        monkeypatch.setattr(fcfam.verify, "brute_separation", refuse)
+        for cert in make_pool() + larger_certs:
+            if cert.kind == "fc":
+                assert verify_fc(cert).passed
