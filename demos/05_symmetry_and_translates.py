@@ -51,7 +51,7 @@ print("\n== transitive families need only the uniform weight check ==")
 fam = Family.from_sets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
 closure = union_closure(fam)
 print("orbit count:", orbits(closure).num_orbits)
-prob = build_separation(closure, [Fraction(1, 4)] * 4, powerset_family(4))
+prob = build_separation(closure, powerset_family(4))
 print("uniform weights admit no separating family:",
-      solve_separation(prob).optimum <= 0)
+      solve_separation(prob, [Fraction(1, 4)] * 4).optimum <= 0)
 print("matches the full decision:", is_fc(fam).kind == "fc")

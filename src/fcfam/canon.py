@@ -66,13 +66,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return tuple(p[q[i] - 1] for i in range(len(q)))
 
 
-def invert(p: Permutation) -> Permutation:
-    inv = [0] * len(p)
-    for i, img in enumerate(p):
-        inv[img - 1] = i + 1
-    return tuple(inv)
-
-
 def apply_perm_mask(p: Permutation, mask: int) -> int:
     out = 0
     while mask:

@@ -4,10 +4,13 @@ A family A over [n] is FC iff some nonnegative weight vector c with
 sum(c) = 1 satisfies  sum_i c_i |B_i| >= |B|/2  for every union-closed B in
 the variable domain with <A> |+| B = B.  The decision alternates a pure
 feasibility LP over the inequalities collected so far with the exact
-separation solve: an LP-infeasibility ends in a Non-FC certificate (cuts
-plus Farkas multipliers), a separation optimum <= 0 ends in an FC
-certificate (the weights, the cuts that pinned them down, and the final
-separation's search tree, which proves that optimum).
+separation solve, which either returns a violated family (the next cut) or
+proves that none exists.  An LP-infeasibility ends in a Non-FC certificate
+(cuts plus Farkas multipliers), a proof ends in an FC certificate (the
+weights, the cuts that pinned them down, and the final separation's search
+tree).  The separation instance is built once, on the first feasible LP
+round, so a decision settled by its first LP builds none; a caller's domain
+is validated before that LP.
 
 With symmetry enabled the LP is projected to one variable per automorphism
 orbit of <A> (sound: averaging a feasible point over the group gives an
@@ -51,7 +54,7 @@ from .ratlp import (
     frac_str,
     lp_solve,
 )
-from .sepip import LEAF, build_separation, solve_separation
+from .sepip import LEAF, _validate_base_domain, build_separation, solve_separation
 
 ProgressFn = Callable[[str], None]
 
@@ -160,12 +163,6 @@ def lift_point(point: Sequence[Fraction], orbits: OrbitPartition) -> tuple[Fract
     return tuple(point[orbits.orbit_id[j]] for j in range(len(orbits.orbit_id)))
 
 
-@dataclass
-class _CutClass:
-    images: list[Family]  # distinct orbit images, sorted by members
-    rep_cut: Cut
-
-
 def is_fc(
     family: Family,
     *,
@@ -187,8 +184,10 @@ def is_fc(
     if universe(family) != full:
         raise ValueError("family universe must be all of [n] (compact it first)")
     closure = union_closure(family)
+    if domain is not None:
+        # before the first LP, so an invalid domain never gets a verdict
+        _validate_base_domain(closure, domain)
     dom = domain if domain is not None else powerset_family(n)
-    prob0 = build_separation(closure, _uniform_weights(n), dom)
 
     gens: list[tuple[int, ...]] = []
     orbit_part: Optional[OrbitPartition] = None
@@ -196,7 +195,9 @@ def is_fc(
         gens = generating_set(closure)
         orbit_part = OrbitPartition.from_generators(gens, n)
 
-    classes: list[_CutClass] = []
+    # one list per orbit of stored cuts: the cut of each distinct image,
+    # sorted by members; the first is the representative the LP sees
+    classes: list[list[Cut]] = []
     seen: set[tuple[int, ...]] = set()
 
     def add_cut(fam: Family) -> bool:
@@ -205,7 +206,7 @@ def is_fc(
         images = family_orbit(fam, gens) if symmetry else [fam]
         for img in images:
             seen.add(img.members)
-        classes.append(_CutClass(images, Cut.from_family(images[0])))
+        classes.append([Cut.from_family(img) for img in images])
         return True
 
     if warm_start:
@@ -220,13 +221,8 @@ def is_fc(
             if b.members and all(m in dom_set for m in b.members):
                 add_cut(b)
 
-    def expanded_cuts() -> list[Cut]:
-        return sorted(
-            (Cut.from_family(img) for cls in classes for img in cls.images),
-            key=lambda cut: cut.family.members,
-        )
-
     rounds = 0
+    prob = None  # the separation instance, built on the first feasible round
     while True:
         rounds += 1
         if deadline is not None and time.monotonic() > deadline:
@@ -234,7 +230,7 @@ def is_fc(
         lp = LinearProgram(n)
         lp.add_eq([1] * n, 1)
         for cls in classes:
-            lp.add_ge(cls.rep_cut.freq, Fraction(cls.rep_cut.size, 2))
+            lp.add_ge(cls[0].freq, Fraction(cls[0].size, 2))
         if symmetry:
             res = lp_solve(symmetry_reduce(lp, orbit_part))
         else:
@@ -247,8 +243,9 @@ def is_fc(
         point = lift_point(res.point, orbit_part) if symmetry else res.point
         if progress:
             progress(f"round {rounds}: {len(classes)} cut classes, separating")
-        prob = prob0.with_weights(point)
-        sep = solve_separation(prob, mode="violation", deadline=deadline)
+        if prob is None:
+            prob = build_separation(closure, dom)
+        sep = solve_separation(prob, point, deadline=deadline)
         if sep.optimum > 0:
             added = add_cut(sep.witness)
             assert added, "separation returned an already stored cut"
@@ -259,14 +256,11 @@ def is_fc(
             closure_size=len(closure.members),
             domain=domain,
             weights=tuple(point),
-            cuts=expanded_cuts(),
+            cuts=sorted((cut for cls in classes for cut in cls),
+                        key=lambda cut: cut.family.members),
             symmetry=symmetry,
             proof=sep.proof,
         )
-
-
-def _uniform_weights(n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1, n) for _ in range(n))
 
 
 def _build_nonfc(
@@ -274,16 +268,15 @@ def _build_nonfc(
     n: int,
     closure: UCFamily,
     domain: Optional[Family],
-    classes: list[_CutClass],
+    classes: list[list[Cut]],
     farkas: FarkasCertificate,
     symmetry: bool,
 ) -> NonFcCertificate:
     lam = farkas.eq_multipliers[0]
     cut_mult: list[tuple[Cut, Fraction]] = []
     for cls, y in zip(classes, farkas.ge_multipliers):
-        share = y / len(cls.images)
-        for img in cls.images:
-            cut_mult.append((Cut.from_family(img), share))
+        share = y / len(cls)
+        cut_mult.extend((cut, share) for cut in cls)
     # normalize so the aggregated right side is exactly 1; any single-field
     # change then breaks the replay
     rhs = sum(y * Fraction(c.size, 2) for c, y in cut_mult) + lam

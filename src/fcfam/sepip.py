@@ -2,27 +2,30 @@
 
 Given a union-closed base family A (with the empty set, universe [n]) and a
 weight vector c, find a union-closed family B inside the variable domain D
-with A |+| B = B maximizing  |B| - 2 * sum_i c_i |B_i|,  or prove that no
-such B has positive value.  Feasible B are exactly the 0/1 points of
+with A |+| B = B and positive value  |B| - 2 * sum_i c_i |B_i|,  or prove
+that none exists.  Feasible B are exactly the 0/1 points of
 
     x_S + x_T <= 1 + x_{S u T}   for S, T in D
     x_S <= x_{A u S}             for A in base, S in D
 
 and the objective weight of S is w_S = 1 - 2 * sum_{i in S} c_i.
 
-`solve_separation` is exact branch and bound: weights are scaled to
-integers, an upper bound at each node comes from the maximum-weight closure
-of the single-set forcing relation (an integral relaxation of the LP,
-computed by min cut), and the relaxed solution either closes into a feasible
-incumbent or yields the branching set.  `brute_separation` is the
-independent oracle: exhaustive enumeration over all subfamilies of D.
+`build_separation` validates a base and a domain once and returns the
+weight-free `SeparationProblem`.  `solve_separation` takes one round's
+weights and answers with either a violated family (`optimum > 0`, its value,
+and `witness`) or `optimum == 0` and a `proof`: the search tree in preorder,
+which is what an FC certificate carries and `verify` replays without
+searching.  Each branching node adds its branch set S (the left child fixes
+S and its closure to 1, the right child fixes S to 0; a left child whose
+closure meets a 0-fixed set is infeasible and has no entries) and each
+pruned node adds `LEAF`.
 
-Every solve records its search tree in preorder: each branching node adds
-its branch set S (the left child fixes S and its closure to 1, the right
-child fixes S to 0; a left child whose closure meets a 0-fixed set is
-infeasible and has no entries) and each pruned node adds `LEAF`.  When the
-optimum is <= 0 the list is returned as `SeparationResult.proof`, which is
-what an FC certificate carries and what `verify` replays without searching.
+The solve is exact branch and bound: weights are scaled to integers, an
+upper bound at each node comes from the maximum-weight closure of the
+single-set forcing relation (an integral relaxation of the LP, computed by
+min cut), and the relaxed solution either closes into a feasible family or
+yields the branching set.  `brute_separation` is the independent oracle:
+exhaustive enumeration over all subfamilies of D, returning the maximum.
 """
 
 from __future__ import annotations
@@ -45,69 +48,19 @@ LEAF = -1  # proof entry of a pruned node
 class SeparationResult:
     optimum: Fraction
     witness: Family
-    proof: Optional[tuple[int, ...]] = None  # preorder search tree, if optimum <= 0
+    proof: Optional[tuple[int, ...]] = None  # preorder search tree, if no violation
 
 
+@dataclass(frozen=True)
 class SeparationProblem:
-    """A separation instance with precomputed forcing tables.
+    """A weight-free separation instance, as `build_separation` validates and
+    builds it."""
 
-    `with_weights` reuses the tables, which is what the cutting-plane loop
-    does on every round.
-    """
-
-    def __init__(self, base: UCFamily, weights: tuple[Fraction, ...], domain: Family,
-                 _tables: Optional["_Tables"] = None):
-        self.base = base
-        self.weights = weights
-        self.domain = domain
-        self.tables = _tables if _tables is not None else _Tables(base, domain)
-        # scale weights to integers: W[S] = L - 2 * sum_{i in S} L*c_i
-        n = base.n
-        lcm = 1
-        for w in weights:
-            lcm = lcm * w.denominator // math.gcd(lcm, w.denominator)
-        scaled = [int(w * lcm) for w in weights]
-        wmask = [0] * (1 << n)
-        for s in self.domain.members:
-            total = 0
-            rest = s
-            while rest:
-                low = rest & -rest
-                total += scaled[low.bit_length() - 1]
-                rest ^= low
-            wmask[s] = lcm - 2 * total
-        self.scale = lcm
-        self.wmask = wmask
-        self.positives = [s for s in self.domain.members if wmask[s] > 0]
-
-    @property
-    def num_variables(self) -> int:
-        return len(self.domain.members)
-
-    def with_weights(self, weights: Sequence[Fraction]) -> "SeparationProblem":
-        w = _check_weights(weights, self.base.n)
-        return SeparationProblem(self.base, w, self.domain, _tables=self.tables)
-
-    def violation(self, family: Family) -> Fraction:
-        """|B| - 2 * sum_i c_i |B_i| at the stored weights."""
-        total = Fraction(len(family.members))
-        for i, c in enumerate(self.weights):
-            total -= 2 * c * sum(1 for m in family.members if m >> i & 1)
-        return total
-
-
-class _Tables:
-    """Weight-independent part of a separation instance."""
-
-    def __init__(self, base: UCFamily, domain: Family):
-        _validate_base_domain(base, domain)
-        self.base_members = base.members
-        self.dom_set = frozenset(domain.members)
-        # force0[S]: closure of {S} under unions with base members; since the
-        # base is union-closed one round suffices.
-        self.force0: dict[int, tuple[int, ...]] = {
-            s: tuple(sorted({s | a for a in base.members})) for s in domain.members
-        }
+    base: UCFamily
+    domain: Family
+    # force0[S]: closure of {S} under unions with base members; since the
+    # base is union-closed one round suffices.
+    force0: dict[int, tuple[int, ...]]
 
 
 def _check_weights(weights: Sequence, n: int) -> tuple[Fraction, ...]:
@@ -134,28 +87,25 @@ def _validate_base_domain(base: Family, domain: Family) -> None:
         raise ValueError("domain ground size mismatch")
     if 0 not in domain.members:
         raise ValueError("domain must contain the empty set")
-    dset = set(domain.members)
-    mem = domain.members
-    for i, s in enumerate(mem):
-        for t in mem[i + 1 :]:
-            if s | t not in dset:
-                raise ValueError("domain is not union-closed")
-    for s in mem:
-        for a in base.members:
-            if s | a not in dset:
-                raise ValueError("domain is not closed under union with base members")
+    if not is_union_closed(domain):
+        raise ValueError("domain is not union-closed")
+    # with the empty set in a union-closed D, closure under union with the
+    # base is the same as containing the base
+    if not set(base.members) <= set(domain.members):
+        raise ValueError("domain is not closed under union with base members")
 
 
-def build_separation(base: UCFamily, weights: Sequence, domain: Family) -> SeparationProblem:
-    """Validate and assemble a separation instance."""
-    w = _check_weights(weights, base.n)
+def build_separation(base: UCFamily, domain: Family) -> SeparationProblem:
+    """Validate a base and a domain and precompute their forcing table."""
     if base.n > SOLVE_GROUND_CAP:
         raise ValueError(f"ground size {base.n} exceeds cap {SOLVE_GROUND_CAP}")
-    return SeparationProblem(base, w, domain)
+    _validate_base_domain(base, domain)
+    force0 = {s: tuple(sorted({s | a for a in base.members})) for s in domain.members}
+    return SeparationProblem(base, domain, force0)
 
 
 class _Found(Exception):
-    pass
+    """Raised with (scaled value, member masks) of the first violated family."""
 
 
 class SeparationTimeout(TimeoutError):
@@ -164,20 +114,31 @@ class SeparationTimeout(TimeoutError):
 
 def solve_separation(
     problem: SeparationProblem,
-    mode: str = "optimal",
+    weights: Sequence,
     deadline: Optional[float] = None,
 ) -> SeparationResult:
-    """Exact maximum (mode="optimal") or any positive point (mode="violation")."""
-    if mode not in ("optimal", "violation"):
-        raise ValueError(f"unknown mode {mode!r}")
-    tab = problem.tables
-    W = problem.wmask
-    force0 = tab.force0
-    base_members = tab.base_members
-    pos_order = sorted(problem.positives, key=lambda s: (-W[s], s))
+    """A violated family (optimum > 0), or optimum 0 with its proof."""
+    n = problem.base.n
+    w = _check_weights(weights, n)
+    # scale weights to integers: W[S] = L - 2 * sum_{i in S} L*c_i
+    lcm = 1
+    for x in w:
+        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+    scaled = [int(x * lcm) for x in w]
+    W = [0] * (1 << n)
+    for s in problem.domain.members:
+        total = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            total += scaled[low.bit_length() - 1]
+            rest ^= low
+        W[s] = lcm - 2 * total
+    force0 = problem.force0
+    base_members = problem.base.members
+    pos_order = sorted((s for s in problem.domain.members if W[s] > 0),
+                       key=lambda s: (-W[s], s))
 
-    best_val = 0
-    best_masks: tuple[int, ...] = ()
     ticks = 0
     proof: list[int] = []
 
@@ -206,14 +167,9 @@ def solve_separation(
         return out
 
     def node(ones: frozenset[int], val: int, zeros: frozenset[int]) -> None:
-        nonlocal best_val, best_masks
         tick()
-        if val > best_val:
-            best_val = val
-            best_masks = tuple(sorted(ones))
-            if mode == "violation" and best_val > 0:
-                raise _Found()
-        cutoff = best_val if mode == "optimal" else 0
+        if val > 0:
+            raise _Found(val, ones)
 
         # candidate positives, excluding any whose single-set forcing hits a
         # zero-fixed set (iterated: a positive forcing an excluded positive
@@ -241,24 +197,20 @@ def solve_separation(
                     cands.append(s)
 
         trivial = val + sum(W[s] for s in cands)
-        if trivial <= cutoff:
+        if trivial <= 0:
             proof.append(LEAF)
             return
         bound_extra, picked = _closure_relaxation(cands, targets, ones, W)
-        if val + bound_extra <= cutoff:
+        if val + bound_extra <= 0:
             proof.append(LEAF)
             return
 
-        # try to close the relaxed pick into a feasible incumbent
+        # try to close the relaxed pick into a feasible family
         wit = close(ones, picked)
         if not (wit & zeros):
             wval = sum(W[s] for s in wit)
-            if wval > best_val:
-                best_val = wval
-                best_masks = tuple(sorted(wit))
-                if mode == "violation" and best_val > 0:
-                    raise _Found()
-                cutoff = best_val if mode == "optimal" else 0
+            if wval > 0:
+                raise _Found(wval, wit)
             if wval == val + bound_extra:
                 proof.append(LEAF)
                 return  # relaxation is exact here
@@ -290,13 +242,10 @@ def solve_separation(
 
     try:
         node(frozenset(), 0, frozenset())
-    except _Found:
-        pass
-    witness = Family.from_masks(problem.base.n, best_masks)
-    return SeparationResult(
-        Fraction(best_val, problem.scale), witness,
-        tuple(proof) if best_val <= 0 else None,
-    )
+    except _Found as found:
+        value, masks = found.args
+        return SeparationResult(Fraction(value, lcm), Family.from_masks(n, masks))
+    return SeparationResult(Fraction(0), Family.from_masks(n, ()), tuple(proof))
 
 
 def _closure_relaxation(

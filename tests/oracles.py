@@ -190,3 +190,11 @@ def random_family(rng, max_n: int = 6, max_members: int = 8) -> Family:
     count = rng.randint(1, min(max_members, (1 << n)))
     masks = rng.sample(range(1 << n), count)
     return Family.from_masks(n, masks)
+
+
+def family_value(fam: Family, weights) -> Fraction:
+    """|B| - 2 * sum_i c_i |B_i|: positive exactly when B violates the weights."""
+    total = Fraction(len(fam.members))
+    for i, c in enumerate(weights):
+        total -= 2 * Fraction(c) * sum(1 for m in fam.members if m >> i & 1)
+    return total

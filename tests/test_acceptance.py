@@ -137,8 +137,8 @@ def test_criterion_06_symmetry_equivalence():
         if part.num_orbits == 1:
             n = fam.n
             uniform = [Fraction(1, n)] * n
-            prob = build_separation(closure, uniform, powerset_family(n))
-            no_violation = solve_separation(prob).optimum <= 0
+            prob = build_separation(closure, powerset_family(n))
+            no_violation = solve_separation(prob, uniform).optimum <= 0
             assert no_violation == (with_sym.kind == "fc"), fam
             transitive_checked += 1
     report(

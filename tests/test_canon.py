@@ -22,7 +22,6 @@ from fcfam.canon import (
     family_orbit,
     generating_set,
     identity_perm,
-    invert,
     orbits,
 )
 
@@ -151,7 +150,7 @@ class TestAutomorphisms:
             assert identity_perm(n) in group
             gset = set(group)
             for p in group:
-                assert invert(p) in gset
+                assert any(compose(p, q) == identity_perm(n) for q in group)
             for p, q in zip(group, group[1:]):
                 assert compose(p, q) in gset
             fact = 1

@@ -70,6 +70,18 @@ class TestKnownDecisions:
                 domain=Family.from_masks(2, (0, 1)),
             )
 
+    def test_invalid_domain_raises_before_the_first_lp(self, monkeypatch):
+        # {1} u {2} is missing from the domain.  The warm-start cuts over it
+        # are already infeasible, so a domain checked only when the separation
+        # is built would get a Non-FC verdict from the first LP.
+        def refuse(lp):
+            raise AssertionError("an invalid domain reached the LP")
+
+        monkeypatch.setattr(fcfam.fcsolve, "lp_solve", refuse)
+        dom = Family.from_masks(4, [m for m in range(16) if m != 0b0011])
+        with pytest.raises(ValueError, match="not union-closed"):
+            is_fc(Family.from_sets(4, [[1, 2, 3], [1, 2, 4]]), warm_start=True, domain=dom)
+
     def test_deadline_raises(self):
         import time
 
@@ -258,3 +270,43 @@ class TestCut:
         assert cut.cache_consistent()
         stale = Cut(Family.from_sets(3, [[1], [1, 3]]), cut.size, cut.freq)
         assert not stale.cache_consistent()
+
+
+def count_calls(monkeypatch, owner, name):
+    """Record the arguments of every call of owner.name during the test."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestWorkDoneOnce:
+    def test_separation_built_on_first_need(self, monkeypatch):
+        builds = count_calls(monkeypatch, fcfam.fcsolve, "build_separation")
+        lps = count_calls(monkeypatch, fcfam.fcsolve, "lp_solve")
+        # Non-FC from the first LP over the warm-start cuts: nothing to build
+        cert = is_fc(Family.from_sets(5, [[1, 2, 3], [3, 4, 5]]), warm_start=True)
+        assert cert.kind == "non-fc" and len(lps) == 1 and builds == []
+        # one instance serves every round of a longer decision
+        for sets, kind in (([[1, 2, 3], [2, 3, 4], [3, 4, 5]], "fc"),
+                           ([[1, 2, 3], [3, 4, 5]], "non-fc")):
+            lps.clear()
+            builds.clear()
+            cert = is_fc(Family.from_sets(5, sets))
+            assert cert.kind == kind and len(lps) > 2 and len(builds) == 1
+
+    def test_each_cut_built_once(self, monkeypatch):
+        made = []
+        from_family = Cut.from_family
+        monkeypatch.setattr(
+            Cut, "from_family", classmethod(lambda cls, fam: made.append(fam) or from_family(fam)))
+        for sets in ([[1, 2, 3], [3, 4, 5]], [[1, 2, 3], [2, 3, 4], [3, 4, 5]]):
+            for symmetry in (False, True):
+                made.clear()
+                cert = is_fc(Family.from_sets(5, sets), symmetry=symmetry)
+                assert sorted(f.members for f in made) == [c.family.members for c in cert.cuts]

@@ -16,6 +16,9 @@ from fcfam.sepip import (
     build_separation,
     solve_separation,
 )
+from fcfam.verify import check_separation_proof
+
+from oracles import family_value
 
 
 def uniform(n):
@@ -46,37 +49,47 @@ def random_instance(rng, n):
     return base, random_weights(rng, n), dom
 
 
+def check_against_oracle(base, w, dom):
+    """The solve finds a violated family iff the oracle's optimum is positive;
+    the family is feasible and has the reported value, and otherwise the
+    proof replays."""
+    got = solve_separation(build_separation(base, dom), w)
+    want = brute_separation(base, w, dom).optimum
+    assert (got.optimum > 0) == (want > 0)
+    if got.optimum > 0:
+        wit = got.witness
+        assert got.proof is None
+        assert is_union_closed(wit)
+        assert set(wit.members) <= set(dom.members)
+        assert uplus(Family(base.n, base.members), wit) == wit
+        assert family_value(wit, w) == got.optimum
+    else:
+        assert got.optimum == 0
+        assert check_separation_proof(base, dom, w, got.proof) is None
+    return got
+
+
 class TestBuild:
-    def test_variable_count_full_domain(self):
-        base = union_closure(Family.from_sets(3, [[1, 2, 3]]))
-        prob = build_separation(base, uniform(3), powerset_family(3))
-        assert prob.num_variables == 8
-
-    def test_variable_count_restricted(self):
-        base = union_closure(Family.from_sets(3, [[1, 2, 3]]))
-        dom = Family.from_masks(3, [m for m in range(8) if m != 0b001])
-        prob = build_separation(base, uniform(3), dom)
-        assert prob.num_variables == 7
-
     def test_domain_not_absorb_closed(self):
         base = union_closure(Family.from_sets(2, [[1, 2]]))
         with pytest.raises(ValueError, match="union with base"):
-            build_separation(base, uniform(2), Family.from_masks(2, [0, 0b01]))
+            build_separation(base, Family.from_masks(2, [0, 0b01]))
 
     def test_domain_not_union_closed(self):
         base = union_closure(Family.from_sets(2, [[1], [2]]))
         with pytest.raises(ValueError, match="not union-closed"):
-            build_separation(base, uniform(2), Family.from_masks(2, [0, 1, 2]))
+            build_separation(base, Family.from_masks(2, [0, 1, 2]))
 
     def test_base_must_cover_ground(self):
         base = union_closure(Family.from_sets(3, [[1, 2]]))
         with pytest.raises(ValueError, match="universe"):
-            build_separation(base, uniform(3), powerset_family(3))
+            build_separation(base, powerset_family(3))
 
     def test_weights_validated(self):
         base = union_closure(Family.from_sets(2, [[1, 2]]))
+        prob = build_separation(base, powerset_family(2))
         with pytest.raises(ValueError, match="sum"):
-            build_separation(base, [Fraction(1, 2), Fraction(1, 3)], powerset_family(2))
+            solve_separation(prob, [Fraction(1, 2), Fraction(1, 3)])
 
 
 class TestKnownValues:
@@ -85,15 +98,13 @@ class TestKnownValues:
         base = union_closure(Family.from_sets(2, [[1, 2]]))
         res = brute_separation(base, [Fraction(1, 2)] * 2, powerset_family(2))
         assert res.optimum == 0
-        prob = build_separation(base, [Fraction(1, 2)] * 2, powerset_family(2))
-        assert solve_separation(prob).optimum == 0
+        check_against_oracle(base, [Fraction(1, 2)] * 2, powerset_family(2))
 
     def test_three_set_uniform_violated(self):
         base = union_closure(Family.from_sets(3, [[1, 2, 3]]))
         res = brute_separation(base, uniform(3), powerset_family(3))
         assert res.optimum > 0
-        prob = build_separation(base, uniform(3), powerset_family(3))
-        assert solve_separation(prob).optimum == res.optimum
+        assert check_against_oracle(base, uniform(3), powerset_family(3)).optimum > 0
 
     def test_single_element_ground(self):
         base = union_closure(Family.from_sets(1, [[1]]))
@@ -107,9 +118,8 @@ class TestKnownValues:
             base, w, dom = random_instance(rng, n)
             if any(m not in set(dom.members) for m in base.members):
                 continue
-            prob = build_separation(base, w, dom)
-            res = solve_separation(prob)
-            assert res.optimum >= prob.violation(Family(n, base.members))
+            if family_value(Family(n, base.members), w) > 0:
+                assert solve_separation(build_separation(base, dom), w).optimum > 0
 
 
 class TestOracleEquivalence:
@@ -132,11 +142,7 @@ class TestOracleEquivalence:
                     continue
                 base = union_closure(Family(n, members))
                 for w in weight_choices:
-                    prob = build_separation(base, w, powerset_family(n))
-                    assert (
-                        solve_separation(prob).optimum
-                        == brute_separation(base, w, powerset_family(n)).optimum
-                    )
+                    check_against_oracle(base, w, powerset_family(n))
 
     def test_exhaustive_bases_up_to_four(self):
         # every union-closed base with universe [n], n <= 4, up to isomorphism,
@@ -155,42 +161,17 @@ class TestOracleEquivalence:
             for rep in uc_reps_with_full_universe(n):
                 base = union_closure(rep)
                 for w in vectors:
-                    prob = build_separation(base, w, dom)
-                    assert (
-                        solve_separation(prob).optimum
-                        == brute_separation(base, w, dom).optimum
-                    )
+                    check_against_oracle(base, w, dom)
                     total += 1
         assert total == 728
 
     def test_random_instances(self):
         rng = random.Random(42)
+        violated = 0
         for _ in range(200):
             base, w, dom = random_instance(rng, 4)
-            prob = build_separation(base, w, dom)
-            got = solve_separation(prob)
-            want = brute_separation(base, w, dom)
-            assert got.optimum == want.optimum
-            # witness is feasible and achieves the reported value
-            wit = got.witness
-            assert is_union_closed(wit)
-            assert set(wit.members) <= set(dom.members)
-            if wit.members:
-                assert uplus(Family(4, base.members), wit) == wit
-            assert prob.violation(wit) == got.optimum
-
-    def test_violation_mode_consistent(self):
-        rng = random.Random(44)
-        for _ in range(60):
-            base, w, dom = random_instance(rng, 4)
-            prob = build_separation(base, w, dom)
-            opt = solve_separation(prob, mode="optimal")
-            vio = solve_separation(prob, mode="violation")
-            if opt.optimum > 0:
-                assert vio.optimum > 0
-                assert prob.violation(vio.witness) == vio.optimum
-            else:
-                assert vio.optimum == 0
+            violated += check_against_oracle(base, w, dom).optimum > 0
+        assert 20 < violated < 180
 
 
 class TestMonotonicity:
@@ -201,9 +182,8 @@ class TestMonotonicity:
             base, w, _ = random_instance(rng, n)
             small = Family(n, union_closure(Family.from_masks(n, list(base.members))).members)
             big = powerset_family(n)
-            p_small = build_separation(base, w, small)
-            p_big = build_separation(base, w, big)
-            assert solve_separation(p_big).optimum >= solve_separation(p_small).optimum
+            if solve_separation(build_separation(base, small), w).optimum > 0:
+                assert solve_separation(build_separation(base, big), w).optimum > 0
 
 
 class TestCaps:
@@ -216,6 +196,5 @@ class TestCaps:
         with pytest.raises(ValueError, match="cap"):
             build_separation(
                 union_closure(Family.from_sets(9, [list(range(1, 10))])),
-                [Fraction(1, 9)] * 9,
                 powerset_family(9),
             )

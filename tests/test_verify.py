@@ -266,8 +266,8 @@ class TestProofTampers:
             bad.weights = tuple(w / 2 + (Fraction(1, 2) if i == 0 else 0)
                                 for i, w in enumerate(cert.weights))
             dom = cert.domain or powerset_family(cert.n)
-            prob = build_separation(union_closure(cert.family), bad.weights, dom)
-            assert solve_separation(prob).optimum > 0
+            prob = build_separation(union_closure(cert.family), dom)
+            assert solve_separation(prob, bad.weights).optimum > 0
             rep = verify_fc(bad)
             assert not rep.passed and "a leaf bounds" in rep.failure
 
@@ -290,7 +290,7 @@ class TestProofReplay:
         while proofs < 60:
             n = rng.randint(2, 4)
             base, w, dom = random_instance(rng, n)
-            sep = solve_separation(build_separation(base, w, dom), mode="violation")
+            sep = solve_separation(build_separation(base, dom), w)
             if sep.optimum > 0:
                 assert sep.proof is None
                 continue
