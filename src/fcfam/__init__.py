@@ -51,7 +51,6 @@ from .fcsolve import (
     is_fc,
     load_certificate,
     save_certificate,
-    symmetry_reduce,
     upper_bound,
 )
 from .enumfam import (

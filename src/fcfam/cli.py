@@ -131,7 +131,12 @@ def _cmd_getnfc(args) -> int:
         directory = os.path.dirname(path)
         cert_paths = []
         for idx, fam in enumerate(fams):
-            cert = is_fc(fam, warm_start=args.warm_start, symmetry=args.symmetry)
+            cert = is_fc(
+                fam,
+                warm_start=args.warm_start,
+                symmetry=args.symmetry,
+                deadline=time.monotonic() + args.time_limit if args.time_limit else None,
+            )
             cpath = os.path.join(
                 directory, f"nfc_n{args.n}_k{args.k}_m{args.m}_{idx + 1}.cert.json"
             )

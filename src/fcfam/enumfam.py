@@ -5,15 +5,17 @@ incremental augmentation: each (m-1)-set representative over a compacted
 universe [u] is extended by every k-set that takes j fresh elements
 (canonically u+1..u+j) and k-j old ones, then deduplicated by canonical
 form, so every representative is its own canonical form.  `get_nfc` is the
-recursive Non-FC enumeration: memoized bottom-up
-over universe sizes J = {max(k, n-k), ..., n}, with isomorph rejection
-against both accumulators and the skip of any extension containing a
-proper FC subfamily (checked one member down against the previous level's
-FC keys; an FC verdict there also covers deeper containment because such
-families were pruned earlier).  A subfamily is canonicalized for that check
-only when the previous level has an FC key of its universe size, so runs
-whose previous levels are all Non-FC never canonicalize a subfamily.
-`fcv_value` skips families with a V-FC subfamily by the same check.
+recursive Non-FC enumeration, memoized bottom-up over universe sizes
+J = {max(k, n-k), ..., n}.  It extends each Non-FC parent over [i] by the
+same rule with j = n - i, so the new k-set brings the missing elements.  It
+rejects isomorphs against both accumulators and skips any extension
+containing a proper FC subfamily (checked one member down against the
+previous level's FC keys; an FC verdict there also covers deeper
+containment because such families were pruned earlier).  A subfamily is
+canonicalized for that check only when the previous level has an FC key of
+its universe size, so runs whose previous levels are all Non-FC never
+canonicalize a subfamily.  `fcv_value` skips families with a V-FC
+subfamily by the same check.
 
 FC and V-FC share one classification path: `EnumSession.classify` decides
 each family with `is_fc` over the session's domain (all of P([n]) unless
@@ -37,7 +39,6 @@ from .setfam import (
     compact_universe,
     lex_ksets,
     no_singletons_family,
-    universe,
 )
 from .canon import canonical_form
 from .fcsolve import (
@@ -109,22 +110,25 @@ def noniso_levels(n: int, k: int, m_max: int) -> Iterator[list[Family]]:
     for _ in range(2, m_max + 1):
         registry: dict[CanonKey, Family] = {}
         for fam in level:
-            u = fam.n
-            old = list(range(u))
-            memberset = set(fam.members)
-            for j in range(0, min(k, n - u) + 1):
-                new_bits = ((1 << j) - 1) << u
-                for combo in itertools.combinations(old, k - j):
-                    s = new_bits
-                    for e in combo:
-                        s |= 1 << e
-                    if s in memberset:
-                        continue
-                    ext = Family.from_masks(u + j, fam.members + (s,))
+            for j in range(0, min(k, n - fam.n) + 1):
+                for ext in _extensions(fam, k, j):
                     cf = canonical_form(ext)
                     registry.setdefault(cf.key, cf.relabeled)
         level = sorted(registry.values(), key=lambda f: (f.n, f.members))
         yield level
+
+
+def _extensions(fam: Family, k: int, j: int) -> Iterator[Family]:
+    """fam over its universe [u] plus one new k-set that takes the fresh
+    elements u+1..u+j and k-j old ones, over [u+j]."""
+    u = fam.n
+    memberset = set(fam.members)
+    for combo in itertools.combinations(range(u), k - j):
+        s = ((1 << j) - 1) << u
+        for e in combo:
+            s |= 1 << e
+        if s not in memberset:
+            yield Family.from_masks(u + j, fam.members + (s,))
 
 
 def gen_noniso_families(n: int, k: int, m: int) -> list[Family]:
@@ -232,20 +236,13 @@ class EnumSession:
         parents: list[Family] = []
         for i in j_range:
             parents.extend(self.get_nfc(i, k, m - 1).nfc_sorted())
-        full = (1 << n) - 1
-        ksets = lex_ksets(n, k)
         prev_fc: dict[int, set[CanonKey]] = {i: self.get_nfc(i, k, m - 1).fc for i in j_range}
 
         pending: set[CanonKey] = set()
         candidates: list[Family] = []
         for parent in parents:
-            base_members = parent.members
-            uni = universe(parent)
-            memberset = set(base_members)
-            for s in ksets:
-                if s in memberset or (uni | s) != full:
-                    continue
-                ext = Family.from_masks(n, base_members + (s,))
+            # the new set must cover the elements the parent's universe lacks
+            for ext in _extensions(parent, k, n - parent.n):
                 cf = canonical_form(ext)
                 if cf.key in pending:
                     continue

@@ -12,9 +12,12 @@ tree).  The separation instance is built once, on the first feasible LP
 round, so a decision settled by its first LP builds none; a caller's domain
 is validated before that LP.
 
-With symmetry enabled the LP is projected to one variable per automorphism
-orbit of <A> (sound: averaging a feasible point over the group gives an
-orbit-constant feasible point), every witness is stored with its full orbit
+The LP has one variable per automorphism orbit of <A> when symmetry is
+enabled, and one per element otherwise (the same construction over the
+trivial partition): each stored cut and sum(c) = 1 enter as rows summed over
+the orbits, and the LP point is replicated back to the elements.  This is
+sound because averaging a feasible point over the group gives an
+orbit-constant feasible point.  Every witness is stored with its full orbit
 of images, and Farkas multipliers are spread uniformly over each orbit so
 the emitted certificate replays over the original, unprojected system.  The
 group enters only as the strong generating set of `canon.generating_set`:
@@ -33,7 +36,6 @@ from typing import Callable, Optional, Sequence, Union
 
 from .setfam import (
     Family,
-    UCFamily,
     frequencies,
     powerset_family,
     union_closure,
@@ -85,7 +87,6 @@ class Cut:
 class FcCertificate:
     family: Family
     n: int
-    closure_size: int
     domain: Optional[Family]  # None means all of P([n])
     weights: tuple[Fraction, ...]
     cuts: list[Cut]
@@ -99,7 +100,6 @@ class FcCertificate:
 class NonFcCertificate:
     family: Family
     n: int
-    closure_size: int
     domain: Optional[Family]
     cuts: list[Cut]
     multipliers: tuple[Fraction, ...]  # one per cut, >= 0
@@ -138,31 +138,6 @@ def upper_bound(k: int, n: int, n0: int, m0: int) -> int:
     return value
 
 
-def symmetry_reduce(lp: LinearProgram, orbits: OrbitPartition) -> LinearProgram:
-    """Project an LP to one variable per orbit by aggregating coefficients."""
-    oid = orbits.orbit_id
-    if len(oid) != lp.num_vars:
-        raise ValueError("orbit partition size does not match variable count")
-    k = orbits.num_orbits
-
-    def reduce_row(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * k
-        for j, c in enumerate(coeffs):
-            out[oid[j]] += c
-        return tuple(out)
-
-    return LinearProgram(
-        k,
-        [(reduce_row(c), r) for c, r in lp.eq_rows],
-        [(reduce_row(c), r) for c, r in lp.ge_rows],
-    )
-
-
-def lift_point(point: Sequence[Fraction], orbits: OrbitPartition) -> tuple[Fraction, ...]:
-    """Replicate an orbit-space point back to the original variables."""
-    return tuple(point[orbits.orbit_id[j]] for j in range(len(orbits.orbit_id)))
-
-
 def is_fc(
     family: Family,
     *,
@@ -189,15 +164,22 @@ def is_fc(
         _validate_base_domain(closure, domain)
     dom = domain if domain is not None else powerset_family(n)
 
-    gens: list[tuple[int, ...]] = []
-    orbit_part: Optional[OrbitPartition] = None
-    if symmetry:
-        gens = generating_set(closure)
-        orbit_part = OrbitPartition.from_generators(gens, n)
+    # without symmetry every element is its own orbit
+    gens: list[tuple[int, ...]] = generating_set(closure) if symmetry else []
+    orbit_part = OrbitPartition.from_generators(gens, n)
+    oid = orbit_part.orbit_id
+
+    def over_orbits(coeffs: Sequence[int]) -> tuple[Fraction, ...]:
+        out = [Fraction(0)] * orbit_part.num_orbits
+        for j, c in enumerate(coeffs):
+            out[oid[j]] += c
+        return tuple(out)
 
     # one list per orbit of stored cuts: the cut of each distinct image,
-    # sorted by members; the first is the representative the LP sees
+    # sorted by members; the first is the representative the LP sees, as
+    # one row over the orbits
     classes: list[list[Cut]] = []
+    ge_rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
     seen: set[tuple[int, ...]] = set()
 
     def add_cut(fam: Family) -> bool:
@@ -206,7 +188,9 @@ def is_fc(
         images = family_orbit(fam, gens) if symmetry else [fam]
         for img in images:
             seen.add(img.members)
-        classes.append([Cut.from_family(img) for img in images])
+        cuts = [Cut.from_family(img) for img in images]
+        classes.append(cuts)
+        ge_rows.append((over_orbits(cuts[0].freq), Fraction(cuts[0].size, 2)))
         return True
 
     if warm_start:
@@ -221,26 +205,19 @@ def is_fc(
             if b.members and all(m in dom_set for m in b.members):
                 add_cut(b)
 
+    # sum(c) = 1 weighs each orbit's variable by the orbit's size
+    eq_row = (over_orbits([1] * n), Fraction(1))
     rounds = 0
     prob = None  # the separation instance, built on the first feasible round
     while True:
         rounds += 1
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("is_fc deadline exceeded")
-        lp = LinearProgram(n)
-        lp.add_eq([1] * n, 1)
-        for cls in classes:
-            lp.add_ge(cls[0].freq, Fraction(cls[0].size, 2))
-        if symmetry:
-            res = lp_solve(symmetry_reduce(lp, orbit_part))
-        else:
-            res = lp_solve(lp)
+        res = lp_solve(LinearProgram(orbit_part.num_orbits, [eq_row], list(ge_rows)))
         if isinstance(res, Infeasible):
-            return _build_nonfc(
-                family, n, closure, domain, classes, res.certificate, symmetry
-            )
+            return _build_nonfc(family, n, domain, classes, res.certificate, symmetry)
         assert isinstance(res, Feasible)
-        point = lift_point(res.point, orbit_part) if symmetry else res.point
+        point = tuple(res.point[o] for o in oid)
         if progress:
             progress(f"round {rounds}: {len(classes)} cut classes, separating")
         if prob is None:
@@ -253,7 +230,6 @@ def is_fc(
         return FcCertificate(
             family=family,
             n=n,
-            closure_size=len(closure.members),
             domain=domain,
             weights=tuple(point),
             cuts=sorted((cut for cls in classes for cut in cls),
@@ -266,7 +242,6 @@ def is_fc(
 def _build_nonfc(
     family: Family,
     n: int,
-    closure: UCFamily,
     domain: Optional[Family],
     classes: list[list[Cut]],
     farkas: FarkasCertificate,
@@ -287,7 +262,6 @@ def _build_nonfc(
     return NonFcCertificate(
         family=family,
         n=n,
-        closure_size=len(closure.members),
         domain=domain,
         cuts=[c for c, _ in cut_mult],
         multipliers=tuple(y for _, y in cut_mult),
@@ -332,7 +306,6 @@ def certificate_from_dict(data: dict) -> Certificate:
             domain = Family.from_sets(n, data["domain"])
         cuts = [Cut.from_family(Family.from_sets(n, f)) for f in data["cuts"]]
         symmetry = bool(data["symmetry"])
-        closure_size = len(union_closure(family).members)
         if kind == "fc":
             weights = tuple(frac(w) for w in data["weights"])
             if len(weights) != n:
@@ -342,18 +315,14 @@ def certificate_from_dict(data: dict) -> Certificate:
             proof = tuple(data["proof"])
             if not all(type(x) is int and (x == LEAF or 0 <= x < 1 << n) for x in proof):
                 raise CertificateError(f"proof entries must be {LEAF} or set masks below 2^{n}")
-            return FcCertificate(
-                family, n, closure_size, domain, weights, cuts, symmetry, proof
-            )
+            return FcCertificate(family, n, domain, weights, cuts, symmetry, proof)
         if kind == "non-fc":
             farkas = data["farkas"]
             multipliers = tuple(frac(y) for y in farkas["multipliers"])
             if len(multipliers) != len(cuts):
                 raise CertificateError("multiplier count does not match cut count")
             lam = frac(farkas["lambda"])
-            return NonFcCertificate(
-                family, n, closure_size, domain, cuts, multipliers, lam, symmetry
-            )
+            return NonFcCertificate(family, n, domain, cuts, multipliers, lam, symmetry)
         raise CertificateError(f"unknown certificate kind {kind!r}")
     except CertificateError:
         raise

@@ -20,12 +20,18 @@ S and its closure to 1, the right child fixes S to 0; a left child whose
 closure meets a 0-fixed set is infeasible and has no entries) and each
 pruned node adds `LEAF`.
 
-The solve is exact branch and bound: weights are scaled to integers, an
-upper bound at each node comes from the maximum-weight closure of the
-single-set forcing relation (an integral relaxation of the LP, computed by
-min cut), and the relaxed solution either closes into a feasible family or
-yields the branching set.  `brute_separation` is the independent oracle:
-exhaustive enumeration over all subfamilies of D, returning the maximum.
+The solve is exact branch and bound on integer-scaled weights.  A node with
+1-fixed sets O and 0-fixed sets Z filters and bounds exactly the way
+`verify` replays a leaf: a free positive S is a candidate iff no set in
+{S u X : X in base or O} is fixed to 0 (base u O is union-closed, so
+forcing is transitive and one pass suffices), the trivial bound is the value
+of O plus the candidates' weight, and the tighter bound is the
+maximum-weight closure of that forcing relation (an integral relaxation of
+the LP, computed by min cut).  The relaxed solution either closes into a
+feasible family or yields the branching set.  `verify` keeps its own copy of
+the rule and its graph; the two share only `_max_flow`, whose output the
+checker checks.  `brute_separation` is the independent oracle: exhaustive
+enumeration over all subfamilies of D, returning the maximum.
 """
 
 from __future__ import annotations
@@ -53,14 +59,10 @@ class SeparationResult:
 
 @dataclass(frozen=True)
 class SeparationProblem:
-    """A weight-free separation instance, as `build_separation` validates and
-    builds it."""
+    """A weight-free separation instance, as `build_separation` validates it."""
 
     base: UCFamily
     domain: Family
-    # force0[S]: closure of {S} under unions with base members; since the
-    # base is union-closed one round suffices.
-    force0: dict[int, tuple[int, ...]]
 
 
 def _check_weights(weights: Sequence, n: int) -> tuple[Fraction, ...]:
@@ -96,12 +98,11 @@ def _validate_base_domain(base: Family, domain: Family) -> None:
 
 
 def build_separation(base: UCFamily, domain: Family) -> SeparationProblem:
-    """Validate a base and a domain and precompute their forcing table."""
+    """Validate a base and a domain."""
     if base.n > SOLVE_GROUND_CAP:
         raise ValueError(f"ground size {base.n} exceeds cap {SOLVE_GROUND_CAP}")
     _validate_base_domain(base, domain)
-    force0 = {s: tuple(sorted({s | a for a in base.members})) for s in domain.members}
-    return SeparationProblem(base, domain, force0)
+    return SeparationProblem(base, domain)
 
 
 class _Found(Exception):
@@ -134,8 +135,7 @@ def solve_separation(
             total += scaled[low.bit_length() - 1]
             rest ^= low
         W[s] = lcm - 2 * total
-    force0 = problem.force0
-    base_members = problem.base.members
+    base_set = frozenset(problem.base.members)
     pos_order = sorted((s for s in problem.domain.members if W[s] > 0),
                        key=lambda s: (-W[s], s))
 
@@ -148,96 +148,65 @@ def solve_separation(
         if deadline is not None and ticks % 64 == 0 and time.monotonic() > deadline:
             raise SeparationTimeout()
 
-    def close(ones: frozenset[int], seeds) -> set[int]:
-        out = set(ones)
-        stack = list(seeds)
-        while stack:
-            s = stack.pop()
-            if s in out:
-                continue
-            for a in base_members:
-                t = s | a
-                if t != s and t not in out:
-                    stack.append(t)
-            for o in out:
-                t = s | o
-                if t != s and t not in out:
-                    stack.append(t)
-            out.add(s)
-        return out
+    def close(ones: frozenset[int], seeds) -> frozenset[int]:
+        # ones is closed under unions with itself and the base, so base | ones
+        # is union-closed and one step per seed keeps the family closed
+        for s in seeds:
+            if s not in ones:
+                ones = ones | {s | x for x in base_set | ones}
+        return ones
 
     def node(ones: frozenset[int], val: int, zeros: frozenset[int]) -> None:
         tick()
         if val > 0:
             raise _Found(val, ones)
 
-        # candidate positives, excluding any whose single-set forcing hits a
-        # zero-fixed set (iterated: a positive forcing an excluded positive
-        # is excluded too)
-        excluded = set(zeros)
-        cands: list[int] = []
-        targets: dict[int, tuple[int, ...]] = {}
-        pool = [s for s in pos_order if s not in ones and s not in zeros]
-        changed = True
-        while changed:
-            changed = False
-            cands = []
-            for s in pool:
-                if s in excluded:
-                    continue
-                tg = targets.get(s)
-                if tg is None:
-                    extra = {s | o for o in ones}
-                    extra.update(force0[s])
-                    targets[s] = tg = tuple(sorted(extra))
-                if any(t in excluded for t in tg):
-                    excluded.add(s)
-                    changed = True
-                else:
-                    cands.append(s)
+        # a free positive S is a candidate iff no set it forces, S | X for X
+        # in base | ones, is fixed to 0; forcing is transitive, so one pass
+        fixed = base_set | ones
+        cands: dict[int, set[int]] = {}  # candidate -> the sets it forces
+        for s in pos_order:
+            if s not in ones and s not in zeros:
+                forced = {s | x for x in fixed}
+                if forced.isdisjoint(zeros):
+                    cands[s] = forced
 
-        trivial = val + sum(W[s] for s in cands)
-        if trivial <= 0:
+        bound = val + sum(W[s] for s in cands)
+        if bound <= 0:
             proof.append(LEAF)
             return
-        bound_extra, picked = _closure_relaxation(cands, targets, ones, W)
-        if val + bound_extra <= 0:
+        flow, picked = _closure_relaxation(cands, ones, W)
+        bound -= flow
+        if bound <= 0:
             proof.append(LEAF)
             return
 
         # try to close the relaxed pick into a feasible family
         wit = close(ones, picked)
-        if not (wit & zeros):
+        if wit.isdisjoint(zeros):
             wval = sum(W[s] for s in wit)
             if wval > 0:
                 raise _Found(wval, wit)
-            if wval == val + bound_extra:
+            if wval == bound:
                 proof.append(LEAF)
                 return  # relaxation is exact here
         # branch on a picked set whose pairwise unions escape the relaxed
         # pick into uncounted negative-weight territory; fixing it either
         # way tightens exactly that gap
-        chosen = set(picked)
-        chosen.update(ones)
+        chosen = picked | ones
         branch = None
         for s in cands:
             if s not in picked:
                 continue
             if branch is None:
                 branch = s
-            hit = False
-            for o in chosen:
-                u = s | o
-                if u not in chosen and W[u] < 0:
-                    hit = True
-                    break
-            if hit:
+            if any(s | o not in chosen and W[s | o] < 0 for o in chosen):
                 branch = s
                 break
         proof.append(branch)
-        ones1 = frozenset(close(ones, [branch]))
-        if not (ones1 & zeros):
-            node(ones1, sum(W[s] for s in ones1), zeros)
+        grown = close(ones, [branch])
+        if grown.isdisjoint(zeros):
+            node(grown, val + sum(W[s] for s in grown - ones), zeros)
         node(ones, val, zeros | {branch})
 
     try:
@@ -249,54 +218,28 @@ def solve_separation(
 
 
 def _closure_relaxation(
-    cands: list[int], targets: dict[int, tuple[int, ...]], ones: frozenset[int],
-    W: list[int],
+    cands: dict[int, set[int]], ones: frozenset[int], W: list[int]
 ) -> tuple[int, set[int]]:
-    """Maximum-weight closure of the forcing relation over the free sets.
+    """Maximum-weight closure of the forcing relation over the candidates.
 
-    Returns (bound, chosen set of masks).  Upper-bounds every feasible
-    completion because a feasible family containing S must contain every
-    set S forces on its own; pairwise unions among distinct free sets are
-    not modeled here, which only relaxes.
+    Returns the min-cut value F, so that the relaxation is worth W(cands) - F,
+    and the sets on the source side of the cut.  It upper-bounds every
+    feasible completion because a feasible family containing S must contain
+    every set S forces on its own; pairwise unions among distinct free sets
+    are not modeled here, which only relaxes.
     """
-    if not cands:
-        return 0, set()
-    nodes: dict[int, int] = {}
-    order: list[int] = []
-
-    def nid(mask: int) -> int:
-        if mask not in nodes:
-            nodes[mask] = len(order)
-            order.append(mask)
-        return nodes[mask]
-
-    edges: list[tuple[int, int]] = []
-    candset = set(cands)
-    for s in cands:
-        si = nid(s)
-        for t in targets[s]:
-            if t == s or t in ones or W[t] == 0:
-                continue
-            if W[t] > 0 and t not in candset:
-                continue  # excluded positive; conflict filtering handled it
-            edges.append((si, nid(t)))
-
-    total_pos = sum(W[s] for s in cands)
-    nv = len(order)
-    src, snk = nv, nv + 1
-    cap_edges: list[tuple[int, int, int]] = []
-    for mask, i in nodes.items():
-        w = W[mask]
-        if w > 0:
-            cap_edges.append((src, i, w))
-        elif w < 0:
-            cap_edges.append((i, snk, -w))
-    inf = total_pos + 1
-    for a, b in edges:
-        cap_edges.append((a, b, inf))
-    flow, reach, _ = _max_flow(nv + 2, src, snk, cap_edges)
-    picked = {order[i] for i in range(nv) if i in reach}
-    return total_pos - flow, picked
+    node = {s: i for i, s in enumerate(cands)}
+    arcs: list[tuple[int, int, int]] = []
+    inf = sum(W[s] for s in cands) + 1
+    for s, forced in cands.items():
+        for t in forced:
+            if t != s and t not in ones and (t in cands or W[t] < 0):
+                arcs.append((node[s], node.setdefault(t, len(node)), inf))
+    src, snk = len(node), len(node) + 1
+    for s, i in node.items():
+        arcs.append((src, i, W[s]) if W[s] > 0 else (i, snk, -W[s]))
+    flow, reach, _ = _max_flow(len(node) + 2, src, snk, arcs)
+    return flow, {s for s, i in node.items() if i in reach}
 
 
 def _max_flow(nv: int, src: int, snk: int, arcs: list[tuple[int, int, int]]):

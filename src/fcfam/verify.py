@@ -14,15 +14,18 @@ closure meets a set fixed to 0) and then to 0.  A branch set must lie in the
 domain and be free at its node, and the proof must end exactly with the
 tree.  At a leaf with 1-fixed sets O (value val) and 0-fixed sets Z, every
 positive set S that a family could still take is a candidate: S is free and
-{S u X : X in base or O} misses Z.  The leaf holds if val + W(candidates)
-<= 0 or, failing that, if val + W(candidates) - F <= 0 for a flow of value
-F on the forcing graph (source -> candidate S with capacity W[S], S -> each
-forced set that is a candidate or negative, negative T -> sink with
-capacity -W[T]).  Any feasible family B below the leaf is a closed set of
-that graph, so the cut around B bounds F, and by weak duality for
-maximum-weight closure W(B) <= val + W(candidates) - F.  The flow comes
-from the shared max-flow code, but its capacities and conservation are
-checked here.
+{S u X : X in base or O} misses Z.  Base u O is union-closed, so forcing is
+transitive and this one pass needs no fixpoint.  It is the rule the
+producer's search applies at every node, but `sepip` keeps its own copy:
+the two modules share no leaf or graph code.  The leaf holds if
+val + W(candidates) <= 0 or, failing that, if val + W(candidates) - F <= 0
+for a flow of value F on the forcing graph (source -> candidate S with
+capacity W[S], S -> each forced set that is a candidate or negative,
+negative T -> sink with capacity -W[T]).  Any feasible family B below the
+leaf is a closed set of that graph, so the cut around B bounds F, and by
+weak duality for maximum-weight closure W(B) <= val + W(candidates) - F.
+The flow comes from the shared max-flow code, but its capacities and
+conservation are checked here.
 
 Non-FC certificates are replayed as a pure Farkas computation: with
 multipliers y_B >= 0 and lambda on sum(c) = 1,
@@ -91,8 +94,8 @@ class _Checker:
         return VerificationReport(self.failure is None, self.checked, self.failure)
 
 
-def _structural(cert: Certificate, ck: _Checker) -> Optional[Family]:
-    """Shared structural checks; returns the domain family when they pass."""
+def _structural(cert: Certificate, ck: _Checker) -> Optional[tuple[Family, Family]]:
+    """Shared structural checks; returns the domain and <A> when they pass."""
     n = cert.n
     if not ck.run("ground-size", 1 <= n <= FC_GROUND_CAP, f"n={n}"):
         return None
@@ -103,11 +106,6 @@ def _structural(cert: Certificate, ck: _Checker) -> Optional[Family]:
     ):
         return None
     closure = union_closure(cert.family)
-    if not ck.run(
-        "closure-size", cert.closure_size == len(closure.members),
-        f"stored {cert.closure_size}, recomputed {len(closure.members)}",
-    ):
-        return None
     dom = cert.domain if cert.domain is not None else powerset_family(n)
     ok = (
         dom.n == n
@@ -117,11 +115,10 @@ def _structural(cert: Certificate, ck: _Checker) -> Optional[Family]:
     )
     if not ck.run("domain-valid", ok, "domain must be union-closed, contain {} and <A>"):
         return None
-    return dom
+    return dom, closure
 
 
-def _cuts_wellformed(cert: Certificate, dom: Family, ck: _Checker) -> bool:
-    closure = union_closure(cert.family)
+def _cuts_wellformed(cert: Certificate, dom: Family, closure: Family, ck: _Checker) -> bool:
     dom_set = set(dom.members)
     for idx, cut in enumerate(cert.cuts):
         if not cut.cache_consistent():
@@ -142,9 +139,10 @@ def verify_fc(cert: FcCertificate) -> VerificationReport:
     """Check an FC certificate: weights on the simplex, stored cuts valid and
     satisfied, and a replay of the separation proof showing no violation."""
     ck = _Checker()
-    dom = _structural(cert, ck)
-    if dom is None:
+    checked = _structural(cert, ck)
+    if checked is None:
         return ck.report()
+    dom, closure = checked
     ok = (
         len(cert.weights) == cert.n
         and all(w >= 0 for w in cert.weights)
@@ -152,7 +150,7 @@ def verify_fc(cert: FcCertificate) -> VerificationReport:
     )
     if not ck.run("weights-simplex", ok, "weights must be nonnegative and sum to 1"):
         return ck.report()
-    if not _cuts_wellformed(cert, dom, ck):
+    if not _cuts_wellformed(cert, dom, closure, ck):
         return ck.report()
     sat = True
     for idx, cut in enumerate(cert.cuts):
@@ -168,9 +166,7 @@ def verify_fc(cert: FcCertificate) -> VerificationReport:
     if cert.proof is None:
         failure = "the certificate carries no separation proof"
     else:
-        failure = check_separation_proof(
-            union_closure(cert.family), dom, cert.weights, cert.proof
-        )
+        failure = check_separation_proof(closure, dom, cert.weights, cert.proof)
     ck.run("separation-nonpositive", failure is None, failure or "")
     return ck.report()
 
@@ -267,15 +263,16 @@ def _checked_flow(
 def verify_nonfc(cert: NonFcCertificate) -> VerificationReport:
     """Replay a Non-FC certificate's Farkas combination exactly."""
     ck = _Checker()
-    dom = _structural(cert, ck)
-    if dom is None:
+    checked = _structural(cert, ck)
+    if checked is None:
         return ck.report()
+    dom, closure = checked
     if not ck.run(
         "multiplier-count", len(cert.multipliers) == len(cert.cuts),
         "one multiplier per cut required",
     ):
         return ck.report()
-    if not _cuts_wellformed(cert, dom, ck):
+    if not _cuts_wellformed(cert, dom, closure, ck):
         return ck.report()
     if not ck.run(
         "multipliers-nonnegative", all(y >= 0 for y in cert.multipliers)

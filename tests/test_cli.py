@@ -1,8 +1,10 @@
 import json
 import os
+import time
 
 import pytest
 
+import fcfam.cli
 from fcfam.cli import dispatch
 
 
@@ -131,6 +133,24 @@ class TestTimeLimit:
     def test_timeout_exits_1(self, capsys):
         assert dispatch(["getnfc", "-n", "4", "-k", "3", "-m", "2", "--time-limit", "1e-9"]) == 1
         assert capsys.readouterr().err.startswith("timeout:")
+
+    def test_getnfc_certificates_keep_the_limit(self, tmp_path, monkeypatch):
+        # the certificates written by getnfc -o come from decisions that must
+        # stay bounded by --time-limit too
+        deadlines = []
+        original = fcfam.cli.is_fc
+
+        def recording(fam, **kwargs):
+            deadlines.append(kwargs.get("deadline"))
+            return original(fam, **kwargs)
+
+        monkeypatch.setattr(fcfam.cli, "is_fc", recording)
+        out = str(tmp_path / "results")
+        before = time.monotonic()
+        assert dispatch(["getnfc", "-n", "4", "-k", "3", "-m", "2", "--time-limit", "60",
+                         "-o", out]) == 0
+        assert len(deadlines) == 1
+        assert deadlines[0] is not None and before < deadlines[0] <= time.monotonic() + 60
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
     def test_nonpositive_limit_rejected(self, fam_file, value):

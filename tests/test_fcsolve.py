@@ -13,8 +13,6 @@ from fcfam.setfam import (
     powerset_family,
     union_closure,
 )
-from fcfam.canon import OrbitPartition, orbits
-from fcfam.ratlp import Feasible, LinearProgram, lp_solve
 from fcfam.sepip import brute_separation
 from fcfam.fcsolve import (
     Cut,
@@ -24,8 +22,6 @@ from fcfam.fcsolve import (
     certificate_to_dict,
     fc3_value,
     is_fc,
-    lift_point,
-    symmetry_reduce,
     upper_bound,
 )
 from fcfam.verify import verify_certificate
@@ -117,35 +113,18 @@ class TestClosedForms:
 
 
 class TestSymmetryReduce:
-    def test_transitive_single_variable(self):
-        lp = LinearProgram(4)
-        lp.add_eq([1] * 4, 1)
-        red = symmetry_reduce(lp, OrbitPartition((0, 0, 0, 0)))
-        assert red.num_vars == 1
-        res = lp_solve(red)
-        assert isinstance(res, Feasible)
-        lifted = lift_point(res.point, OrbitPartition((0, 0, 0, 0)))
-        assert lifted == (Fraction(1, 4),) * 4
-
-    def test_trivial_group_keeps_dimensions(self):
-        lp = LinearProgram(3)
-        lp.add_eq([1, 2, 3], 1)
-        red = symmetry_reduce(lp, OrbitPartition((0, 1, 2)))
-        assert red.num_vars == 3
-        assert red.eq_rows == lp.eq_rows
-
-    def test_two_orbit_lift(self):
-        lp = LinearProgram(6)
-        lp.add_eq([1] * 6, 1)
-        lp.add_ge([1, 1, 1, 0, 0, 0], Fraction(1, 2))
-        part = OrbitPartition((0, 0, 0, 1, 1, 1))
-        red = symmetry_reduce(lp, part)
-        assert red.num_vars == 2
-        assert red.ge_rows[0][0] == (Fraction(3), Fraction(0))
-        res = lp_solve(red)
-        lifted = lift_point(res.point, part)
-        assert lifted[0] == lifted[1] == lifted[2]
-        assert lifted[3] == lifted[4] == lifted[5]
+    def test_transitive_family_gives_one_variable_lps(self, monkeypatch):
+        # Aut of all 3-subsets of [6] is S_6: one orbit, so every LP has one
+        # variable, sum(c) = 1 weighs it by the orbit size, and the lifted
+        # weights are constant
+        lps = count_calls(monkeypatch, fcfam.fcsolve, "lp_solve")
+        cert = is_fc(Family.from_masks(6, lex_ksets(6, 3)), symmetry=True)
+        assert cert.kind == "fc" and lps
+        for (lp,) in lps:
+            assert lp.num_vars == 1
+            assert lp.eq_rows == [((Fraction(6),), Fraction(1))]
+        assert cert.weights == (Fraction(1, 6),) * 6
+        assert verify_certificate(cert).passed
 
     def test_decisions_never_list_the_group(self, monkeypatch):
         def refuse(family):
