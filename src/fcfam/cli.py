@@ -7,6 +7,9 @@ enumeration drivers, `upperbound` evaluates the closed-form bound,
 print canonical forms and element orbits, and `verify` replays a
 certificate (exit 0 pass, 1 fail, 2 structural error).
 
+Every command that decides more than one family decides it through
+`enumfam.EnumSession.classify`, and `--time-limit` bounds each decision;
+`getnfc -o` writes each Non-FC certificate as the enumeration yields it.
 Long computations report progress on stderr; results go to stdout or into
 the output directory (flag -o or FCFAM_OUTPUT_DIR).
 """
@@ -109,39 +112,31 @@ def _cmd_isfc(args) -> int:
 
 def _cmd_getnfc(args) -> int:
     t0 = time.monotonic()
-    fams = enumfam.get_nfc(
-        args.n,
-        args.k,
-        args.m,
-        jobs=args.jobs,
-        symmetry=args.symmetry,
-        warm_start=args.warm_start,
-        progress=_progress,
-        time_limit=args.time_limit,
-    )
+    cell = f"n{args.n}_k{args.k}_m{args.m}"
+    fams: list[Family] = []
+    cert_paths: list[str] = []
+    with enumfam.EnumSession(
+        args.jobs, args.symmetry, args.warm_start, progress=_progress, time_limit=args.time_limit
+    ) as session:
+        candidates = session.candidates(args.n, args.k, args.m)
+        path = _out_path(args, f"nfc_{cell}.fam")
+        # candidates lie over [n] sorted by members, so they stream in nfc_sorted() order
+        for fam, cert in session.classify(candidates):
+            if cert.kind == "fc":
+                continue
+            fams.append(fam)
+            if path:
+                cpath = os.path.join(os.path.dirname(path), f"nfc_{cell}_{len(fams)}.cert.json")
+                fcsolve.save_certificate(cert, cpath)
+                cert_paths.append(os.path.basename(cpath))
     elapsed = time.monotonic() - t0
     text_blocks = []
     for idx, fam in enumerate(fams):
         text_blocks.append(f"# family {idx + 1}\n" + format_family(fam))
     listing = "".join(text_blocks) if text_blocks else "# no Non-FC families\n"
-    path = _out_path(args, f"nfc_n{args.n}_k{args.k}_m{args.m}.fam")
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(listing)
-        directory = os.path.dirname(path)
-        cert_paths = []
-        for idx, fam in enumerate(fams):
-            cert = is_fc(
-                fam,
-                warm_start=args.warm_start,
-                symmetry=args.symmetry,
-                deadline=time.monotonic() + args.time_limit if args.time_limit else None,
-            )
-            cpath = os.path.join(
-                directory, f"nfc_n{args.n}_k{args.k}_m{args.m}_{idx + 1}.cert.json"
-            )
-            fcsolve.save_certificate(cert, cpath)
-            cert_paths.append(os.path.basename(cpath))
         manifest = {
             "n": args.n,
             "k": args.k,
@@ -151,7 +146,8 @@ def _cmd_getnfc(args) -> int:
             "families_file": os.path.basename(path),
             "certificates": cert_paths,
         }
-        mpath = os.path.join(directory, f"manifest_n{args.n}_k{args.k}_m{args.m}.json")
+        # written last: a directory without its manifest holds an interrupted run
+        mpath = os.path.join(os.path.dirname(path), f"manifest_{cell}.json")
         with open(mpath, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=1)
             fh.write("\n")
@@ -184,7 +180,7 @@ def _cmd_fcvalue(args) -> int:
 
 
 def _cmd_lexscan(args) -> int:
-    res = enumfam.lex_scan(args.k, args.n, progress=_progress)
+    res = enumfam.lex_scan(args.k, args.n, progress=_progress, time_limit=args.time_limit)
     print(f"lexscan({args.k},{args.n}): first FC prefix has m = {res.m}")
     prefix_path = _out_path(args, f"lex_fc_k{args.k}_n{args.n}_m{res.m}.json")
     if prefix_path:
@@ -314,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lexscan", help="first FC lexicographic prefix")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    add_common(p, time_limit=False)
+    add_common(p)
     p.set_defaults(func=_cmd_lexscan)
 
     p = sub.add_parser("vfcvalue", help="compute FC_V(k, n)")

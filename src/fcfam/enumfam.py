@@ -17,13 +17,15 @@ its universe size, so runs whose previous levels are all Non-FC never
 canonicalize a subfamily.  `fcv_value` skips families with a V-FC
 subfamily by the same check.
 
-FC and V-FC share one classification path: `EnumSession.classify` decides
-each family with `is_fc` over the session's domain (all of P([n]) unless
-one is given) and streams (family, certificate) pairs in input order, so a
-driver keeps only the certificates it reports: each getNFC cell keeps the
-certificate of its smallest Non-FC family, which `fc_value` reports as its
-witness without solving it again.  With jobs > 1 the decisions fan out
-over one worker pool per session.
+`EnumSession.classify` is the one place where a driver, or the CLI's
+getnfc, decides a family: with `is_fc` over the session's domain (all of
+P([n]) unless one is given), streaming (family, certificate) pairs in input
+order, so a caller keeps only the certificates it reports.  Each getNFC
+cell keeps the certificate of its smallest Non-FC family, which `fc_value`
+reports as its witness without solving it again.  Each decision stops at
+the earlier of the session's run deadline and its own start plus
+`time_limit`.  With jobs > 1 the decisions fan out over one worker pool per
+session.
 """
 
 from __future__ import annotations
@@ -146,10 +148,13 @@ def gen_noniso_families(n: int, k: int, m: int) -> list[Family]:
 
 
 def _decide(
-    args: tuple[Family, Optional[Family], bool, bool, Optional[float]]
+    args: tuple[Family, Optional[Family], bool, bool, Optional[float], Optional[float]]
 ) -> Certificate:
-    family, domain, symmetry, warm_start, time_limit = args
-    deadline = time.monotonic() + time_limit if time_limit else None
+    family, domain, symmetry, warm_start, deadline, time_limit = args
+    # monotonic clock values are system-wide, so a session deadline holds in workers too
+    if time_limit:
+        own = time.monotonic() + time_limit
+        deadline = own if deadline is None else min(deadline, own)
     return is_fc(
         family, symmetry=symmetry, warm_start=warm_start, domain=domain, deadline=deadline
     )
@@ -203,7 +208,8 @@ class EnumSession:
 
     def classify(self, fams: Sequence[Family]) -> Iterator[tuple[Family, Certificate]]:
         """Decide each family lazily, yielding (family, certificate) in input order."""
-        args = [(f, self.domain, self.symmetry, self.warm_start, self.time_limit) for f in fams]
+        config = (self.domain, self.symmetry, self.warm_start, self.deadline, self.time_limit)
+        args = [(f, *config) for f in fams]
         if self.jobs > 1 and len(fams) > 1:
             if self._pool is None:
                 from multiprocessing import Pool
@@ -213,24 +219,18 @@ class EnumSession:
             return zip(fams, self._pool.imap(_decide, args, chunk))
         return zip(fams, map(_decide, args))
 
-    def get_nfc(self, n: int, k: int, m: int) -> NfcRegistry:
+    def candidates(self, n: int, k: int, m: int) -> list[Family]:
+        """The canonical families the (n, k, m) cell decides, sorted by
+        members: every class at the base level, else the extensions of the
+        Non-FC families one member down that contain no FC subfamily."""
         if not (n >= k >= 3):
             raise ValueError("need n >= k >= 3")
-        key = (n, k, m)
-        if key in self.memo:
-            return self.memo[key]
         self.check_deadline()
-        reg = NfcRegistry()
         if k * m < n or m > math.comb(n, k):
-            self.memo[key] = reg
-            return reg
+            return []
         if k * (m - 1) < n:
             # gen_noniso_families already returns canonical representatives
-            for fam, cert in self.classify(gen_noniso_families(n, k, m)):
-                reg.record((fam.n, fam.members), fam, cert)
-            self._say(f"getNFC({n},{k},{m}): base level, {len(reg.nfc)} Non-FC")
-            self.memo[key] = reg
-            return reg
+            return gen_noniso_families(n, k, m)
 
         j_range = range(max(k, n - k), n + 1)
         parents: list[Family] = []
@@ -252,11 +252,16 @@ class EnumSession:
                 candidates.append(cf.relabeled)
         candidates.sort(key=lambda f: f.members)
         self._say(f"getNFC({n},{k},{m}): {len(candidates)} candidates to classify")
-        for fam, cert in self.classify(candidates):
-            reg.record((fam.n, fam.members), fam, cert)
-        self._say(f"getNFC({n},{k},{m}): {len(reg.nfc)} Non-FC, {len(reg.fc)} FC")
-        self.memo[key] = reg
-        return reg
+        return candidates
+
+    def get_nfc(self, n: int, k: int, m: int) -> NfcRegistry:
+        if (n, k, m) not in self.memo:
+            reg = NfcRegistry()
+            for fam, cert in self.classify(self.candidates(n, k, m)):
+                reg.record((fam.n, fam.members), fam, cert)
+            self._say(f"getNFC({n},{k},{m}): {len(reg.nfc)} Non-FC, {len(reg.fc)} FC")
+            self.memo[n, k, m] = reg
+        return self.memo[n, k, m]
 
 
 def get_nfc(
@@ -334,38 +339,34 @@ def lex_scan(
     warm_start: bool = True,
     deadline: Optional[float] = None,
     progress: Optional[ProgressFn] = None,
+    time_limit: Optional[float] = None,
 ) -> LexScanResult:
     """First m such that the length-m lexicographic prefix of k-subsets of
     [n] is FC, with certificates for that prefix and the one before it."""
     if not (n > k >= 3):
         raise ValueError("need n > k >= 3")
     order = lex_ksets(n, k)
-    full = (1 << n) - 1
-    uni = 0
-    m0 = None
-    for idx, s in enumerate(order):
-        uni |= s
-        if uni == full:
-            m0 = idx + 1
-            break
-    if m0 is None:
-        raise ValueError("prefixes never reach universe [n]")
+    # the sets {1..k-1, j}, j = k..n, make the shortest prefix over all of [n]
+    m0 = n - k + 1
+    prefixes = [Family.from_masks(n, order[:m]) for m in range(m0, len(order) + 1)]
     prev_nonfc: Optional[NonFcCertificate] = None
-    for m in range(m0, len(order) + 1):
-        fam = Family.from_masks(n, order[:m])
-        cert = is_fc(fam, symmetry=symmetry, warm_start=warm_start, deadline=deadline)
-        if progress:
-            progress(f"lex_scan({k},{n}): prefix {m} is {cert.kind}")
-        if isinstance(cert, NonFcCertificate):
-            prev_nonfc = cert
-            continue
-        if m == m0:
-            # the predecessor lies on a smaller universe, so the scan never decided it
-            prev, _ = compact_universe(Family.from_masks(n, order[: m - 1]))
-            prev_cert = is_fc(prev, symmetry=symmetry, warm_start=warm_start, deadline=deadline)
-            if isinstance(prev_cert, NonFcCertificate):
-                prev_nonfc = prev_cert
-        return LexScanResult(m, cert, prev_nonfc)
+    with EnumSession(
+        symmetry=symmetry, warm_start=warm_start, deadline=deadline, time_limit=time_limit
+    ) as session:
+        # one job, so classify decides lazily and the scan stops at the first FC prefix
+        for fam, cert in session.classify(prefixes):
+            m = len(fam.members)
+            if progress:
+                progress(f"lex_scan({k},{n}): prefix {m} is {cert.kind}")
+            if isinstance(cert, NonFcCertificate):
+                prev_nonfc = cert
+                continue
+            if m == m0:
+                # the predecessor lies on [n-1], so the scan never decided it
+                _, prev_cert = next(session.classify([Family.from_masks(n - 1, order[: m - 1])]))
+                if isinstance(prev_cert, NonFcCertificate):
+                    prev_nonfc = prev_cert
+            return LexScanResult(m, cert, prev_nonfc)
     raise ValueError(f"no FC prefix up to C({n},{k})")
 
 

@@ -5,7 +5,10 @@ import time
 import pytest
 
 import fcfam.cli
+import fcfam.enumfam
+from fcfam import fcsolve
 from fcfam.cli import dispatch
+from fcfam.fcsolve import certificate_to_dict, is_fc
 
 
 @pytest.fixture
@@ -86,6 +89,20 @@ class TestBatchCommands:
         assert len(manifest["certificates"]) == 1
         assert dispatch(["verify", os.path.join(out, manifest["certificates"][0])]) == 0
 
+    def test_getnfc_files_do_not_depend_on_jobs(self, tmp_path):
+        # the certificates come from pool workers at --jobs 2
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert dispatch(["getnfc", "-n", "6", "-k", "4", "-m", "4", "--jobs", jobs,
+                             "-o", str(out)]) == 0
+            files = {p.name: p.read_text() for p in out.iterdir()}
+            manifest = json.loads(files.pop("manifest_n6_k4_m4.json"))
+            del manifest["seconds"]
+            outputs.append((files, manifest))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1]["certificates"]) == 8
+
     def test_fcvalue(self, capsys):
         assert dispatch(["fcvalue", "-k", "3", "-n", "4"]) == 0
         assert "FC(3,4) = 3" in capsys.readouterr().out
@@ -135,22 +152,33 @@ class TestTimeLimit:
         assert capsys.readouterr().err.startswith("timeout:")
 
     def test_getnfc_certificates_keep_the_limit(self, tmp_path, monkeypatch):
-        # the certificates written by getnfc -o come from decisions that must
-        # stay bounded by --time-limit too
+        # getnfc -o writes the certificates of the enumeration's own decisions,
+        # each bounded by --time-limit, and decides no family a second time
         deadlines = []
-        original = fcfam.cli.is_fc
+        original = fcfam.enumfam.is_fc
 
         def recording(fam, **kwargs):
             deadlines.append(kwargs.get("deadline"))
             return original(fam, **kwargs)
 
-        monkeypatch.setattr(fcfam.cli, "is_fc", recording)
-        out = str(tmp_path / "results")
+        def second_decision(fam, **kwargs):
+            raise AssertionError("getnfc decided a family outside the enumeration")
+
+        monkeypatch.setattr(fcfam.enumfam, "is_fc", recording)
+        monkeypatch.setattr(fcfam.cli, "is_fc", second_decision)
+        out = tmp_path / "results"
         before = time.monotonic()
-        assert dispatch(["getnfc", "-n", "4", "-k", "3", "-m", "2", "--time-limit", "60",
-                         "-o", out]) == 0
-        assert len(deadlines) == 1
-        assert deadlines[0] is not None and before < deadlines[0] <= time.monotonic() + 60
+        assert dispatch(["getnfc", "-n", "6", "-k", "4", "-m", "4", "--time-limit", "60",
+                         "-o", str(out)]) == 0
+        after = time.monotonic()
+        assert deadlines
+        assert all(d is not None and before + 60 <= d <= after + 60 for d in deadlines)
+        manifest = json.loads((out / "manifest_n6_k4_m4.json").read_text())
+        assert manifest["count"] == len(manifest["certificates"]) == 8
+        for name in manifest["certificates"]:
+            fam = fcsolve.load_certificate(str(out / name)).family
+            fresh = is_fc(fam, warm_start=True)
+            assert (out / name).read_text() == json.dumps(certificate_to_dict(fresh), indent=1) + "\n"
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
     def test_nonpositive_limit_rejected(self, fam_file, value):
@@ -159,4 +187,7 @@ class TestTimeLimit:
 
     def test_commands_without_decisions_take_no_limit(self):
         assert dispatch(["translates", "-n", "4", "--r", "0,1,2", "--time-limit", "5"]) == 2
-        assert dispatch(["lexscan", "-k", "4", "-n", "5", "--time-limit", "5"]) == 2
+
+    def test_lexscan_timeout_exits_1(self, capsys):
+        assert dispatch(["lexscan", "-k", "4", "-n", "5", "--time-limit", "1e-9"]) == 1
+        assert capsys.readouterr().err.startswith("timeout:")

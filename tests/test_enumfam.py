@@ -3,17 +3,19 @@ import math
 import multiprocessing
 import random
 import re
+import time
 
 import pytest
 
 import fcfam.enumfam
-from fcfam.setfam import Family, lex_ksets, no_singletons_family, universe
+from fcfam.setfam import Family, lex_ksets, lex_prefix, no_singletons_family, universe
 from fcfam.canon import canonical_form, canonical_key
 from fcfam.fcsolve import certificate_to_dict, is_fc
 from fcfam.verify import verify_certificate
 from fcfam.enumfam import (
     EnumSession,
     NfcRegistry,
+    _decide,
     fc_value,
     fcv_value,
     gen_noniso_families,
@@ -134,6 +136,30 @@ class TestGetNfc:
 
         with pytest.raises(TimeoutError):
             get_nfc(6, 3, 4, deadline=time.monotonic() - 1)
+
+
+class TestDeadlines:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_deadline_stops_a_decision(self, jobs):
+        fams = [lex_prefix(6, 4, 7), lex_prefix(6, 4, 8)]
+        with EnumSession(jobs, deadline=time.monotonic() - 1) as session:
+            with pytest.raises(TimeoutError):
+                list(session.classify(fams))
+
+    def test_decision_takes_the_earlier_deadline(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(fcfam.enumfam, "is_fc", lambda fam, **kw: seen.append(kw["deadline"]))
+        fam = lex_prefix(5, 4, 5)
+        start = time.monotonic()
+        _decide((fam, None, False, True, start + 1000, 10))  # the time limit ends first
+        _decide((fam, None, False, True, start + 5, 1000))  # the run deadline ends first
+        _decide((fam, None, False, True, None, 10))
+        _decide((fam, None, False, True, start + 5, None))
+        end = time.monotonic()
+        assert start + 10 <= seen[0] <= end + 10
+        assert seen[1] == start + 5
+        assert start + 10 <= seen[2] <= end + 10
+        assert seen[3] == start + 5
 
 
 class TestFcValue:
