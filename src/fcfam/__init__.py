@@ -2,7 +2,6 @@
 
 from .setfam import (
     Family,
-    UCFamily,
     FrequencyTable,
     compact_universe,
     format_family,

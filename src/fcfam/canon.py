@@ -47,12 +47,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TypeVar
 
-from .setfam import Family, compact_universe, universe
+from .setfam import GROUND_CAP, Family, compact_universe, universe
 
 Permutation = tuple[int, ...]  # images[i-1] = image of element i, 1-based values
 
 AUTOMORPHISM_UNIVERSE_CAP = 10
-ORBIT_UNIVERSE_CAP = 16
 
 T = TypeVar("T")
 
@@ -170,8 +169,8 @@ def _distinct_bound(bound: list[int], low_mask: int) -> list[int]:
 
 def canonical_form(family: Family) -> CanonicalForm:
     """Deterministic minimum relabeling over the compacted universe."""
-    if family.n > ORBIT_UNIVERSE_CAP:
-        raise ValueError(f"ground size {family.n} exceeds cap {ORBIT_UNIVERSE_CAP}")
+    if family.n > GROUND_CAP:
+        raise ValueError(f"ground size {family.n} exceeds cap {GROUND_CAP}")
     fam, compaction = compact_universe(family)
     u = fam.n
     members = fam.members
@@ -340,8 +339,8 @@ def generating_set(family: Family) -> list[Permutation]:
     if not universe(family):
         return []
     u = fam.n
-    if u > ORBIT_UNIVERSE_CAP:
-        raise ValueError(f"universe of {u} elements exceeds cap {ORBIT_UNIVERSE_CAP}")
+    if u > GROUND_CAP:
+        raise ValueError(f"universe of {u} elements exceeds cap {GROUND_CAP}")
     gens: list[Permutation] = []
     for d in range(u - 1, -1, -1):
         # every generator so far fixes 0..d-1; grow the orbit of d under them

@@ -115,9 +115,7 @@ def _cmd_getnfc(args) -> int:
     cell = f"n{args.n}_k{args.k}_m{args.m}"
     fams: list[Family] = []
     cert_paths: list[str] = []
-    with enumfam.EnumSession(
-        args.jobs, args.symmetry, args.warm_start, progress=_progress, time_limit=args.time_limit
-    ) as session:
+    with enumfam.EnumSession(args.jobs, progress=_progress, time_limit=args.time_limit) as session:
         candidates = session.candidates(args.n, args.k, args.m)
         path = _out_path(args, f"nfc_{cell}.fam")
         # candidates lie over [n] sorted by members, so they stream in nfc_sorted() order
@@ -201,7 +199,7 @@ def _cmd_vfcvalue(args) -> int:
     rep = enumfam.fcv_value(
         args.k,
         args.n,
-        args.v,
+        _parse_domain(args.v, args.n),
         jobs=args.jobs,
         progress=_progress,
         time_limit=args.time_limit,
@@ -295,10 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("--symmetry", action="store_true")
-    p.add_argument("--no-warm-start", dest="warm_start", action="store_false")
     add_common(p, jobs=True)
-    p.set_defaults(func=_cmd_getnfc, warm_start=True)
+    p.set_defaults(func=_cmd_getnfc)
 
     p = sub.add_parser("fcvalue", help="compute FC(k, n)")
     p.add_argument("-k", type=int, required=True)
@@ -316,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vfcvalue", help="compute FC_V(k, n)")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--v", default="no-singletons")
+    p.add_argument("--v", default="no-singletons", help='"no-singletons" or a family file')
     add_common(p, jobs=True)
     p.set_defaults(func=_cmd_vfcvalue)
 

@@ -25,7 +25,10 @@ cell keeps the certificate of its smallest Non-FC family, which `fc_value`
 reports as its witness without solving it again.  Each decision stops at
 the earlier of the session's run deadline and its own start plus
 `time_limit`.  With jobs > 1 the decisions fan out over one worker pool per
-session.
+session.  Decisions use the session defaults, symmetry off and warm start
+on, unless `fc_value` or `fcv_value` is given other values: `lex_scan`
+takes only `progress` and `time_limit`, and `get_nfc` only `jobs` and
+`deadline`.
 """
 
 from __future__ import annotations
@@ -265,21 +268,12 @@ class EnumSession:
 
 
 def get_nfc(
-    n: int,
-    k: int,
-    m: int,
-    *,
-    jobs: int = 1,
-    symmetry: bool = False,
-    warm_start: bool = True,
-    deadline: Optional[float] = None,
-    progress: Optional[ProgressFn] = None,
-    time_limit: Optional[float] = None,
+    n: int, k: int, m: int, *, jobs: int = 1, deadline: Optional[float] = None
 ) -> list[Family]:
     """All pairwise nonisomorphic Non-FC families of m distinct k-sets with
     universe [n] (families containing a proper FC subfamily are not
     explored)."""
-    with EnumSession(jobs, symmetry, warm_start, deadline, progress, time_limit) as session:
+    with EnumSession(jobs, deadline=deadline) as session:
         return session.get_nfc(n, k, m).nfc_sorted()
 
 
@@ -335,9 +329,6 @@ def lex_scan(
     k: int,
     n: int,
     *,
-    symmetry: bool = False,
-    warm_start: bool = True,
-    deadline: Optional[float] = None,
     progress: Optional[ProgressFn] = None,
     time_limit: Optional[float] = None,
 ) -> LexScanResult:
@@ -350,9 +341,7 @@ def lex_scan(
     m0 = n - k + 1
     prefixes = [Family.from_masks(n, order[:m]) for m in range(m0, len(order) + 1)]
     prev_nonfc: Optional[NonFcCertificate] = None
-    with EnumSession(
-        symmetry=symmetry, warm_start=warm_start, deadline=deadline, time_limit=time_limit
-    ) as session:
+    with EnumSession(time_limit=time_limit) as session:
         # one job, so classify decides lazily and the scan stops at the first FC prefix
         for fam, cert in session.classify(prefixes):
             m = len(fam.members)

@@ -35,6 +35,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .setfam import (
+    DECISION_GROUND_CAP,
     Family,
     frequencies,
     powerset_family,
@@ -59,8 +60,6 @@ from .ratlp import (
 from .sepip import LEAF, _validate_base_domain, build_separation, solve_separation
 
 ProgressFn = Callable[[str], None]
-
-FC_GROUND_CAP = 8
 
 
 class CertificateError(ValueError):
@@ -153,8 +152,8 @@ def is_fc(
     the union closure of the input.
     """
     n = family.n
-    if n > FC_GROUND_CAP:
-        raise ValueError(f"ground size {n} exceeds cap {FC_GROUND_CAP}")
+    if n > DECISION_GROUND_CAP:
+        raise ValueError(f"ground size {n} exceeds cap {DECISION_GROUND_CAP}")
     full = (1 << n) - 1
     if universe(family) != full:
         raise ValueError("family universe must be all of [n] (compact it first)")
@@ -298,7 +297,7 @@ def certificate_from_dict(data: dict) -> Certificate:
     try:
         kind = data["kind"]
         n = int(data["n"])
-        if not 1 <= n <= FC_GROUND_CAP:
+        if not 1 <= n <= DECISION_GROUND_CAP:
             raise CertificateError(f"ground size {n} out of range")
         family = Family.from_sets(n, data["family"])
         domain = None

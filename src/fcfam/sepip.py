@@ -42,10 +42,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .setfam import Family, UCFamily, is_union_closed, universe
+from .setfam import DECISION_GROUND_CAP, Family, is_union_closed, universe
 from .ratlp import frac
 
-SOLVE_GROUND_CAP = 8
 BRUTE_DOMAIN_CAP = 16
 LEAF = -1  # proof entry of a pruned node
 
@@ -61,7 +60,7 @@ class SeparationResult:
 class SeparationProblem:
     """A weight-free separation instance, as `build_separation` validates it."""
 
-    base: UCFamily
+    base: Family
     domain: Family
 
 
@@ -97,10 +96,10 @@ def _validate_base_domain(base: Family, domain: Family) -> None:
         raise ValueError("domain is not closed under union with base members")
 
 
-def build_separation(base: UCFamily, domain: Family) -> SeparationProblem:
+def build_separation(base: Family, domain: Family) -> SeparationProblem:
     """Validate a base and a domain."""
-    if base.n > SOLVE_GROUND_CAP:
-        raise ValueError(f"ground size {base.n} exceeds cap {SOLVE_GROUND_CAP}")
+    if base.n > DECISION_GROUND_CAP:
+        raise ValueError(f"ground size {base.n} exceeds cap {DECISION_GROUND_CAP}")
     _validate_base_domain(base, domain)
     return SeparationProblem(base, domain)
 
@@ -187,9 +186,6 @@ def solve_separation(
             wval = sum(W[s] for s in wit)
             if wval > 0:
                 raise _Found(wval, wit)
-            if wval == bound:
-                proof.append(LEAF)
-                return  # relaxation is exact here
         # branch on a picked set whose pairwise unions escape the relaxed
         # pick into uncounted negative-weight territory; fixing it either
         # way tightens exactly that gap
@@ -319,7 +315,7 @@ def _max_flow(nv: int, src: int, snk: int, arcs: list[tuple[int, int, int]]):
     return flow, reach, cap
 
 
-def brute_separation(base: UCFamily, weights: Sequence, domain: Family) -> SeparationResult:
+def brute_separation(base: Family, weights: Sequence, domain: Family) -> SeparationResult:
     """Exhaustive oracle over all subfamilies of the domain (|D| <= 16)."""
     w = _check_weights(weights, base.n)
     _validate_base_domain(base, domain)

@@ -3,19 +3,21 @@
 A member set over the ground set [n] = {1, ..., n} is an integer bit mask
 with bit i-1 set iff element i is present.  A family is an immutable,
 sorted, duplicate-free tuple of such masks together with its ground size.
-Decision procedures cap the ground set at 16 elements; only the translate
-construction over Z_n x Z_n uses wider masks (up to 256 cells), which is
-fine because Python integers are arbitrary width and only counting
-operations ever touch those families.
+Parsed families, canonical forms and orbits cap the ground set at
+`GROUND_CAP` = 16 elements, and the FC decision and its certificates at
+`DECISION_GROUND_CAP` = 8; only the translate construction over Z_n x Z_n
+uses wider masks (up to 256 cells), which is fine because Python integers
+are arbitrary width and only counting operations ever touch those families.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
-DECISION_GROUND_CAP = 16
+GROUND_CAP = 16
+DECISION_GROUND_CAP = 8
 WIDE_GROUND_CAP = 256
 
 
@@ -39,25 +41,15 @@ def mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Family:
     """A finite family of subsets of [n], in normal form.
 
     Normal form: members strictly sorted by integer value of the bit mask.
-    Equality and hashing are structural on (n, members), so a validated
-    UCFamily compares equal to a plain Family with the same content.
     """
 
     n: int
     members: tuple[int, ...]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Family):
-            return NotImplemented
-        return self.n == other.n and self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.members))
 
     def __post_init__(self):
         if not 1 <= self.n <= WIDE_GROUND_CAP:
@@ -95,19 +87,6 @@ class Family:
         return f"Family(n={self.n}, {{{body}}})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class UCFamily(Family):
-    """A family validated to be closed under pairwise union."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not is_union_closed_masks(self.members):
-            raise ValueError("family is not union-closed")
-
-    __eq__ = Family.__eq__
-    __hash__ = Family.__hash__
-
-
 @dataclass(frozen=True)
 class FrequencyTable:
     """Per-element membership counts of a family."""
@@ -121,17 +100,14 @@ class FrequencyTable:
         return any(2 * c >= self.family_size for c in self.counts)
 
 
-def is_union_closed_masks(members: Sequence[int]) -> bool:
+def is_union_closed(family: Family) -> bool:
+    members = family.members
     have = set(members)
     for i, s in enumerate(members):
         for t in members[i + 1 :]:
             if s | t not in have:
                 return False
     return True
-
-
-def is_union_closed(family: Family) -> bool:
-    return is_union_closed_masks(family.members)
 
 
 def parse_family(text: str, ground_size: Optional[int] = None) -> Family:
@@ -165,25 +141,25 @@ def parse_family(text: str, ground_size: Optional[int] = None) -> Family:
         n = max((max(m) for m in raw_members if m), default=0)
     if n < 1:
         raise ValueError("cannot determine a positive ground size")
-    if n > DECISION_GROUND_CAP:
-        raise ValueError(f"ground size {n} exceeds cap {DECISION_GROUND_CAP}")
+    if n > GROUND_CAP:
+        raise ValueError(f"ground size {n} exceeds cap {GROUND_CAP}")
     return Family.from_sets(n, raw_members)
 
 
-def format_family(family: Family, header: bool = True) -> str:
+def format_family(family: Family) -> str:
     """Render a family in the family text format."""
-    lines = [f"n={family.n}"] if header else []
+    lines = [f"n={family.n}"]
     for s in family.member_sets():
         lines.append(",".join(map(str, s)) if s else "{}")
     return "\n".join(lines) + "\n"
 
 
-def union_closure(family: Family) -> UCFamily:
+def union_closure(family: Family) -> Family:
     """Smallest union-closed family containing the input and the empty set."""
     closed = {0}
     for m in family.members:
         closed |= {m | x for x in closed}
-    return UCFamily(family.n, tuple(sorted(closed)))
+    return Family(family.n, tuple(sorted(closed)))
 
 
 def uplus(a: Family, b: Family) -> Family:
@@ -263,15 +239,15 @@ def lex_prefix(n: int, k: int, m: int) -> Family:
 
 def powerset_family(n: int) -> Family:
     """The full power set of [n] as a family."""
-    if n > DECISION_GROUND_CAP:
-        raise ValueError(f"ground size {n} exceeds cap {DECISION_GROUND_CAP}")
+    if n > GROUND_CAP:
+        raise ValueError(f"ground size {n} exceeds cap {GROUND_CAP}")
     return Family(n, tuple(range(1 << n)))
 
 
 def no_singletons_family(n: int) -> Family:
     """All subsets of [n] except the singletons."""
-    if n > DECISION_GROUND_CAP:
-        raise ValueError(f"ground size {n} exceeds cap {DECISION_GROUND_CAP}")
+    if n > GROUND_CAP:
+        raise ValueError(f"ground size {n} exceeds cap {GROUND_CAP}")
     return Family(n, tuple(m for m in range(1 << n) if m.bit_count() != 1))
 
 

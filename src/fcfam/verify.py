@@ -44,6 +44,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .setfam import (
+    DECISION_GROUND_CAP,
     Family,
     is_union_closed,
     powerset_family,
@@ -55,7 +56,6 @@ from .fcsolve import (
     Certificate,
     FcCertificate,
     NonFcCertificate,
-    FC_GROUND_CAP,
 )
 from .sepip import (
     LEAF,
@@ -97,7 +97,7 @@ class _Checker:
 def _structural(cert: Certificate, ck: _Checker) -> Optional[tuple[Family, Family]]:
     """Shared structural checks; returns the domain and <A> when they pass."""
     n = cert.n
-    if not ck.run("ground-size", 1 <= n <= FC_GROUND_CAP, f"n={n}"):
+    if not ck.run("ground-size", 1 <= n <= DECISION_GROUND_CAP, f"n={n}"):
         return None
     full = (1 << n) - 1
     if not ck.run(
@@ -152,16 +152,12 @@ def verify_fc(cert: FcCertificate) -> VerificationReport:
         return ck.report()
     if not _cuts_wellformed(cert, dom, closure, ck):
         return ck.report()
-    sat = True
-    for idx, cut in enumerate(cert.cuts):
-        lhs = sum(w * f for w, f in zip(cert.weights, cut.freq))
-        if 2 * lhs < cut.size:
-            sat = False
-            ck.run("cuts-satisfied", False, f"cut {idx} violated at the stored weights")
-            break
-    if sat and not ck.run("cuts-satisfied", True):
-        return ck.report()
-    if not sat:
+    bad = next(
+        (idx for idx, cut in enumerate(cert.cuts)
+         if 2 * sum(w * f for w, f in zip(cert.weights, cut.freq)) < cut.size),
+        None,
+    )
+    if not ck.run("cuts-satisfied", bad is None, f"cut {bad} violated at the stored weights"):
         return ck.report()
     if cert.proof is None:
         failure = "the certificate carries no separation proof"
@@ -278,22 +274,14 @@ def verify_nonfc(cert: NonFcCertificate) -> VerificationReport:
         "multipliers-nonnegative", all(y >= 0 for y in cert.multipliers)
     ):
         return ck.report()
-    agg_ok = True
-    for i in range(cert.n):
-        total = sum(
-            (y * cut.freq[i] for y, cut in zip(cert.multipliers, cert.cuts)),
-            Fraction(0),
-        )
-        if total + cert.lam > 0:
-            agg_ok = False
-            ck.run(
-                "farkas-aggregation", False,
-                f"element {i + 1}: aggregated coefficient {total + cert.lam} > 0",
-            )
-            break
-    if agg_ok and not ck.run("farkas-aggregation", True):
-        return ck.report()
-    if not agg_ok:
+    coeffs = (
+        sum((y * cut.freq[i] for y, cut in zip(cert.multipliers, cert.cuts)), Fraction(0))
+        + cert.lam
+        for i in range(cert.n)
+    )
+    bad = next(((i, c) for i, c in enumerate(coeffs) if c > 0), None)
+    detail = f"element {bad[0] + 1}: aggregated coefficient {bad[1]} > 0" if bad else ""
+    if not ck.run("farkas-aggregation", bad is None, detail):
         return ck.report()
     rhs = sum(
         (y * Fraction(cut.size, 2) for y, cut in zip(cert.multipliers, cert.cuts)),

@@ -1,14 +1,17 @@
+import argparse
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
 import fcfam.cli
 import fcfam.enumfam
 from fcfam import fcsolve
-from fcfam.cli import dispatch
+from fcfam.cli import build_parser, dispatch
 from fcfam.fcsolve import certificate_to_dict, is_fc
+from fcfam.setfam import Family, format_family, no_singletons_family
 
 
 @pytest.fixture
@@ -111,6 +114,19 @@ class TestBatchCommands:
         assert dispatch(["vfcvalue", "-k", "5", "-n", "6", "--v", "no-singletons"]) == 0
         assert "FC_V(5,6) = 3" in capsys.readouterr().out
 
+    def test_vfcvalue_domain_file(self, tmp_path, capsys):
+        path = tmp_path / "v.fam"
+        path.write_text(format_family(no_singletons_family(6)))
+        assert dispatch(["vfcvalue", "-k", "5", "-n", "6", "--v", str(path)]) == 0
+        assert "FC_V(5,6) = 3" in capsys.readouterr().out
+
+    def test_vfcvalue_needs_a_symmetric_domain(self, tmp_path, capsys):
+        # every subset of [6] but {1}: union-closed, not invariant under S_6
+        path = tmp_path / "v.fam"
+        path.write_text(format_family(Family.from_masks(6, (m for m in range(64) if m != 1))))
+        assert dispatch(["vfcvalue", "-k", "5", "-n", "6", "--v", str(path)]) == 2
+        assert "symmetric domain" in capsys.readouterr().err
+
     def test_lexscan(self, capsys, tmp_path):
         assert dispatch(["lexscan", "-k", "4", "-n", "5", "-o", str(tmp_path)]) == 0
         assert "m = 5" in capsys.readouterr().out
@@ -191,3 +207,28 @@ class TestTimeLimit:
     def test_lexscan_timeout_exits_1(self, capsys):
         assert dispatch(["lexscan", "-k", "4", "-n", "5", "--time-limit", "1e-9"]) == 1
         assert capsys.readouterr().err.startswith("timeout:")
+
+
+def _readme_commands() -> list[list[str]]:
+    """The `fcfam ...` lines of the README's command blocks, split into words."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for heading in ("## Command line", "## Longer computations"):
+        block = text.split(heading, 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands += [line.split("#", 1)[0].split() for line in block.splitlines()
+                     if line.startswith("fcfam ")]
+    return commands
+
+
+class TestReadme:
+    def test_documented_flags_are_accepted(self):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        commands = _readme_commands()
+        assert len(commands) == 14
+        unknown = []
+        for _, cmd, *words in commands:
+            accepted = subparsers.choices[cmd]._option_string_actions
+            flags = [w.strip("[]") for w in words if w.strip("[]").startswith("-")]
+            unknown += [(cmd, f) for f in flags if f not in accepted]
+        assert unknown == []

@@ -4,7 +4,6 @@ import pytest
 
 from fcfam.setfam import (
     Family,
-    UCFamily,
     compact_universe,
     format_family,
     frequencies,
@@ -110,10 +109,6 @@ class TestClosure:
                 fam.n, fam.members + (rng.randrange(1 << fam.n),)
             )
             assert set(closed.members) <= set(union_closure(bigger).members)
-
-    def test_ucfamily_validates(self):
-        with pytest.raises(ValueError, match="union-closed"):
-            UCFamily(3, (1, 2))
 
 
 class TestUplus:
