@@ -1,11 +1,18 @@
 """Exact linear feasibility over rationals.
 
-Phase one of a dense-tableau primal simplex with Bland's anti-cycling rule,
-all arithmetic in `fractions.Fraction`.  Every variable is nonnegative and
-there is no objective: the solver returns either a point that satisfies the
-constraints exactly or a Farkas certificate of infeasibility that replays by
-pure arithmetic.  There is no tolerance anywhere.  Each inequality a.x >= b
-gets a surplus variable.
+Phase one of a dense-tableau primal simplex with Bland's anti-cycling rule.
+Every variable is nonnegative and there is no objective: the solver returns
+either a point that satisfies the constraints exactly or a Farkas
+certificate of infeasibility that replays by pure arithmetic.  There is no
+tolerance anywhere.  Each inequality a.x >= b gets a surplus variable.
+
+The tableau holds Python ints only.  Each row is scaled to integers once,
+and pivots are fraction-free (Edmonds/Bareiss): every entry is an integer
+over one shared denominator, the previous pivot, which each update divides
+out exactly, so no operation pays a gcd.  `Fraction` appears only where the
+rows are read in, where the point or the multipliers are written out, and
+in `check_point` and `check_farkas`, which replay every answer before it is
+returned.
 
 Built for the small, dense systems of the cutting-plane loop (tens of
 variables, up to a few hundred rows), not for sparse large-scale work.
@@ -15,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
 Rat = Union[int, str, Fraction]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def frac(x: Rat) -> Fraction:
@@ -122,131 +129,93 @@ def check_farkas(lp: LinearProgram, cert: FarkasCertificate) -> bool:
     return all(a <= 0 for a in agg) and rhs > 0
 
 
-class _Tableau:
-    """Dense simplex tableau in standard form min c.x, Ax = b, x >= 0."""
-
-    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction]):
-        self.rows = rows
-        self.rhs = rhs
-        self.ncols = len(rows[0]) if rows else 0
-        self.basis: list[int] = []
-        self.obj: list[Fraction] = []
-        self.obj_val = ZERO
-
-    def set_costs(self, costs: list[Fraction]) -> None:
-        """Recompute reduced costs/objective for the current basis."""
-        m = len(self.rows)
-        self.obj = list(costs)
-        self.obj_val = ZERO
-        for r in range(m):
-            cb = costs[self.basis[r]]
-            if cb:
-                row = self.rows[r]
-                for j in range(self.ncols):
-                    self.obj[j] -= cb * row[j]
-                self.obj_val += cb * self.rhs[r]
-
-    def pivot(self, r: int, c: int) -> None:
-        row = self.rows[r]
-        piv = row[c]
-        inv = ONE / piv
-        for j in range(self.ncols):
-            if row[j]:
-                row[j] *= inv
-        self.rhs[r] *= inv
-        for i, other in enumerate(self.rows):
-            if i != r and other[c]:
-                f = other[c]
-                for j in range(self.ncols):
-                    if row[j]:
-                        other[j] -= f * row[j]
-                self.rhs[i] -= f * self.rhs[r]
-        f = self.obj[c]
-        if f:
-            for j in range(self.ncols):
-                if row[j]:
-                    self.obj[j] -= f * row[j]
-            self.obj_val += f * self.rhs[r]
-        self.basis[r] = c
-
-    def run(self, allowed_cols: int) -> None:
-        """Bland-rule simplex to optimality of a bounded-below objective."""
-        while True:
-            enter = -1
-            for j in range(allowed_cols):
-                if self.obj[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return
-            leave = -1
-            best = None
-            for r in range(len(self.rows)):
-                a = self.rows[r][enter]
-                if a > 0:
-                    ratio = self.rhs[r] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[r] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = r
-            assert leave >= 0, "phase one cannot be unbounded"
-            self.pivot(leave, enter)
-
-
 def lp_solve(lp: LinearProgram) -> LPResult:
     """Decide feasibility exactly: a point, or a Farkas certificate."""
     n = lp.num_vars
     ncols = n + len(lp.ge_rows)  # x, then one surplus column per >=-row
-
-    raw_rows: list[tuple[tuple[Fraction, ...], Fraction, int]] = []
-    for coeffs, rhs in lp.eq_rows:
-        raw_rows.append((coeffs, rhs, -1))
-    for idx, (coeffs, rhs) in enumerate(lp.ge_rows):
-        raw_rows.append((coeffs, rhs, idx))
+    raw_rows = [(coeffs, rhs, -1) for coeffs, rhs in lp.eq_rows]
+    raw_rows += [(coeffs, rhs, idx) for idx, (coeffs, rhs) in enumerate(lp.ge_rows)]
     m = len(raw_rows)
+    rhs_col = ncols + m  # x, surplus, one artificial per row, then the rhs
 
-    sigma = [ONE] * m
-    rows: list[list[Fraction]] = []
-    rhs_v: list[Fraction] = []
+    # Row r is multiplied by sigma_r = -1 if its rhs is negative and by L_r,
+    # the lcm of its denominators; its artificial keeps coefficient 1, so it
+    # stands for L_r times the unscaled one.  Costing that artificial
+    # lcm(L) / L_r gives phase one's objective times lcm(L), and Bland's rule
+    # then makes the same choices as on the unscaled rows.
+    sigma = [-1 if rhs < 0 else 1 for _, rhs, _ in raw_rows]
+    scale = [lcm(rhs.denominator, *(c.denominator for c in coeffs))
+             for coeffs, rhs, _ in raw_rows]
+    big = lcm(*scale)
+    cost = [big // s for s in scale]
+    rows: list[list[int]] = []
     for r, (coeffs, rhs, ge_idx) in enumerate(raw_rows):
-        if rhs < 0:
-            sigma[r] = -ONE
-        row = [ZERO] * (ncols + m)
-        for j, c in enumerate(coeffs):
-            if c:
-                row[j] = sigma[r] * c
+        f = sigma[r] * scale[r]
+        row = [f * c.numerator // c.denominator for c in coeffs] + [0] * (rhs_col + 1 - n)
         if ge_idx >= 0:
-            row[n + ge_idx] = -sigma[r]
-        row[ncols + r] = ONE  # artificial
+            row[n + ge_idx] = -f
+        row[ncols + r] = 1
+        row[rhs_col] = f * rhs.numerator // rhs.denominator
         rows.append(row)
-        rhs_v.append(sigma[r] * rhs)
+    # reduced costs for the artificial basis, and minus the objective value
+    obj = [0] * (rhs_col + 1)
+    for c, row in zip(cost, rows):
+        for j in (*range(ncols), rhs_col):
+            obj[j] -= c * row[j]
 
-    tab = _Tableau(rows, rhs_v)
-    tab.basis = [ncols + r for r in range(m)]
-    tab.set_costs([ZERO] * ncols + [ONE] * m)
-    tab.run(allowed_cols=ncols)
+    # Bareiss pivoting: the tableau is the integer rows divided by d, the
+    # previous pivot, and every update divides by d exactly.  d stays
+    # positive because every pivot is, so signs and ratios read off directly.
+    basis = list(range(ncols, rhs_col))
+    d = 1
+    while True:
+        enter = next((j for j in range(ncols) if obj[j] < 0), -1)
+        if enter < 0:
+            break
+        leave = -1
+        for r, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                if leave < 0:
+                    leave = r
+                    continue
+                lhs, best = row[rhs_col] * rows[leave][enter], rows[leave][rhs_col] * a
+                if lhs < best or (lhs == best and basis[r] < basis[leave]):
+                    leave = r
+        assert leave >= 0, "phase one cannot be unbounded"
+        prow = rows[leave]
+        p = prow[enter]
+        for other in rows + [obj]:
+            if other is not prow:
+                f = other[enter]
+                if f:
+                    other[:] = [(p * a - f * b) // d for a, b in zip(other, prow)]
+                elif p != d:
+                    other[:] = [p * a // d for a in other]
+        basis[leave] = enter
+        d = p
 
-    if tab.obj_val > 0:
-        # infeasible: dual y of phase one; reduced cost of artificial r is 1 - y_r
+    if obj[rhs_col] < 0:
+        # infeasible: the reduced cost of artificial r is cost_r - y_r for
+        # the scaled phase-one dual y; undo sigma_r, L_r and lcm(L)
         ge_mult = [ZERO] * len(lp.ge_rows)
         eq_mult = [ZERO] * len(lp.eq_rows)
-        for r in range(m):
-            y = ONE - tab.obj[ncols + r]
-            mult = sigma[r] * y
-            ge_idx = raw_rows[r][2]
+        for r, (_, _, ge_idx) in enumerate(raw_rows):
+            y = Fraction(sigma[r] * (cost[r] * d - obj[ncols + r]) * scale[r], d * big)
             if ge_idx >= 0:
-                ge_mult[ge_idx] = mult
+                ge_mult[ge_idx] = y
             else:
-                eq_mult[r] = mult
+                eq_mult[r] = y
         cert = FarkasCertificate(tuple(ge_mult), tuple(eq_mult))
-        assert check_farkas(lp, cert), "extracted Farkas certificate failed to replay"
+        if not check_farkas(lp, cert):
+            raise RuntimeError("extracted Farkas certificate failed to replay")
         return Infeasible(cert)
 
     vals = [ZERO] * n
-    for r, b in enumerate(tab.basis):
+    for r, b in enumerate(basis):
         if b < n:
-            vals[b] = tab.rhs[r]
+            vals[b] = Fraction(rows[r][rhs_col], d)
     point = tuple(vals)
-    assert check_point(lp, point)
+    if not check_point(lp, point):
+        raise RuntimeError("simplex point failed to replay")
     return Feasible(point)

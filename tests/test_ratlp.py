@@ -1,9 +1,14 @@
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import fcfam.ratlp
 from fcfam.ratlp import (
     FarkasCertificate,
     Feasible,
@@ -116,6 +121,39 @@ class TestBruteForceCrossCheck:
                 feasible_seen += 1
         assert feasible_seen > 50 and infeasible_seen > 20
 
+    def test_random_rational_boxed_lps(self):
+        # non-integer bounds and coefficients with several denominators per
+        # row, and equality rows with negative right sides, so row scaling
+        # and the sign flip of a negative right side both meet the oracle
+        rng = random.Random(11)
+
+        def rat(lo, hi):
+            return Fraction(rng.randint(lo, hi), rng.choice((2, 3, 4, 5, 6, 7)))
+
+        feasible_seen = infeasible_seen = 0
+        for _ in range(150):
+            n = rng.randint(1, 3)
+            lp = LinearProgram(n)
+            for j in range(n):
+                e = [0] * n
+                e[j] = -1
+                lp.add_ge(e, -rat(1, 20))  # x_j <= U, U not an integer
+            for _ in range(rng.randint(0, 4)):
+                lp.add_ge([rat(-12, 12) for _ in range(n)], rat(-12, 12))
+            if rng.random() < 0.6:
+                lp.add_eq([rat(-9, 9) for _ in range(n)], -rat(0, 12))
+            res = lp_solve(lp)
+            feasible = brute_boxed_feasible(lp)
+            if isinstance(res, Infeasible):
+                assert not feasible
+                assert check_farkas(lp, res.certificate)
+                infeasible_seen += 1
+            else:
+                assert isinstance(res, Feasible)
+                assert feasible and check_point(lp, res.point)
+                feasible_seen += 1
+        assert feasible_seen > 30 and infeasible_seen > 30
+
 
 class TestSerialization:
     def test_frac_str(self):
@@ -132,3 +170,132 @@ class TestSerialization:
         lp.add_ge([1], 1)
         cert = FarkasCertificate((Fraction(-1),), ())
         assert not check_farkas(lp, cert)
+
+
+def _serialize(res):
+    if isinstance(res, Feasible):
+        return "F " + " ".join(frac_str(x) for x in res.point)
+    cert = res.certificate
+    return ("I " + " ".join(frac_str(y) for y in cert.ge_multipliers)
+            + " | " + " ".join(frac_str(y) for y in cert.eq_multipliers))
+
+
+def _seeded_lps(seed=10, count=300):
+    """Small LPs with denominators 1-7, negative right sides, 0-2 equality
+    rows, zero right sides and repeated rows, so that ratio ties occur."""
+    rng = random.Random(seed)
+
+    def rat():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        lp = LinearProgram(n)
+        for _ in range(rng.randint(0, 2)):
+            lp.add_eq([rat() for _ in range(n)], rat())
+        for _ in range(rng.randint(1, 5)):
+            coeffs = [rat() if rng.random() < 0.7 else 0 for _ in range(n)]
+            rhs = 0 if rng.random() < 0.3 else rat()
+            lp.add_ge(coeffs, rhs)
+            if rng.random() < 0.25:
+                k = rng.randint(1, 3)
+                lp.add_ge([k * c for c in coeffs], k * rhs)
+        yield lp
+
+
+class TestPivotIdentity:
+    # sha256 of the serialized results on _seeded_lps(), taken with a
+    # Fraction-arithmetic tableau under the same Bland rule; a change to the
+    # entering column, the ratio test, its tie-break or the phase-one costs
+    # moves it
+    DIGEST = "98749a31048e8e530bbc292806636edf020cecc30336a5783e7ed18673211100"
+
+    def test_seeded_results_digest(self):
+        lines = [_serialize(lp_solve(lp)) for lp in _seeded_lps()]
+        kinds = {line[0] for line in lines}
+        assert kinds == {"F", "I"}
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.DIGEST
+
+
+class TestEdgeCases:
+    def test_no_rows(self):
+        assert lp_solve(LinearProgram(0)) == Feasible(())
+        assert lp_solve(LinearProgram(2)) == Feasible((Fraction(0), Fraction(0)))
+
+    def test_zero_row_with_positive_rhs(self):
+        lp = LinearProgram(2)
+        lp.add_ge([1, 0], 1)
+        lp.add_ge([0, 0], Fraction(1, 2))
+        assert lp_solve(lp) == Infeasible(FarkasCertificate((Fraction(0), Fraction(1)), ()))
+
+    def test_zero_equality_row_with_negative_rhs(self):
+        lp = LinearProgram(2)
+        lp.add_ge([1, 1], 1)
+        lp.add_eq([0, 0], Fraction(-2, 3))
+        assert lp_solve(lp) == Infeasible(FarkasCertificate((Fraction(0),), (Fraction(-1),)))
+
+    def test_zero_rows_with_zero_rhs(self):
+        lp = LinearProgram(2)
+        lp.add_ge([0, 0], 0)
+        lp.add_eq([0, 0], 0)
+        lp.add_ge([1, 1], 1)
+        assert lp_solve(lp) == Feasible((Fraction(1), Fraction(0)))
+
+    def test_all_zero_column(self):
+        lp = LinearProgram(3)
+        lp.add_eq([1, 0, 1], 2)
+        lp.add_ge([Fraction(1, 2), 0, -1], Fraction(1, 3))
+        assert lp_solve(lp) == Feasible((Fraction(14, 9), Fraction(0), Fraction(4, 9)))
+        lp = LinearProgram(3)
+        lp.add_ge([1, 0, 1], 2)
+        lp.add_ge([-1, 0, -1], -1)
+        assert lp_solve(lp) == Infeasible(FarkasCertificate((Fraction(1), Fraction(1)), ()))
+
+    def test_denominators_2_and_3_in_one_row(self):
+        lp = LinearProgram(2)
+        lp.add_eq([Fraction(1, 2), Fraction(1, 3)], 1)
+        assert lp_solve(lp) == Feasible((Fraction(2), Fraction(0)))
+        lp.add_ge([Fraction(-1, 3), Fraction(-1, 2)], Fraction(-1, 6))
+        assert lp_solve(lp) == Infeasible(FarkasCertificate((Fraction(3, 2),), (Fraction(1),)))
+        lp = LinearProgram(2)
+        lp.add_ge([Fraction(1, 2), Fraction(-1, 3)], Fraction(5, 6))
+        lp.add_ge([Fraction(-1, 3), Fraction(1, 2)], Fraction(5, 6))
+        lp.add_eq([1, 1], 1)
+        assert lp_solve(lp) == Infeasible(
+            FarkasCertificate((Fraction(1), Fraction(1)), (Fraction(-1, 6),)))
+
+
+class TestReplayChecks:
+    """lp_solve replays every answer with check_point or check_farkas and
+    raises if the replay fails, also under python -O."""
+
+    def test_rejected_point_raises(self, monkeypatch):
+        monkeypatch.setattr(fcfam.ratlp, "check_point", lambda lp, point: False)
+        lp = LinearProgram(1)
+        lp.add_ge([1], 1)
+        with pytest.raises(RuntimeError, match="point"):
+            lp_solve(lp)
+
+    def test_rejected_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(fcfam.ratlp, "check_farkas", lambda lp, cert: False)
+        lp = LinearProgram(1)
+        lp.add_ge([-1], 1)
+        with pytest.raises(RuntimeError, match="Farkas"):
+            lp_solve(lp)
+
+    def test_checks_run_under_optimize(self):
+        code = (
+            "import fcfam.ratlp as r\n"
+            "r.check_point = lambda lp, point: False\n"
+            "try:\n"
+            "    r.lp_solve(r.LinearProgram(1))\n"
+            "except RuntimeError:\n"
+            "    print('raised')\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
