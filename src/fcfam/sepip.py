@@ -24,14 +24,28 @@ The solve is exact branch and bound on integer-scaled weights.  A node with
 1-fixed sets O and 0-fixed sets Z filters and bounds exactly the way
 `verify` replays a leaf: a free positive S is a candidate iff no set in
 {S u X : X in base or O} is fixed to 0 (base u O is union-closed, so
-forcing is transitive and one pass suffices), the trivial bound is the value
-of O plus the candidates' weight, and the tighter bound is the
+forcing is transitive and one pass suffices).  The bound is the
 maximum-weight closure of that forcing relation (an integral relaxation of
-the LP, computed by min cut).  The relaxed solution either closes into a
-feasible family or yields the branching set.  `verify` keeps its own copy of
-the rule and its graph; the two share only `_max_flow`, whose output the
-checker checks.  `brute_separation` is the independent oracle: exhaustive
-enumeration over all subfamilies of D, returning the maximum.
+the LP), the value of O plus the candidates' weight W(cands) minus a
+maximum flow from the candidates into the negative sets they force.  Any
+feasible flow f already bounds it by val(O) + W(cands) - f, so a node is
+tried against three bounds in turn, and the first that reaches 0 prunes it:
+
+1. the trivial bound, f = 0;
+2. a one-pass greedy flow, each candidate pushing its weight straight into
+   the negative sets it forces (no flow graph is built);
+3. the maximum flow, Dinic started from the greedy flow.
+
+Neither shortcut changes the proof.  The greedy flow is at most the maximum,
+so a node it prunes is a leaf under the maximum flow too.  The sets the
+source reaches in the residual graph are the same for every maximum flow
+(the minimal minimum cut, Picard & Queyranne 1980), so the relaxed pick, and
+with it the witness and the branch set, do not depend on where Dinic
+started.  The relaxed solution either closes into a feasible family or
+yields the branching set.  `verify` keeps its own copy of the rule and its
+graph and runs the max flow from zero; the two share only `_max_flow`, whose
+output the checker checks.  `brute_separation` is the independent oracle:
+exhaustive enumeration over all subfamilies of D, returning the maximum.
 """
 
 from __future__ import annotations
@@ -54,6 +68,12 @@ class SeparationResult:
     optimum: Fraction
     witness: Family
     proof: Optional[tuple[int, ...]] = None  # preorder search tree, if no violation
+    # search work: nodes visited, and the pruned ones by the bound that
+    # pruned them (the candidates' weight, a greedy flow, the maximum flow)
+    nodes: int = 0
+    pruned_trivial: int = 0
+    pruned_greedy: int = 0
+    pruned_flow: int = 0
 
 
 @dataclass(frozen=True)
@@ -64,15 +84,23 @@ class SeparationProblem:
     domain: Family
 
 
-def _check_weights(weights: Sequence, n: int) -> tuple[Fraction, ...]:
+def _integer_weights(weights: Sequence, domain: Family) -> tuple[int, list[int]]:
+    """Check one round's weights and scale them to integers: the lcm L of
+    their denominators and, by mask, W[S] = L - 2 * sum_{i in S} L*c_i for
+    each domain set S (0 elsewhere)."""
     w = tuple(frac(x) for x in weights)
-    if len(w) != n:
-        raise ValueError(f"expected {n} weights, got {len(w)}")
+    if len(w) != domain.n:
+        raise ValueError(f"expected {domain.n} weights, got {len(w)}")
     if any(x < 0 for x in w):
         raise ValueError("weights must be nonnegative")
     if sum(w) != 1:
         raise ValueError("weights must sum to 1")
-    return w
+    lcm = math.lcm(*(x.denominator for x in w))
+    scaled = [int(x * lcm) for x in w]
+    W = [0] * (1 << domain.n)
+    for s in domain.members:
+        W[s] = lcm - 2 * sum(c for i, c in enumerate(scaled) if s >> i & 1)
+    return lcm, W
 
 
 def _validate_base_domain(base: Family, domain: Family) -> None:
@@ -119,27 +147,18 @@ def solve_separation(
 ) -> SeparationResult:
     """A violated family (optimum > 0), or optimum 0 with its proof."""
     n = problem.base.n
-    w = _check_weights(weights, n)
-    # scale weights to integers: W[S] = L - 2 * sum_{i in S} L*c_i
-    lcm = 1
-    for x in w:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    scaled = [int(x * lcm) for x in w]
-    W = [0] * (1 << n)
-    for s in problem.domain.members:
-        total = 0
-        rest = s
-        while rest:
-            low = rest & -rest
-            total += scaled[low.bit_length() - 1]
-            rest ^= low
-        W[s] = lcm - 2 * total
+    lcm, W = _integer_weights(weights, problem.domain)
     base_set = frozenset(problem.base.members)
     pos_order = sorted((s for s in problem.domain.members if W[s] > 0),
                        key=lambda s: (-W[s], s))
 
-    ticks = 0
+    ticks = 0  # nodes visited
     proof: list[int] = []
+    pruned = {"pruned_trivial": 0, "pruned_greedy": 0, "pruned_flow": 0}
+
+    def leaf(reason: str) -> None:
+        pruned[reason] += 1
+        proof.append(LEAF)
 
     def tick() -> None:
         nonlocal ticks
@@ -172,13 +191,13 @@ def solve_separation(
 
         bound = val + sum(W[s] for s in cands)
         if bound <= 0:
-            proof.append(LEAF)
-            return
-        flow, picked = _closure_relaxation(cands, ones, W)
-        bound -= flow
-        if bound <= 0:
-            proof.append(LEAF)
-            return
+            return leaf("pruned_trivial")
+        greedy, pushes = _greedy_flow(cands, ones, W)
+        if bound <= greedy:
+            return leaf("pruned_greedy")
+        flow, picked = _closure_relaxation(cands, ones, W, pushes)
+        if bound <= flow:
+            return leaf("pruned_flow")
 
         # try to close the relaxed pick into a feasible family
         wit = close(ones, picked)
@@ -209,12 +228,46 @@ def solve_separation(
         node(frozenset(), 0, frozenset())
     except _Found as found:
         value, masks = found.args
-        return SeparationResult(Fraction(value, lcm), Family.from_masks(n, masks))
-    return SeparationResult(Fraction(0), Family.from_masks(n, ()), tuple(proof))
+        return SeparationResult(Fraction(value, lcm), Family.from_masks(n, masks),
+                                nodes=ticks, **pruned)
+    return SeparationResult(Fraction(0), Family.from_masks(n, ()), tuple(proof),
+                            nodes=ticks, **pruned)
+
+
+def _greedy_flow(
+    cands: dict[int, set[int]], ones: frozenset[int], W: list[int]
+) -> tuple[int, dict[tuple[int, int], int]]:
+    """A feasible flow on the forcing graph of `_closure_relaxation`, in one
+    pass: each candidate in turn pushes its weight straight into the negative
+    sets it forces, up to what each one's sink arc has left.
+
+    Returns its value and its flow on each candidate-to-negative-set arc.
+    Any feasible flow f bounds the relaxation by W(cands) - f, so a node this
+    value prunes is pruned by the maximum flow too, and needs no graph.
+    """
+    room: dict[int, int] = {}  # negative set -> capacity left on its sink arc
+    pushes: dict[tuple[int, int], int] = {}
+    total = 0
+    for s, forced in cands.items():
+        left = W[s]
+        for t in forced:
+            if W[t] < 0 and t not in ones:
+                push = min(left, room.setdefault(t, -W[t]))
+                if push:
+                    room[t] -= push
+                    pushes[s, t] = push
+                    left -= push
+                    if not left:
+                        break
+        total += W[s] - left
+    return total, pushes
 
 
 def _closure_relaxation(
-    cands: dict[int, set[int]], ones: frozenset[int], W: list[int]
+    cands: dict[int, set[int]],
+    ones: frozenset[int],
+    W: list[int],
+    pushes: dict[tuple[int, int], int],
 ) -> tuple[int, set[int]]:
     """Maximum-weight closure of the forcing relation over the candidates.
 
@@ -222,39 +275,63 @@ def _closure_relaxation(
     and the sets on the source side of the cut.  It upper-bounds every
     feasible completion because a feasible family containing S must contain
     every set S forces on its own; pairwise unions among distinct free sets
-    are not modeled here, which only relaxes.
+    are not modeled here, which only relaxes.  The max flow starts from the
+    feasible flow `pushes` (see `_greedy_flow`).
     """
     node = {s: i for i, s in enumerate(cands)}
     arcs: list[tuple[int, int, int]] = []
+    start: list[int] = []
     inf = sum(W[s] for s in cands) + 1
     for s, forced in cands.items():
         for t in forced:
             if t != s and t not in ones and (t in cands or W[t] < 0):
                 arcs.append((node[s], node.setdefault(t, len(node)), inf))
+                start.append(pushes.get((s, t), 0))
+    through = dict.fromkeys(node, 0)  # flow on each set's source or sink arc
+    for (s, t), f in pushes.items():
+        through[s] += f
+        through[t] += f
     src, snk = len(node), len(node) + 1
     for s, i in node.items():
         arcs.append((src, i, W[s]) if W[s] > 0 else (i, snk, -W[s]))
-    flow, reach, _ = _max_flow(len(node) + 2, src, snk, arcs)
+        start.append(through[s])
+    flow, reach, _ = _max_flow(len(node) + 2, src, snk, arcs, start)
     return flow, {s for s, i in node.items() if i in reach}
 
 
-def _max_flow(nv: int, src: int, snk: int, arcs: list[tuple[int, int, int]]):
-    """Dinic max flow on integer capacities.
+def _max_flow(
+    nv: int,
+    src: int,
+    snk: int,
+    arcs: list[tuple[int, int, int]],
+    start: Optional[list[int]] = None,
+):
+    """Dinic max flow on integer capacities, from zero flow or from the
+    feasible flow `start` (one value per arc, trusted to respect every
+    capacity and conservation).
 
     Returns (flow, source side of a minimum cut, residual capacities); the
     flow on arc i is the residual capacity of its reverse edge, index 2i+1.
+    The source side is the set reachable from `src` in the final residual
+    graph, which is the same for every maximum flow (the minimal minimum
+    cut), so it does not depend on `start`.
 
     The blocking-flow search walks an explicit path stack instead of
     recursing; paths here are short (the forcing graphs are almost
-    tripartite) so the augment loop is the whole cost.
+    tripartite).  Started from the greedy flow, building the residual graph
+    costs more than the augmenting.
     """
     head: list[list[int]] = [[] for _ in range(nv)]
     to: list[int] = []
     cap: list[int] = []
-    for a, b, c in arcs:
-        head[a].append(len(to)); to.append(b); cap.append(c)
-        head[b].append(len(to)); to.append(a); cap.append(0)
-    flow = 0
+    flow = 0  # the starting flow's net outflow from src
+    for (a, b, c), f in zip(arcs, start or [0] * len(arcs)):
+        head[a].append(len(to)); to.append(b); cap.append(c - f)
+        head[b].append(len(to)); to.append(a); cap.append(f)
+        if a == src:
+            flow += f
+        elif b == src:
+            flow -= f
     while True:
         level = [-1] * nv
         level[src] = 0
@@ -267,7 +344,9 @@ def _max_flow(nv: int, src: int, snk: int, arcs: list[tuple[int, int, int]]):
                     level[v] = lvl
                     queue.append(v)
         if level[snk] < 0:
-            break
+            # no augmenting path is left; the vertices the source still
+            # reaches are the source side of the minimal minimum cut
+            return flow, set(queue), cap
         it = [0] * nv
         path: list[int] = []  # edge indices from src to the current vertex
         u = src
@@ -304,40 +383,18 @@ def _max_flow(nv: int, src: int, snk: int, arcs: list[tuple[int, int, int]]):
             level[u] = -1  # dead end for this phase; parents skip it
             path.pop()
             u = src if not path else to[path[-1]]
-    # residual reachability = source side of a minimum cut
-    reach = {src}
-    queue = [src]
-    for u in queue:
-        for e in head[u]:
-            if cap[e] > 0 and to[e] not in reach:
-                reach.add(to[e])
-                queue.append(to[e])
-    return flow, reach, cap
 
 
 def brute_separation(base: Family, weights: Sequence, domain: Family) -> SeparationResult:
     """Exhaustive oracle over all subfamilies of the domain (|D| <= 16)."""
-    w = _check_weights(weights, base.n)
     _validate_base_domain(base, domain)
+    lcm, W = _integer_weights(weights, domain)
     mem = domain.members
     nd = len(mem)
     if nd > BRUTE_DOMAIN_CAP:
         raise ValueError(f"domain of {nd} sets too large for brute enumeration")
     idx = {m: i for i, m in enumerate(mem)}
-
-    lcm = 1
-    for x in w:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    scaled = [int(x * lcm) for x in w]
-    wvals = []
-    for s in mem:
-        total = 0
-        rest = s
-        while rest:
-            low = rest & -rest
-            total += scaled[low.bit_length() - 1]
-            rest ^= low
-        wvals.append(lcm - 2 * total)
+    wvals = [W[s] for s in mem]
 
     pair = [[idx[a | b] for b in mem] for a in mem]
     absorb_req = []

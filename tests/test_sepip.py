@@ -1,17 +1,26 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import fcfam.sepip
+from fcfam.ratlp import frac_str
 from fcfam.setfam import (
     Family,
+    frequencies,
     is_union_closed,
     powerset_family,
     union_closure,
     uplus,
 )
+from fcfam.fcsolve import is_fc
 from fcfam.sepip import (
+    LEAF,
+    _closure_relaxation,
+    _greedy_flow,
+    _max_flow,
     brute_separation,
     build_separation,
     solve_separation,
@@ -67,6 +76,189 @@ def check_against_oracle(base, w, dom):
         assert got.optimum == 0
         assert check_separation_proof(base, dom, w, got.proof) is None
     return got
+
+
+def trajectory_instances():
+    """200 seeded instances over [2]..[5], full and restricted domains, each at
+    its random weights and at weights proportional to the base's element
+    frequencies (near the boundary, so the search trees are not trivial)."""
+    rng = random.Random(20241)
+    for _ in range(200):
+        n = rng.choice([2, 3, 4, 5])
+        base, w, dom = random_instance(rng, n)
+        counts = frequencies(base).counts
+        yield base, w, dom
+        yield base, [Fraction(c, sum(counts)) for c in counts], dom
+
+
+def trajectory_digest():
+    h = hashlib.sha256()
+    for base, w, dom in trajectory_instances():
+        res = solve_separation(build_separation(base, dom), w)
+        h.update(f"{frac_str(res.optimum)}|{list(res.witness.members)}|{res.proof}\n".encode())
+    return h.hexdigest()
+
+
+# sha256 of every trajectory instance's optimum, witness and proof, as the
+# search produced them before the greedy and warm-started flow bounds; those
+# bounds only skip work, so the digest must not move.  A change meant to alter
+# the search prints the new digest with  PYTHONPATH=src python tests/test_sepip.py
+TRAJECTORY_SHA256 = "e50f11bc6d718e7bfe6d2cca6ee3ebb848c4655347ffc8a157a2ef3ffb592fed"
+
+
+def test_search_trajectory_is_pinned():
+    assert trajectory_digest() == TRAJECTORY_SHA256
+
+
+def test_prunes_account_for_every_leaf():
+    searched = 0
+    for base, w, dom in trajectory_instances():
+        res = solve_separation(build_separation(base, dom), w)
+        pruned = res.pruned_trivial + res.pruned_greedy + res.pruned_flow
+        if res.proof is None:
+            assert pruned < res.nodes
+        else:
+            assert pruned == res.proof.count(LEAF)
+            assert res.nodes == len(res.proof)
+        searched += res.nodes > 1
+    assert searched > 20
+
+
+def test_greedy_prunes_only_what_the_max_flow_prunes(monkeypatch):
+    # with the greedy flow replaced by the zero flow every node that the
+    # greedy bound pruned goes to the max flow, which must prune it too:
+    # the same proof, and the greedy prunes become flow prunes
+    greedy = [solve_separation(build_separation(b, d), w) for b, w, d in trajectory_instances()]
+    monkeypatch.setattr(fcfam.sepip, "_greedy_flow", lambda cands, ones, W: (0, {}))
+    for res, (b, w, d) in zip(greedy, trajectory_instances()):
+        cold = solve_separation(build_separation(b, d), w)
+        assert (cold.optimum, cold.witness, cold.proof) == (res.optimum, res.witness, res.proof)
+        assert cold.pruned_greedy == 0
+        assert cold.pruned_flow == res.pruned_flow + res.pruned_greedy
+    assert sum(res.pruned_greedy for res in greedy) > 0
+
+
+def capture_nodes(monkeypatch, limit=400):
+    """The forcing graphs of real search nodes: what `_greedy_flow` was given
+    and what `_closure_relaxation` then handed to `_max_flow`, from the
+    trajectory instances and from an FC proof over [6]."""
+    greedy_args, flow_args = [], []
+    greedy_flow, max_flow = fcfam.sepip._greedy_flow, fcfam.sepip._max_flow
+
+    def record_greedy(cands, ones, W):
+        if len(greedy_args) < limit:
+            greedy_args.append((cands, ones, W))
+        return greedy_flow(cands, ones, W)
+
+    def record_flow(nv, src, snk, arcs, start=None):
+        if len(flow_args) < limit:
+            flow_args.append((nv, src, snk, arcs, start))
+        return max_flow(nv, src, snk, arcs, start)
+
+    monkeypatch.setattr(fcfam.sepip, "_greedy_flow", record_greedy)
+    monkeypatch.setattr(fcfam.sepip, "_max_flow", record_flow)
+    k4_of_6 = [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 6], [1, 3, 5, 6], [2, 4, 5, 6],
+               [3, 4, 5, 6], [1, 2, 5, 6]]
+    fam = Family.from_sets(6, k4_of_6)
+    cert = is_fc(fam, symmetry=True, warm_start=True)
+    instances = [(union_closure(fam), cert.weights, powerset_family(6))]
+    instances += list(trajectory_instances())
+    for base, w, dom in instances:
+        solve_separation(build_separation(base, dom), w)
+    monkeypatch.undo()
+    assert len(flow_args) > 100 and len(greedy_args) > 100
+    return greedy_args, flow_args
+
+
+def random_graph(rng):
+    nv = rng.randint(2, 8)
+    src, snk = rng.sample(range(nv), 2)
+    arcs = [(a, b, rng.randint(0, 9))
+            for a in range(nv) for b in range(nv) if a != b and rng.random() < 0.4]
+    return nv, src, snk, arcs
+
+
+def random_feasible_flow(rng, nv, src, snk, arcs):
+    """A feasible flow built from random walks along arcs with room left, each
+    from the source to the sink or back round to the source."""
+    flow = [0] * len(arcs)
+    out = [[] for _ in range(nv)]
+    for i, (a, _, _) in enumerate(arcs):
+        out[a].append(i)
+    for _ in range(rng.randint(0, 4)):
+        path, seen, u = [], {src}, src
+        while u != snk and not (path and u == src):
+            steps = [i for i in out[u] if arcs[i][2] > flow[i]
+                     and (arcs[i][1] not in seen or arcs[i][1] == src)]
+            if not steps:
+                break
+            i = rng.choice(steps)
+            path.append(i)
+            u = arcs[i][1]
+            seen.add(u)
+        if u == snk or (path and u == src):
+            push = rng.randint(1, min(arcs[i][2] - flow[i] for i in path))
+            for i in path:
+                flow[i] += push
+    return flow
+
+
+def check_feasible(nv, src, snk, arcs, flow):
+    """The value of a flow that respects every capacity and is conserved."""
+    net = [0] * nv
+    for (a, b, c), f in zip(arcs, flow):
+        assert 0 <= f <= c
+        net[a] -= f
+        net[b] += f
+    assert all(x == 0 for v, x in enumerate(net) if v not in (src, snk))
+    return net[snk]
+
+
+class TestFlows:
+    def test_greedy_flow_is_feasible(self, monkeypatch):
+        greedy_args, flow_args = capture_nodes(monkeypatch)
+        for cands, ones, W in greedy_args:
+            value, pushes = _greedy_flow(cands, ones, W)
+            sent, received = {}, {}
+            for (s, t), f in pushes.items():
+                assert f > 0 and t in cands[s] and t not in ones and W[t] < 0
+                sent[s] = sent.get(s, 0) + f
+                received[t] = received.get(t, 0) + f
+            assert all(sent[s] <= W[s] for s in sent)
+            assert all(received[t] <= -W[t] for t in received)
+            assert value == sum(sent.values())
+        for nv, src, snk, arcs, start in flow_args:
+            assert check_feasible(nv, src, snk, arcs, start) <= _max_flow(nv, src, snk, arcs)[0]
+
+    def test_greedy_value_bounds_the_relaxation(self, monkeypatch):
+        greedy_args, _ = capture_nodes(monkeypatch)
+        for cands, ones, W in greedy_args:
+            value, pushes = _greedy_flow(cands, ones, W)
+            flow, picked = _closure_relaxation(cands, ones, W, pushes)
+            assert value <= flow
+            assert (flow, picked) == _closure_relaxation(cands, ones, W, {})
+
+    def test_warm_start_matches_cold_on_real_nodes(self, monkeypatch):
+        rng = random.Random(8)
+        _, flow_args = capture_nodes(monkeypatch)
+        for nv, src, snk, arcs, start in flow_args:
+            flow, reach, _ = _max_flow(nv, src, snk, arcs)
+            for warm in (start, random_feasible_flow(rng, nv, src, snk, arcs)):
+                assert _max_flow(nv, src, snk, arcs, warm)[:2] == (flow, reach)
+
+    def test_warm_start_matches_cold_on_random_graphs(self):
+        rng = random.Random(9)
+        for _ in range(500):
+            nv, src, snk, arcs = random_graph(rng)
+            flow, reach, cap = _max_flow(nv, src, snk, arcs)
+            assert check_feasible(nv, src, snk, arcs, cap[1::2]) == flow
+            # the reach is the source side of a cut whose capacity is the flow
+            assert src in reach and snk not in reach
+            assert sum(c for a, b, c in arcs if a in reach and b not in reach) == flow
+            for warm in ([0] * len(arcs), random_feasible_flow(rng, nv, src, snk, arcs)):
+                got, got_reach, got_cap = _max_flow(nv, src, snk, arcs, warm)
+                assert (got, got_reach) == (flow, reach)
+                assert check_feasible(nv, src, snk, arcs, got_cap[1::2]) == flow
 
 
 class TestBuild:
@@ -198,3 +390,7 @@ class TestCaps:
                 union_closure(Family.from_sets(9, [list(range(1, 10))])),
                 powerset_family(9),
             )
+
+
+if __name__ == "__main__":
+    print(trajectory_digest())
