@@ -45,7 +45,7 @@ from .setfam import (
     lex_ksets,
     no_singletons_family,
 )
-from .canon import canonical_form
+from .canon import _twin_classes, canonical_form
 from .fcsolve import (
     Certificate,
     FcCertificate,
@@ -388,7 +388,8 @@ def fcv_value(
         dom = v_spec
         if dom.n != n:
             raise ValueError("domain ground size mismatch")
-        if not _is_symmetric_family(dom):
+        # S_n-invariant iff swapping the first element with any other fixes it
+        if any(_twin_classes(dom.members, n)):
             raise ValueError("isomorphism pruning needs a symmetric domain")
     t0 = time.monotonic()
     cap = math.comb(n, k)
@@ -454,14 +455,3 @@ def _has_subfamily_in(fam: Family, tables: dict[int, set[CanonKey]]) -> bool:
         if table and canonical_form(sub).key in table:
             return True
     return False
-
-
-def _is_symmetric_family(dom: Family) -> bool:
-    """Invariant under all transpositions (i, i+1), hence under S_n."""
-    memberset = set(dom.members)
-    for i in range(dom.n - 1):
-        a, b = 1 << i, 1 << (i + 1)
-        for m in dom.members:
-            if bool(m & a) != bool(m & b) and (m ^ a ^ b) not in memberset:
-                return False
-    return True

@@ -223,8 +223,9 @@ def is_fc(
             prob = build_separation(closure, dom)
         sep = solve_separation(prob, point, deadline=deadline)
         if sep.optimum > 0:
-            added = add_cut(sep.witness)
-            assert added, "separation returned an already stored cut"
+            if not add_cut(sep.witness):
+                # the same LP would come back and the loop would never end
+                raise RuntimeError("separation returned an already stored cut")
             continue
         return FcCertificate(
             family=family,
@@ -254,7 +255,8 @@ def _build_nonfc(
     # normalize so the aggregated right side is exactly 1; any single-field
     # change then breaks the replay
     rhs = sum(y * Fraction(c.size, 2) for c, y in cut_mult) + lam
-    assert rhs > 0
+    if rhs <= 0:
+        raise RuntimeError("Farkas certificate has a nonpositive right side")
     cut_mult = [(c, y / rhs) for c, y in cut_mult]
     lam = lam / rhs
     cut_mult.sort(key=lambda pair: pair[0].family.members)

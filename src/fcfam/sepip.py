@@ -26,26 +26,38 @@ The solve is exact branch and bound on integer-scaled weights.  A node with
 {S u X : X in base or O} is fixed to 0 (base u O is union-closed, so
 forcing is transitive and one pass suffices).  The bound is the
 maximum-weight closure of that forcing relation (an integral relaxation of
-the LP), the value of O plus the candidates' weight W(cands) minus a
-maximum flow from the candidates into the negative sets they force.  Any
-feasible flow f already bounds it by val(O) + W(cands) - f, so a node is
-tried against three bounds in turn, and the first that reaches 0 prunes it:
+the LP; pairwise unions of distinct free sets are not modeled, which only
+relaxes): the value of O plus the candidates' weight W(cands) minus a
+maximum flow on the bipartite forcing graph, source -> candidate S
+(capacity W[S]) -> each negative set T that S forces, T not in O ->
+sink (capacity -W[T]).  Any feasible flow f already bounds it by
+val(O) + W(cands) - f, so a node is tried against three bounds in turn,
+and the first that reaches 0 prunes it:
 
 1. the trivial bound, f = 0;
 2. a one-pass greedy flow, each candidate pushing its weight straight into
-   the negative sets it forces (no flow graph is built);
-3. the maximum flow, Dinic started from the greedy flow.
+   the negative sets it forces;
+3. the maximum flow, augmented from the greedy flow along shortest paths.
 
-Neither shortcut changes the proof.  The greedy flow is at most the maximum,
-so a node it prunes is a leaf under the maximum flow too.  The sets the
-source reaches in the residual graph are the same for every maximum flow
-(the minimal minimum cut, Picard & Queyranne 1980), so the relaxed pick, and
-with it the witness and the branch set, do not depend on where Dinic
-started.  The relaxed solution either closes into a feasible family or
-yields the branching set.  `verify` keeps its own copy of the rule and its
-graph and runs the max flow from zero; the two share only `_max_flow`, whose
-output the checker checks.  `brute_separation` is the independent oracle:
-exhaustive enumeration over all subfamilies of D, returning the maximum.
+The graph has no candidate-to-candidate arcs.  Because forcing is
+transitive, a candidate already has an arc into every negative set that a
+chain of candidates it forces would reach, so those arcs add no flow value.
+The relaxed pick is the candidates the source still reaches after the
+maximum flow, plus every candidate and negative set they force: the
+forcing closure of the reached candidates.  The reached candidates are the
+minimal minimum cut's, which is the same for every maximum flow (Picard &
+Queyranne 1980).  Every minimum cut is already closed under forcing: adding
+a candidate that a member forces brings in no negative set and takes its
+source arc out of the cut.  The minimum cuts, and the minimal one, are
+therefore those of the graph with candidate-to-candidate arcs.  Neither the
+shortcuts nor the start of the flow change the proof: a node the greedy
+flow prunes is a leaf under the maximum flow too, and the pick, and with
+it the witness and the branch set, do not depend on the flow found.  The
+relaxed solution either closes into a feasible family or yields the
+branching set.  `verify` keeps its own copy of the candidate rule and
+calls the same `_greedy_flow` and `_max_flow`, whose output it checks.
+`brute_separation` is the independent oracle: exhaustive enumeration over
+all subfamilies of D, returning the maximum.
 """
 
 from __future__ import annotations
@@ -195,9 +207,13 @@ def solve_separation(
         greedy, pushes = _greedy_flow(cands, ones, W)
         if bound <= greedy:
             return leaf("pruned_greedy")
-        flow, picked = _closure_relaxation(cands, ones, W, pushes)
-        if bound <= flow:
+        flow, reached = _max_flow(cands, ones, W, pushes)
+        if bound <= sum(flow.values()):
             return leaf("pruned_flow")
+        # the relaxed pick: the reached candidates and every set they force
+        # that the relaxation counts
+        picked = {t for s in reached for t in cands[s]
+                  if t in cands or (W[t] < 0 and t not in ones)}
 
         # try to close the relaxed pick into a feasible family
         wit = close(ones, picked)
@@ -237,13 +253,13 @@ def solve_separation(
 def _greedy_flow(
     cands: dict[int, set[int]], ones: frozenset[int], W: list[int]
 ) -> tuple[int, dict[tuple[int, int], int]]:
-    """A feasible flow on the forcing graph of `_closure_relaxation`, in one
+    """A feasible flow on the bipartite forcing graph of `_max_flow`, in one
     pass: each candidate in turn pushes its weight straight into the negative
     sets it forces, up to what each one's sink arc has left.
 
     Returns its value and its flow on each candidate-to-negative-set arc.
     Any feasible flow f bounds the relaxation by W(cands) - f, so a node this
-    value prunes is pruned by the maximum flow too, and needs no graph.
+    value prunes is pruned by the maximum flow too.
     """
     room: dict[int, int] = {}  # negative set -> capacity left on its sink arc
     pushes: dict[tuple[int, int], int] = {}
@@ -263,126 +279,73 @@ def _greedy_flow(
     return total, pushes
 
 
-def _closure_relaxation(
+def _max_flow(
     cands: dict[int, set[int]],
     ones: frozenset[int],
     W: list[int],
-    pushes: dict[tuple[int, int], int],
-) -> tuple[int, set[int]]:
-    """Maximum-weight closure of the forcing relation over the candidates.
+    start: dict[tuple[int, int], int],
+) -> tuple[dict[tuple[int, int], int], set[int]]:
+    """Maximum flow on the bipartite forcing graph, from the feasible flow
+    `start` (keyed like `_greedy_flow`'s, trusted to respect every capacity).
 
-    Returns the min-cut value F, so that the relaxation is worth W(cands) - F,
-    and the sets on the source side of the cut.  It upper-bounds every
-    feasible completion because a feasible family containing S must contain
-    every set S forces on its own; pairwise unions among distinct free sets
-    are not modeled here, which only relaxes.  The max flow starts from the
-    feasible flow `pushes` (see `_greedy_flow`).
+    The source feeds each candidate S up to W[S], S sends without limit into
+    each negative set T it forces (T not in `ones`), and T drains up to -W[T]
+    into the sink.  Each round augments along a shortest alternating path,
+    found by breadth-first search: source -> S -> T <- S' -> T' ... -> sink,
+    where a backward step T <- S' cancels flow that S' sends into T.
+
+    Returns the flow on each arc (only positive entries) and the candidates
+    the source still reaches, the minimal minimum cut's candidates, which
+    are the same for every maximum flow and so do not depend on `start`.
     """
-    node = {s: i for i, s in enumerate(cands)}
-    arcs: list[tuple[int, int, int]] = []
-    start: list[int] = []
-    inf = sum(W[s] for s in cands) + 1
-    for s, forced in cands.items():
-        for t in forced:
-            if t != s and t not in ones and (t in cands or W[t] < 0):
-                arcs.append((node[s], node.setdefault(t, len(node)), inf))
-                start.append(pushes.get((s, t), 0))
-    through = dict.fromkeys(node, 0)  # flow on each set's source or sink arc
-    for (s, t), f in pushes.items():
-        through[s] += f
-        through[t] += f
-    src, snk = len(node), len(node) + 1
-    for s, i in node.items():
-        arcs.append((src, i, W[s]) if W[s] > 0 else (i, snk, -W[s]))
-        start.append(through[s])
-    flow, reach, _ = _max_flow(len(node) + 2, src, snk, arcs, start)
-    return flow, {s for s, i in node.items() if i in reach}
-
-
-def _max_flow(
-    nv: int,
-    src: int,
-    snk: int,
-    arcs: list[tuple[int, int, int]],
-    start: Optional[list[int]] = None,
-):
-    """Dinic max flow on integer capacities, from zero flow or from the
-    feasible flow `start` (one value per arc, trusted to respect every
-    capacity and conservation).
-
-    Returns (flow, source side of a minimum cut, residual capacities); the
-    flow on arc i is the residual capacity of its reverse edge, index 2i+1.
-    The source side is the set reachable from `src` in the final residual
-    graph, which is the same for every maximum flow (the minimal minimum
-    cut), so it does not depend on `start`.
-
-    The blocking-flow search walks an explicit path stack instead of
-    recursing; paths here are short (the forcing graphs are almost
-    tripartite).  Started from the greedy flow, building the residual graph
-    costs more than the augmenting.
-    """
-    head: list[list[int]] = [[] for _ in range(nv)]
-    to: list[int] = []
-    cap: list[int] = []
-    flow = 0  # the starting flow's net outflow from src
-    for (a, b, c), f in zip(arcs, start or [0] * len(arcs)):
-        head[a].append(len(to)); to.append(b); cap.append(c - f)
-        head[b].append(len(to)); to.append(a); cap.append(f)
-        if a == src:
-            flow += f
-        elif b == src:
-            flow -= f
+    flow = dict(start)
+    room = {s: W[s] for s in cands}  # capacity left on each source and sink arc
+    senders: dict[int, set[int]] = {}  # negative set -> candidates sending into it
+    for (s, t), f in flow.items():
+        room[s] -= f
+        room[t] = room.get(t, -W[t]) - f
+        senders.setdefault(t, set()).add(s)
     while True:
-        level = [-1] * nv
-        level[src] = 0
-        queue = [src]
-        for u in queue:
-            lvl = level[u] + 1
-            for e in head[u]:
-                v = to[e]
-                if cap[e] > 0 and level[v] < 0:
-                    level[v] = lvl
-                    queue.append(v)
-        if level[snk] < 0:
-            # no augmenting path is left; the vertices the source still
-            # reaches are the source side of the minimal minimum cut
-            return flow, set(queue), cap
-        it = [0] * nv
-        path: list[int] = []  # edge indices from src to the current vertex
-        u = src
-        while True:
-            if u == snk:
-                push = min(cap[e] for e in path)
-                flow += push
-                retreat = None
-                for e in path:
-                    cap[e] -= push
-                    cap[e ^ 1] += push
-                    if cap[e] == 0 and retreat is None:
-                        retreat = e
-                while path and path[-1] != retreat:
-                    path.pop()
-                path.pop()
-                u = src if not path else to[path[-1]]
-                continue
-            edges = head[u]
-            advanced = False
-            while it[u] < len(edges):
-                e = edges[it[u]]
-                v = to[e]
-                if cap[e] > 0 and level[v] == level[u] + 1:
-                    path.append(e)
-                    u = v
-                    advanced = True
+        queue = [s for s in cands if room[s]]
+        back = dict.fromkeys(queue)  # candidate -> the set it was reached from
+        via: dict[int, int] = {}  # negative set -> the candidate it was reached from
+        end = None
+        for s in queue:
+            for t in cands[s]:
+                if t in via or W[t] >= 0 or t in ones:
+                    continue
+                via[t] = s
+                if room.setdefault(t, -W[t]):
+                    end = t
                     break
-                it[u] += 1
-            if advanced:
-                continue
-            if u == src:
+                for u in senders[t]:
+                    if u not in back:
+                        back[u] = t
+                        queue.append(u)
+            if end is not None:
                 break
-            level[u] = -1  # dead end for this phase; parents skip it
-            path.pop()
-            u = src if not path else to[path[-1]]
+        else:
+            return flow, set(back)
+        push, t = room[end], end
+        while (prev := back[via[t]]) is not None:
+            push = min(push, flow[via[t], prev])
+            t = prev
+        push = min(push, room[via[t]])
+        room[end] -= push
+        t = end
+        while True:
+            s = via[t]
+            flow[s, t] = flow.get((s, t), 0) + push
+            senders.setdefault(t, set()).add(s)
+            prev = back[s]
+            if prev is None:
+                room[s] -= push
+                break
+            flow[s, prev] -= push
+            if not flow[s, prev]:
+                del flow[s, prev]
+                senders[prev].discard(s)
+            t = prev
 
 
 def brute_separation(base: Family, weights: Sequence, domain: Family) -> SeparationResult:

@@ -2,7 +2,7 @@
 
 Everything recomputable is recomputed from the certificate's own family and
 domain; the checks share nothing with the solving path beyond the set
-algebra, exact arithmetic and the max-flow routine, whose output is checked
+algebra, exact arithmetic and the flow routines, whose output is checked
 arithmetically before it is used.
 
 An FC certificate carries the search tree of its final separation solve in
@@ -17,15 +17,19 @@ positive set S that a family could still take is a candidate: S is free and
 {S u X : X in base or O} misses Z.  Base u O is union-closed, so forcing is
 transitive and this one pass needs no fixpoint.  It is the rule the
 producer's search applies at every node, but `sepip` keeps its own copy:
-the two modules share no leaf or graph code.  The leaf holds if
+the two modules share no leaf code.  The leaf holds if
 val + W(candidates) <= 0 or, failing that, if val + W(candidates) - F <= 0
-for a flow of value F on the forcing graph (source -> candidate S with
-capacity W[S], S -> each forced set that is a candidate or negative,
-negative T -> sink with capacity -W[T]).  Any feasible family B below the
-leaf is a closed set of that graph, so the cut around B bounds F, and by
-weak duality for maximum-weight closure W(B) <= val + W(candidates) - F.
-The flow comes from the shared max-flow code, but its capacities and
-conservation are checked here.
+for a flow of value F on the bipartite forcing graph: S sends f(S, T) > 0
+only into a negative set T (not in O) that this leaf's own forcing sets say
+S forces, S sends at most W[S] in all and T takes at most -W[T].  Such a
+flow need not be maximum nor conserved anywhere, by weak duality: take a
+feasible family B below the leaf, C the candidates in B and N(C) the
+negative sets outside O that C forces, all in B.  Every unit of flow
+leaves a candidate outside C or enters N(C), so
+F <= W(candidates outside C) - W(N(C)), and
+W(B) <= val + W(C) + W(N(C)) <= val + W(candidates) - F.  The flow comes
+from the shared `_max_flow`, started from the shared greedy flow; the
+checks above are made here.
 
 Non-FC certificates are replayed as a pure Farkas computation: with
 multipliers y_B >= 0 and lambda on sum(c) = 1,
@@ -59,6 +63,7 @@ from .fcsolve import (
 )
 from .sepip import (
     LEAF,
+    _greedy_flow,
     _max_flow,
     # not called here; bench/spans.py wraps these three by name
     brute_separation,  # noqa: F401
@@ -231,29 +236,21 @@ def check_separation_proof(
 def _checked_flow(
     cands: dict[int, set[int]], ones: frozenset[int], W: list[int]
 ) -> int:
-    """Value of a max flow on a leaf's forcing graph, after checking that the
-    flow respects every capacity and is conserved at every node."""
-    node = {s: i for i, s in enumerate(cands)}
-    arcs: list[tuple[int, int, int]] = []
-    inf = sum(W[s] for s in cands) + 1
-    for s, forced in cands.items():
-        for t in forced:
-            if t != s and t not in ones and (t in cands or W[t] < 0):
-                arcs.append((node[s], node.setdefault(t, len(node)), inf))
-    src, snk = len(node), len(node) + 1
-    for s, i in node.items():
-        arcs.append((src, i, W[s]) if W[s] > 0 else (i, snk, -W[s]))
-    _, _, residual = _max_flow(len(node) + 2, src, snk, arcs)
-    net = [0] * (len(node) + 2)
-    for i, (a, b, c) in enumerate(arcs):
-        f = residual[2 * i + 1]
-        if not 0 <= f <= c:
-            raise _ProofError(f"flow {f} on an arc of capacity {c}")
-        net[a] -= f
-        net[b] += f
-    if any(net[:src]):
-        raise _ProofError("the leaf's flow is not conserved")
-    return net[snk]
+    """Value of a max flow on a leaf's forcing graph, after checking that
+    every arc it uses goes from a candidate into a negative set that this
+    leaf's own forcing sets say it forces, and that it respects every
+    capacity."""
+    flow, _ = _max_flow(cands, ones, W, _greedy_flow(cands, ones, W)[1])
+    sent: dict[int, int] = {}
+    received: dict[int, int] = {}
+    for (s, t), f in flow.items():
+        if not (s in cands and t in cands[s] and W[t] < 0 and t not in ones and f > 0):
+            raise _ProofError(f"flow {f} from {s} into {t}, which is not a forcing arc")
+        sent[s] = sent.get(s, 0) + f
+        received[t] = received.get(t, 0) + f
+    if any(f > W[s] for s, f in sent.items()) or any(f > -W[t] for t, f in received.items()):
+        raise _ProofError("the leaf's flow exceeds a capacity")
+    return sum(sent.values())
 
 
 def verify_nonfc(cert: NonFcCertificate) -> VerificationReport:

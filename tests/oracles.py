@@ -198,3 +198,28 @@ def family_value(fam: Family, weights) -> Fraction:
     for i, c in enumerate(weights):
         total -= 2 * Fraction(c) * sum(1 for m in fam.members if m >> i & 1)
     return total
+
+
+def brute_min_cut(cands: dict, ones, W, closed: bool = False) -> tuple[int, set]:
+    """Minimum cut of the bipartite forcing graph by enumeration.
+
+    Over all subsets C of the candidates, the least W(cands outside C) - W(N(C)),
+    where N(C) holds the negative sets (W < 0, not in `ones`) that some
+    member of C forces, and the intersection of the subsets that attain it:
+    the minimal minimum cut's source side.  With `closed`, only the subsets
+    that contain every candidate their members force are tried.
+    """
+    order = list(cands)
+    best, meet = None, set()
+    for pick in range(1 << len(order)):
+        chosen = {s for i, s in enumerate(order) if pick >> i & 1}
+        forced = set().union(*(cands[s] for s in chosen))
+        if closed and not forced & cands.keys() <= chosen:
+            continue
+        value = (sum(W[s] for s in cands if s not in chosen)
+                 - sum(W[t] for t in forced if W[t] < 0 and t not in ones))
+        if best is None or value < best:
+            best, meet = value, chosen
+        elif value == best:
+            meet &= chosen
+    return best, meet

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +16,7 @@ from fcfam.setfam import (
     powerset_family,
     union_closure,
 )
-from fcfam.sepip import brute_separation
+from fcfam.sepip import SeparationResult, brute_separation
 from fcfam.fcsolve import (
     Cut,
     FcCertificate,
@@ -83,6 +86,41 @@ class TestKnownDecisions:
 
         with pytest.raises(TimeoutError):
             is_fc(Family.from_sets(4, [[1, 2, 3], [2, 3, 4]]), deadline=time.monotonic() - 1)
+
+
+class TestInvariants:
+    """A broken invariant of the cutting-plane loop raises RuntimeError, also
+    under python -O."""
+
+    def test_stored_cut_returned_again_raises(self, monkeypatch):
+        fam = Family.from_sets(2, [[1, 2]])
+        again = SeparationResult(Fraction(1), union_closure(fam))
+        monkeypatch.setattr(fcfam.fcsolve, "solve_separation",
+                            lambda prob, point, deadline=None: again)
+        with pytest.raises(RuntimeError, match="already stored"):
+            is_fc(fam)
+
+    def test_raises_under_optimize(self):
+        # without the check the loop would re-solve the same LP forever
+        code = (
+            "from fractions import Fraction\n"
+            "import fcfam.fcsolve as f\n"
+            "from fcfam.sepip import SeparationResult\n"
+            "from fcfam.setfam import Family, union_closure\n"
+            "fam = Family.from_sets(2, [[1, 2]])\n"
+            "again = SeparationResult(Fraction(1), union_closure(fam))\n"
+            "f.solve_separation = lambda prob, point, deadline=None: again\n"
+            "try:\n"
+            "    f.is_fc(fam)\n"
+            "except RuntimeError:\n"
+            "    print('raised')\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
 
 
 class TestClosedForms:

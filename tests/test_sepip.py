@@ -18,7 +18,6 @@ from fcfam.setfam import (
 from fcfam.fcsolve import is_fc
 from fcfam.sepip import (
     LEAF,
-    _closure_relaxation,
     _greedy_flow,
     _max_flow,
     brute_separation,
@@ -27,7 +26,7 @@ from fcfam.sepip import (
 )
 from fcfam.verify import check_separation_proof
 
-from oracles import family_value
+from oracles import brute_min_cut, family_value
 
 
 def uniform(n):
@@ -139,24 +138,18 @@ def test_greedy_prunes_only_what_the_max_flow_prunes(monkeypatch):
 
 
 def capture_nodes(monkeypatch, limit=400):
-    """The forcing graphs of real search nodes: what `_greedy_flow` was given
-    and what `_closure_relaxation` then handed to `_max_flow`, from the
-    trajectory instances and from an FC proof over [6]."""
-    greedy_args, flow_args = [], []
-    greedy_flow, max_flow = fcfam.sepip._greedy_flow, fcfam.sepip._max_flow
+    """The real search nodes that reached the max flow, as `_max_flow` was
+    called on them, from the trajectory instances and from an FC proof over
+    [6]."""
+    nodes = []
+    max_flow = fcfam.sepip._max_flow
 
-    def record_greedy(cands, ones, W):
-        if len(greedy_args) < limit:
-            greedy_args.append((cands, ones, W))
-        return greedy_flow(cands, ones, W)
+    def record(cands, ones, W, start):
+        if len(nodes) < limit:
+            nodes.append((cands, ones, W, start))
+        return max_flow(cands, ones, W, start)
 
-    def record_flow(nv, src, snk, arcs, start=None):
-        if len(flow_args) < limit:
-            flow_args.append((nv, src, snk, arcs, start))
-        return max_flow(nv, src, snk, arcs, start)
-
-    monkeypatch.setattr(fcfam.sepip, "_greedy_flow", record_greedy)
-    monkeypatch.setattr(fcfam.sepip, "_max_flow", record_flow)
+    monkeypatch.setattr(fcfam.sepip, "_max_flow", record)
     k4_of_6 = [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 6], [1, 3, 5, 6], [2, 4, 5, 6],
                [3, 4, 5, 6], [1, 2, 5, 6]]
     fam = Family.from_sets(6, k4_of_6)
@@ -166,99 +159,99 @@ def capture_nodes(monkeypatch, limit=400):
     for base, w, dom in instances:
         solve_separation(build_separation(base, dom), w)
     monkeypatch.undo()
-    assert len(flow_args) > 100 and len(greedy_args) > 100
-    return greedy_args, flow_args
+    assert len(nodes) > 100
+    return nodes
 
 
-def random_graph(rng):
-    nv = rng.randint(2, 8)
-    src, snk = rng.sample(range(nv), 2)
-    arcs = [(a, b, rng.randint(0, 9))
-            for a in range(nv) for b in range(nv) if a != b and rng.random() < 0.4]
-    return nv, src, snk, arcs
+def flow_value(cands, ones, W, flow):
+    """The value of a flow on the bipartite forcing graph, after checking
+    that it uses only forcing arcs and respects every capacity."""
+    sent, received = {}, {}
+    for (s, t), f in flow.items():
+        assert f > 0 and s in cands and t in cands[s] and t not in ones and W[t] < 0
+        sent[s] = sent.get(s, 0) + f
+        received[t] = received.get(t, 0) + f
+    assert all(sent[s] <= W[s] for s in sent)
+    assert all(received[t] <= -W[t] for t in received)
+    return sum(sent.values())
 
 
-def random_feasible_flow(rng, nv, src, snk, arcs):
-    """A feasible flow built from random walks along arcs with room left, each
-    from the source to the sink or back round to the source."""
-    flow = [0] * len(arcs)
-    out = [[] for _ in range(nv)]
-    for i, (a, _, _) in enumerate(arcs):
-        out[a].append(i)
-    for _ in range(rng.randint(0, 4)):
-        path, seen, u = [], {src}, src
-        while u != snk and not (path and u == src):
-            steps = [i for i in out[u] if arcs[i][2] > flow[i]
-                     and (arcs[i][1] not in seen or arcs[i][1] == src)]
-            if not steps:
-                break
-            i = rng.choice(steps)
-            path.append(i)
-            u = arcs[i][1]
-            seen.add(u)
-        if u == snk or (path and u == src):
-            push = rng.randint(1, min(arcs[i][2] - flow[i] for i in path))
-            for i in path:
-                flow[i] += push
+def random_feasible_flow(rng, cands, ones, W):
+    """A feasible flow that puts a random amount on a random half of the arcs,
+    as far as the capacities left allow."""
+    room = {s: W[s] for s in cands}
+    flow = {}
+    arcs = [(s, t) for s in cands for t in cands[s] if W[t] < 0 and t not in ones]
+    rng.shuffle(arcs)
+    for s, t in arcs[: len(arcs) // 2]:
+        most = min(room[s], room.setdefault(t, -W[t]))
+        if most:
+            flow[s, t] = rng.randint(1, most)
+            room[s] -= flow[s, t]
+            room[t] -= flow[s, t]
     return flow
 
 
-def check_feasible(nv, src, snk, arcs, flow):
-    """The value of a flow that respects every capacity and is conserved."""
-    net = [0] * nv
-    for (a, b, c), f in zip(arcs, flow):
-        assert 0 <= f <= c
-        net[a] -= f
-        net[b] += f
-    assert all(x == 0 for v, x in enumerate(net) if v not in (src, snk))
-    return net[snk]
+def random_bipartite(rng):
+    """Candidates 1..p of positive weight, each forcing itself, some negative
+    sets, some 1-fixed sets and some other candidates."""
+    p, q = rng.randint(1, 7), rng.randint(0, 7)
+    W = [0] + [rng.randint(1, 9) for _ in range(p)] + [-rng.randint(1, 9) for _ in range(q)]
+    ones = frozenset(t for t in range(p + 1, p + q + 1) if rng.random() < 0.2)
+    cands = {s: {s} | {t for t in range(1, p + q + 1) if rng.random() < 0.3}
+             for s in range(1, p + 1)}
+    return cands, ones, W
+
+
+def check_max_flow(rng, cands, ones, W, greedy):
+    """`_max_flow` from the greedy, the zero and a random feasible start
+    reaches the oracle's minimum cut and its minimal source side."""
+    want, meet = brute_min_cut(cands, ones, W)
+    for start in (greedy, {}, random_feasible_flow(rng, cands, ones, W)):
+        flow, reached = _max_flow(cands, ones, W, dict(start))
+        assert flow_value(cands, ones, W, flow) == want
+        assert reached == meet
 
 
 class TestFlows:
     def test_greedy_flow_is_feasible(self, monkeypatch):
-        greedy_args, flow_args = capture_nodes(monkeypatch)
-        for cands, ones, W in greedy_args:
+        for cands, ones, W, start in capture_nodes(monkeypatch):
             value, pushes = _greedy_flow(cands, ones, W)
-            sent, received = {}, {}
-            for (s, t), f in pushes.items():
-                assert f > 0 and t in cands[s] and t not in ones and W[t] < 0
-                sent[s] = sent.get(s, 0) + f
-                received[t] = received.get(t, 0) + f
-            assert all(sent[s] <= W[s] for s in sent)
-            assert all(received[t] <= -W[t] for t in received)
-            assert value == sum(sent.values())
-        for nv, src, snk, arcs, start in flow_args:
-            assert check_feasible(nv, src, snk, arcs, start) <= _max_flow(nv, src, snk, arcs)[0]
+            assert pushes == start
+            assert flow_value(cands, ones, W, pushes) == value
 
     def test_greedy_value_bounds_the_relaxation(self, monkeypatch):
-        greedy_args, _ = capture_nodes(monkeypatch)
-        for cands, ones, W in greedy_args:
-            value, pushes = _greedy_flow(cands, ones, W)
-            flow, picked = _closure_relaxation(cands, ones, W, pushes)
-            assert value <= flow
-            assert (flow, picked) == _closure_relaxation(cands, ones, W, {})
+        for cands, ones, W, start in capture_nodes(monkeypatch):
+            flow, reached = _max_flow(cands, ones, W, start)
+            value = flow_value(cands, ones, W, flow)
+            assert _greedy_flow(cands, ones, W)[0] <= value
+            cold, cold_reached = _max_flow(cands, ones, W, {})
+            assert (flow_value(cands, ones, W, cold), cold_reached) == (value, reached)
 
     def test_warm_start_matches_cold_on_real_nodes(self, monkeypatch):
         rng = random.Random(8)
-        _, flow_args = capture_nodes(monkeypatch)
-        for nv, src, snk, arcs, start in flow_args:
-            flow, reach, _ = _max_flow(nv, src, snk, arcs)
-            for warm in (start, random_feasible_flow(rng, nv, src, snk, arcs)):
-                assert _max_flow(nv, src, snk, arcs, warm)[:2] == (flow, reach)
+        checked = 0
+        for cands, ones, W, start in capture_nodes(monkeypatch):
+            if len(cands) > 12:
+                continue
+            check_max_flow(rng, cands, ones, W, start)
+            # forcing is transitive here, so the pick, the reached candidates
+            # and all they force, is the minimal minimum cut of the graph
+            # with candidate-to-candidate arcs: the least closed optimum
+            _, reached = _max_flow(cands, ones, W, start)
+            picked = {t for s in reached for t in cands[s]
+                      if t in cands or (W[t] < 0 and t not in ones)}
+            _, closed = brute_min_cut(cands, ones, W, closed=True)
+            forced = set().union(*(cands[s] for s in closed))
+            assert picked == closed | {t for t in forced if W[t] < 0 and t not in ones}
+            checked += 1
+        assert checked > 100
 
     def test_warm_start_matches_cold_on_random_graphs(self):
         rng = random.Random(9)
         for _ in range(500):
-            nv, src, snk, arcs = random_graph(rng)
-            flow, reach, cap = _max_flow(nv, src, snk, arcs)
-            assert check_feasible(nv, src, snk, arcs, cap[1::2]) == flow
-            # the reach is the source side of a cut whose capacity is the flow
-            assert src in reach and snk not in reach
-            assert sum(c for a, b, c in arcs if a in reach and b not in reach) == flow
-            for warm in ([0] * len(arcs), random_feasible_flow(rng, nv, src, snk, arcs)):
-                got, got_reach, got_cap = _max_flow(nv, src, snk, arcs, warm)
-                assert (got, got_reach) == (flow, reach)
-                assert check_feasible(nv, src, snk, arcs, got_cap[1::2]) == flow
+            cands, ones, W = random_bipartite(rng)
+            check_max_flow(rng, cands, ones, W, _greedy_flow(cands, ones, W)[1])
 
 
 class TestBuild:

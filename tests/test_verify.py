@@ -309,17 +309,21 @@ class TestProofReplay:
         assert accepted > 20 and rejected > 20
 
     @pytest.mark.parametrize("corrupt, failure", [
-        (lambda cap: [c * 2 if i % 2 else c for i, c in enumerate(cap)], "capacity"),
-        (lambda cap: [c + 1 if i == 1 else c for i, c in enumerate(cap)], "not conserved"),
-    ], ids=["doubled", "unbalanced"])
+        (lambda flow, cands, ones: {arc: 2 * f for arc, f in flow.items()}, "capacity"),
+        # a candidate sending into itself, a positive set
+        (lambda flow, cands, ones: {**flow, **{(s, s): 1 for s in cands}}, "forcing arc"),
+        # a candidate sending into a set it forces that is fixed to 1
+        (lambda flow, cands, ones: {**flow, **{(s, t): 1 for s in cands
+                                                for t in cands[s] & ones}}, "forcing arc"),
+    ], ids=["doubled", "into-positive", "into-ones"])
     def test_flow_is_checked_not_trusted(self, monkeypatch, larger_certs, corrupt, failure):
         # a flow code that reports more flow than the graph carries must not
         # make a leaf pass
         max_flow = fcfam.verify._max_flow
 
-        def bad_flow(nv, src, snk, arcs):
-            flow, reach, cap = max_flow(nv, src, snk, arcs)
-            return flow, reach, corrupt(cap)
+        def bad_flow(cands, ones, W, start):
+            flow, reached = max_flow(cands, ones, W, start)
+            return corrupt(flow, cands, ones), reached
 
         monkeypatch.setattr(fcfam.verify, "_max_flow", bad_flow)
         for cert in larger_certs:
