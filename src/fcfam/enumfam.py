@@ -241,18 +241,17 @@ class EnumSession:
             parents.extend(self.get_nfc(i, k, m - 1).nfc_sorted())
         prev_fc: dict[int, set[CanonKey]] = {i: self.get_nfc(i, k, m - 1).fc for i in j_range}
 
-        pending: set[CanonKey] = set()
+        seen: set[CanonKey] = set()  # tested once per class, kept or not
         candidates: list[Family] = []
         for parent in parents:
             # the new set must cover the elements the parent's universe lacks
             for ext in _extensions(parent, k, n - parent.n):
                 cf = canonical_form(ext)
-                if cf.key in pending:
+                if cf.key in seen:
                     continue
-                if _has_subfamily_in(ext, prev_fc):
-                    continue
-                pending.add(cf.key)
-                candidates.append(cf.relabeled)
+                seen.add(cf.key)
+                if not _has_subfamily_in(ext, prev_fc):
+                    candidates.append(cf.relabeled)
         candidates.sort(key=lambda f: f.members)
         self._say(f"getNFC({n},{k},{m}): {len(candidates)} candidates to classify")
         return candidates

@@ -11,8 +11,8 @@ and pivots are fraction-free (Edmonds/Bareiss): every entry is an integer
 over one shared denominator, the previous pivot, which each update divides
 out exactly, so no operation pays a gcd.  `Fraction` appears only where the
 rows are read in, where the point or the multipliers are written out, and
-in `check_point` and `check_farkas`, which replay every answer before it is
-returned.
+in `check_point`.  It and `check_farkas`, which sums in integers over one
+common denominator, replay every answer before it is returned.
 
 Built for the small, dense systems of the cutting-plane loop (tens of
 variables, up to a few hundred rows), not for sparse large-scale work.
@@ -109,24 +109,29 @@ def check_point(lp: LinearProgram, point: Sequence[Fraction]) -> bool:
 
 
 def check_farkas(lp: LinearProgram, cert: FarkasCertificate) -> bool:
-    """Exact replay of a Farkas certificate."""
+    """Exact replay of a Farkas certificate, in integers: y * row is
+    (y / L) * (L * row) with L the lcm of the row's denominators, and the
+    y / L are put over one common denominator, which changes no sign."""
     if len(cert.ge_multipliers) != len(lp.ge_rows):
         return False
     if len(cert.eq_multipliers) != len(lp.eq_rows):
         return False
     if any(y < 0 for y in cert.ge_multipliers):
         return False
-    agg = [ZERO] * lp.num_vars
-    rhs = ZERO
-    for y, (coeffs, b) in zip(cert.ge_multipliers, lp.ge_rows):
-        for j, c in enumerate(coeffs):
-            agg[j] += y * c
-        rhs += y * b
-    for lam, (coeffs, b) in zip(cert.eq_multipliers, lp.eq_rows):
-        for j, c in enumerate(coeffs):
-            agg[j] += lam * c
-        rhs += lam * b
-    return all(a <= 0 for a in agg) and rhs > 0
+    terms = []  # (y / L, L * row), the right side last
+    for y, (coeffs, b) in zip(cert.ge_multipliers + cert.eq_multipliers,
+                              lp.ge_rows + lp.eq_rows):
+        if y:
+            row = (*coeffs, b)
+            scale = lcm(*(c.denominator for c in row))
+            terms.append((Fraction(y, scale),
+                          [c.numerator * (scale // c.denominator) for c in row]))
+    common = lcm(*(z.denominator for z, _ in terms))
+    agg = [0] * (lp.num_vars + 1)
+    for z, row in terms:
+        k = z.numerator * (common // z.denominator)
+        agg = [a + k * c for a, c in zip(agg, row)]
+    return all(a <= 0 for a in agg[:-1]) and agg[-1] > 0
 
 
 def lp_solve(lp: LinearProgram) -> LPResult:

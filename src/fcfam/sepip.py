@@ -24,38 +24,39 @@ The solve is exact branch and bound on integer-scaled weights.  A node with
 1-fixed sets O and 0-fixed sets Z filters and bounds exactly the way
 `verify` replays a leaf: a free positive S is a candidate iff no set in
 {S u X : X in base or O} is fixed to 0 (base u O is union-closed, so
-forcing is transitive and one pass suffices).  The bound is the
-maximum-weight closure of that forcing relation (an integral relaxation of
-the LP; pairwise unions of distinct free sets are not modeled, which only
-relaxes): the value of O plus the candidates' weight W(cands) minus a
-maximum flow on the bipartite forcing graph, source -> candidate S
-(capacity W[S]) -> each negative set T that S forces, T not in O ->
-sink (capacity -W[T]).  Any feasible flow f already bounds it by
+forcing is transitive and one pass suffices).  Each candidate S keeps only
+its arcs, the negative sets T not in O that it forces, in the order of its
+forcing set.  The bound is the maximum-weight closure of the forcing
+relation (an integral relaxation of the LP; pairwise unions of distinct
+free sets are not modeled, which only relaxes): the value of O plus the
+candidates' weight W(cands) minus a maximum flow on the bipartite forcing
+graph, source -> candidate S (capacity W[S]) -> each arc T of S -> sink
+(capacity -W[T]).  Any feasible flow f already bounds it by
 val(O) + W(cands) - f, so a node is tried against three bounds in turn,
 and the first that reaches 0 prunes it:
 
 1. the trivial bound, f = 0;
 2. a one-pass greedy flow, each candidate pushing its weight straight into
-   the negative sets it forces;
+   its arcs;
 3. the maximum flow, augmented from the greedy flow along shortest paths.
 
-The graph has no candidate-to-candidate arcs.  Because forcing is
-transitive, a candidate already has an arc into every negative set that a
-chain of candidates it forces would reach, so those arcs add no flow value.
-The relaxed pick is the candidates the source still reaches after the
-maximum flow, plus every candidate and negative set they force: the
-forcing closure of the reached candidates.  The reached candidates are the
-minimal minimum cut's, which is the same for every maximum flow (Picard &
-Queyranne 1980).  Every minimum cut is already closed under forcing: adding
-a candidate that a member forces brings in no negative set and takes its
-source arc out of the cut.  The minimum cuts, and the minimal one, are
-therefore those of the graph with candidate-to-candidate arcs.  Neither the
-shortcuts nor the start of the flow change the proof: a node the greedy
-flow prunes is a leaf under the maximum flow too, and the pick, and with
-it the witness and the branch set, do not depend on the flow found.  The
-relaxed solution either closes into a feasible family or yields the
-branching set.  `verify` keeps its own copy of the candidate rule and
-calls the same `_greedy_flow` and `_max_flow`, whose output it checks.
+The graph has no candidate-to-candidate arcs: by transitivity a candidate
+already has an arc into every negative set a chain of candidates it forces
+would reach.  The candidates the source still reaches after the maximum
+flow are the minimal minimum cut's, the same for every maximum flow
+(Picard & Queyranne 1980), and are closed under forcing: if a reached S
+forces a candidate T, T's arcs are among S's, so T is either unsaturated
+and reached from the source or sends flow into an arc of S and is reached
+backward from S.  They are thus the minimal minimum cut with
+candidate-to-candidate arcs too, and the relaxed pick is the reached
+candidates and their arcs (every candidate forces itself, as the base holds
+the empty set); closing the arcs adds nothing to closing the candidates.
+Neither the shortcuts nor the start of the flow change the proof: a node
+the greedy flow prunes is a leaf under the maximum flow too, and the pick,
+and with it the witness and the branch set, do not depend on the flow
+found.  The relaxed solution either closes into a feasible family or yields
+the branching set.  `verify` builds its own arcs and calls the same
+`_greedy_flow` and `_max_flow`, whose output it checks.
 `brute_separation` is the independent oracle: exhaustive enumeration over
 all subfamilies of D, returning the maximum.
 """
@@ -148,10 +149,6 @@ class _Found(Exception):
     """Raised with (scaled value, member masks) of the first violated family."""
 
 
-class SeparationTimeout(TimeoutError):
-    """Cooperative deadline exceeded during a separation solve."""
-
-
 def solve_separation(
     problem: SeparationProblem,
     weights: Sequence,
@@ -176,7 +173,7 @@ def solve_separation(
         nonlocal ticks
         ticks += 1
         if deadline is not None and ticks % 64 == 0 and time.monotonic() > deadline:
-            raise SeparationTimeout()
+            raise TimeoutError("separation deadline exceeded")
 
     def close(ones: frozenset[int], seeds) -> frozenset[int]:
         # ones is closed under unions with itself and the base, so base | ones
@@ -194,29 +191,25 @@ def solve_separation(
         # a free positive S is a candidate iff no set it forces, S | X for X
         # in base | ones, is fixed to 0; forcing is transitive, so one pass
         fixed = base_set | ones
-        cands: dict[int, set[int]] = {}  # candidate -> the sets it forces
+        cands: dict[int, list[int]] = {}  # candidate -> its arcs
         for s in pos_order:
             if s not in ones and s not in zeros:
                 forced = {s | x for x in fixed}
                 if forced.isdisjoint(zeros):
-                    cands[s] = forced
+                    cands[s] = [t for t in forced if W[t] < 0 and t not in ones]
 
         bound = val + sum(W[s] for s in cands)
         if bound <= 0:
             return leaf("pruned_trivial")
-        greedy, pushes = _greedy_flow(cands, ones, W)
+        greedy, pushes = _greedy_flow(cands, W)
         if bound <= greedy:
             return leaf("pruned_greedy")
-        flow, reached = _max_flow(cands, ones, W, pushes)
+        flow, reached = _max_flow(cands, W, pushes)
         if bound <= sum(flow.values()):
             return leaf("pruned_flow")
-        # the relaxed pick: the reached candidates and every set they force
-        # that the relaxation counts
-        picked = {t for s in reached for t in cands[s]
-                  if t in cands or (W[t] < 0 and t not in ones)}
-
-        # try to close the relaxed pick into a feasible family
-        wit = close(ones, picked)
+        # try to close the relaxed pick, the reached candidates (closed under
+        # forcing) and their arcs, into a feasible family
+        wit = close(ones, reached)
         if wit.isdisjoint(zeros):
             wval = sum(W[s] for s in wit)
             if wval > 0:
@@ -224,10 +217,10 @@ def solve_separation(
         # branch on a picked set whose pairwise unions escape the relaxed
         # pick into uncounted negative-weight territory; fixing it either
         # way tightens exactly that gap
-        chosen = picked | ones
+        chosen = ones.union(reached, *(cands[s] for s in reached))
         branch = None
         for s in cands:
-            if s not in picked:
+            if s not in reached:
                 continue
             if branch is None:
                 branch = s
@@ -251,11 +244,11 @@ def solve_separation(
 
 
 def _greedy_flow(
-    cands: dict[int, set[int]], ones: frozenset[int], W: list[int]
+    cands: dict[int, list[int]], W: list[int]
 ) -> tuple[int, dict[tuple[int, int], int]]:
     """A feasible flow on the bipartite forcing graph of `_max_flow`, in one
-    pass: each candidate in turn pushes its weight straight into the negative
-    sets it forces, up to what each one's sink arc has left.
+    pass: each candidate in turn pushes its weight straight into its arcs,
+    the negative sets it forces, up to what each one's sink arc has left.
 
     Returns its value and its flow on each candidate-to-negative-set arc.
     Any feasible flow f bounds the relaxation by W(cands) - f, so a node this
@@ -264,24 +257,22 @@ def _greedy_flow(
     room: dict[int, int] = {}  # negative set -> capacity left on its sink arc
     pushes: dict[tuple[int, int], int] = {}
     total = 0
-    for s, forced in cands.items():
+    for s, arcs in cands.items():
         left = W[s]
-        for t in forced:
-            if W[t] < 0 and t not in ones:
-                push = min(left, room.setdefault(t, -W[t]))
-                if push:
-                    room[t] -= push
-                    pushes[s, t] = push
-                    left -= push
-                    if not left:
-                        break
+        for t in arcs:
+            push = min(left, room.setdefault(t, -W[t]))
+            if push:
+                room[t] -= push
+                pushes[s, t] = push
+                left -= push
+                if not left:
+                    break
         total += W[s] - left
     return total, pushes
 
 
 def _max_flow(
-    cands: dict[int, set[int]],
-    ones: frozenset[int],
+    cands: dict[int, list[int]],
     W: list[int],
     start: dict[tuple[int, int], int],
 ) -> tuple[dict[tuple[int, int], int], set[int]]:
@@ -289,8 +280,8 @@ def _max_flow(
     `start` (keyed like `_greedy_flow`'s, trusted to respect every capacity).
 
     The source feeds each candidate S up to W[S], S sends without limit into
-    each negative set T it forces (T not in `ones`), and T drains up to -W[T]
-    into the sink.  Each round augments along a shortest alternating path,
+    each of its arcs `cands[S]`, and each arc T drains up to -W[T] into the
+    sink.  Each round augments along a shortest alternating path,
     found by breadth-first search: source -> S -> T <- S' -> T' ... -> sink,
     where a backward step T <- S' cancels flow that S' sends into T.
 
@@ -312,7 +303,7 @@ def _max_flow(
         end = None
         for s in queue:
             for t in cands[s]:
-                if t in via or W[t] >= 0 or t in ones:
+                if t in via:
                     continue
                 via[t] = s
                 if room.setdefault(t, -W[t]):

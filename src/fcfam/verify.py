@@ -17,11 +17,12 @@ positive set S that a family could still take is a candidate: S is free and
 {S u X : X in base or O} misses Z.  Base u O is union-closed, so forcing is
 transitive and this one pass needs no fixpoint.  It is the rule the
 producer's search applies at every node, but `sepip` keeps its own copy:
-the two modules share no leaf code.  The leaf holds if
-val + W(candidates) <= 0 or, failing that, if val + W(candidates) - F <= 0
-for a flow of value F on the bipartite forcing graph: S sends f(S, T) > 0
-only into a negative set T (not in O) that this leaf's own forcing sets say
-S forces, S sends at most W[S] in all and T takes at most -W[T].  Such a
+the two modules share no leaf code.  Each candidate S keeps its arcs, the
+negative sets T not in O that it forces, filtered here from this leaf's own
+forcing sets.  The leaf holds if val + W(candidates) <= 0 or, failing that,
+if val + W(candidates) - F <= 0 for a flow of value F on the bipartite
+forcing graph: S sends f(S, T) > 0 only along one of its arcs, S sends at
+most W[S] in all and T takes at most -W[T].  Such a
 flow need not be maximum nor conserved anywhere, by weak duality: take a
 feasible family B below the leaf, C the candidates in B and N(C) the
 negative sets outside O that C forces, all in B.  Every unit of flow
@@ -198,15 +199,15 @@ def check_separation_proof(
 
     def leaf(ones: frozenset[int], val: int, zeros: frozenset[int]) -> None:
         fixed = base_set | ones
-        cands = {}  # candidate -> the sets it forces
+        cands = {}  # candidate -> its arcs, the negative sets outside O it forces
         for s in positives:
             if s not in ones and s not in zeros:
                 forced = {s | x for x in fixed}
                 if forced.isdisjoint(zeros):
-                    cands[s] = forced
+                    cands[s] = [t for t in forced if W[t] < 0 and t not in ones]
         bound = val + sum(W[s] for s in cands)
         if bound > 0:
-            bound -= _checked_flow(cands, ones, W)
+            bound -= _checked_flow(cands, W)
         if bound > 0:
             raise _ProofError(f"a leaf bounds the value only by {bound}/{lcm} > 0")
 
@@ -233,18 +234,15 @@ def check_separation_proof(
     return None
 
 
-def _checked_flow(
-    cands: dict[int, set[int]], ones: frozenset[int], W: list[int]
-) -> int:
+def _checked_flow(cands: dict[int, list[int]], W: list[int]) -> int:
     """Value of a max flow on a leaf's forcing graph, after checking that
-    every arc it uses goes from a candidate into a negative set that this
-    leaf's own forcing sets say it forces, and that it respects every
+    it sends only along the arcs this leaf built itself and respects every
     capacity."""
-    flow, _ = _max_flow(cands, ones, W, _greedy_flow(cands, ones, W)[1])
+    flow, _ = _max_flow(cands, W, _greedy_flow(cands, W)[1])
     sent: dict[int, int] = {}
     received: dict[int, int] = {}
     for (s, t), f in flow.items():
-        if not (s in cands and t in cands[s] and W[t] < 0 and t not in ones and f > 0):
+        if not (s in cands and t in cands[s] and f > 0):
             raise _ProofError(f"flow {f} from {s} into {t}, which is not a forcing arc")
         sent[s] = sent.get(s, 0) + f
         received[t] = received.get(t, 0) + f

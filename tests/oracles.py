@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from fcfam.setfam import Family, compact_universe, union_closure, universe
-from fcfam.ratlp import LinearProgram, Infeasible, Feasible, lp_solve
+from fcfam.ratlp import FarkasCertificate, LinearProgram, Infeasible, Feasible, lp_solve
 
 
 def apply_perm_mask(perm: tuple[int, ...], mask: int) -> int:
@@ -200,26 +201,69 @@ def family_value(fam: Family, weights) -> Fraction:
     return total
 
 
-def brute_min_cut(cands: dict, ones, W, closed: bool = False) -> tuple[int, set]:
+def brute_min_cut(arcs: dict, W, forces: dict | None = None) -> tuple[int, set]:
     """Minimum cut of the bipartite forcing graph by enumeration.
 
-    Over all subsets C of the candidates, the least W(cands outside C) - W(N(C)),
-    where N(C) holds the negative sets (W < 0, not in `ones`) that some
-    member of C forces, and the intersection of the subsets that attain it:
-    the minimal minimum cut's source side.  With `closed`, only the subsets
-    that contain every candidate their members force are tried.
+    `arcs` maps each candidate to the negative sets it sends into.  Over all
+    subsets C of the candidates, the least W(cands outside C) - W(N(C)),
+    where N(C) holds the arcs of the members of C, and the intersection of
+    the subsets that attain it: the minimal minimum cut's source side.  With
+    `forces` (candidate -> the sets it forces), only the subsets that contain
+    every candidate their members force are tried.
     """
-    order = list(cands)
+    order = list(arcs)
     best, meet = None, set()
     for pick in range(1 << len(order)):
         chosen = {s for i, s in enumerate(order) if pick >> i & 1}
-        forced = set().union(*(cands[s] for s in chosen))
-        if closed and not forced & cands.keys() <= chosen:
+        if forces is not None and any(t in arcs and t not in chosen
+                                      for s in chosen for t in forces[s]):
             continue
-        value = (sum(W[s] for s in cands if s not in chosen)
-                 - sum(W[t] for t in forced if W[t] < 0 and t not in ones))
+        reached = set().union(*(arcs[s] for s in chosen))
+        value = sum(W[s] for s in arcs if s not in chosen) - sum(W[t] for t in reached)
         if best is None or value < best:
             best, meet = value, chosen
         elif value == best:
             meet &= chosen
     return best, meet
+
+
+def proof_nodes(base: Family, proof) -> Iterator[tuple[frozenset, frozenset, int]]:
+    """The nodes of a separation proof in preorder, as (ones, zeros, entry):
+    the sets fixed to 1 and to 0 at the node and the entry it adds, the
+    branch set or LEAF (-1).  A branch set's left child fixes it and its
+    closure under unions with base | ones to 1, unless that meets zeros."""
+    base_set = frozenset(base.members)
+    entries = iter(proof)
+
+    def walk(ones, zeros):
+        entry = next(entries)
+        yield ones, zeros, entry
+        if entry != -1:
+            grown = ones | {entry | x for x in base_set | ones}
+            if grown.isdisjoint(zeros):
+                yield from walk(grown, zeros)
+            yield from walk(ones, zeros | {entry})
+
+    return walk(frozenset(), frozenset())
+
+
+def fraction_check_farkas(lp: LinearProgram, cert: FarkasCertificate) -> bool:
+    """Replay of a Farkas certificate in `Fraction` arithmetic, row by row:
+    the reference for `ratlp.check_farkas`."""
+    if len(cert.ge_multipliers) != len(lp.ge_rows):
+        return False
+    if len(cert.eq_multipliers) != len(lp.eq_rows):
+        return False
+    if any(y < 0 for y in cert.ge_multipliers):
+        return False
+    agg = [Fraction(0)] * lp.num_vars
+    rhs = Fraction(0)
+    for y, (coeffs, b) in zip(cert.ge_multipliers, lp.ge_rows):
+        for j, c in enumerate(coeffs):
+            agg[j] += y * c
+        rhs += y * b
+    for lam, (coeffs, b) in zip(cert.eq_multipliers, lp.eq_rows):
+        for j, c in enumerate(coeffs):
+            agg[j] += lam * c
+        rhs += lam * b
+    return all(a <= 0 for a in agg) and rhs > 0

@@ -336,3 +336,19 @@ class TestCanonicalLabelingCalls:
         session.get_nfc(7, 5, 4)
         assert seen
         assert all(len(f.members) == 4 for f in seen)
+
+    @pytest.mark.parametrize("k,n,value,calls", [(3, 7, 4, 25), (4, 6, 7, 64)])
+    def test_one_subfamily_test_per_extension_class(self, monkeypatch, k, n, value, calls):
+        # an extension class is tested for an FC subfamily once, whether it
+        # is kept or rejected: 92 and 96 tests when rejected ones were retried
+        keys = []
+        real = fcfam.enumfam._has_subfamily_in
+
+        def recording(fam, tables):
+            keys.append(canonical_key(fam))
+            return real(fam, tables)
+
+        monkeypatch.setattr(fcfam.enumfam, "_has_subfamily_in", recording)
+        rep = fc_value(k, n)
+        assert len(keys) == len(set(keys)) == calls
+        assert rep.value == value

@@ -21,6 +21,8 @@ from fcfam.ratlp import (
     lp_solve,
 )
 
+from oracles import fraction_check_farkas
+
 
 class TestExamples:
     def test_unique_feasible_point(self):
@@ -216,6 +218,64 @@ class TestPivotIdentity:
         assert kinds == {"F", "I"}
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.DIGEST
+
+
+def _tampers(lp, cert, rng):
+    """Single-field changes to an LP and its certificate: one multiplier, one
+    coefficient or one right side moved by a small rational."""
+    def moved(x):
+        return x + rng.choice((-1, 1)) * Fraction(rng.randint(1, 3), rng.randint(1, 7))
+
+    ge, eq = list(cert.ge_multipliers), list(cert.eq_multipliers)
+    for mult, make in ((ge, lambda m: FarkasCertificate(tuple(m), tuple(eq))),
+                       (eq, lambda m: FarkasCertificate(tuple(ge), tuple(m)))):
+        for i in range(len(mult)):
+            changed = list(mult)
+            changed[i] = moved(changed[i])
+            yield lp, make(changed)
+    for rows in ("ge_rows", "eq_rows"):
+        for r, (coeffs, rhs) in enumerate(getattr(lp, rows)):
+            for j in range(len(coeffs) + 1):
+                bad = LinearProgram(lp.num_vars, list(lp.eq_rows), list(lp.ge_rows))
+                if j < len(coeffs):
+                    row = (coeffs[:j] + (moved(coeffs[j]),) + coeffs[j + 1:], rhs)
+                else:
+                    row = (coeffs, moved(rhs))
+                getattr(bad, rows)[r] = row
+                yield bad, cert
+
+
+class TestFarkasReplay:
+    def test_integer_replay_matches_fraction_reference(self):
+        # the certificates lp_solve returns, and every single-field tamper of
+        # them, get the same verdict from the integer replay and from the
+        # row-by-row Fraction reference
+        rng = random.Random(12)
+        verdicts = set()
+        infeasible = 0
+        for lp in _seeded_lps():
+            res = lp_solve(lp)
+            if isinstance(res, Feasible):
+                continue
+            infeasible += 1
+            assert check_farkas(lp, res.certificate)
+            assert fraction_check_farkas(lp, res.certificate)
+            for bad_lp, bad_cert in _tampers(lp, res.certificate, rng):
+                verdict = check_farkas(bad_lp, bad_cert)
+                assert verdict == fraction_check_farkas(bad_lp, bad_cert)
+                verdicts.add(verdict)
+        assert infeasible > 50 and verdicts == {True, False}
+
+    def test_random_multipliers_match_fraction_reference(self):
+        rng = random.Random(13)
+        verdicts = []
+        for lp in _seeded_lps(seed=14):
+            cert = FarkasCertificate(
+                tuple(Fraction(rng.randint(-1, 6), rng.randint(1, 5)) for _ in lp.ge_rows),
+                tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in lp.eq_rows))
+            verdicts.append(check_farkas(lp, cert))
+            assert verdicts[-1] == fraction_check_farkas(lp, cert)
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestEdgeCases:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from fcfam.sepip import (
 )
 from fcfam.verify import check_separation_proof
 
-from oracles import brute_min_cut, family_value
+from oracles import brute_min_cut, family_value, proof_nodes
 
 
 def uniform(n):
@@ -111,6 +112,7 @@ def test_search_trajectory_is_pinned():
 
 def test_prunes_account_for_every_leaf():
     searched = 0
+    totals = [0, 0, 0, 0]
     for base, w, dom in trajectory_instances():
         res = solve_separation(build_separation(base, dom), w)
         pruned = res.pruned_trivial + res.pruned_greedy + res.pruned_flow
@@ -120,7 +122,13 @@ def test_prunes_account_for_every_leaf():
             assert pruned == res.proof.count(LEAF)
             assert res.nodes == len(res.proof)
         searched += res.nodes > 1
+        for i, count in enumerate((res.nodes, res.pruned_trivial, res.pruned_greedy,
+                                   res.pruned_flow)):
+            totals[i] += count
     assert searched > 20
+    # nodes, and prunes by the trivial, the greedy and the max-flow bound;
+    # like the digest, these move only with a change to the search itself
+    assert totals == [733, 0, 239, 13]
 
 
 def test_greedy_prunes_only_what_the_max_flow_prunes(monkeypatch):
@@ -128,7 +136,7 @@ def test_greedy_prunes_only_what_the_max_flow_prunes(monkeypatch):
     # greedy bound pruned goes to the max flow, which must prune it too:
     # the same proof, and the greedy prunes become flow prunes
     greedy = [solve_separation(build_separation(b, d), w) for b, w, d in trajectory_instances()]
-    monkeypatch.setattr(fcfam.sepip, "_greedy_flow", lambda cands, ones, W: (0, {}))
+    monkeypatch.setattr(fcfam.sepip, "_greedy_flow", lambda cands, W: (0, {}))
     for res, (b, w, d) in zip(greedy, trajectory_instances()):
         cold = solve_separation(build_separation(b, d), w)
         assert (cold.optimum, cold.witness, cold.proof) == (res.optimum, res.witness, res.proof)
@@ -137,38 +145,87 @@ def test_greedy_prunes_only_what_the_max_flow_prunes(monkeypatch):
     assert sum(res.pruned_greedy for res in greedy) > 0
 
 
+def fc_proof_over_6():
+    """The final separation instance of an FC decision over [6], whose
+    search reaches the max flow at many nodes."""
+    fam = Family.from_sets(6, [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 6], [1, 3, 5, 6],
+                               [2, 4, 5, 6], [3, 4, 5, 6], [1, 2, 5, 6]])
+    cert = is_fc(fam, symmetry=True, warm_start=True)
+    return union_closure(fam), cert.weights, powerset_family(6)
+
+
+def test_past_deadline_names_the_separation():
+    base, w, dom = fc_proof_over_6()
+    assert solve_separation(build_separation(base, dom), w).nodes >= 64
+    with pytest.raises(TimeoutError) as info:
+        solve_separation(build_separation(base, dom), w, deadline=time.monotonic() - 1)
+    assert type(info.value) is TimeoutError
+    assert str(info.value) == "separation deadline exceeded"
+
+
+def flow_instances():
+    yield fc_proof_over_6()
+    yield from trajectory_instances()
+
+
 def capture_nodes(monkeypatch, limit=400):
     """The real search nodes that reached the max flow, as `_max_flow` was
-    called on them, from the trajectory instances and from an FC proof over
-    [6]."""
+    called on them: (arcs, W, start)."""
     nodes = []
     max_flow = fcfam.sepip._max_flow
 
-    def record(cands, ones, W, start):
+    def record(cands, W, start):
         if len(nodes) < limit:
-            nodes.append((cands, ones, W, start))
-        return max_flow(cands, ones, W, start)
+            nodes.append((cands, W, start))
+        return max_flow(cands, W, start)
 
     monkeypatch.setattr(fcfam.sepip, "_max_flow", record)
-    k4_of_6 = [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 6], [1, 3, 5, 6], [2, 4, 5, 6],
-               [3, 4, 5, 6], [1, 2, 5, 6]]
-    fam = Family.from_sets(6, k4_of_6)
-    cert = is_fc(fam, symmetry=True, warm_start=True)
-    instances = [(union_closure(fam), cert.weights, powerset_family(6))]
-    instances += list(trajectory_instances())
-    for base, w, dom in instances:
+    for base, w, dom in flow_instances():
         solve_separation(build_separation(base, dom), w)
     monkeypatch.undo()
     assert len(nodes) > 100
     return nodes
 
 
-def flow_value(cands, ones, W, flow):
+def forcing_nodes(monkeypatch):
+    """The max-flow nodes of the proofs of `flow_instances`, with what the
+    search does not pass on: for each, its 1-fixed sets, every set each
+    candidate forces (computed here from the base and the 1-fixed sets),
+    the arcs the search handed to `_max_flow` and W.  The nodes come from
+    replaying each proof in preorder, matched one by one to those calls by
+    the arcs computed here."""
+    nodes = []
+    for base, w, dom in flow_instances():
+        calls = []
+        max_flow = fcfam.sepip._max_flow
+        monkeypatch.setattr(fcfam.sepip, "_max_flow", lambda cands, W, start: (
+            calls.append(cands) or max_flow(cands, W, start)))
+        res = solve_separation(build_separation(base, dom), w)
+        monkeypatch.undo()
+        if res.proof is None:
+            continue
+        _, W = fcfam.sepip._integer_weights(w, dom)
+        pending = iter(calls)
+        call = next(pending, None)
+        for ones, zeros, _ in proof_nodes(base, res.proof):
+            forced = {s: {s | x for x in set(base.members) | ones}
+                      for s in dom.members if W[s] > 0 and s not in ones | zeros}
+            forced = {s: f for s, f in forced.items() if f.isdisjoint(zeros)}
+            arcs = {s: {t for t in f if W[t] < 0 and t not in ones} for s, f in forced.items()}
+            if call is not None and {s: set(t) for s, t in call.items()} == arcs:
+                nodes.append((ones, forced, call, W))
+                call = next(pending, None)
+        assert call is None
+    assert len(nodes) > 100
+    return nodes
+
+
+def flow_value(cands, W, flow):
     """The value of a flow on the bipartite forcing graph, after checking
-    that it uses only forcing arcs and respects every capacity."""
+    that it uses only arcs and respects every capacity."""
     sent, received = {}, {}
     for (s, t), f in flow.items():
-        assert f > 0 and s in cands and t in cands[s] and t not in ones and W[t] < 0
+        assert f > 0 and s in cands and t in cands[s]
         sent[s] = sent.get(s, 0) + f
         received[t] = received.get(t, 0) + f
     assert all(sent[s] <= W[s] for s in sent)
@@ -176,12 +233,12 @@ def flow_value(cands, ones, W, flow):
     return sum(sent.values())
 
 
-def random_feasible_flow(rng, cands, ones, W):
+def random_feasible_flow(rng, cands, W):
     """A feasible flow that puts a random amount on a random half of the arcs,
     as far as the capacities left allow."""
     room = {s: W[s] for s in cands}
     flow = {}
-    arcs = [(s, t) for s in cands for t in cands[s] if W[t] < 0 and t not in ones]
+    arcs = [(s, t) for s in cands for t in cands[s]]
     rng.shuffle(arcs)
     for s, t in arcs[: len(arcs) // 2]:
         most = min(room[s], room.setdefault(t, -W[t]))
@@ -193,65 +250,71 @@ def random_feasible_flow(rng, cands, ones, W):
 
 
 def random_bipartite(rng):
-    """Candidates 1..p of positive weight, each forcing itself, some negative
-    sets, some 1-fixed sets and some other candidates."""
+    """Candidates 1..p of positive weight, each with arcs into some of the
+    negative sets p+1..p+q, in a random order."""
     p, q = rng.randint(1, 7), rng.randint(0, 7)
     W = [0] + [rng.randint(1, 9) for _ in range(p)] + [-rng.randint(1, 9) for _ in range(q)]
-    ones = frozenset(t for t in range(p + 1, p + q + 1) if rng.random() < 0.2)
-    cands = {s: {s} | {t for t in range(1, p + q + 1) if rng.random() < 0.3}
+    negatives = list(range(p + 1, p + q + 1))
+    cands = {s: [t for t in rng.sample(negatives, q) if rng.random() < 0.3]
              for s in range(1, p + 1)}
-    return cands, ones, W
+    return cands, W
 
 
-def check_max_flow(rng, cands, ones, W, greedy):
+def check_max_flow(rng, cands, W, greedy):
     """`_max_flow` from the greedy, the zero and a random feasible start
     reaches the oracle's minimum cut and its minimal source side."""
-    want, meet = brute_min_cut(cands, ones, W)
-    for start in (greedy, {}, random_feasible_flow(rng, cands, ones, W)):
-        flow, reached = _max_flow(cands, ones, W, dict(start))
-        assert flow_value(cands, ones, W, flow) == want
+    want, meet = brute_min_cut(cands, W)
+    for start in (greedy, {}, random_feasible_flow(rng, cands, W)):
+        flow, reached = _max_flow(cands, W, dict(start))
+        assert flow_value(cands, W, flow) == want
         assert reached == meet
 
 
 class TestFlows:
     def test_greedy_flow_is_feasible(self, monkeypatch):
-        for cands, ones, W, start in capture_nodes(monkeypatch):
-            value, pushes = _greedy_flow(cands, ones, W)
+        for cands, W, start in capture_nodes(monkeypatch):
+            value, pushes = _greedy_flow(cands, W)
             assert pushes == start
-            assert flow_value(cands, ones, W, pushes) == value
+            assert flow_value(cands, W, pushes) == value
 
     def test_greedy_value_bounds_the_relaxation(self, monkeypatch):
-        for cands, ones, W, start in capture_nodes(monkeypatch):
-            flow, reached = _max_flow(cands, ones, W, start)
-            value = flow_value(cands, ones, W, flow)
-            assert _greedy_flow(cands, ones, W)[0] <= value
-            cold, cold_reached = _max_flow(cands, ones, W, {})
-            assert (flow_value(cands, ones, W, cold), cold_reached) == (value, reached)
+        for cands, W, start in capture_nodes(monkeypatch):
+            flow, reached = _max_flow(cands, W, start)
+            value = flow_value(cands, W, flow)
+            assert _greedy_flow(cands, W)[0] <= value
+            cold, cold_reached = _max_flow(cands, W, {})
+            assert (flow_value(cands, W, cold), cold_reached) == (value, reached)
 
     def test_warm_start_matches_cold_on_real_nodes(self, monkeypatch):
         rng = random.Random(8)
         checked = 0
-        for cands, ones, W, start in capture_nodes(monkeypatch):
-            if len(cands) > 12:
-                continue
-            check_max_flow(rng, cands, ones, W, start)
-            # forcing is transitive here, so the pick, the reached candidates
-            # and all they force, is the minimal minimum cut of the graph
-            # with candidate-to-candidate arcs: the least closed optimum
-            _, reached = _max_flow(cands, ones, W, start)
-            picked = {t for s in reached for t in cands[s]
-                      if t in cands or (W[t] < 0 and t not in ones)}
-            _, closed = brute_min_cut(cands, ones, W, closed=True)
-            forced = set().union(*(cands[s] for s in closed))
-            assert picked == closed | {t for t in forced if W[t] < 0 and t not in ones}
-            checked += 1
+        for cands, W, start in capture_nodes(monkeypatch):
+            if len(cands) <= 12:
+                check_max_flow(rng, cands, W, start)
+                checked += 1
         assert checked > 100
 
     def test_warm_start_matches_cold_on_random_graphs(self):
         rng = random.Random(9)
         for _ in range(500):
-            cands, ones, W = random_bipartite(rng)
-            check_max_flow(rng, cands, ones, W, _greedy_flow(cands, ones, W)[1])
+            cands, W = random_bipartite(rng)
+            check_max_flow(rng, cands, W, _greedy_flow(cands, W)[1])
+
+    def test_reached_is_closed_under_forcing(self, monkeypatch):
+        # the pick from the arcs alone is the pick from the forcing sets, the
+        # reached candidates and all they force that the relaxation counts,
+        # and the least minimum cut closed under forcing
+        small = 0
+        for ones, forced, arcs, W in forcing_nodes(monkeypatch):
+            _, reached = _max_flow(arcs, W, _greedy_flow(arcs, W)[1])
+            assert all(t in reached for s in reached for t in forced[s] if t in forced)
+            old = {t for s in reached for t in forced[s]
+                   if t in forced or (W[t] < 0 and t not in ones)}
+            assert reached.union(*(arcs[s] for s in reached)) == old
+            if len(arcs) <= 12:
+                assert brute_min_cut(arcs, W, forces=forced)[1] == reached
+                small += 1
+        assert small > 50
 
 
 class TestBuild:

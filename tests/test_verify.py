@@ -25,7 +25,7 @@ from fcfam.verify import (
     verify_nonfc,
 )
 
-from oracles import random_family
+from oracles import proof_nodes, random_family
 from test_sepip import random_instance, random_weights
 
 
@@ -309,24 +309,37 @@ class TestProofReplay:
         assert accepted > 20 and rejected > 20
 
     @pytest.mark.parametrize("corrupt, failure", [
-        (lambda flow, cands, ones: {arc: 2 * f for arc, f in flow.items()}, "capacity"),
+        (lambda flow, cands, into_ones: {arc: 2 * f for arc, f in flow.items()}, "capacity"),
         # a candidate sending into itself, a positive set
-        (lambda flow, cands, ones: {**flow, **{(s, s): 1 for s in cands}}, "forcing arc"),
+        (lambda flow, cands, into_ones: {**flow, **{(s, s): 1 for s in cands}}, "forcing arc"),
         # a candidate sending into a set it forces that is fixed to 1
-        (lambda flow, cands, ones: {**flow, **{(s, t): 1 for s in cands
-                                                for t in cands[s] & ones}}, "forcing arc"),
+        (lambda flow, cands, into_ones: {**flow, **dict.fromkeys(into_ones, 1)}, "forcing arc"),
     ], ids=["doubled", "into-positive", "into-ones"])
     def test_flow_is_checked_not_trusted(self, monkeypatch, larger_certs, corrupt, failure):
         # a flow code that reports more flow than the graph carries must not
         # make a leaf pass
         max_flow = fcfam.verify._max_flow
-
-        def bad_flow(cands, ones, W, start):
-            flow, reached = max_flow(cands, ones, W, start)
-            return corrupt(flow, cands, ones), reached
-
-        monkeypatch.setattr(fcfam.verify, "_max_flow", bad_flow)
         for cert in larger_certs:
+            base = union_closure(cert.family)
+            leaves = ((ones, zeros) for ones, zeros, entry in proof_nodes(base, cert.proof)
+                      if entry == LEAF)
+
+            def bad_flow(cands, W, start):
+                flow, reached = max_flow(cands, W, start)
+                # this flow's leaf is the next one in preorder with these arcs
+                for ones, zeros in leaves:
+                    forced = {s: {s | x for x in set(base.members) | ones}
+                              for s in range(len(W)) if W[s] > 0 and s not in ones | zeros}
+                    arcs = {s: {t for t in f if W[t] < 0 and t not in ones}
+                            for s, f in forced.items() if f.isdisjoint(zeros)}
+                    if arcs == {s: set(t) for s, t in cands.items()}:
+                        break
+                else:
+                    raise AssertionError("no leaf of the proof has these arcs")
+                into_ones = {(s, t) for s in cands for t in forced[s] & ones}
+                return corrupt(flow, cands, into_ones), reached
+
+            monkeypatch.setattr(fcfam.verify, "_max_flow", bad_flow)
             rep = verify_fc(cert)
             assert not rep.passed and failure in rep.failure
 
