@@ -133,7 +133,8 @@ def upper_bound(k: int, n: int, n0: int, m0: int) -> int:
     num = (m0 - 1) * math.perm(n, k)
     den = math.perm(n0, k)
     value = 1 + -(-num // den)
-    assert value <= math.comb(n, k)
+    if value > math.comb(n, k):
+        raise RuntimeError(f"upper bound {value} exceeds C({n}, {k})")
     return value
 
 
@@ -215,7 +216,8 @@ def is_fc(
         res = lp_solve(LinearProgram(orbit_part.num_orbits, [eq_row], list(ge_rows)))
         if isinstance(res, Infeasible):
             return _build_nonfc(family, n, domain, classes, res.certificate, symmetry)
-        assert isinstance(res, Feasible)
+        if not isinstance(res, Feasible):
+            raise RuntimeError(f"the LP returned {type(res).__name__}")
         point = tuple(res.point[o] for o in oid)
         if progress:
             progress(f"round {rounds}: {len(classes)} cut classes, separating")

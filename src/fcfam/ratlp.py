@@ -187,7 +187,8 @@ def lp_solve(lp: LinearProgram) -> LPResult:
                 lhs, best = row[rhs_col] * rows[leave][enter], rows[leave][rhs_col] * a
                 if lhs < best or (lhs == best and basis[r] < basis[leave]):
                     leave = r
-        assert leave >= 0, "phase one cannot be unbounded"
+        if leave < 0:
+            raise RuntimeError("phase one found no leaving row, but it cannot be unbounded")
         prow = rows[leave]
         p = prow[enter]
         for other in rows + [obj]:

@@ -25,8 +25,8 @@ The solve is exact branch and bound on integer-scaled weights.  A node with
 `verify` replays a leaf: a free positive S is a candidate iff no set in
 {S u X : X in base or O} is fixed to 0 (base u O is union-closed, so
 forcing is transitive and one pass suffices).  Each candidate S keeps only
-its arcs, the negative sets T not in O that it forces, in the order of its
-forcing set.  The bound is the maximum-weight closure of the forcing
+its arcs, the negative sets T not in O that it forces, in ascending order.
+The bound is the maximum-weight closure of the forcing
 relation (an integral relaxation of the LP; pairwise unions of distinct
 free sets are not modeled, which only relaxes): the value of O plus the
 candidates' weight W(cands) minus a maximum flow on the bipartite forcing
@@ -57,12 +57,29 @@ and with it the witness and the branch set, do not depend on the flow
 found.  The relaxed solution either closes into a feasible family or yields
 the branching set.  `verify` builds its own arcs and calls the same
 `_greedy_flow` and `_max_flow`, whose output it checks.
+
+The node state is held in bitsets, 2^n-bit ints in which bit x stands for
+the set x: O, Z, the base B and the negative sets NEG are one int each.
+With M[i] the bitset of the masks that contain element i, the family
+shift(F, s) = {x | s : x in F} takes one step per element i of s, which
+keeps F & M[i] and moves F & ~M[i] up by 2^i (`_shift`).  A candidate S
+forces F = shift(B | O, S); the filter is F & Z == 0, the arcs are the bits of
+F & NEG & ~O, closing S into O is O | F, and a picked S escapes the relaxed
+pick C into a negative set iff shift(C, S) & NEG & ~C is nonzero.  A right
+child has its parent's O (and so the same forcing sets and arcs) and its
+Z plus the branch set, so its candidates are its parent's, in the same
+order, but for those whose forcing set holds the branch set: it inherits
+them instead of filtering again.  The proof does not depend on the order of
+the arcs, which moves only the split between greedy and flow prunes: the
+candidates, the bound and the pick do not.
+
 `brute_separation` is the independent oracle: exhaustive enumeration over
 all subfamilies of D, returning the maximum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -146,7 +163,37 @@ def build_separation(base: Family, domain: Family) -> SeparationProblem:
 
 
 class _Found(Exception):
-    """Raised with (scaled value, member masks) of the first violated family."""
+    """Raised with (scaled value, bitset) of the first violated family."""
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_steps(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each mask s of [n], the steps of `_shift(F, s)` on 2^n-bit
+    bitsets: one per element i of s, as (M[i], the complement of M[i], 2^i),
+    where M[i] holds the masks that contain i."""
+    size = 1 << n
+    full = (1 << size) - 1
+    M = [sum(1 << x for x in range(size) if x >> i & 1) for i in range(n)]
+    return tuple(tuple((M[i], full ^ M[i], 1 << i) for i in range(n) if s >> i & 1)
+                 for s in range(size))
+
+
+def _shift(F: int, steps: tuple[tuple[int, int, int], ...]) -> int:
+    """{x | s : x in F} for a bitset F, given the steps of s: each element i
+    of s keeps the sets that hold i and moves every other set x to x + 2^i."""
+    for keep, move, by in steps:
+        F = (F & keep) | (F & move) << by
+    return F
+
+
+def _bits(F: int) -> list[int]:
+    """The masks of a bitset, in ascending order."""
+    out = []
+    while F:
+        low = F & -F
+        out.append(low.bit_length() - 1)
+        F ^= low
+    return out
 
 
 def solve_separation(
@@ -157,7 +204,9 @@ def solve_separation(
     """A violated family (optimum > 0), or optimum 0 with its proof."""
     n = problem.base.n
     lcm, W = _integer_weights(weights, problem.domain)
-    base_set = frozenset(problem.base.members)
+    steps = _shift_steps(n)
+    base = sum(1 << x for x in problem.base.members)
+    neg = sum(1 << s for s in problem.domain.members if W[s] < 0)
     pos_order = sorted((s for s in problem.domain.members if W[s] > 0),
                        key=lambda s: (-W[s], s))
 
@@ -175,28 +224,35 @@ def solve_separation(
         if deadline is not None and ticks % 64 == 0 and time.monotonic() > deadline:
             raise TimeoutError("separation deadline exceeded")
 
-    def close(ones: frozenset[int], seeds) -> frozenset[int]:
+    def close(ones: int, seeds) -> int:
         # ones is closed under unions with itself and the base, so base | ones
         # is union-closed and one step per seed keeps the family closed
         for s in seeds:
-            if s not in ones:
-                ones = ones | {s | x for x in base_set | ones}
+            if not ones >> s & 1:
+                ones |= _shift(base | ones, steps[s])
         return ones
 
-    def node(ones: frozenset[int], val: int, zeros: frozenset[int]) -> None:
+    def node(ones: int, val: int, zeros: int,
+             inherited: Optional[tuple[dict[int, list[int]], dict[int, int]]] = None) -> None:
         tick()
         if val > 0:
             raise _Found(val, ones)
 
-        # a free positive S is a candidate iff no set it forces, S | X for X
-        # in base | ones, is fixed to 0; forcing is transitive, so one pass
-        fixed = base_set | ones
-        cands: dict[int, list[int]] = {}  # candidate -> its arcs
-        for s in pos_order:
-            if s not in ones and s not in zeros:
-                forced = {s | x for x in fixed}
-                if forced.isdisjoint(zeros):
-                    cands[s] = [t for t in forced if W[t] < 0 and t not in ones]
+        free_neg = neg & ~ones
+        if inherited is None:
+            # a free positive S is a candidate iff no set it forces, S | X for
+            # X in base | ones, is fixed to 0; forcing is transitive, so one pass
+            fixed, taken = base | ones, ones | zeros
+            cands: dict[int, list[int]] = {}  # candidate -> its arcs
+            forcing: dict[int, int] = {}  # candidate -> the sets it forces
+            for s in pos_order:
+                if not taken >> s & 1:
+                    forced = _shift(fixed, steps[s])
+                    if not forced & zeros:
+                        cands[s] = _bits(forced & free_neg)
+                        forcing[s] = forced
+        else:
+            cands, forcing = inherited
 
         bound = val + sum(W[s] for s in cands)
         if bound <= 0:
@@ -210,34 +266,40 @@ def solve_separation(
         # try to close the relaxed pick, the reached candidates (closed under
         # forcing) and their arcs, into a feasible family
         wit = close(ones, reached)
-        if wit.isdisjoint(zeros):
-            wval = sum(W[s] for s in wit)
+        if not wit & zeros:
+            wval = val + sum(W[s] for s in _bits(wit & ~ones))
             if wval > 0:
                 raise _Found(wval, wit)
         # branch on a picked set whose pairwise unions escape the relaxed
         # pick into uncounted negative-weight territory; fixing it either
         # way tightens exactly that gap
-        chosen = ones.union(reached, *(cands[s] for s in reached))
+        chosen = ones
+        for s in reached:
+            chosen |= 1 << s | forcing[s] & free_neg
         branch = None
         for s in cands:
             if s not in reached:
                 continue
             if branch is None:
                 branch = s
-            if any(s | o not in chosen and W[s | o] < 0 for o in chosen):
+            if _shift(chosen, steps[s]) & neg & ~chosen:
                 branch = s
                 break
         proof.append(branch)
-        grown = close(ones, [branch])
-        if grown.isdisjoint(zeros):
-            node(grown, val + sum(W[s] for s in grown - ones), zeros)
-        node(ones, val, zeros | {branch})
+        grown = ones | forcing[branch]
+        if not grown & zeros:
+            node(grown, val + sum(W[s] for s in _bits(grown & ~ones)), zeros)
+        # the right child keeps ones and adds branch to zeros: its candidates
+        # are these, with these arcs, but for those that force branch
+        bit = 1 << branch
+        node(ones, val, zeros | bit,
+             ({s: arcs for s, arcs in cands.items() if not forcing[s] & bit}, forcing))
 
     try:
-        node(frozenset(), 0, frozenset())
+        node(0, 0, 0)
     except _Found as found:
-        value, masks = found.args
-        return SeparationResult(Fraction(value, lcm), Family.from_masks(n, masks),
+        value, wit = found.args
+        return SeparationResult(Fraction(value, lcm), Family.from_masks(n, _bits(wit)),
                                 nodes=ticks, **pruned)
     return SeparationResult(Fraction(0), Family.from_masks(n, ()), tuple(proof),
                             nodes=ticks, **pruned)
@@ -254,13 +316,13 @@ def _greedy_flow(
     Any feasible flow f bounds the relaxation by W(cands) - f, so a node this
     value prunes is pruned by the maximum flow too.
     """
-    room: dict[int, int] = {}  # negative set -> capacity left on its sink arc
+    room = [-w for w in W]  # by mask: capacity left on a negative set's sink arc
     pushes: dict[tuple[int, int], int] = {}
     total = 0
     for s, arcs in cands.items():
         left = W[s]
         for t in arcs:
-            push = min(left, room.setdefault(t, -W[t]))
+            push = room[t] if room[t] < left else left
             if push:
                 room[t] -= push
                 pushes[s, t] = push
@@ -290,11 +352,13 @@ def _max_flow(
     are the same for every maximum flow and so do not depend on `start`.
     """
     flow = dict(start)
-    room = {s: W[s] for s in cands}  # capacity left on each source and sink arc
+    # by mask: capacity left on a candidate's source arc or a negative set's
+    # sink arc, |W| at the start
+    room = [abs(w) for w in W]
     senders: dict[int, set[int]] = {}  # negative set -> candidates sending into it
     for (s, t), f in flow.items():
         room[s] -= f
-        room[t] = room.get(t, -W[t]) - f
+        room[t] -= f
         senders.setdefault(t, set()).add(s)
     while True:
         queue = [s for s in cands if room[s]]
@@ -306,7 +370,7 @@ def _max_flow(
                 if t in via:
                     continue
                 via[t] = s
-                if room.setdefault(t, -W[t]):
+                if room[t]:
                     end = t
                     break
                 for u in senders[t]:

@@ -28,9 +28,9 @@ feasible family B below the leaf, C the candidates in B and N(C) the
 negative sets outside O that C forces, all in B.  Every unit of flow
 leaves a candidate outside C or enters N(C), so
 F <= W(candidates outside C) - W(N(C)), and
-W(B) <= val + W(C) + W(N(C)) <= val + W(candidates) - F.  The flow comes
-from the shared `_max_flow`, started from the shared greedy flow; the
-checks above are made here.
+W(B) <= val + W(C) + W(N(C)) <= val + W(candidates) - F.  The flow is the
+shared greedy flow when it settles the leaf, else the shared `_max_flow`
+started from it; the checks above are made here, on each flow used.
 
 Non-FC certificates are replayed as a pure Farkas computation: with
 multipliers y_B >= 0 and lambda on sum(c) = 1,
@@ -207,7 +207,7 @@ def check_separation_proof(
                     cands[s] = [t for t in forced if W[t] < 0 and t not in ones]
         bound = val + sum(W[s] for s in cands)
         if bound > 0:
-            bound -= _checked_flow(cands, W)
+            bound -= _checked_flow(cands, W, bound)
         if bound > 0:
             raise _ProofError(f"a leaf bounds the value only by {bound}/{lcm} > 0")
 
@@ -234,11 +234,20 @@ def check_separation_proof(
     return None
 
 
-def _checked_flow(cands: dict[int, list[int]], W: list[int]) -> int:
-    """Value of a max flow on a leaf's forcing graph, after checking that
-    it sends only along the arcs this leaf built itself and respects every
-    capacity."""
-    flow, _ = _max_flow(cands, W, _greedy_flow(cands, W)[1])
+def _checked_flow(cands: dict[int, list[int]], W: list[int], bound: int) -> int:
+    """Value of a flow on a leaf's forcing graph, after checking that it
+    sends only along the arcs this leaf built itself and respects every
+    capacity: the greedy flow when its value reaches `bound`, else a max
+    flow augmented from it."""
+    greedy = _greedy_flow(cands, W)[1]
+    value = _flow_value(cands, W, greedy)
+    if value >= bound:
+        return value
+    return _flow_value(cands, W, _max_flow(cands, W, greedy)[0])
+
+
+def _flow_value(cands: dict[int, list[int]], W: list[int],
+                flow: dict[tuple[int, int], int]) -> int:
     sent: dict[int, int] = {}
     received: dict[int, int] = {}
     for (s, t), f in flow.items():

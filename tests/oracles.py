@@ -247,6 +247,22 @@ def proof_nodes(base: Family, proof) -> Iterator[tuple[frozenset, frozenset, int
     return walk(frozenset(), frozenset())
 
 
+def separation_candidates(base: Family, domain: Family, W, ones, zeros) -> dict:
+    """The candidates of a separation node by the set rule, the reference
+    for the bitset filter of `sepip.solve_separation`: in the search's order
+    (weight descending, then mask), each free positive set S none of whose
+    forced sets {S | X : X in base or ones} is fixed to 0, mapped to its
+    arcs, the negative sets outside ones that it forces, ascending."""
+    fixed = set(base.members) | set(ones)
+    out = {}
+    for s in sorted((s for s in domain.members if W[s] > 0), key=lambda s: (-W[s], s)):
+        if s not in ones and s not in zeros:
+            forced = {s | x for x in fixed}
+            if forced.isdisjoint(zeros):
+                out[s] = sorted(t for t in forced if W[t] < 0 and t not in ones)
+    return out
+
+
 def fraction_check_farkas(lp: LinearProgram, cert: FarkasCertificate) -> bool:
     """Replay of a Farkas certificate in `Fraction` arithmetic, row by row:
     the reference for `ratlp.check_farkas`."""

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import random
@@ -121,6 +122,20 @@ class TestInvariants:
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "raised"
+
+
+    def test_no_assert_guards_a_result(self):
+        # python -O strips assert statements, so none may stand in src/
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src", "fcfam")
+        found = []
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), name)
+                found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                          if isinstance(node, ast.Assert)]
+        assert found == []
 
 
 class TestClosedForms:

@@ -21,13 +21,15 @@ from fcfam.sepip import (
     LEAF,
     _greedy_flow,
     _max_flow,
+    _shift,
+    _shift_steps,
     brute_separation,
     build_separation,
     solve_separation,
 )
 from fcfam.verify import check_separation_proof
 
-from oracles import brute_min_cut, family_value, proof_nodes
+from oracles import brute_min_cut, family_value, proof_nodes, separation_candidates
 
 
 def uniform(n):
@@ -127,8 +129,10 @@ def test_prunes_account_for_every_leaf():
             totals[i] += count
     assert searched > 20
     # nodes, and prunes by the trivial, the greedy and the max-flow bound;
-    # like the digest, these move only with a change to the search itself
-    assert totals == [733, 0, 239, 13]
+    # like the digest, these move only with a change to the search itself,
+    # but for the greedy/flow split, which follows the order of each
+    # candidate's arcs (ascending by mask)
+    assert totals == [733, 0, 248, 4]
 
 
 def test_greedy_prunes_only_what_the_max_flow_prunes(monkeypatch):
@@ -315,6 +319,74 @@ class TestFlows:
                 assert brute_min_cut(arcs, W, forces=forced)[1] == reached
                 small += 1
         assert small > 50
+
+
+def bitset(masks):
+    return sum(1 << x for x in set(masks))
+
+
+def set_rule_branch(cands, W, ones):
+    """The branch set of a node by the set rule: among the reached
+    candidates, in candidate order, the first whose unions with the relaxed
+    pick escape it into a negative set, else the first."""
+    _, reached = _max_flow(cands, W, _greedy_flow(cands, W)[1])
+    chosen = set(ones).union(reached, *(cands[s] for s in reached))
+    picked = [s for s in cands if s in reached]
+    return next((s for s in picked
+                 if any(s | o not in chosen and W[s | o] < 0 for o in chosen)), picked[0])
+
+
+class TestBitsets:
+    def test_shift_is_the_union_with_every_member(self):
+        rng = random.Random(31)
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            fam = rng.sample(range(1 << n), rng.randint(0, min(1 << n, 40)))
+            s = rng.randrange(1 << n)
+            assert _shift(bitset(fam), _shift_steps(n)[s]) == bitset(s | x for x in fam)
+
+    def test_branch_test_is_the_escape_rule(self):
+        rng = random.Random(32)
+        escapes = 0
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            W = [rng.randint(-3, 3) for _ in range(1 << n)]
+            neg = bitset(t for t in range(1 << n) if W[t] < 0)
+            chosen = set(rng.sample(range(1 << n), rng.randint(0, min(1 << n, 30))))
+            s = rng.randrange(1 << n)
+            got = bool(_shift(bitset(chosen), _shift_steps(n)[s]) & neg & ~bitset(chosen))
+            assert got == any(s | o not in chosen and W[s | o] < 0 for o in chosen)
+            escapes += got
+        assert 50 < escapes < 350
+
+    def test_every_node_matches_the_set_rule(self, monkeypatch):
+        # at every node of real proofs, the candidates handed to the greedy
+        # flow (a right child's inherited from its parent, any other node's
+        # filtered afresh) are the set rule's, in the same order and with
+        # the same arcs, and each branch set is the set rule's pick
+        nodes = branches = 0
+        for base, w, dom in flow_instances():
+            calls = []
+            greedy = fcfam.sepip._greedy_flow
+            monkeypatch.setattr(fcfam.sepip, "_greedy_flow",
+                                lambda cands, W: calls.append(cands) or greedy(cands, W))
+            res = solve_separation(build_separation(base, dom), w)
+            monkeypatch.undo()
+            if res.proof is None:
+                continue
+            _, W = fcfam.sepip._integer_weights(w, dom)
+            pending = iter(calls)
+            for ones, zeros, entry in proof_nodes(base, res.proof):
+                cands = separation_candidates(base, dom, W, ones, zeros)
+                if sum(W[s] for s in ones) + sum(W[s] for s in cands) > 0:
+                    assert list(next(pending).items()) == list(cands.items())
+                    nodes += 1
+                if entry != LEAF:
+                    assert entry == set_rule_branch(cands, W, ones)
+                    branches += 1
+            assert next(pending, None) is None
+        # each branch set has one right child
+        assert nodes > 400 and branches > 100
 
 
 class TestBuild:
