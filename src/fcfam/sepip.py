@@ -58,6 +58,22 @@ found.  The relaxed solution either closes into a feasible family or yields
 the branching set.  `verify` builds its own arcs and calls the same
 `_greedy_flow` and `_max_flow`, whose output it checks.
 
+The branch set is a reached candidate whose unions with the relaxed pick
+escape it into negative sets, its escape; fixing it either way tightens
+that gap.  The rule has two regimes, split by the 0-fixed sets Z.  Z is
+empty exactly on the leftmost path, the search's first dive, and there the
+branch set is the first escaping candidate in candidate order.  That keeps
+which violated family a solve finds first, and so the cuts: the heaviest
+escape on the first dive too finds other families, and on the decisions
+measured they made weaker cuts and more separation rounds.  Below the first
+dive the branch set is the candidate whose escape weighs the most,
+-W(escape), the first on ties (Achterberg, Koch & Martin, "Branching rules
+revisited", 2005), which made the measured proofs 1.7 (n = 7) to 8 (n = 8)
+times smaller; the scan stops at the first candidate whose escape weighs at
+least the node's gap, the bound minus the maximum flow.  With no escape,
+the branch set is the first reached candidate.  `verify` replays whatever
+branch sets a proof holds.
+
 The node state is held in bitsets, 2^n-bit ints in which bit x stands for
 the set x: O, Z, the base B and the negative sets NEG are one int each.
 With M[i] the bitset of the masks that contain element i, the family
@@ -84,7 +100,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .setfam import DECISION_GROUND_CAP, Family, is_union_closed, universe
 from .ratlp import frac
@@ -114,10 +130,10 @@ class SeparationProblem:
     domain: Family
 
 
-def _integer_weights(weights: Sequence, domain: Family) -> tuple[int, list[int]]:
+def _integer_weights(weights: Sequence, domain: Family) -> tuple[int, list[int], list[int]]:
     """Check one round's weights and scale them to integers: the lcm L of
-    their denominators and, by mask, W[S] = L - 2 * sum_{i in S} L*c_i for
-    each domain set S (0 elsewhere)."""
+    their denominators, by mask W[S] = L - 2 * sum_{i in S} L*c_i for each
+    domain set S (0 elsewhere), and the scaled weights L*c_i."""
     w = tuple(frac(x) for x in weights)
     if len(w) != domain.n:
         raise ValueError(f"expected {domain.n} weights, got {len(w)}")
@@ -130,7 +146,7 @@ def _integer_weights(weights: Sequence, domain: Family) -> tuple[int, list[int]]
     W = [0] * (1 << domain.n)
     for s in domain.members:
         W[s] = lcm - 2 * sum(c for i, c in enumerate(scaled) if s >> i & 1)
-    return lcm, W
+    return lcm, W, scaled
 
 
 def _validate_base_domain(base: Family, domain: Family) -> None:
@@ -186,6 +202,20 @@ def _shift(F: int, steps: tuple[tuple[int, int, int], ...]) -> int:
     return F
 
 
+def _weigher(lcm: int, scaled: Sequence[int]) -> Callable[[int], int]:
+    """weigh(F), the total weight W(F) of a bitset F of domain sets, by n+1
+    popcounts instead of listing F: W(F) = L*|F| - 2 * sum_i L*c_i * |F & M[i]|,
+    for the lcm L and the scaled weights L*c_i of `_integer_weights`."""
+    # the steps of the full mask hold every M[i], in element order
+    every = _shift_steps(len(scaled))[-1]
+    terms = [(2 * c, keep) for c, (keep, _, _) in zip(scaled, every) if c]
+
+    def weigh(F: int) -> int:
+        return lcm * F.bit_count() - sum(c * (F & keep).bit_count() for c, keep in terms)
+
+    return weigh
+
+
 def _bits(F: int) -> list[int]:
     """The masks of a bitset, in ascending order."""
     out = []
@@ -203,7 +233,8 @@ def solve_separation(
 ) -> SeparationResult:
     """A violated family (optimum > 0), or optimum 0 with its proof."""
     n = problem.base.n
-    lcm, W = _integer_weights(weights, problem.domain)
+    lcm, W, scaled = _integer_weights(weights, problem.domain)
+    weigh = _weigher(lcm, scaled)
     steps = _shift_steps(n)
     base = sum(1 << x for x in problem.base.members)
     neg = sum(1 << s for s in problem.domain.members if W[s] < 0)
@@ -261,34 +292,44 @@ def solve_separation(
         if bound <= greedy:
             return leaf("pruned_greedy")
         flow, reached = _max_flow(cands, W, pushes)
-        if bound <= sum(flow.values()):
+        gap = bound - sum(flow.values())
+        if gap <= 0:
             return leaf("pruned_flow")
         # try to close the relaxed pick, the reached candidates (closed under
         # forcing) and their arcs, into a feasible family
         wit = close(ones, reached)
         if not wit & zeros:
-            wval = val + sum(W[s] for s in _bits(wit & ~ones))
+            wval = val + weigh(wit & ~ones)
             if wval > 0:
                 raise _Found(wval, wit)
         # branch on a picked set whose pairwise unions escape the relaxed
         # pick into uncounted negative-weight territory; fixing it either
-        # way tightens exactly that gap
+        # way tightens exactly that gap.  Take the heaviest escape, which
+        # shrinks the proof, and stop the scan at one that outweighs the
+        # node's gap; but on the first dive (no set fixed to 0) stop at the
+        # first escape, which keeps the violated families the solve finds,
+        # and so the cuts: a heavier branch there finds others that cut less
         chosen = ones
         for s in reached:
             chosen |= 1 << s | forcing[s] & free_neg
-        branch = None
+        branch, heaviest = None, 0
+        enough = gap if zeros else 0
         for s in cands:
             if s not in reached:
                 continue
             if branch is None:
                 branch = s
-            if _shift(chosen, steps[s]) & neg & ~chosen:
-                branch = s
-                break
+            escape = _shift(chosen, steps[s]) & neg & ~chosen
+            if escape:
+                weight = -weigh(escape)
+                if weight > heaviest:
+                    branch, heaviest = s, weight
+                    if weight >= enough:
+                        break
         proof.append(branch)
         grown = ones | forcing[branch]
         if not grown & zeros:
-            node(grown, val + sum(W[s] for s in _bits(grown & ~ones)), zeros)
+            node(grown, val + weigh(grown & ~ones), zeros)
         # the right child keeps ones and adds branch to zeros: its candidates
         # are these, with these arcs, but for those that force branch
         bit = 1 << branch
@@ -406,7 +447,7 @@ def _max_flow(
 def brute_separation(base: Family, weights: Sequence, domain: Family) -> SeparationResult:
     """Exhaustive oracle over all subfamilies of the domain (|D| <= 16)."""
     _validate_base_domain(base, domain)
-    lcm, W = _integer_weights(weights, domain)
+    lcm, W, _ = _integer_weights(weights, domain)
     mem = domain.members
     nd = len(mem)
     if nd > BRUTE_DOMAIN_CAP:

@@ -1,9 +1,11 @@
 """FC(5,7) = 14 and FC(6,8) = 26 end to end, with the Non-FC class count of
-every (universe size u, m) cell up to the value.
+every (universe size u, m) cell up to the value, and the size of an n = 8
+FC proof.
 
 At jobs=1 the runs take 43 s and 175 s on a 2-core Intel Xeon virtual
-machine with Python 3.11.7, so both are marked `slow` and deselected by
-default.  Run them with
+machine with Python 3.11.7, and the n = 8 decision with its verification
+about 10 s each way, so all are marked `slow` and deselected by default.
+Run them with
 
     PYTHONPATH=src python -m pytest -m slow tests/test_pinned_values.py
 """
@@ -11,6 +13,8 @@ default.  Run them with
 import pytest
 
 from fcfam.enumfam import fc_value
+from fcfam.fcsolve import is_fc
+from fcfam.setfam import lex_prefix
 from fcfam.verify import verify_certificate
 
 # u: Non-FC class counts for m = 1..value-1, then 0 at m = value
@@ -37,3 +41,15 @@ def test_pinned_fc_value(k, n, value, rows):
     assert rep.counts == {(u, m): c for u, row in rows.items() for m, c in enumerate(row, 1)}
     assert len(rep.witness.members) == value - 1
     assert verify_certificate(rep.witness_certificate).passed
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
+def test_n8_proof_stays_small(warm_start):
+    # the first 12 4-subsets of [8]: a proof of 6,703 entries warm and 7,757
+    # cold, against 31,691 and 59,937 when every node branched on its first
+    # escape
+    cert = is_fc(lex_prefix(8, 4, 12), warm_start=warm_start)
+    assert cert.kind == "fc"
+    assert verify_certificate(cert).passed
+    assert len(cert.proof) <= 12_000

@@ -23,6 +23,7 @@ from fcfam.sepip import (
     _max_flow,
     _shift,
     _shift_steps,
+    _weigher,
     brute_separation,
     build_separation,
     solve_separation,
@@ -102,10 +103,11 @@ def trajectory_digest():
 
 
 # sha256 of every trajectory instance's optimum, witness and proof, as the
-# search produced them before the greedy and warm-started flow bounds; those
-# bounds only skip work, so the digest must not move.  A change meant to alter
-# the search prints the new digest with  PYTHONPATH=src python tests/test_sepip.py
-TRAJECTORY_SHA256 = "e50f11bc6d718e7bfe6d2cca6ee3ebb848c4655347ffc8a157a2ef3ffb592fed"
+# search produces them branching on the heaviest escape off the first dive; a
+# change that only skips work (a cheaper bound, a warm-started flow) must not
+# move it.  A change meant to alter the search prints the new digest with
+# PYTHONPATH=src python tests/test_sepip.py
+TRAJECTORY_SHA256 = "5d6d3a86176905bc6f67bc2cf361a58000b46c8768c28c3f000cdbef10384e1d"
 
 
 def test_search_trajectory_is_pinned():
@@ -132,7 +134,7 @@ def test_prunes_account_for_every_leaf():
     # like the digest, these move only with a change to the search itself,
     # but for the greedy/flow split, which follows the order of each
     # candidate's arcs (ascending by mask)
-    assert totals == [733, 0, 248, 4]
+    assert totals == [745, 0, 254, 4]
 
 
 def test_greedy_prunes_only_what_the_max_flow_prunes(monkeypatch):
@@ -208,7 +210,7 @@ def forcing_nodes(monkeypatch):
         monkeypatch.undo()
         if res.proof is None:
             continue
-        _, W = fcfam.sepip._integer_weights(w, dom)
+        _, W, _ = fcfam.sepip._integer_weights(w, dom)
         pending = iter(calls)
         call = next(pending, None)
         for ones, zeros, _ in proof_nodes(base, res.proof):
@@ -325,15 +327,28 @@ def bitset(masks):
     return sum(1 << x for x in set(masks))
 
 
-def set_rule_branch(cands, W, ones):
-    """The branch set of a node by the set rule: among the reached
-    candidates, in candidate order, the first whose unions with the relaxed
-    pick escape it into a negative set, else the first."""
-    _, reached = _max_flow(cands, W, _greedy_flow(cands, W)[1])
+def set_rule_branch(cands, W, ones, zeros):
+    """The branch set of a node by the set rule.  A reached candidate's
+    escape is the negative sets outside the relaxed pick that its unions
+    with the pick fall on.  With no set fixed to 0, the first reached
+    candidate, in candidate order, whose escape is nonempty; otherwise the
+    one whose escape weighs the most, the first on ties, scanning no further
+    than the first whose escape weighs at least the node's gap (its bound
+    minus the maximum flow).  With no escape, the first reached candidate."""
+    flow, reached = _max_flow(cands, W, _greedy_flow(cands, W)[1])
+    gap = sum(W[s] for s in ones) + sum(W[s] for s in cands) - sum(flow.values())
     chosen = set(ones).union(reached, *(cands[s] for s in reached))
     picked = [s for s in cands if s in reached]
-    return next((s for s in picked
-                 if any(s | o not in chosen and W[s | o] < 0 for o in chosen)), picked[0])
+    best, heaviest = picked[0], 0
+    for s in picked:
+        weight = -sum(W[t] for t in {s | o for o in chosen} - chosen if W[t] < 0)
+        if weight and not zeros:
+            return s
+        if weight > heaviest:
+            best, heaviest = s, weight
+            if weight >= gap:
+                break
+    return best
 
 
 class TestBitsets:
@@ -344,6 +359,23 @@ class TestBitsets:
             fam = rng.sample(range(1 << n), rng.randint(0, min(1 << n, 40)))
             s = rng.randrange(1 << n)
             assert _shift(bitset(fam), _shift_steps(n)[s]) == bitset(s | x for x in fam)
+
+    def test_weigh_is_the_sum_of_the_weights(self):
+        # weights with zeros and unequal denominators, over random domains
+        rng = random.Random(33)
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            raw = [Fraction(rng.choice([0, 0, 1, 2, 5]), rng.randint(1, 9)) for _ in range(n)]
+            if not any(raw):
+                raw[rng.randrange(n)] = Fraction(1)
+            w = [x / sum(raw) for x in raw]
+            seeds = rng.sample(range(1 << n), min(1 << n, rng.randint(1, 6)))
+            dom = powerset_family(n) if rng.random() < 0.5 else union_closure(
+                Family.from_masks(n, seeds + [0]))
+            lcm, W, scaled = fcfam.sepip._integer_weights(w, dom)
+            weigh = _weigher(lcm, scaled)
+            F = bitset(x for x in dom.members if rng.random() < 0.5)
+            assert weigh(F) == sum(W[x] for x in fcfam.sepip._bits(F))
 
     def test_branch_test_is_the_escape_rule(self):
         rng = random.Random(32)
@@ -374,7 +406,7 @@ class TestBitsets:
             monkeypatch.undo()
             if res.proof is None:
                 continue
-            _, W = fcfam.sepip._integer_weights(w, dom)
+            _, W, _ = fcfam.sepip._integer_weights(w, dom)
             pending = iter(calls)
             for ones, zeros, entry in proof_nodes(base, res.proof):
                 cands = separation_candidates(base, dom, W, ones, zeros)
@@ -382,7 +414,7 @@ class TestBitsets:
                     assert list(next(pending).items()) == list(cands.items())
                     nodes += 1
                 if entry != LEAF:
-                    assert entry == set_rule_branch(cands, W, ones)
+                    assert entry == set_rule_branch(cands, W, ones, zeros)
                     branches += 1
             assert next(pending, None) is None
         # each branch set has one right child

@@ -384,7 +384,7 @@ class TestProofReplay:
         assert len(values) == len(bounds)
         short = sum(value < bound for value, bound in zip(values, bounds))
         assert len(calls) == short
-        assert 0 < short < len(bounds) // 10
+        assert 0 < short < len(bounds) // 8
 
     def test_verify_never_searches(self, monkeypatch, larger_certs):
         def refuse(*args, **kwargs):
