@@ -98,14 +98,12 @@ def _cmd_isfc(args) -> int:
         deadline=time.monotonic() + args.time_limit if args.time_limit else None,
         progress=_progress,
     )
-    payload = json.dumps(certificate_to_dict(cert), indent=1)
     out = args.out or _out_path(args, "certificate.json")
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        fcsolve.save_certificate(cert, out)
         _progress(f"certificate written to {out}")
     else:
-        print(payload)
+        print(json.dumps(certificate_to_dict(cert), indent=1))
     _progress(f"verdict: {'FC' if cert.kind == 'fc' else 'Non-FC'}")
     return 0
 

@@ -8,9 +8,10 @@ separation solve, which either returns a violated family (the next cut) or
 proves that none exists.  An LP-infeasibility ends in a Non-FC certificate
 (cuts plus Farkas multipliers), a proof ends in an FC certificate (the
 weights, the cuts that pinned them down, and the final separation's search
-tree).  The separation instance is built once, on the first feasible LP
-round, so a decision settled by its first LP builds none; a caller's domain
-is validated before that LP.
+tree).  The separation instance is built once: over a caller's domain
+before the first LP, which validates the domain, and over the full domain
+on the first feasible LP round, so a full-domain decision that its first
+LP settles builds none.
 
 The LP has one variable per automorphism orbit of <A> when symmetry is
 enabled, and one per element otherwise (the same construction over the
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,11 +55,10 @@ from .ratlp import (
     FarkasCertificate,
     Infeasible,
     LinearProgram,
-    frac,
     frac_str,
     lp_solve,
 )
-from .sepip import LEAF, _validate_base_domain, build_separation, solve_separation
+from .sepip import LEAF, _bits, _shift, _shift_steps, build_separation, solve_separation
 
 ProgressFn = Callable[[str], None]
 
@@ -159,10 +160,10 @@ def is_fc(
     if universe(family) != full:
         raise ValueError("family universe must be all of [n] (compact it first)")
     closure = union_closure(family)
-    if domain is not None:
-        # before the first LP, so an invalid domain never gets a verdict
-        _validate_base_domain(closure, domain)
-    dom = domain if domain is not None else powerset_family(n)
+    # a caller's domain is validated before the first LP, so an invalid one
+    # never gets a verdict; the full domain's instance waits for the first
+    # feasible round
+    prob = None if domain is None else build_separation(closure, domain)
 
     # without symmetry every element is its own orbit
     gens: list[tuple[int, ...]] = generating_set(closure) if symmetry else []
@@ -194,21 +195,23 @@ def is_fc(
         return True
 
     if warm_start:
-        # the classically strongest inequalities: B = <A> |+| P([n] \ {i}),
-        # with the right factor cut down to the domain (the intersection is
-        # still union-closed, and D being union-closed keeps B inside D)
-        dom_set = set(dom.members)
-        for i in range(n):
-            rest = full & ~(1 << i)
-            sub = [m for m in dom.members if m & rest == m]
-            b = Family.from_masks(n, (a | s for a in closure.members for s in sub))
-            if b.members and all(m in dom_set for m in b.members):
-                add_cut(b)
+        # the classically strongest inequalities: B_i = <A> |+| D_i, with D_i
+        # the domain sets that avoid element i, built on bitsets (bit x for
+        # the set x) by B |= shift(B, a) for each member a of A.  B_i needs
+        # no check: D_i holds the empty set, so B_i holds <A> and is not
+        # empty, and the validated D is union-closed and holds <A>, so B_i
+        # stays inside D
+        steps = _shift_steps(n)
+        inside = (1 << (1 << n)) - 1 if domain is None else sum(1 << s for s in domain.members)
+        for _, avoids, _ in steps[full]:
+            b = inside & avoids
+            for a in family.members:
+                b |= _shift(b, steps[a])
+            add_cut(Family(n, tuple(_bits(b))))
 
     # sum(c) = 1 weighs each orbit's variable by the orbit's size
     eq_row = (over_orbits([1] * n), Fraction(1))
     rounds = 0
-    prob = None  # the separation instance, built on the first feasible round
     while True:
         rounds += 1
         if deadline is not None and time.monotonic() > deadline:
@@ -222,7 +225,7 @@ def is_fc(
         if progress:
             progress(f"round {rounds}: {len(classes)} cut classes, separating")
         if prob is None:
-            prob = build_separation(closure, dom)
+            prob = build_separation(closure, powerset_family(n))
         sep = solve_separation(prob, point, deadline=deadline)
         if sep.optimum > 0:
             if not add_cut(sep.witness):
@@ -297,20 +300,30 @@ def certificate_to_dict(cert: Certificate) -> dict:
     return out
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _rational(x) -> Fraction:
+    """An exact rational as the file holds it: an int or a "p/q" string.
+    Floats (binary approximations) and booleans are refused."""
+    if type(x) is int or isinstance(x, str) and _RATIONAL.fullmatch(x):
+        return Fraction(x)
+    raise CertificateError(f"{x!r} is not an exact rational (an int or a \"p/q\" string)")
+
+
 def certificate_from_dict(data: dict) -> Certificate:
     try:
         kind = data["kind"]
-        n = int(data["n"])
+        n, symmetry = data["n"], data["symmetry"]
+        if type(n) is not int or type(symmetry) is not bool:
+            raise CertificateError("n must be an integer and symmetry true or false")
         if not 1 <= n <= DECISION_GROUND_CAP:
             raise CertificateError(f"ground size {n} out of range")
         family = Family.from_sets(n, data["family"])
-        domain = None
-        if data["domain"] != "full":
-            domain = Family.from_sets(n, data["domain"])
+        domain = None if data["domain"] == "full" else Family.from_sets(n, data["domain"])
         cuts = [Cut.from_family(Family.from_sets(n, f)) for f in data["cuts"]]
-        symmetry = bool(data["symmetry"])
         if kind == "fc":
-            weights = tuple(frac(w) for w in data["weights"])
+            weights = tuple(_rational(w) for w in data["weights"])
             if len(weights) != n:
                 raise CertificateError("weight count does not match n")
             if "proof" not in data:
@@ -321,10 +334,10 @@ def certificate_from_dict(data: dict) -> Certificate:
             return FcCertificate(family, n, domain, weights, cuts, symmetry, proof)
         if kind == "non-fc":
             farkas = data["farkas"]
-            multipliers = tuple(frac(y) for y in farkas["multipliers"])
+            multipliers = tuple(_rational(y) for y in farkas["multipliers"])
             if len(multipliers) != len(cuts):
                 raise CertificateError("multiplier count does not match cut count")
-            lam = frac(farkas["lambda"])
+            lam = _rational(farkas["lambda"])
             return NonFcCertificate(family, n, domain, cuts, multipliers, lam, symmetry)
         raise CertificateError(f"unknown certificate kind {kind!r}")
     except CertificateError:

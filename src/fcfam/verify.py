@@ -136,7 +136,7 @@ def _cuts_wellformed(cert: Certificate, dom: Family, closure: Family, ck: _Check
         if not is_union_closed(cut.family):
             return ck.run("cuts-wellformed", False, f"cut {idx}: not union-closed")
         absorbed = uplus(closure, cut.family) if cut.family.members else cut.family
-        if absorbed != Family(cert.n, cut.family.members):
+        if absorbed != cut.family:
             return ck.run("cuts-wellformed", False, f"cut {idx}: not absorbed by <A>")
     return ck.run("cuts-wellformed", True)
 

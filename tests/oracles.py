@@ -193,6 +193,19 @@ def random_family(rng, max_n: int = 6, max_members: int = 8) -> Family:
     return Family.from_masks(n, masks)
 
 
+def warm_start_cuts(family: Family, domain: Family) -> list[Family]:
+    """The warm-start families <A> |+| (D & P([n] minus {i})) for i = 1..n, in
+    that order, each kept at its first appearance."""
+    closure = brute_union_closure(family).members
+    out: list[Family] = []
+    for i in range(family.n):
+        avoid = [d for d in domain.members if not d >> i & 1]
+        cut = Family.from_masks(family.n, (a | d for a in closure for d in avoid))
+        if cut not in out:
+            out.append(cut)
+    return out
+
+
 def family_value(fam: Family, weights) -> Fraction:
     """|B| - 2 * sum_i c_i |B_i|: positive exactly when B violates the weights."""
     total = Fraction(len(fam.members))

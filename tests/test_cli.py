@@ -30,6 +30,9 @@ class TestIsfcAndVerify:
         assert dispatch(["verify", cert_path]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+        # --out writes byte for byte what stdout prints
+        assert dispatch(["isfc", fam_file]) == 0
+        assert open(cert_path).read() == capsys.readouterr().out
 
     def test_verify_detects_tamper(self, fam_file, tmp_path, capsys):
         cert_path = str(tmp_path / "cert.json")
@@ -232,3 +235,4 @@ class TestReadme:
             flags = [w.strip("[]") for w in words if w.strip("[]").startswith("-")]
             unknown += [(cmd, f) for f in flags if f not in accepted]
         assert unknown == []
+        assert {cmd for _, cmd, *_ in commands} == set(subparsers.choices)

@@ -1,5 +1,8 @@
 import ast
+import functools
+import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -30,7 +33,7 @@ from fcfam.fcsolve import (
 )
 from fcfam.verify import verify_certificate
 
-from oracles import brute_poonen_fc, random_family
+from oracles import brute_poonen_fc, random_family, warm_start_cuts
 
 
 class TestKnownDecisions:
@@ -281,6 +284,34 @@ class TestCertificateFormat:
         assert data["domain"] != "full"
         assert sorted(map(len, data["domain"])) == [0, 2, 2, 2, 3]
 
+    @pytest.mark.parametrize("n, where, value", [
+        (3, "n", 3.7),  # int(3.7) == 3
+        (3, "n", "3"),
+        (1, "n", True),  # int(True) == 1
+        (3, "symmetry", "false"),  # bool("false") is True
+        (3, "lambda", -14.0),  # the value stored, as a float
+        (2, "weights", [0.5, 0.5]),
+    ], ids=["n-float", "n-string", "n-bool", "symmetry-string", "lambda-float", "weights-float"])
+    def test_field_types_rejected(self, n, where, value, tmp_path, capsys):
+        """A float, a string or a boolean where the format wants an integer,
+        a boolean or an exact rational is refused.  Read leniently, each of
+        these edits of the certificate of {[n]} (Non-FC for n = 3, FC for
+        n = 1, 2) would load and verify."""
+        from fcfam.cli import dispatch
+        from fcfam.fcsolve import CertificateError
+
+        data = certificate_to_dict(is_fc(Family.from_sets(n, [range(1, n + 1)])))
+        if where == "lambda":
+            data["farkas"]["lambda"] = value
+        else:
+            data[where] = value
+        with pytest.raises(CertificateError):
+            certificate_from_dict(data)
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        assert dispatch(["verify", str(path)]) == 2
+        assert "structural error" in capsys.readouterr().err
+
     def test_malformed_rejected(self):
         from fcfam.fcsolve import CertificateError
 
@@ -293,6 +324,42 @@ class TestCertificateFormat:
         data2["kind"] = "bogus"
         with pytest.raises(CertificateError):
             certificate_from_dict(data2)
+
+
+class TestWarmStart:
+    def test_first_cuts_are_the_union_products(self, monkeypatch):
+        class FirstLp(Exception):
+            pass
+
+        def stop(lp):
+            raise FirstLp
+
+        made = []
+        from_family = Cut.from_family
+        monkeypatch.setattr(
+            Cut, "from_family", classmethod(lambda cls, fam: made.append(fam) or from_family(fam)))
+        monkeypatch.setattr(fcfam.fcsolve, "lp_solve", stop)
+        rng = random.Random(11)
+        kinds = {"full": 0, "no-singletons": 0, "random": 0}
+        for _ in range(80):
+            n = rng.randint(1, 6)
+            full = (1 << n) - 1
+            masks = rng.sample(range(1, full + 1), rng.randint(1, min(5, full)))
+            rest = full & ~functools.reduce(operator.or_, masks)
+            fam = Family.from_masks(n, masks + [rest] if rest else masks)
+            closure = union_closure(fam)
+            extra = tuple(rng.randrange(full + 1) for _ in range(rng.randint(0, 4)))
+            domains = {"full": None,
+                       "random": union_closure(Family.from_masks(n, closure.members + extra))}
+            if all(m & (m - 1) for m in closure.members[1:]):
+                domains["no-singletons"] = no_singletons_family(n)
+            for kind, dom in domains.items():
+                made.clear()
+                with pytest.raises(FirstLp):
+                    is_fc(fam, warm_start=True, domain=dom)
+                assert made == warm_start_cuts(fam, dom or powerset_family(n)), (fam, kind)
+                kinds[kind] += 1
+        assert min(kinds.values()) >= 10, kinds
 
 
 class TestCut:
@@ -331,6 +398,18 @@ class TestWorkDoneOnce:
             builds.clear()
             cert = is_fc(Family.from_sets(5, sets))
             assert cert.kind == kind and len(lps) > 2 and len(builds) == 1
+        # a caller's domain: its instance is built before the first LP, which
+        # validates the domain, and serves every later round
+        for sets, warm, kind, one_lp in (
+                ([[1, 2, 3, 4, 5], [3, 4, 5, 6, 7]], True, "non-fc", True),
+                ([[1, 2, 3, 4, 5], [3, 4, 5, 6, 7]], False, "non-fc", False),
+                ([[1, 2, 3], [3, 4, 5]], True, "fc", False)):
+            lps.clear()
+            builds.clear()
+            fam = Family.from_sets(max(map(max, sets)), sets)
+            cert = is_fc(fam, warm_start=warm, domain=no_singletons_family(fam.n))
+            assert cert.kind == kind and len(builds) == 1
+            assert (len(lps) == 1) == one_lp
 
     def test_each_cut_built_once(self, monkeypatch):
         made = []
