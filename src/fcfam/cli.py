@@ -31,7 +31,6 @@ from .setfam import (
     Family,
     compact_universe,
     format_family,
-    frequencies,
     no_singletons_family,
     parse_family,
     regular_3set_fc,
@@ -116,7 +115,7 @@ def _cmd_getnfc(args) -> int:
     with enumfam.EnumSession(args.jobs, progress=_progress, time_limit=args.time_limit) as session:
         candidates = session.candidates(args.n, args.k, args.m)
         path = _out_path(args, f"nfc_{cell}.fam")
-        # candidates lie over [n] sorted by members, so they stream in nfc_sorted() order
+        # candidates lie over [n] sorted by members, so Non-FC families stream in sorted order
         for fam, cert in session.classify(candidates):
             if cert.kind == "fc":
                 continue
@@ -271,8 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, time_limit=True, jobs=False):
-        p.add_argument("-o", "--output", help="output directory")
+    def add_common(p, time_limit=True, jobs=False, output=True):
+        if output:
+            p.add_argument("-o", "--output", help="output directory")
         if time_limit:
             p.add_argument("--time-limit", type=_positive_seconds, help="seconds per isFC call")
         if jobs:
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--max-m", type=int)
-    add_common(p, jobs=True)
+    add_common(p, jobs=True, output=False)
     p.set_defaults(func=_cmd_fcvalue)
 
     p = sub.add_parser("lexscan", help="first FC lexicographic prefix")
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--v", default="no-singletons", help='"no-singletons" or a family file')
-    add_common(p, jobs=True)
+    add_common(p, jobs=True, output=False)
     p.set_defaults(func=_cmd_vfcvalue)
 
     p = sub.add_parser("upperbound", help="closed-form FC upper bound")

@@ -4,25 +4,36 @@
 incremental augmentation: each (m-1)-set representative over a compacted
 universe [u] is extended by every k-set that takes j fresh elements
 (canonically u+1..u+j) and k-j old ones, then deduplicated by canonical
-form, so every representative is its own canonical form.  `get_nfc` is the
-recursive Non-FC enumeration, memoized bottom-up over universe sizes
-J = {max(k, n-k), ..., n}.  It extends each Non-FC parent over [i] by the
-same rule with j = n - i, so the new k-set brings the missing elements.  It
-rejects isomorphs against both accumulators and skips any extension
-containing a proper FC subfamily (checked one member down against the
-previous level's FC keys; an FC verdict there also covers deeper
-containment because such families were pruned earlier).  A subfamily is
-canonicalized for that check only when the previous level has an FC key of
-its universe size, so runs whose previous levels are all Non-FC never
-canonicalize a subfamily.  `fcv_value` skips families with a V-FC
-subfamily by the same check.
+form, so every representative is its own canonical form.
+
+`get_nfc` is getNFC, the one recursion behind FC(k, n), memoized bottom-up
+over universe sizes J = {max(k, n-k), ..., n}; m = 1, the single k-set
+over [k], is its only base case.  Cell (n, k, m) extends each Non-FC family
+of m-1 sets over [i], i in J, by the same rule with j = n - i, so the new
+k-set brings the missing elements.  That reaches every Non-FC family, whose
+subfamilies are Non-FC: dropping one k-set from a family over [n] leaves a
+universe of at least n - k elements.  An extension class is tested once for
+a proper FC subfamily (one member down, against the previous level's FC
+keys; an FC verdict there also covers deeper containment because such
+families were pruned earlier) and skipped if it has one.  A subfamily is
+canonicalized only when the previous level has an FC key of its universe
+size, so runs whose previous levels are all Non-FC never canonicalize one.
+
+`fc_value` and `fcv_value` share one threshold scan, `_scan`, over levels
+m = 1..min(m_max, C(n, k)), each giving its Non-FC class count per (u, m)
+cell and its first Non-FC family with its certificate.  The value is one
+past the last level with a Non-FC class, found at the first clean level at
+or past a floor (1 for FC, n for FC_V), and the witness is the first
+Non-FC class of that last level.  `fc_value` reads its levels off the
+getNFC cells u = k..n; `fcv_value` reads the classes over exactly [n] from
+`noniso_levels`, skipping those with a V-FC subfamily by the same test.
 
 `EnumSession.classify` is the one place where a driver, or the CLI's
 getnfc, decides a family: with `is_fc` over the session's domain (all of
 P([n]) unless one is given), streaming (family, certificate) pairs in input
 order, so a caller keeps only the certificates it reports.  Each getNFC
-cell keeps the certificate of its smallest Non-FC family, which `fc_value`
-reports as its witness without solving it again.  Each decision stops at
+cell keeps the certificate of its first Non-FC family, which `fc_value`
+reports with its witness without solving it again.  Each decision stops at
 the earlier of the session's run deadline and its own start plus
 `time_limit`.  With jobs > 1 the decisions fan out over one worker pool per
 session.  Decisions use the session defaults, symmetry off and warm start
@@ -41,9 +52,9 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .setfam import (
     Family,
-    compact_universe,
     lex_ksets,
     no_singletons_family,
+    universe,
 )
 from .canon import _twin_classes, canonical_form
 from .fcsolve import (
@@ -57,30 +68,31 @@ ProgressFn = Callable[[str], None]
 
 CanonKey = tuple[int, tuple[int, ...]]
 
+# one level of a threshold scan: its Non-FC class count per (u, m) cell, and
+# its first Non-FC family with that family's certificate (None if clean)
+Level = tuple[dict[tuple[int, int], int], Optional[tuple[Family, NonFcCertificate]]]
+
 
 @dataclass
 class NfcRegistry:
     """Non-FC families and FC keys of one (n, k, m) cell, by canonical form.
 
-    `witness` is `nfc_sorted()[0]`, and its certificate is the only one kept:
-    all Non-FC certificates of a cell can take megabytes.
+    `nfc` is in decision order, which is sorted order because candidates
+    are sorted by members.  Only the certificate of `nfc[0]`, the cell's
+    witness, is kept: all Non-FC certificates of a cell can take megabytes.
     """
 
-    nfc: dict[CanonKey, Family] = field(default_factory=dict)
+    nfc: list[Family] = field(default_factory=list)
     fc: set[CanonKey] = field(default_factory=set)
-    witness: Optional[Family] = None
     witness_certificate: Optional[NonFcCertificate] = None
 
-    def record(self, key: CanonKey, fam: Family, cert: Certificate) -> None:
+    def record(self, fam: Family, cert: Certificate) -> None:
         if isinstance(cert, FcCertificate):
-            self.fc.add(key)
+            self.fc.add((fam.n, fam.members))
             return
-        self.nfc[key] = fam
-        if self.witness is None or (fam.n, fam.members) < (self.witness.n, self.witness.members):
-            self.witness, self.witness_certificate = fam, cert
-
-    def nfc_sorted(self) -> list[Family]:
-        return sorted(self.nfc.values(), key=lambda f: (f.n, f.members))
+        if not self.nfc:
+            self.witness_certificate = cert
+        self.nfc.append(fam)
 
 
 @dataclass
@@ -224,26 +236,22 @@ class EnumSession:
 
     def candidates(self, n: int, k: int, m: int) -> list[Family]:
         """The canonical families the (n, k, m) cell decides, sorted by
-        members: every class at the base level, else the extensions of the
+        members: the single k-set at m = 1, else the extensions of the
         Non-FC families one member down that contain no FC subfamily."""
         if not (n >= k >= 3):
             raise ValueError("need n >= k >= 3")
         self.check_deadline()
         if k * m < n or m > math.comb(n, k):
             return []
-        if k * (m - 1) < n:
-            # gen_noniso_families already returns canonical representatives
-            return gen_noniso_families(n, k, m)
+        if m == 1:
+            return [Family.from_masks(k, [(1 << k) - 1])]
 
-        j_range = range(max(k, n - k), n + 1)
-        parents: list[Family] = []
-        for i in j_range:
-            parents.extend(self.get_nfc(i, k, m - 1).nfc_sorted())
-        prev_fc: dict[int, set[CanonKey]] = {i: self.get_nfc(i, k, m - 1).fc for i in j_range}
+        prev = {i: self.get_nfc(i, k, m - 1) for i in range(max(k, n - k), n + 1)}
+        prev_fc = {i: reg.fc for i, reg in prev.items()}
 
         seen: set[CanonKey] = set()  # tested once per class, kept or not
         candidates: list[Family] = []
-        for parent in parents:
+        for parent in (p for reg in prev.values() for p in reg.nfc):
             # the new set must cover the elements the parent's universe lacks
             for ext in _extensions(parent, k, n - parent.n):
                 cf = canonical_form(ext)
@@ -260,7 +268,7 @@ class EnumSession:
         if (n, k, m) not in self.memo:
             reg = NfcRegistry()
             for fam, cert in self.classify(self.candidates(n, k, m)):
-                reg.record((fam.n, fam.members), fam, cert)
+                reg.record(fam, cert)
             self._say(f"getNFC({n},{k},{m}): {len(reg.nfc)} Non-FC, {len(reg.fc)} FC")
             self.memo[n, k, m] = reg
         return self.memo[n, k, m]
@@ -273,7 +281,7 @@ def get_nfc(
     universe [n] (families containing a proper FC subfamily are not
     explored)."""
     with EnumSession(jobs, deadline=deadline) as session:
-        return session.get_nfc(n, k, m).nfc_sorted()
+        return session.get_nfc(n, k, m).nfc
 
 
 def fc_value(
@@ -293,35 +301,20 @@ def fc_value(
     of all k-subsets of [n] is Non-FC."""
     if not (n > k >= 3):
         raise ValueError("need n > k >= 3")
-    t0 = time.monotonic()
     cap = math.comb(n, k)
-    counts: dict[tuple[int, int], int] = {}
-    witness_cell: Optional[NfcRegistry] = None  # first nonempty cell of the last Non-FC level
-    value: Optional[int] = None
-    status = "exhausted"
-    m = 1
-    with EnumSession(jobs, symmetry, warm_start, deadline, progress, time_limit) as session:
-        while m <= (m_max if m_max is not None else cap):
-            cells = [session.get_nfc(i, k, m) for i in range(k, n + 1)]
-            for i, reg in zip(range(k, n + 1), cells):
-                counts[(i, m)] = len(reg.nfc)
+
+    def levels() -> Iterator[Level]:
+        for m in itertools.count(1):
+            cells = {(i, m): session.get_nfc(i, k, m) for i in range(k, n + 1)}
             if progress:
                 progress(f"fc_value({k},{n}): m={m} Non-FC classes="
-                         f"{sum(len(reg.nfc) for reg in cells)}")
-            level_cell = next((reg for reg in cells if reg.nfc), None)
-            if level_cell is None:
-                value, status = m, "found"
-                break
-            witness_cell = level_cell
-            m += 1
-        else:
-            if m_max is None or m_max >= cap:
-                status = "undefined"
-    witness = witness_cell.witness if witness_cell else None
-    cert = witness_cell.witness_certificate if witness_cell and status == "found" else None
-    return FcValueReport(
-        k, n, value, status, witness, counts, time.monotonic() - t0, cert
-    )
+                         f"{sum(len(reg.nfc) for reg in cells.values())}")
+            first = next(((reg.nfc[0], reg.witness_certificate)
+                          for reg in cells.values() if reg.nfc), None)
+            yield {cell: len(reg.nfc) for cell, reg in cells.items()}, first
+
+    with EnumSession(jobs, symmetry, warm_start, deadline, progress, time_limit) as session:
+        return _scan(k, n, levels(), cap if m_max is None else min(m_max, cap), 1)
 
 
 def lex_scan(
@@ -390,22 +383,12 @@ def fcv_value(
         # S_n-invariant iff swapping the first element with any other fixes it
         if any(_twin_classes(dom.members, n)):
             raise ValueError("isomorphism pruning needs a symmetric domain")
-    t0 = time.monotonic()
     cap = math.comb(n, k)
-    counts: dict[tuple[int, int], int] = {}
-    bad_levels: list[int] = []
-    witness: Optional[Family] = None
-    witness_cert: Optional[NonFcCertificate] = None
-    prev_vfc: set[CanonKey] = set()
-    levels = noniso_levels(n, k, cap)
-    value: Optional[int] = None
-    status = "found"
-    with EnumSession(
-        jobs, warm_start=warm_start, deadline=deadline, time_limit=time_limit, domain=dom
-    ) as session:
-        for m in range(1, cap + 1):
+
+    def levels() -> Iterator[Level]:
+        prev_vfc: set[CanonKey] = set()
+        for m, level in enumerate(noniso_levels(n, k, cap), 1):
             session.check_deadline()
-            level = next(levels)
             reps = [f for f in level if f.n == n]
             vfc_here: set[CanonKey] = set()
             to_solve: list[Family] = []
@@ -415,42 +398,55 @@ def fcv_value(
                 else:
                     to_solve.append(fam)
             bad_here = 0
+            first: Optional[tuple[Family, NonFcCertificate]] = None
             for fam, cert in session.classify(to_solve):
                 if isinstance(cert, FcCertificate):
                     vfc_here.add((fam.n, fam.members))
                 else:
                     bad_here += 1
-                    witness, witness_cert = fam, cert
-            counts[(n, m)] = bad_here
+                    first = first or (fam, cert)
             if progress:
                 progress(
                     f"fcv_value({k},{n}): m={m} classes={len(reps)} "
                     f"solved={len(to_solve)} non-V-FC={bad_here}"
                 )
-            if bad_here:
-                bad_levels.append(m)
             prev_vfc = vfc_here
-            if not bad_here and m >= n:
-                break
-        else:
-            if bad_levels and bad_levels[-1] == cap:
-                status = "undefined"
-    if status != "undefined":
-        value = (bad_levels[-1] + 1) if bad_levels else 1
-    return FcValueReport(
-        k, n, value, status, witness, counts, time.monotonic() - t0,
-        witness_cert if status == "found" else None,
-    )
+            yield {(n, m): bad_here}, first
+
+    with EnumSession(
+        jobs, warm_start=warm_start, deadline=deadline, time_limit=time_limit, domain=dom
+    ) as session:
+        return _scan(k, n, levels(), cap, n)
+
+
+def _scan(k: int, n: int, levels: Iterator[Level], last: int, floor: int) -> FcValueReport:
+    """The threshold over levels m = 1..last <= C(n, k): one past the last
+    level with a Non-FC class, found at the first clean level m >= floor;
+    else "undefined" if level C(n, k) has a Non-FC class, "exhausted" if not."""
+    t0 = time.monotonic()
+    counts: dict[tuple[int, int], int] = {}
+    last_bad = 0
+    witness: Optional[Family] = None
+    cert: Optional[NonFcCertificate] = None
+    for m, (level_counts, first) in zip(range(1, last + 1), levels):
+        counts.update(level_counts)
+        if first is not None:
+            last_bad, (witness, cert) = m, first
+        elif m >= floor:
+            return FcValueReport(
+                k, n, last_bad + 1, "found", witness, counts, time.monotonic() - t0, cert
+            )
+    status = "undefined" if last_bad == math.comb(n, k) else "exhausted"
+    return FcValueReport(k, n, None, status, witness, counts, time.monotonic() - t0)
 
 
 def _has_subfamily_in(fam: Family, tables: dict[int, set[CanonKey]]) -> bool:
     """Whether dropping one member of fam leaves a family whose canonical key
-    is in the table of its compacted universe size; a subfamily whose size
-    has no table, or an empty one, is not canonicalized."""
+    is in the table of its universe size; a subfamily whose size has no
+    table, or an empty one, is not canonicalized."""
     for drop in range(len(fam.members)):
-        rest = fam.members[:drop] + fam.members[drop + 1 :]
-        sub, _ = compact_universe(Family.from_masks(fam.n, rest))
-        table = tables.get(sub.n)
+        sub = Family.from_masks(fam.n, fam.members[:drop] + fam.members[drop + 1 :])
+        table = tables.get(universe(sub).bit_count())
         if table and canonical_form(sub).key in table:
             return True
     return False

@@ -22,9 +22,11 @@ WIDE_GROUND_CAP = 256
 
 
 def mask_from_elements(elements: Iterable[int], n: int) -> int:
-    """Build a member mask from 1-based element labels."""
+    """Build a member mask from 1-based element labels (ints, not booleans)."""
     mask = 0
     for e in elements:
+        if type(e) is not int:
+            raise ValueError(f"element {e!r} is not an integer")
         if not 1 <= e <= n:
             raise ValueError(f"element {e} out of range 1..{n}")
         mask |= 1 << (e - 1)

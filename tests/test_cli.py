@@ -113,6 +113,19 @@ class TestBatchCommands:
         assert dispatch(["fcvalue", "-k", "3", "-n", "4"]) == 0
         assert "FC(3,4) = 3" in capsys.readouterr().out
 
+    def test_fcvalue_past_the_complete_family(self, capsys):
+        # C(6,5) = 6 sets is the complete family, and it is Non-FC: a larger
+        # --max-m must not turn the empty levels beyond it into a value
+        assert dispatch(["fcvalue", "-k", "5", "-n", "6", "--max-m", "10"]) == 0
+        assert "FC(5,6) is undefined" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cmd", ["fcvalue", "vfcvalue"])
+    def test_value_commands_take_no_output_dir(self, cmd, tmp_path, capsys):
+        # they write nothing, so -o is refused rather than ignored
+        assert dispatch([cmd, "-k", "5", "-n", "6", "-o", str(tmp_path / "out")]) == 2
+        assert "unrecognized arguments: -o" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_vfcvalue(self, capsys):
         assert dispatch(["vfcvalue", "-k", "5", "-n", "6", "--v", "no-singletons"]) == 0
         assert "FC_V(5,6) = 3" in capsys.readouterr().out

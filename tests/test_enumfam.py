@@ -62,7 +62,6 @@ class TestGenNonIso:
         assert all(universe(f) == (1 << 5) - 1 for f in fams)
 
     def test_outputs_are_canonical_forms(self):
-        # get_nfc records base-level families without canonicalizing them again
         for n, k, m in [(5, 3, 2), (6, 4, 2), (7, 5, 2), (6, 3, 3)]:
             for fam in gen_noniso_families(n, k, m):
                 assert canonical_form(fam).relabeled == fam
@@ -137,6 +136,14 @@ class TestGetNfc:
         with pytest.raises(TimeoutError):
             get_nfc(6, 3, 4, deadline=time.monotonic() - 1)
 
+    @pytest.mark.parametrize("n,k,m", [(6, 3, 2), (7, 3, 2), (7, 3, 3), (6, 4, 2), (7, 4, 2)])
+    def test_first_cells_over_n_match_the_flat_enumeration(self, n, k, m):
+        # cells with k(m-1) < n, once listed by the flat enumeration, come
+        # out of the recursion: every parent lies over a smaller universe
+        # ((7,3,2) is empty, since two 3-sets cannot cover [7])
+        want = [f for f in gen_noniso_families(n, k, m) if is_fc(f).kind == "non-fc"]
+        assert get_nfc(n, k, m) == want
+
 
 class TestDeadlines:
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -183,6 +190,12 @@ class TestFcValue:
         rep = fc_value(5, 6)
         assert rep.status == "undefined" and rep.value is None
 
+    def test_m_max_past_the_complete_family(self):
+        # levels beyond C(6,5) = 6 are empty, not clean
+        rep = fc_value(5, 6, m_max=10)
+        assert rep.status == "undefined" and rep.value is None
+        assert max(m for _, m in rep.counts) == 6
+
     def test_counts_recorded(self):
         rep = fc_value(3, 4)
         assert rep.counts[(3, 1)] == 1  # the single 3-set is Non-FC
@@ -212,6 +225,15 @@ class TestFcvValue:
         assert rep.value == 3 and rep.status == "found"
         assert rep.witness is not None
         assert verify_certificate(rep.witness_certificate).passed
+
+    def test_witness_is_the_first_class_of_the_last_bad_level(self):
+        rep = fcv_value(5, 7)
+        assert (rep.value, rep.status) == (5, "found")
+        assert rep.witness == Family.from_sets(
+            7, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6], [1, 2, 3, 5, 6], [1, 2, 3, 4, 7]]
+        )
+        fresh = is_fc(rep.witness, domain=no_singletons_family(7), warm_start=True)
+        assert certificate_to_dict(rep.witness_certificate) == certificate_to_dict(fresh)
 
     def test_asymmetric_domain_rejected(self):
         dom = Family.from_masks(4, tuple(m for m in range(16) if m != 0b0001))
@@ -262,9 +284,9 @@ class TestOneDecisionPerFamily:
         recorded = []
         real = NfcRegistry.record
 
-        def counting(self, key, fam, cert):
+        def counting(self, fam, cert):
             recorded.append(fam)
-            real(self, key, fam, cert)
+            real(self, fam, cert)
 
         monkeypatch.setattr(NfcRegistry, "record", counting)
         rep = fc_value(k, n)
@@ -337,10 +359,11 @@ class TestCanonicalLabelingCalls:
         assert seen
         assert all(len(f.members) == 4 for f in seen)
 
-    @pytest.mark.parametrize("k,n,value,calls", [(3, 7, 4, 25), (4, 6, 7, 64)])
+    @pytest.mark.parametrize("k,n,value,calls", [(3, 7, 4, 31), (4, 6, 7, 66)],
+                             ids=["fc37", "fc46"])
     def test_one_subfamily_test_per_extension_class(self, monkeypatch, k, n, value, calls):
         # an extension class is tested for an FC subfamily once, whether it
-        # is kept or rejected: 92 and 96 tests when rejected ones were retried
+        # is kept or rejected, in every cell with m > 1
         keys = []
         real = fcfam.enumfam._has_subfamily_in
 

@@ -1,5 +1,6 @@
 import ast
 import functools
+import importlib.util
 import json
 import math
 import operator
@@ -33,6 +34,7 @@ from fcfam.fcsolve import (
 )
 from fcfam.verify import verify_certificate
 
+from test_bench_spans import SPANS
 from oracles import brute_poonen_fc, random_family, warm_start_cuts
 
 
@@ -139,6 +141,41 @@ class TestInvariants:
                 found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                           if isinstance(node, ast.Assert)]
         assert found == []
+
+    def test_no_module_imports_a_name_it_never_uses(self):
+        # the one exception: a name bench/spans.py wraps by attribute lookup
+        # on the module (the package's __init__ only re-exports)
+        spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        wrapped = set()
+
+        class Recorder:
+            def wrap(self, module, attr, *_):
+                wrapped.add((module.__name__, attr))
+
+        spans.wrap_layers(Recorder(), fcfam)
+        assert ("fcfam.fcsolve", "automorphism_group") in wrapped
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src", "fcfam")
+        unused = []
+        for name in sorted(os.listdir(src)):
+            if not name.endswith(".py") or name == "__init__.py":
+                continue
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            module = f"fcfam.{name[:-3]}"
+            unused += [f"{name}:{line} {bound}" for bound, line in imported.items()
+                       if bound not in used and (module, bound) not in wrapped]
+        assert unused == []
 
 
 class TestClosedForms:
@@ -291,10 +328,17 @@ class TestCertificateFormat:
         (3, "symmetry", "false"),  # bool("false") is True
         (3, "lambda", -14.0),  # the value stored, as a float
         (2, "weights", [0.5, 0.5]),
-    ], ids=["n-float", "n-string", "n-bool", "symmetry-string", "lambda-float", "weights-float"])
+        # a boolean element: 1 <= True <= n holds
+        (3, "family", [[True, 2, 3]]),
+        (3, "domain", [[], [True], [2], [True, 2], [3], [True, 3], [2, 3], [True, 2, 3]]),
+        (3, "cuts", [[[], [True], [2], [1, 2], [1, 2, 3]], [[], [1], [3], [1, 3], [1, 2, 3]],
+                     [[], [2], [3], [2, 3], [1, 2, 3]]]),
+    ], ids=["n-float", "n-string", "n-bool", "symmetry-string", "lambda-float", "weights-float",
+            "family-bool", "domain-bool", "cut-bool"])
     def test_field_types_rejected(self, n, where, value, tmp_path, capsys):
         """A float, a string or a boolean where the format wants an integer,
-        a boolean or an exact rational is refused.  Read leniently, each of
+        a boolean or an exact rational is refused, and so is a boolean
+        element of a family, a domain or a cut.  Read leniently, each of
         these edits of the certificate of {[n]} (Non-FC for n = 3, FC for
         n = 1, 2) would load and verify."""
         from fcfam.cli import dispatch
