@@ -9,13 +9,13 @@ exact separation solve; both outcomes carry a certificate that replays by
 pure arithmetic.
 """
 
-from fcfam import Family, is_fc, verify_certificate
+from fcfam import Family, frequencies, is_fc, verify_certificate
 
 print("== a 2-set is FC ==")
 cert = is_fc(Family.from_sets(2, [[1, 2]]))
 print("verdict:", cert.kind)
 print("weights:", [str(w) for w in cert.weights])
-print("cuts collected:", len(cert.cuts))
+print("separation proof entries:", len(cert.proof))
 print("verification:", "PASS" if verify_certificate(cert).passed else "FAIL")
 
 print("\n== a single 3-set is Non-FC ==")
@@ -23,7 +23,7 @@ cert = is_fc(Family.from_sets(3, [[1, 2, 3]]))
 print("verdict:", cert.kind)
 print("cut families and Farkas multipliers proving LP infeasibility:")
 for cut, y in zip(cert.cuts, cert.multipliers):
-    print(f"  y = {y}   B = {cut.family}  (|B| = {cut.size}, counts {cut.freq})")
+    print(f"  y = {y}   B = {cut}  (|B| = {len(cut)}, counts {frequencies(cut).counts})")
 print("lambda on sum(c) = 1:", cert.lam)
 print("verification:", "PASS" if verify_certificate(cert).passed else "FAIL")
 
@@ -33,4 +33,4 @@ plain = is_fc(fam)
 warm = is_fc(fam, warm_start=True)
 sym = is_fc(fam, symmetry=True)
 print("verdicts agree:", plain.kind == warm.kind == sym.kind == "non-fc")
-print("cut rounds without / with warm start:", len(plain.cuts), "/", len(warm.cuts))
+print("Non-FC proof cuts without / with warm start:", len(plain.cuts), "/", len(warm.cuts))

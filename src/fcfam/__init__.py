@@ -43,7 +43,6 @@ from .sepip import (
     solve_separation,
 )
 from .fcsolve import (
-    Cut,
     FcCertificate,
     NonFcCertificate,
     fc3_value,
@@ -57,7 +56,6 @@ from .enumfam import (
     LexScanResult,
     fc_value,
     fcv_value,
-    gen_noniso_families,
     get_nfc,
     lex_scan,
 )

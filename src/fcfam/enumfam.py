@@ -1,6 +1,6 @@
 """Isomorph-free enumeration of k-set families and the FC value drivers.
 
-`gen_noniso_families` produces one representative per isomorphism class by
+`noniso_levels` produces one representative per isomorphism class by
 incremental augmentation: each (m-1)-set representative over a compacted
 universe [u] is extended by every k-set that takes j fresh elements
 (canonically u+1..u+j) and k-j old ones, then deduplicated by canonical
@@ -146,20 +146,6 @@ def _extensions(fam: Family, k: int, j: int) -> Iterator[Family]:
             s |= 1 << e
         if s not in memberset:
             yield Family.from_masks(u + j, fam.members + (s,))
-
-
-def gen_noniso_families(n: int, k: int, m: int) -> list[Family]:
-    """One representative per isomorphism class of families of m distinct
-    k-sets with universe exactly [n]; empty when the parameters are
-    impossible."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if k > n or k * m < n or m > math.comb(n, k):
-        return []
-    last: list[Family] = []
-    for level in itertools.islice(noniso_levels(n, k, m), m - 1, m):
-        last = level
-    return [f for f in last if f.n == n]
 
 
 def _decide(

@@ -6,24 +6,25 @@ the variable domain with <A> |+| B = B.  The decision alternates a pure
 feasibility LP over the inequalities collected so far with the exact
 separation solve, which either returns a violated family (the next cut) or
 proves that none exists.  An LP-infeasibility ends in a Non-FC certificate
-(cuts plus Farkas multipliers), a proof ends in an FC certificate (the
-weights, the cuts that pinned them down, and the final separation's search
-tree).  The separation instance is built once: over a caller's domain
-before the first LP, which validates the domain, and over the full domain
-on the first feasible LP round, so a full-domain decision that its first
-LP settles builds none.
+(cuts plus Farkas multipliers).  A proof ends in an FC certificate: the
+weights and the final separation's search tree, with no cuts, because the
+cuts are only the LP's working set and an FC verdict does not rest on them.
+The separation instance is built once: over a caller's domain before the
+first LP, which validates the domain, and over the full domain on the first
+feasible LP round, so a full-domain decision that its first LP settles
+builds none.
 
 The LP has one variable per automorphism orbit of <A> when symmetry is
 enabled, and one per element otherwise (the same construction over the
-trivial partition): each stored cut and sum(c) = 1 enter as rows summed over
-the orbits, and the LP point is replicated back to the elements.  This is
-sound because averaging a feasible point over the group gives an
-orbit-constant feasible point.  Every witness is stored with its full orbit
-of images, and Farkas multipliers are spread uniformly over each orbit so
-the emitted certificate replays over the original, unprojected system.  The
-group enters only as the strong generating set of `canon.generating_set`:
-the element orbits and each witness's images are closures of those
-generators, so a decision never lists the group.
+trivial partition): each stored cut class and sum(c) = 1 enter as rows
+summed over the orbits, and the LP point is replicated back to the
+elements.  This is sound because averaging a feasible point over the group
+gives an orbit-constant feasible point.  Every witness is stored with its
+full orbit of images, and Farkas multipliers are spread uniformly over each
+orbit so the emitted certificate replays over the original, unprojected
+system.  The group enters only as the strong generating set of
+`canon.generating_set`: the element orbits and each witness's images are
+closures of those generators, so a decision never lists the group.
 """
 
 from __future__ import annotations
@@ -67,29 +68,12 @@ class CertificateError(ValueError):
     """Structurally malformed certificate."""
 
 
-@dataclass(frozen=True)
-class Cut:
-    """One inequality sum_i c_i|B_i| >= |B|/2, with cached counts."""
-
-    family: Family
-    size: int
-    freq: tuple[int, ...]
-
-    @classmethod
-    def from_family(cls, fam: Family) -> "Cut":
-        return cls(fam, len(fam.members), frequencies(fam).counts)
-
-    def cache_consistent(self) -> bool:
-        return self.size == len(self.family.members) and self.freq == frequencies(self.family).counts
-
-
 @dataclass
 class FcCertificate:
     family: Family
     n: int
     domain: Optional[Family]  # None means all of P([n])
     weights: tuple[Fraction, ...]
-    cuts: list[Cut]
     symmetry: bool
     proof: tuple[int, ...]  # the final separation's search tree (sepip.LEAF = pruned)
 
@@ -101,7 +85,7 @@ class NonFcCertificate:
     family: Family
     n: int
     domain: Optional[Family]
-    cuts: list[Cut]
+    cuts: list[Family]
     multipliers: tuple[Fraction, ...]  # one per cut, >= 0
     lam: Fraction  # multiplier of sum(c) = 1
     symmetry: bool
@@ -176,10 +160,10 @@ def is_fc(
             out[oid[j]] += c
         return tuple(out)
 
-    # one list per orbit of stored cuts: the cut of each distinct image,
-    # sorted by members; the first is the representative the LP sees, as
-    # one row over the orbits
-    classes: list[list[Cut]] = []
+    # one list per orbit of stored cuts: each distinct image, sorted by
+    # members; the first is the representative the LP sees, as one row over
+    # the orbits
+    classes: list[list[Family]] = []
     ge_rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
     seen: set[tuple[int, ...]] = set()
 
@@ -189,9 +173,9 @@ def is_fc(
         images = family_orbit(fam, gens) if symmetry else [fam]
         for img in images:
             seen.add(img.members)
-        cuts = [Cut.from_family(img) for img in images]
-        classes.append(cuts)
-        ge_rows.append((over_orbits(cuts[0].freq), Fraction(cuts[0].size, 2)))
+        classes.append(images)
+        rep = images[0]
+        ge_rows.append((over_orbits(frequencies(rep).counts), Fraction(len(rep.members), 2)))
         return True
 
     if warm_start:
@@ -237,8 +221,6 @@ def is_fc(
             n=n,
             domain=domain,
             weights=tuple(point),
-            cuts=sorted((cut for cls in classes for cut in cls),
-                        key=lambda cut: cut.family.members),
             symmetry=symmetry,
             proof=sep.proof,
         )
@@ -248,23 +230,23 @@ def _build_nonfc(
     family: Family,
     n: int,
     domain: Optional[Family],
-    classes: list[list[Cut]],
+    classes: list[list[Family]],
     farkas: FarkasCertificate,
     symmetry: bool,
 ) -> NonFcCertificate:
     lam = farkas.eq_multipliers[0]
-    cut_mult: list[tuple[Cut, Fraction]] = []
+    cut_mult: list[tuple[Family, Fraction]] = []
     for cls, y in zip(classes, farkas.ge_multipliers):
         share = y / len(cls)
         cut_mult.extend((cut, share) for cut in cls)
     # normalize so the aggregated right side is exactly 1; any single-field
     # change then breaks the replay
-    rhs = sum(y * Fraction(c.size, 2) for c, y in cut_mult) + lam
+    rhs = sum(y * Fraction(len(c.members), 2) for c, y in cut_mult) + lam
     if rhs <= 0:
         raise RuntimeError("Farkas certificate has a nonpositive right side")
     cut_mult = [(c, y / rhs) for c, y in cut_mult]
     lam = lam / rhs
-    cut_mult.sort(key=lambda pair: pair[0].family.members)
+    cut_mult.sort(key=lambda pair: pair[0].members)
     return NonFcCertificate(
         family=family,
         n=n,
@@ -286,9 +268,12 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "n": cert.n,
         "family": [list(s) for s in cert.family.member_sets()],
         "domain": "full" if cert.domain is None else [list(s) for s in cert.domain.member_sets()],
-        "cuts": [[list(s) for s in cut.family.member_sets()] for cut in cert.cuts],
-        "symmetry": cert.symmetry,
     }
+    # cuts only for Non-FC, ahead of symmetry as Non-FC files have always
+    # had them; an FC verdict rests on its weights and proof alone
+    if isinstance(cert, NonFcCertificate):
+        out["cuts"] = [[list(s) for s in cut.member_sets()] for cut in cert.cuts]
+    out["symmetry"] = cert.symmetry
     if isinstance(cert, FcCertificate):
         out["weights"] = [frac_str(w) for w in cert.weights]
         out["proof"] = list(cert.proof)
@@ -321,7 +306,6 @@ def certificate_from_dict(data: dict) -> Certificate:
             raise CertificateError(f"ground size {n} out of range")
         family = Family.from_sets(n, data["family"])
         domain = None if data["domain"] == "full" else Family.from_sets(n, data["domain"])
-        cuts = [Cut.from_family(Family.from_sets(n, f)) for f in data["cuts"]]
         if kind == "fc":
             weights = tuple(_rational(w) for w in data["weights"])
             if len(weights) != n:
@@ -331,8 +315,9 @@ def certificate_from_dict(data: dict) -> Certificate:
             proof = tuple(data["proof"])
             if not all(type(x) is int and (x == LEAF or 0 <= x < 1 << n) for x in proof):
                 raise CertificateError(f"proof entries must be {LEAF} or set masks below 2^{n}")
-            return FcCertificate(family, n, domain, weights, cuts, symmetry, proof)
+            return FcCertificate(family, n, domain, weights, symmetry, proof)
         if kind == "non-fc":
+            cuts = [Family.from_sets(n, f) for f in data["cuts"]]
             farkas = data["farkas"]
             multipliers = tuple(_rational(y) for y in farkas["multipliers"])
             if len(multipliers) != len(cuts):

@@ -2,12 +2,16 @@
 
 Every derived expected value in the tests comes from one of these: they
 enumerate, never search, and share nothing with the production algorithms
-beyond the Family container and exact arithmetic.
+beyond the Family container and exact arithmetic.  The two class
+enumerations are the exception: `uc_reps_with_full_universe` deduplicates
+by `canon.canonical_key`, and `gen_noniso_families` reads
+`enumfam.noniso_levels`, which the tests check against brute-force counts.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -184,6 +188,24 @@ def uc_reps_with_full_universe(n: int) -> list[Family]:
         fam = Family(n, members)
         reps.setdefault(canonical_key(fam), fam)
     return [reps[k] for k in sorted(reps)]
+
+
+def gen_noniso_families(n: int, k: int, m: int) -> list[Family]:
+    """One representative per isomorphism class of families of m distinct
+    k-sets with universe exactly [n]; empty when the parameters are
+    impossible.  The flat reference enumeration: level m of
+    `enumfam.noniso_levels`, kept to universe [n], which `TestGenNonIso`
+    checks against a brute-force class count."""
+    from fcfam.enumfam import noniso_levels
+
+    if m < 1:
+        raise ValueError("m must be positive")
+    if k > n or k * m < n or m > math.comb(n, k):
+        return []
+    last: list[Family] = []
+    for level in itertools.islice(noniso_levels(n, k, m), m - 1, m):
+        last = level
+    return [f for f in last if f.n == n]
 
 
 def random_family(rng, max_n: int = 6, max_members: int = 8) -> Family:

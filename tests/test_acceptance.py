@@ -22,12 +22,13 @@ from fcfam.setfam import (
 from fcfam.canon import apply_perm_family, automorphism_group, canonical_key, orbits
 from fcfam.sepip import build_separation, solve_separation
 from fcfam.fcsolve import is_fc, upper_bound
-from fcfam.enumfam import fc_value, fcv_value, gen_noniso_families, lex_scan
+from fcfam.enumfam import fc_value, fcv_value, lex_scan
 from fcfam.verify import verify_certificate
 
 from oracles import (
     brute_automorphisms,
     brute_poonen_fc,
+    gen_noniso_families,
     random_family,
     uc_reps_with_full_universe,
 )

@@ -18,12 +18,11 @@ from fcfam.enumfam import (
     _decide,
     fc_value,
     fcv_value,
-    gen_noniso_families,
     get_nfc,
     lex_scan,
 )
 
-from oracles import brute_poonen_fc
+from oracles import brute_poonen_fc, gen_noniso_families
 
 
 def brute_classes(n, k, m):

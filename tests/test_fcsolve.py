@@ -23,7 +23,6 @@ from fcfam.setfam import (
 )
 from fcfam.sepip import SeparationResult, brute_separation
 from fcfam.fcsolve import (
-    Cut,
     FcCertificate,
     NonFcCertificate,
     certificate_from_dict,
@@ -379,9 +378,9 @@ class TestWarmStart:
             raise FirstLp
 
         made = []
-        from_family = Cut.from_family
+        frequencies = fcfam.fcsolve.frequencies
         monkeypatch.setattr(
-            Cut, "from_family", classmethod(lambda cls, fam: made.append(fam) or from_family(fam)))
+            fcfam.fcsolve, "frequencies", lambda fam: made.append(fam) or frequencies(fam))
         monkeypatch.setattr(fcfam.fcsolve, "lp_solve", stop)
         rng = random.Random(11)
         kinds = {"full": 0, "no-singletons": 0, "random": 0}
@@ -404,15 +403,6 @@ class TestWarmStart:
                 assert made == warm_start_cuts(fam, dom or powerset_family(n)), (fam, kind)
                 kinds[kind] += 1
         assert min(kinds.values()) >= 10, kinds
-
-
-class TestCut:
-    def test_cache_consistency(self):
-        fam = Family.from_sets(3, [[1], [1, 2]])
-        cut = Cut.from_family(fam)
-        assert cut.cache_consistent()
-        stale = Cut(Family.from_sets(3, [[1], [1, 3]]), cut.size, cut.freq)
-        assert not stale.cache_consistent()
 
 
 def count_calls(monkeypatch, owner, name):
@@ -456,12 +446,19 @@ class TestWorkDoneOnce:
             assert (len(lps) == 1) == one_lp
 
     def test_each_cut_built_once(self, monkeypatch):
+        # one count per stored class, its representative, which is the LP row
         made = []
-        from_family = Cut.from_family
+        frequencies = fcfam.fcsolve.frequencies
         monkeypatch.setattr(
-            Cut, "from_family", classmethod(lambda cls, fam: made.append(fam) or from_family(fam)))
+            fcfam.fcsolve, "frequencies", lambda fam: made.append(fam) or frequencies(fam))
+        lps = count_calls(monkeypatch, fcfam.fcsolve, "lp_solve")
         for sets in ([[1, 2, 3], [3, 4, 5]], [[1, 2, 3], [2, 3, 4], [3, 4, 5]]):
             for symmetry in (False, True):
                 made.clear()
+                lps.clear()
                 cert = is_fc(Family.from_sets(5, sets), symmetry=symmetry)
-                assert sorted(f.members for f in made) == [c.family.members for c in cert.cuts]
+                rows = lps[-1][0].ge_rows
+                assert len(made) == len(set(made)) == len(rows)
+                assert [rhs for _, rhs in rows] == [Fraction(len(f.members), 2) for f in made]
+                if cert.kind == "non-fc":
+                    assert set(made) <= set(cert.cuts)

@@ -26,18 +26,18 @@ K4_N6 = [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 6], [1, 3, 5, 6], [2, 4, 5, 6],
 # name: (n, member sets, is_fc options, kind, sha256)
 CASES = {
     "fc-n6": (6, K4_N6, {}, "fc",
-              "1ec2ec947c499d430aa8be29708b6beaff0089ee4bc7756a57bfa2822cd8828c"),
+              "e06c69317413f30f2396a7e117c78a2bfa1a076dc45ae13236269dad5a2325ab"),
     "fc-n6-symmetry": (6, K4_N6, {"symmetry": True, "warm_start": True}, "fc",
-                       "6b58197a12790d53e1415a48ec92aa214f5f60b4547e3810f3d353b9a51d1c36"),
+                       "f51df6b6f7310df6dfb5c4c003f0869bcce79350ace59271786cb24b54d35d0e"),
     "fc-n5-symmetry": (5, [[1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 4, 5]], {"symmetry": True}, "fc",
-                       "46916d58d3dc7f504833811b500538ca66ebd1f0e98bc6b7b4e6bd43709bdad7"),
+                       "27913011e1bb9e75c82fbb6ed8022a341c4ef2d793c316467d10c7a1d7236d40"),
     "nonfc-n5": (5, [[1, 2, 3], [3, 4, 5]], {}, "non-fc",
                  "7f3a855d629f72d3ce9d022351cfda0070eb59177ae88267650bb720cb038ddc"),
     "nonfc-n6-symmetry": (6, [[1, 2, 3, 4], [1, 2, 5, 6], [3, 4, 5, 6]], {"symmetry": True},
                           "non-fc",
                           "3c871f071a38cfbcd467bc15855580a3ff9b379259f2cf662398994718d7ab37"),
     "vfc-n6": (6, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6], [1, 2, 3, 5, 6]], {"domain": "no-singletons"},
-               "fc", "0a45da81c007f35a7d18f4514c3ca9582fe1ec6256908f4ca84f8e34f9d7eb87"),
+               "fc", "7d7f174358d3900010a93db2022649ffd359d510521401f21800679e7db45534"),
     "nonvfc-n6-symmetry": (6, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6]],
                            {"domain": "no-singletons", "symmetry": True}, "non-fc",
                            "53f0c26960cab128fa423d790234952815b431ff82e4aa28aef977ecad2f3a3b"),

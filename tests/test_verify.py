@@ -10,7 +10,6 @@ import fcfam.verify
 from fcfam.setfam import Family, no_singletons_family, powerset_family, union_closure
 from fcfam.fcsolve import (
     CertificateError,
-    Cut,
     FcCertificate,
     NonFcCertificate,
     certificate_from_dict,
@@ -25,7 +24,7 @@ from fcfam.verify import (
     verify_nonfc,
 )
 
-from oracles import proof_nodes, random_family
+from oracles import gen_noniso_families, proof_nodes, random_family
 from test_sepip import random_instance, random_weights
 
 
@@ -49,37 +48,22 @@ def make_pool(seed=100):
 
 def tamper(cert, rng):
     """One random single-field mutation over the integrity-checked fields:
-    a ground element of a cut family, a cached cut count, one rational
-    (weight, Farkas multiplier, or lambda), or the separation proof cut
-    short or extended by one entry."""
+    a ground element of a Non-FC cut, one rational (weight, Farkas
+    multiplier, or lambda), or the separation proof cut short or extended by
+    one entry."""
     cert = copy.deepcopy(cert)
-    choices = []
-    if cert.cuts:
-        choices += ["cut-element", "cut-freq", "cut-size"]
     if isinstance(cert, FcCertificate):
-        choices += ["weight", "proof-truncate", "proof-extend"]
+        choices = ["weight", "proof-truncate", "proof-extend"]
     else:
-        choices += ["multiplier", "lambda"]
+        choices = ["cut-element", "multiplier", "lambda"]
     kind = rng.choice(choices)
     delta = Fraction(rng.choice([1, -1]), rng.choice([1, 2, 3]))
     if kind == "cut-element":
         idx = rng.randrange(len(cert.cuts))
-        cut = cert.cuts[idx]
-        members = list(cut.family.members)
+        members = list(cert.cuts[idx].members)
         j = rng.randrange(len(members))
         members[j] ^= 1 << rng.randrange(cert.n)
-        tampered_family = Family.from_masks(cert.n, members)
-        cert.cuts[idx] = Cut(tampered_family, cut.size, cut.freq)
-    elif kind == "cut-freq":
-        idx = rng.randrange(len(cert.cuts))
-        cut = cert.cuts[idx]
-        freq = list(cut.freq)
-        freq[rng.randrange(len(freq))] += rng.choice([1, -1])
-        cert.cuts[idx] = Cut(cut.family, cut.size, tuple(freq))
-    elif kind == "cut-size":
-        idx = rng.randrange(len(cert.cuts))
-        cut = cert.cuts[idx]
-        cert.cuts[idx] = Cut(cut.family, cut.size + rng.choice([1, -1]), cut.freq)
+        cert.cuts[idx] = Family.from_masks(cert.n, members)
     elif kind == "weight":
         w = list(cert.weights)
         j = rng.randrange(len(w))
@@ -105,8 +89,6 @@ class TestValidCertificates:
     def test_roundtrip_small_k_set_families(self):
         # every certificate produced over small generator families verifies,
         # before and after serialization
-        from fcfam.enumfam import gen_noniso_families
-
         checked = 0
         for k in (3, 4):
             for n in range(k, 7):
@@ -127,6 +109,66 @@ class TestValidCertificates:
         assert rep.passed and rep.failure is None
 
 
+FC_N5 = (5, [[1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 4, 5]])
+NONFC_N5 = (5, [[1, 2, 3], [3, 4, 5]])
+
+# one change per top-level field of a certificate file, each of which the
+# loader or the checker must refuse; symmetry is recorded and never read
+FIELD_CHANGES = {
+    "fc": {
+        "kind": lambda d: "non-fc",
+        "n": lambda d: d["n"] + 1,
+        # a single set of three or more elements is Non-FC
+        "family": lambda d: [list(range(1, d["n"] + 1))],
+        "domain": lambda d: [[]],
+        "weights": lambda d: ["1"] + ["0"] * (d["n"] - 1),
+        "proof": lambda d: d["proof"][:-1],
+    },
+    "non-fc": {
+        "kind": lambda d: "fc",
+        "n": lambda d: d["n"] + 1,
+        # a family with a singleton is FC
+        "family": lambda d: d["family"] + [[1]],
+        "domain": lambda d: [[]],
+        "cuts": lambda d: d["cuts"][1:],
+        "farkas": lambda d: dict(d["farkas"],
+                                 **{"lambda": str(Fraction(d["farkas"]["lambda"]) + 1)}),
+    },
+}
+
+# an FC file as written before FC certificates dropped their cuts
+OLDER_FC_FILE = ('{"kind": "fc", "n": 2, "family": [[1, 2]], "domain": "full", '
+                 '"cuts": [[[], [2], [1, 2]]], "symmetry": false, '
+                 '"weights": ["1/2", "1/2"], "proof": [-1]}')
+
+
+class TestCertificateFields:
+    def test_fc_file_holds_weights_and_proof_only(self):
+        data = certificate_to_dict(is_fc(Family.from_sets(*FC_N5)))
+        assert set(data) == {"kind", "n", "family", "domain", "weights", "proof", "symmetry"}
+
+    def test_older_fc_file_with_cuts_verifies(self):
+        data = json.loads(OLDER_FC_FILE)
+        cert = certificate_from_dict(data)
+        assert verify_certificate(cert).passed
+        assert certificate_to_dict(cert) == {k: v for k, v in data.items() if k != "cuts"}
+
+    @pytest.mark.parametrize("case", [FC_N5, NONFC_N5], ids=["fc", "non-fc"])
+    def test_every_field_but_symmetry_is_read(self, case):
+        data = json.loads(json.dumps(certificate_to_dict(is_fc(Family.from_sets(*case)))))
+        changes = FIELD_CHANGES[data["kind"]]
+        # a new field fails here until a change of it is shown to be refused
+        assert set(changes) == set(data) - {"symmetry"}
+        for field, change in changes.items():
+            try:
+                cert = certificate_from_dict(dict(data, **{field: change(data)}))
+            except CertificateError:
+                continue
+            assert not verify_certificate(cert).passed, field
+        flipped = certificate_from_dict(dict(data, symmetry=not data["symmetry"]))
+        assert verify_certificate(flipped).passed
+
+
 class TestTargetedTampers:
     def test_weights_replaced_by_unit_vector(self):
         cert = is_fc(Family.from_sets(2, [[1, 2]]))
@@ -143,7 +185,7 @@ class TestTargetedTampers:
     def test_cut_replaced_by_non_union_closed_family(self):
         cert = is_fc(Family.from_sets(3, [[1, 2, 3]]))
         bad = Family.from_sets(3, [[1], [2]])
-        cert.cuts[0] = Cut.from_family(bad)
+        cert.cuts[0] = bad
         # restore plausible multiplier count
         rep = verify_nonfc(cert)
         assert not rep.passed
@@ -257,11 +299,10 @@ class TestProofTampers:
                 assert not verify_fc(bad).passed
 
     def test_weights_moved_so_leaf_bounds_fail(self, larger_certs):
-        # without cuts, the proof alone vouches for the weights; moving them
-        # halfway to a vertex of the simplex opens a violated family
+        # the proof alone vouches for the weights; moving them halfway to a
+        # vertex of the simplex opens a violated family
         for cert in larger_certs:
             bad = copy.deepcopy(cert)
-            bad.cuts = []
             assert verify_fc(bad).passed
             bad.weights = tuple(w / 2 + (Fraction(1, 2) if i == 0 else 0)
                                 for i, w in enumerate(cert.weights))
