@@ -16,15 +16,19 @@ builds none.
 
 The LP has one variable per automorphism orbit of <A> when symmetry is
 enabled, and one per element otherwise (the same construction over the
-trivial partition): each stored cut class and sum(c) = 1 enter as rows
-summed over the orbits, and the LP point is replicated back to the
-elements.  This is sound because averaging a feasible point over the group
-gives an orbit-constant feasible point.  Every witness is stored with its
-full orbit of images, and Farkas multipliers are spread uniformly over each
-orbit so the emitted certificate replays over the original, unprojected
-system.  The group enters only as the strong generating set of
-`canon.generating_set`: the element orbits and each witness's images are
-closures of those generators, so a decision never lists the group.
+trivial partition): each stored cut and sum(c) = 1 enter as rows summed
+over the orbits, and the LP point is replicated back to the elements.  This
+is sound because averaging a feasible point over the group gives an
+orbit-constant feasible point, for any group that fixes both <A> and the
+domain.  The group is taken inside the part of Aut(<A>) that fixes the
+domain: it is generated by the generators of `canon.generating_set` that
+map the domain onto itself (all of them for the full domain).  A cut is a
+bitset of sets, one per orbit of cuts, and its row is counted by
+popcounts.  Only a Non-FC certificate lists each cut's orbit of images,
+once, with its Farkas multiplier spread uniformly over them, so the
+certificate replays over the original, unprojected system.  The element
+orbits and the images are closures of the generators, so a decision never
+lists the group.
 """
 
 from __future__ import annotations
@@ -40,19 +44,18 @@ from typing import Callable, Optional, Sequence, Union
 from .setfam import (
     DECISION_GROUND_CAP,
     Family,
-    frequencies,
     powerset_family,
     union_closure,
     universe,
 )
 from .canon import (
     OrbitPartition,
+    apply_perm_family,
     automorphism_group,  # noqa: F401  (not called here; bench/spans.py wraps it by name)
     family_orbit,
     generating_set,
 )
 from .ratlp import (
-    Feasible,
     FarkasCertificate,
     Infeasible,
     LinearProgram,
@@ -74,7 +77,6 @@ class FcCertificate:
     n: int
     domain: Optional[Family]  # None means all of P([n])
     weights: tuple[Fraction, ...]
-    symmetry: bool
     proof: tuple[int, ...]  # the final separation's search tree (sepip.LEAF = pruned)
 
     kind = "fc"
@@ -88,7 +90,6 @@ class NonFcCertificate:
     cuts: list[Family]
     multipliers: tuple[Fraction, ...]  # one per cut, >= 0
     lam: Fraction  # multiplier of sum(c) = 1
-    symmetry: bool
 
     kind = "non-fc"
 
@@ -149,8 +150,11 @@ def is_fc(
     # feasible round
     prob = None if domain is None else build_separation(closure, domain)
 
-    # without symmetry every element is its own orbit
+    # without symmetry every element is its own orbit; with it, the group is
+    # generated by the generators of Aut(<A>) that fix the domain
     gens: list[tuple[int, ...]] = generating_set(closure) if symmetry else []
+    if domain is not None:
+        gens = [g for g in gens if apply_perm_family(g, domain) == domain]
     orbit_part = OrbitPartition.from_generators(gens, n)
     oid = orbit_part.orbit_id
 
@@ -160,38 +164,35 @@ def is_fc(
             out[oid[j]] += c
         return tuple(out)
 
-    # one list per orbit of stored cuts: each distinct image, sorted by
-    # members; the first is the representative the LP sees, as one row over
-    # the orbits
-    classes: list[list[Family]] = []
+    # one stored cut per orbit of cuts, as a bitset (bit x for the set x),
+    # and its LP row over the orbits, counted by popcounts against the M[i]
+    # of `_shift_steps` (the sets that hold i)
+    steps = _shift_steps(n)
+    every = steps[full]  # (M[i], its complement, 2^i) for each element i
+    cuts: list[int] = []
     ge_rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    seen: set[tuple[int, ...]] = set()
 
-    def add_cut(fam: Family) -> bool:
-        if fam.members in seen:
-            return False
-        images = family_orbit(fam, gens) if symmetry else [fam]
-        for img in images:
-            seen.add(img.members)
-        classes.append(images)
-        rep = images[0]
-        ge_rows.append((over_orbits(frequencies(rep).counts), Fraction(len(rep.members), 2)))
-        return True
+    def add_cut(cut: int) -> None:
+        cuts.append(cut)
+        counts = [(cut & keep).bit_count() for keep, _, _ in every]
+        ge_rows.append((over_orbits(counts), Fraction(cut.bit_count(), 2)))
 
     if warm_start:
         # the classically strongest inequalities: B_i = <A> |+| D_i, with D_i
-        # the domain sets that avoid element i, built on bitsets (bit x for
-        # the set x) by B |= shift(B, a) for each member a of A.  B_i needs
-        # no check: D_i holds the empty set, so B_i holds <A> and is not
-        # empty, and the validated D is union-closed and holds <A>, so B_i
-        # stays inside D
-        steps = _shift_steps(n)
+        # the domain sets that avoid element i, built by B |= shift(B, a) for
+        # each member a of A.  B_i needs no check: D_i holds the empty set, so
+        # B_i holds <A> and is not empty, and the validated D is union-closed
+        # and holds <A>, so B_i stays inside D.  Only the first element of
+        # each orbit gets one, since the other B_i are its images; the B_i
+        # of two orbits can still coincide, and are then stored once
         inside = (1 << (1 << n)) - 1 if domain is None else sum(1 << s for s in domain.members)
-        for _, avoids, _ in steps[full]:
+        for orbit in orbit_part.orbit_sets():
+            _, avoids, _ = every[orbit[0] - 1]
             b = inside & avoids
             for a in family.members:
                 b |= _shift(b, steps[a])
-            add_cut(Family(n, tuple(_bits(b))))
+            if b not in cuts:
+                add_cut(b)
 
     # sum(c) = 1 weighs each orbit's variable by the orbit's size
     eq_row = (over_orbits([1] * n), Fraction(1))
@@ -202,43 +203,43 @@ def is_fc(
             raise TimeoutError("is_fc deadline exceeded")
         res = lp_solve(LinearProgram(orbit_part.num_orbits, [eq_row], list(ge_rows)))
         if isinstance(res, Infeasible):
-            return _build_nonfc(family, n, domain, classes, res.certificate, symmetry)
-        if not isinstance(res, Feasible):
-            raise RuntimeError(f"the LP returned {type(res).__name__}")
+            return _build_nonfc(family, n, domain, cuts, gens, res.certificate)
         point = tuple(res.point[o] for o in oid)
         if progress:
-            progress(f"round {rounds}: {len(classes)} cut classes, separating")
+            progress(f"round {rounds}: {len(cuts)} cut classes, separating")
         if prob is None:
             prob = build_separation(closure, powerset_family(n))
         sep = solve_separation(prob, point, deadline=deadline)
         if sep.optimum > 0:
-            if not add_cut(sep.witness):
+            # the LP point is orbit-constant and satisfies every stored row,
+            # so a violated family is no image of a stored cut
+            cut = sum(1 << x for x in sep.witness.members)
+            if cut in cuts:
                 # the same LP would come back and the loop would never end
                 raise RuntimeError("separation returned an already stored cut")
+            add_cut(cut)
             continue
-        return FcCertificate(
-            family=family,
-            n=n,
-            domain=domain,
-            weights=tuple(point),
-            symmetry=symmetry,
-            proof=sep.proof,
-        )
+        return FcCertificate(family=family, n=n, domain=domain, weights=point, proof=sep.proof)
 
 
 def _build_nonfc(
     family: Family,
     n: int,
     domain: Optional[Family],
-    classes: list[list[Family]],
+    cuts: list[int],
+    gens: list[tuple[int, ...]],
     farkas: FarkasCertificate,
-    symmetry: bool,
 ) -> NonFcCertificate:
+    """The certificate over the original system: each stored cut's orbit of
+    images, with its multiplier spread uniformly over them."""
     lam = farkas.eq_multipliers[0]
     cut_mult: list[tuple[Family, Fraction]] = []
-    for cls, y in zip(classes, farkas.ge_multipliers):
-        share = y / len(cls)
-        cut_mult.extend((cut, share) for cut in cls)
+    for cut, y in zip(cuts, farkas.ge_multipliers):
+        fam = Family(n, tuple(_bits(cut)))
+        # with no generators a cut is its own orbit, and no symmetry work runs
+        images = family_orbit(fam, gens) if gens else [fam]
+        share = y / len(images)
+        cut_mult.extend((img, share) for img in images)
     # normalize so the aggregated right side is exactly 1; any single-field
     # change then breaks the replay
     rhs = sum(y * Fraction(len(c.members), 2) for c, y in cut_mult) + lam
@@ -254,7 +255,6 @@ def _build_nonfc(
         cuts=[c for c, _ in cut_mult],
         multipliers=tuple(y for _, y in cut_mult),
         lam=lam,
-        symmetry=symmetry,
     )
 
 
@@ -269,15 +269,13 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "family": [list(s) for s in cert.family.member_sets()],
         "domain": "full" if cert.domain is None else [list(s) for s in cert.domain.member_sets()],
     }
-    # cuts only for Non-FC, ahead of symmetry as Non-FC files have always
-    # had them; an FC verdict rests on its weights and proof alone
-    if isinstance(cert, NonFcCertificate):
-        out["cuts"] = [[list(s) for s in cut.member_sets()] for cut in cert.cuts]
-    out["symmetry"] = cert.symmetry
+    # an FC verdict rests on its weights and proof alone, a Non-FC one on its
+    # cuts and their Farkas multipliers
     if isinstance(cert, FcCertificate):
         out["weights"] = [frac_str(w) for w in cert.weights]
         out["proof"] = list(cert.proof)
     else:
+        out["cuts"] = [[list(s) for s in cut.member_sets()] for cut in cert.cuts]
         out["farkas"] = {
             "multipliers": [frac_str(y) for y in cert.multipliers],
             "lambda": frac_str(cert.lam),
@@ -299,9 +297,9 @@ def _rational(x) -> Fraction:
 def certificate_from_dict(data: dict) -> Certificate:
     try:
         kind = data["kind"]
-        n, symmetry = data["n"], data["symmetry"]
-        if type(n) is not int or type(symmetry) is not bool:
-            raise CertificateError("n must be an integer and symmetry true or false")
+        n = data["n"]
+        if type(n) is not int:
+            raise CertificateError("n must be an integer")
         if not 1 <= n <= DECISION_GROUND_CAP:
             raise CertificateError(f"ground size {n} out of range")
         family = Family.from_sets(n, data["family"])
@@ -315,7 +313,7 @@ def certificate_from_dict(data: dict) -> Certificate:
             proof = tuple(data["proof"])
             if not all(type(x) is int and (x == LEAF or 0 <= x < 1 << n) for x in proof):
                 raise CertificateError(f"proof entries must be {LEAF} or set masks below 2^{n}")
-            return FcCertificate(family, n, domain, weights, symmetry, proof)
+            return FcCertificate(family, n, domain, weights, proof)
         if kind == "non-fc":
             cuts = [Family.from_sets(n, f) for f in data["cuts"]]
             farkas = data["farkas"]
@@ -323,7 +321,7 @@ def certificate_from_dict(data: dict) -> Certificate:
             if len(multipliers) != len(cuts):
                 raise CertificateError("multiplier count does not match cut count")
             lam = _rational(farkas["lambda"])
-            return NonFcCertificate(family, n, domain, cuts, multipliers, lam, symmetry)
+            return NonFcCertificate(family, n, domain, cuts, multipliers, lam)
         raise CertificateError(f"unknown certificate kind {kind!r}")
     except CertificateError:
         raise

@@ -54,6 +54,20 @@ class TestIsfcAndVerify:
         assert data["kind"] == "fc"
         assert data["domain"] != "full"
 
+    def test_symmetry_over_a_caller_domain(self, tmp_path, capsys):
+        # transposing 3 and 4 fixes the family but not the domain P([5])
+        # minus {3}, {4}: the verdict is the one without --symmetry
+        fam = tmp_path / "fam.fam"
+        fam.write_text("n=5\n1,3,4\n2,4,5\n")
+        dom = tmp_path / "dom.fam"
+        dom.write_text(format_family(Family.from_masks(5, (m for m in range(32) if m not in (4, 8)))))
+        cert_path = tmp_path / "cert.json"
+        for flags in ([], ["--symmetry"]):
+            assert dispatch(["isfc", str(fam), "--v", str(dom), "--out", str(cert_path), *flags]) == 0
+            assert json.loads(cert_path.read_text())["kind"] == "fc"
+            assert dispatch(["verify", str(cert_path)]) == 0
+            assert "PASS" in capsys.readouterr().out
+
     def test_fc_certificate_needs_its_proof(self, tmp_path, capsys):
         path = tmp_path / "k4_n6.fam"
         path.write_text("n=6\n1,2,3,4\n1,2,3,5\n1,2,4,6\n1,3,5,6\n2,4,5,6\n3,4,5,6\n1,2,5,6\n")

@@ -14,8 +14,10 @@ import pytest
 
 import fcfam.canon
 import fcfam.fcsolve
+from fcfam.canon import apply_perm_family, family_orbit, generating_set, orbits
 from fcfam.setfam import (
     Family,
+    frequencies,
     lex_ksets,
     no_singletons_family,
     powerset_family,
@@ -34,6 +36,7 @@ from fcfam.fcsolve import (
 from fcfam.verify import verify_certificate
 
 from test_bench_spans import SPANS
+from test_golden_certificates import K4_N6
 from oracles import brute_poonen_fc, random_family, warm_start_cuts
 
 
@@ -233,6 +236,69 @@ class TestSymmetryReduce:
         for fam in fams:
             assert is_fc(fam, symmetry=True).kind == is_fc(fam).kind
 
+    def test_warm_start_is_one_row_per_orbit(self, monkeypatch):
+        # K4_N6 has two element orbits, {1, 2, 5, 6} and {3, 4}: one
+        # warm-start cut for each
+        fam = Family.from_sets(6, K4_N6)
+        lp = first_lp(monkeypatch, fam, symmetry=True, warm_start=True)
+        assert lp.num_vars == len(lp.ge_rows) == orbits(union_closure(fam)).num_orbits < fam.n
+
+    def test_nonfc_cuts_closed_under_the_group(self):
+        # every generator maps the certificate's cuts onto themselves, each
+        # cut keeping its multiplier: every orbit image is listed
+        fam = Family.from_sets(6, [[1, 2, 3, 4], [1, 2, 5, 6], [3, 4, 5, 6]])
+        cert = is_fc(fam, symmetry=True)
+        assert cert.kind == "non-fc"
+        gens = generating_set(union_closure(fam))
+        assert gens
+        mult = dict(zip(cert.cuts, cert.multipliers))
+        assert len(mult) == len(cert.cuts)
+        for g in gens:
+            assert {apply_perm_family(g, cut): y for cut, y in mult.items()} == mult
+
+
+def asymmetric_domain(n, drop, closure):
+    """P([n]) minus the sets in drop that are not in the closure, or None
+    when that is not union-closed."""
+    dom = Family.from_masks(n, (m for m in range(1 << n)
+                                if m not in drop or m in closure.members))
+    return dom if union_closure(dom) == dom else None
+
+
+class TestSymmetryOverADomain:
+    """With a caller's domain the LP's group lies in the part of Aut(<A>)
+    that fixes the domain, so the verdict does not depend on symmetry."""
+
+    def test_domain_breaks_the_symmetry(self):
+        # transposing 3 and 4 fixes <A> but not D = P([5]) minus {3}, {4}
+        fam = Family.from_sets(5, [[1, 3, 4], [2, 4, 5]])
+        dom = asymmetric_domain(5, {1 << 2, 1 << 3}, union_closure(fam))
+        assert dom is not None
+        for warm in (False, True):
+            off = is_fc(fam, domain=dom, warm_start=warm)
+            on = is_fc(fam, symmetry=True, domain=dom, warm_start=warm)
+            assert off.kind == on.kind == "fc"
+            assert verify_certificate(on).passed
+
+    def test_symmetry_on_and_off_agree(self):
+        rng = random.Random(20)
+        checked = 0
+        while checked < 40:
+            n = rng.randint(4, 6)
+            ksets = lex_ksets(n, rng.randint(2, n - 1))
+            fam = Family.from_masks(n, rng.sample(ksets, rng.randint(2, min(5, len(ksets)))))
+            if functools.reduce(operator.or_, fam.members) != (1 << n) - 1:
+                continue
+            drop = set(rng.sample(range(1, 1 << n), rng.randint(1, 4)))
+            dom = asymmetric_domain(n, drop, union_closure(fam))
+            if dom is None:
+                continue
+            warm = rng.random() < 0.5
+            on = is_fc(fam, symmetry=True, domain=dom, warm_start=warm)
+            assert on.kind == is_fc(fam, domain=dom, warm_start=warm).kind, (fam, dom)
+            assert verify_certificate(on).passed, (fam, dom)
+            checked += 1
+
 
 class TestLoopProperties:
     def test_symmetry_and_warm_start_do_not_change_verdicts(self):
@@ -324,7 +390,6 @@ class TestCertificateFormat:
         (3, "n", 3.7),  # int(3.7) == 3
         (3, "n", "3"),
         (1, "n", True),  # int(True) == 1
-        (3, "symmetry", "false"),  # bool("false") is True
         (3, "lambda", -14.0),  # the value stored, as a float
         (2, "weights", [0.5, 0.5]),
         # a boolean element: 1 <= True <= n holds
@@ -332,7 +397,7 @@ class TestCertificateFormat:
         (3, "domain", [[], [True], [2], [True, 2], [3], [True, 3], [2, 3], [True, 2, 3]]),
         (3, "cuts", [[[], [True], [2], [1, 2], [1, 2, 3]], [[], [1], [3], [1, 3], [1, 2, 3]],
                      [[], [2], [3], [2, 3], [1, 2, 3]]]),
-    ], ids=["n-float", "n-string", "n-bool", "symmetry-string", "lambda-float", "weights-float",
+    ], ids=["n-float", "n-string", "n-bool", "lambda-float", "weights-float",
             "family-bool", "domain-bool", "cut-bool"])
     def test_field_types_rejected(self, n, where, value, tmp_path, capsys):
         """A float, a string or a boolean where the format wants an integer,
@@ -369,19 +434,38 @@ class TestCertificateFormat:
             certificate_from_dict(data2)
 
 
+class FirstLp(Exception):
+    pass
+
+
+def first_lp(monkeypatch, family, **options):
+    """The first LP that is_fc builds, which it does not get to solve."""
+    lps = []
+
+    def stop(lp):
+        lps.append(lp)
+        raise FirstLp
+
+    monkeypatch.setattr(fcfam.fcsolve, "lp_solve", stop)
+    with pytest.raises(FirstLp):
+        is_fc(family, **options)
+    return lps[0]
+
+
+def lp_row(cut, oid=None):
+    """The LP row of a cut, counted from its members: its element counts
+    summed over the orbits oid (default: every element its own orbit), and
+    |B|/2."""
+    counts = frequencies(cut).counts
+    oid = oid or tuple(range(cut.n))
+    out = [Fraction(0)] * (max(oid) + 1)
+    for i, c in enumerate(counts):
+        out[oid[i]] += c
+    return tuple(out), Fraction(len(cut.members), 2)
+
+
 class TestWarmStart:
     def test_first_cuts_are_the_union_products(self, monkeypatch):
-        class FirstLp(Exception):
-            pass
-
-        def stop(lp):
-            raise FirstLp
-
-        made = []
-        frequencies = fcfam.fcsolve.frequencies
-        monkeypatch.setattr(
-            fcfam.fcsolve, "frequencies", lambda fam: made.append(fam) or frequencies(fam))
-        monkeypatch.setattr(fcfam.fcsolve, "lp_solve", stop)
         rng = random.Random(11)
         kinds = {"full": 0, "no-singletons": 0, "random": 0}
         for _ in range(80):
@@ -397,10 +481,9 @@ class TestWarmStart:
             if all(m & (m - 1) for m in closure.members[1:]):
                 domains["no-singletons"] = no_singletons_family(n)
             for kind, dom in domains.items():
-                made.clear()
-                with pytest.raises(FirstLp):
-                    is_fc(fam, warm_start=True, domain=dom)
-                assert made == warm_start_cuts(fam, dom or powerset_family(n)), (fam, kind)
+                lp = first_lp(monkeypatch, fam, warm_start=True, domain=dom)
+                cuts = warm_start_cuts(fam, dom or powerset_family(n))
+                assert lp.ge_rows == [lp_row(cut) for cut in cuts], (fam, kind)
                 kinds[kind] += 1
         assert min(kinds.values()) >= 10, kinds
 
@@ -446,19 +529,33 @@ class TestWorkDoneOnce:
             assert (len(lps) == 1) == one_lp
 
     def test_each_cut_built_once(self, monkeypatch):
-        # one count per stored class, its representative, which is the LP row
-        made = []
-        frequencies = fcfam.fcsolve.frequencies
-        monkeypatch.setattr(
-            fcfam.fcsolve, "frequencies", lambda fam: made.append(fam) or frequencies(fam))
+        # one LP row per stored cut, a distinct violated family; a Non-FC
+        # certificate lists the cut's orbit of images, each with that row
+        witnesses = []
+        solve = fcfam.fcsolve.solve_separation
+
+        def recorded(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            if res.optimum > 0:
+                witnesses.append(res.witness)
+            return res
+
+        monkeypatch.setattr(fcfam.fcsolve, "solve_separation", recorded)
         lps = count_calls(monkeypatch, fcfam.fcsolve, "lp_solve")
         for sets in ([[1, 2, 3], [3, 4, 5]], [[1, 2, 3], [2, 3, 4], [3, 4, 5]]):
             for symmetry in (False, True):
-                made.clear()
+                witnesses.clear()
                 lps.clear()
-                cert = is_fc(Family.from_sets(5, sets), symmetry=symmetry)
+                fam = Family.from_sets(5, sets)
+                cert = is_fc(fam, symmetry=symmetry)
+                closure = union_closure(fam)
+                oid = orbits(closure).orbit_id if symmetry else None
                 rows = lps[-1][0].ge_rows
-                assert len(made) == len(set(made)) == len(rows)
-                assert [rhs for _, rhs in rows] == [Fraction(len(f.members), 2) for f in made]
+                assert len(witnesses) == len(set(witnesses)) == len(rows)
+                assert rows == [lp_row(w, oid) for w in witnesses]
                 if cert.kind == "non-fc":
-                    assert set(made) <= set(cert.cuts)
+                    gens = generating_set(closure) if symmetry else []
+                    for w, row in zip(witnesses, rows):
+                        images = family_orbit(w, gens)
+                        assert set(images) <= set(cert.cuts)
+                        assert all(lp_row(img, oid) == row for img in images)

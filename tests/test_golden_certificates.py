@@ -26,21 +26,21 @@ K4_N6 = [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 6], [1, 3, 5, 6], [2, 4, 5, 6],
 # name: (n, member sets, is_fc options, kind, sha256)
 CASES = {
     "fc-n6": (6, K4_N6, {}, "fc",
-              "e06c69317413f30f2396a7e117c78a2bfa1a076dc45ae13236269dad5a2325ab"),
+              "84eef04851d30d856e867298aa098a5d1337379d2b4d8d2fc76b0dfcd5c44d3a"),
     "fc-n6-symmetry": (6, K4_N6, {"symmetry": True, "warm_start": True}, "fc",
-                       "f51df6b6f7310df6dfb5c4c003f0869bcce79350ace59271786cb24b54d35d0e"),
+                       "3441bc74fa9492f93032c1ba9579c9902fce1a6126a79ee4d3269ca45cec0e40"),
     "fc-n5-symmetry": (5, [[1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 4, 5]], {"symmetry": True}, "fc",
-                       "27913011e1bb9e75c82fbb6ed8022a341c4ef2d793c316467d10c7a1d7236d40"),
+                       "7176824db2052a08476ef026f13e8b3c5ae0fb760b78e79f53efb28d7a3d3c18"),
     "nonfc-n5": (5, [[1, 2, 3], [3, 4, 5]], {}, "non-fc",
-                 "7f3a855d629f72d3ce9d022351cfda0070eb59177ae88267650bb720cb038ddc"),
+                 "ea7ac4efaf163246d477d53afae8ed1648b843cb8f42fe271eed6943dec827ef"),
     "nonfc-n6-symmetry": (6, [[1, 2, 3, 4], [1, 2, 5, 6], [3, 4, 5, 6]], {"symmetry": True},
                           "non-fc",
-                          "3c871f071a38cfbcd467bc15855580a3ff9b379259f2cf662398994718d7ab37"),
+                          "f70766573b9148267dff1b1459ec3062ab8ef8dfd40da9e198a1ce70b18dce83"),
     "vfc-n6": (6, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6], [1, 2, 3, 5, 6]], {"domain": "no-singletons"},
-               "fc", "7d7f174358d3900010a93db2022649ffd359d510521401f21800679e7db45534"),
+               "fc", "12530b014cdfb590d3e766989d3ad14e5457f94d873cfde870ed15d3b07ca818"),
     "nonvfc-n6-symmetry": (6, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6]],
                            {"domain": "no-singletons", "symmetry": True}, "non-fc",
-                           "53f0c26960cab128fa423d790234952815b431ff82e4aa28aef977ecad2f3a3b"),
+                           "b448e02ad6f50f26306c05efea12c09f753147010ee4a9e639601e8421456be5"),
 }
 
 

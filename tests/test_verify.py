@@ -113,7 +113,7 @@ FC_N5 = (5, [[1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 4, 5]])
 NONFC_N5 = (5, [[1, 2, 3], [3, 4, 5]])
 
 # one change per top-level field of a certificate file, each of which the
-# loader or the checker must refuse; symmetry is recorded and never read
+# loader or the checker must refuse
 FIELD_CHANGES = {
     "fc": {
         "kind": lambda d: "non-fc",
@@ -136,37 +136,47 @@ FIELD_CHANGES = {
     },
 }
 
-# an FC file as written before FC certificates dropped their cuts
+# an FC file as written before FC certificates dropped their cuts, and a
+# Non-FC file as written before certificates dropped their symmetry flag
 OLDER_FC_FILE = ('{"kind": "fc", "n": 2, "family": [[1, 2]], "domain": "full", '
                  '"cuts": [[[], [2], [1, 2]]], "symmetry": false, '
                  '"weights": ["1/2", "1/2"], "proof": [-1]}')
+OLDER_NONFC_FILE = ('{"kind": "non-fc", "n": 3, "family": [[1, 2, 3]], "domain": "full", '
+                    '"cuts": [[[], [1], [1, 2, 3]], [[], [2], [1, 2, 3]], [[], [3], [1, 2, 3]]], '
+                    '"symmetry": true, '
+                    '"farkas": {"multipliers": ["2/1", "2/1", "2/1"], "lambda": "-8/1"}}')
 
 
 class TestCertificateFields:
     def test_fc_file_holds_weights_and_proof_only(self):
         data = certificate_to_dict(is_fc(Family.from_sets(*FC_N5)))
-        assert set(data) == {"kind", "n", "family", "domain", "weights", "proof", "symmetry"}
+        assert set(data) == {"kind", "n", "family", "domain", "weights", "proof"}
 
     def test_older_fc_file_with_cuts_verifies(self):
         data = json.loads(OLDER_FC_FILE)
         cert = certificate_from_dict(data)
         assert verify_certificate(cert).passed
-        assert certificate_to_dict(cert) == {k: v for k, v in data.items() if k != "cuts"}
+        assert certificate_to_dict(cert) == {k: v for k, v in data.items()
+                                             if k not in ("cuts", "symmetry")}
+
+    def test_older_nonfc_file_with_symmetry_verifies(self):
+        data = json.loads(OLDER_NONFC_FILE)
+        cert = certificate_from_dict(data)
+        assert verify_certificate(cert).passed
+        assert certificate_to_dict(cert) == {k: v for k, v in data.items() if k != "symmetry"}
 
     @pytest.mark.parametrize("case", [FC_N5, NONFC_N5], ids=["fc", "non-fc"])
-    def test_every_field_but_symmetry_is_read(self, case):
+    def test_every_field_is_read(self, case):
         data = json.loads(json.dumps(certificate_to_dict(is_fc(Family.from_sets(*case)))))
         changes = FIELD_CHANGES[data["kind"]]
         # a new field fails here until a change of it is shown to be refused
-        assert set(changes) == set(data) - {"symmetry"}
+        assert set(changes) == set(data)
         for field, change in changes.items():
             try:
                 cert = certificate_from_dict(dict(data, **{field: change(data)}))
             except CertificateError:
                 continue
             assert not verify_certificate(cert).passed, field
-        flipped = certificate_from_dict(dict(data, symmetry=not data["symmetry"]))
-        assert verify_certificate(flipped).passed
 
 
 class TestTargetedTampers:
