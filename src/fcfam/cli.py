@@ -113,7 +113,7 @@ def _cmd_getnfc(args) -> int:
     fams: list[Family] = []
     cert_paths: list[str] = []
     with enumfam.EnumSession(args.jobs, progress=_progress, time_limit=args.time_limit) as session:
-        candidates = session.candidates(args.n, args.k, args.m)
+        candidates, _ = session.candidates(args.n, args.k, args.m)
         path = _out_path(args, f"nfc_{cell}.fam")
         # candidates lie over [n] sorted by members, so Non-FC families stream in sorted order
         for fam, cert in session.classify(candidates):

@@ -1,39 +1,48 @@
 """Isomorph-free enumeration of k-set families and the FC value drivers.
 
-`noniso_levels` produces one representative per isomorphism class by
-incremental augmentation: each (m-1)-set representative over a compacted
-universe [u] is extended by every k-set that takes j fresh elements
-(canonically u+1..u+j) and k-j old ones, then deduplicated by canonical
-form, so every representative is its own canonical form.
+`get_nfc` is getNFC, the one enumeration behind FC(k, n) and FC_V(k, n),
+memoized bottom-up over cells (u, k, m) of families of m distinct k-sets
+with universe [u], one canonical form per isomorphism class; m = 1, the
+single k-set over [k], is its only base case.  Cell (u, k, m) extends each
+parent of m-1 sets over [i], max(k, u-k) <= i <= u, by every k-set that
+takes the fresh elements i+1..u and k-(u-i) old ones, so the new k-set
+brings the missing elements.  A cell's parents are its Non-FC classes,
+except that a session with a domain over [n] decides nothing in a cell
+with u < n and keeps every class there as a parent: V-FC is defined only
+for universe [n].  Cells with u = n are decided over the domain, and
+without a domain every cell is decided over P([u]).  That reaches every
+Non-FC class: dropping one member of a Non-FC family over [u] leaves a
+universe of at least u - k elements, and either the universe shrinks below
+the domain, where every class is a parent, or the subfamily is Non-FC too,
+because FC is monotone under supersets and V-FC is monotone for a fixed
+[n] and V (a larger <A> leaves A fewer constraints).
 
-`get_nfc` is getNFC, the one recursion behind FC(k, n), memoized bottom-up
-over universe sizes J = {max(k, n-k), ..., n}; m = 1, the single k-set
-over [k], is its only base case.  Cell (n, k, m) extends each Non-FC family
-of m-1 sets over [i], i in J, by the same rule with j = n - i, so the new
-k-set brings the missing elements.  That reaches every Non-FC family, whose
-subfamilies are Non-FC: dropping one k-set from a family over [n] leaves a
-universe of at least n - k elements.  An extension class is tested once for
-a proper FC subfamily (one member down, against the previous level's FC
-keys; an FC verdict there also covers deeper containment because such
-families were pruned earlier) and skipped if it has one.  A subfamily is
-canonicalized only when the previous level has an FC key of its universe
-size, so runs whose previous levels are all Non-FC never canonicalize one.
+Both drivers share one known-FC rule.  A cell's `fc` set holds every class
+known to be FC: those decided FC, and the extension classes skipped
+because a one-down subfamily is in the previous level's `fc` set of its
+universe size.  By monotonicity a skipped class is FC, so recording it
+hides no Non-FC class.  Each extension class is tested once, and a class
+is decided only when no one-down subfamily in a decided cell is FC: if F
+extends the parent F - y and F - x is FC, then (F - x) - y lies in F - y,
+is a parent too, and F - x was listed, so its key is in `fc`.  A subfamily
+is canonicalized only when the previous level has an FC key of its
+universe size, so runs whose previous levels are all Non-FC never
+canonicalize one.
 
-`fc_value` and `fcv_value` share one threshold scan, `_scan`, over levels
-m = 1..min(m_max, C(n, k)), each giving its Non-FC class count per (u, m)
-cell and its first Non-FC family with its certificate.  The value is one
-past the last level with a Non-FC class, found at the first clean level at
-or past a floor (1 for FC, n for FC_V), and the witness is the first
-Non-FC class of that last level.  `fc_value` reads its levels off the
-getNFC cells u = k..n; `fcv_value` reads the classes over exactly [n] from
-`noniso_levels`, skipping those with a V-FC subfamily by the same test.
+`fc_value` and `fcv_value` share one threshold scan, `_scan`, over the
+levels m = 1..min(m_max, C(n, k)) that `_levels` reads off the getNFC
+cells: u = k..n for FC, u = n for FC_V.  Each level gives its Non-FC class
+count per (u, m) cell and its first Non-FC family with its certificate.
+The value is one past the last level with a Non-FC class, found at the
+first clean level at or past a floor (1 for FC, n for FC_V), and the
+witness is the first Non-FC class of that last level.
 
 `EnumSession.classify` is the one place where a driver, or the CLI's
 getnfc, decides a family: with `is_fc` over the session's domain (all of
 P([n]) unless one is given), streaming (family, certificate) pairs in input
 order, so a caller keeps only the certificates it reports.  Each getNFC
-cell keeps the certificate of its first Non-FC family, which `fc_value`
-reports with its witness without solving it again.  Each decision stops at
+cell keeps the certificate of its first Non-FC family, which the drivers
+report with their witness without solving it again.  Each decision stops at
 the earlier of the session's run deadline and its own start plus
 `time_limit`.  With jobs > 1 the decisions fan out over one worker pool per
 session.  Decisions use the session defaults, symmetry off and warm start
@@ -75,11 +84,15 @@ Level = tuple[dict[tuple[int, int], int], Optional[tuple[Family, NonFcCertificat
 
 @dataclass
 class NfcRegistry:
-    """Non-FC families and FC keys of one (n, k, m) cell, by canonical form.
+    """The parents and the known-FC keys of one (n, k, m) cell, by
+    canonical form.
 
-    `nfc` is in decision order, which is sorted order because candidates
-    are sorted by members.  Only the certificate of `nfc[0]`, the cell's
-    witness, is kept: all Non-FC certificates of a cell can take megabytes.
+    `nfc` holds the cell's Non-FC families in decision order, which is
+    sorted order because candidates are sorted by members; below a
+    session's domain it holds every class, undecided.  `fc` holds the keys
+    of the classes known to be FC: decided FC, or skipped by `candidates`.
+    Only the certificate of `nfc[0]`, the cell's witness, is kept: all
+    Non-FC certificates of a cell can take megabytes.
     """
 
     nfc: list[Family] = field(default_factory=list)
@@ -115,24 +128,6 @@ class LexScanResult:
     # universe, which happens in the trivial k = 3 scans; the bundle then
     # carries only the upper-bound half of the evidence.
     prev_nonfc: Optional[NonFcCertificate]
-
-
-def noniso_levels(n: int, k: int, m_max: int) -> Iterator[list[Family]]:
-    """Yield representatives of families of m distinct k-sets over ground
-    sets of at most n elements (universes compacted to [u]), m = 1..m_max."""
-    if k > n or m_max < 1:
-        return
-    level = [Family.from_masks(k, [(1 << k) - 1])]
-    yield level
-    for _ in range(2, m_max + 1):
-        registry: dict[CanonKey, Family] = {}
-        for fam in level:
-            for j in range(0, min(k, n - fam.n) + 1):
-                for ext in _extensions(fam, k, j):
-                    cf = canonical_form(ext)
-                    registry.setdefault(cf.key, cf.relabeled)
-        level = sorted(registry.values(), key=lambda f: (f.n, f.members))
-        yield level
 
 
 def _extensions(fam: Family, k: int, j: int) -> Iterator[Family]:
@@ -220,23 +215,26 @@ class EnumSession:
             return zip(fams, self._pool.imap(_decide, args, chunk))
         return zip(fams, map(_decide, args))
 
-    def candidates(self, n: int, k: int, m: int) -> list[Family]:
-        """The canonical families the (n, k, m) cell decides, sorted by
-        members: the single k-set at m = 1, else the extensions of the
-        Non-FC families one member down that contain no FC subfamily."""
+    def candidates(self, n: int, k: int, m: int) -> tuple[list[Family], set[CanonKey]]:
+        """The canonical families of the (n, k, m) cell, sorted by members,
+        and the keys of the classes it skips as known FC: the single k-set
+        at m = 1, else the extensions of the parents one member down (every
+        class below the domain, else the Non-FC ones) whose one-down
+        subfamilies are not known FC."""
         if not (n >= k >= 3):
             raise ValueError("need n >= k >= 3")
         self.check_deadline()
         if k * m < n or m > math.comb(n, k):
-            return []
+            return [], set()
         if m == 1:
-            return [Family.from_masks(k, [(1 << k) - 1])]
+            return [Family.from_masks(k, [(1 << k) - 1])], set()
 
         prev = {i: self.get_nfc(i, k, m - 1) for i in range(max(k, n - k), n + 1)}
         prev_fc = {i: reg.fc for i, reg in prev.items()}
 
         seen: set[CanonKey] = set()  # tested once per class, kept or not
         candidates: list[Family] = []
+        known_fc: set[CanonKey] = set()
         for parent in (p for reg in prev.values() for p in reg.nfc):
             # the new set must cover the elements the parent's universe lacks
             for ext in _extensions(parent, k, n - parent.n):
@@ -244,18 +242,27 @@ class EnumSession:
                 if cf.key in seen:
                     continue
                 seen.add(cf.key)
-                if not _has_subfamily_in(ext, prev_fc):
+                if _has_subfamily_in(ext, prev_fc):
+                    known_fc.add(cf.key)
+                else:
                     candidates.append(cf.relabeled)
         candidates.sort(key=lambda f: f.members)
-        self._say(f"getNFC({n},{k},{m}): {len(candidates)} candidates to classify")
-        return candidates
+        self._say(f"getNFC({n},{k},{m}): {len(candidates)} candidates, "
+                  f"{len(known_fc)} known FC")
+        return candidates, known_fc
 
     def get_nfc(self, n: int, k: int, m: int) -> NfcRegistry:
         if (n, k, m) not in self.memo:
-            reg = NfcRegistry()
-            for fam, cert in self.classify(self.candidates(n, k, m)):
-                reg.record(fam, cert)
-            self._say(f"getNFC({n},{k},{m}): {len(reg.nfc)} Non-FC, {len(reg.fc)} FC")
+            candidates, known_fc = self.candidates(n, k, m)
+            reg = NfcRegistry(fc=known_fc)
+            if self.domain is not None and n < self.domain.n:
+                reg.nfc = candidates
+                self._say(f"getNFC({n},{k},{m}): {len(candidates)} classes kept undecided "
+                          f"below [{self.domain.n}]")
+            else:
+                for fam, cert in self.classify(candidates):
+                    reg.record(fam, cert)
+                self._say(f"getNFC({n},{k},{m}): {len(reg.nfc)} Non-FC, {len(reg.fc)} FC")
             self.memo[n, k, m] = reg
         return self.memo[n, k, m]
 
@@ -288,19 +295,9 @@ def fc_value(
     if not (n > k >= 3):
         raise ValueError("need n > k >= 3")
     cap = math.comb(n, k)
-
-    def levels() -> Iterator[Level]:
-        for m in itertools.count(1):
-            cells = {(i, m): session.get_nfc(i, k, m) for i in range(k, n + 1)}
-            if progress:
-                progress(f"fc_value({k},{n}): m={m} Non-FC classes="
-                         f"{sum(len(reg.nfc) for reg in cells.values())}")
-            first = next(((reg.nfc[0], reg.witness_certificate)
-                          for reg in cells.values() if reg.nfc), None)
-            yield {cell: len(reg.nfc) for cell, reg in cells.items()}, first
-
+    last = cap if m_max is None else min(m_max, cap)
     with EnumSession(jobs, symmetry, warm_start, deadline, progress, time_limit) as session:
-        return _scan(k, n, levels(), cap if m_max is None else min(m_max, cap), 1)
+        return _scan(k, n, _levels(session, k, range(k, n + 1)), last, 1)
 
 
 def lex_scan(
@@ -349,7 +346,8 @@ def fcv_value(
     time_limit: Optional[float] = None,
 ) -> FcValueReport:
     """Least m such that every family of at least m distinct k-sets with
-    universe exactly [n] is V-FC, by brute force over isomorphism classes.
+    universe exactly [n] is V-FC, from the getNFC cells (n, k, m) decided
+    over V, whose recursion keeps every class over a smaller universe.
 
     Scanning each exact level m suffices: a V-FC subfamily makes its
     supersets V-FC, and any family of more than n sets keeps universe [n]
@@ -369,40 +367,19 @@ def fcv_value(
         # S_n-invariant iff swapping the first element with any other fixes it
         if any(_twin_classes(dom.members, n)):
             raise ValueError("isomorphism pruning needs a symmetric domain")
-    cap = math.comb(n, k)
+    with EnumSession(jobs, warm_start=warm_start, deadline=deadline, progress=progress,
+                     time_limit=time_limit, domain=dom) as session:
+        return _scan(k, n, _levels(session, k, [n]), math.comb(n, k), n)
 
-    def levels() -> Iterator[Level]:
-        prev_vfc: set[CanonKey] = set()
-        for m, level in enumerate(noniso_levels(n, k, cap), 1):
-            session.check_deadline()
-            reps = [f for f in level if f.n == n]
-            vfc_here: set[CanonKey] = set()
-            to_solve: list[Family] = []
-            for fam in reps:
-                if _has_subfamily_in(fam, {n: prev_vfc}):
-                    vfc_here.add((fam.n, fam.members))
-                else:
-                    to_solve.append(fam)
-            bad_here = 0
-            first: Optional[tuple[Family, NonFcCertificate]] = None
-            for fam, cert in session.classify(to_solve):
-                if isinstance(cert, FcCertificate):
-                    vfc_here.add((fam.n, fam.members))
-                else:
-                    bad_here += 1
-                    first = first or (fam, cert)
-            if progress:
-                progress(
-                    f"fcv_value({k},{n}): m={m} classes={len(reps)} "
-                    f"solved={len(to_solve)} non-V-FC={bad_here}"
-                )
-            prev_vfc = vfc_here
-            yield {(n, m): bad_here}, first
 
-    with EnumSession(
-        jobs, warm_start=warm_start, deadline=deadline, time_limit=time_limit, domain=dom
-    ) as session:
-        return _scan(k, n, levels(), cap, n)
+def _levels(session: EnumSession, k: int, sizes: Sequence[int]) -> Iterator[Level]:
+    """Levels m = 1, 2, ... of the getNFC cells (u, k, m), u in sizes."""
+    for m in itertools.count(1):
+        cells = {(u, m): session.get_nfc(u, k, m) for u in sizes}
+        session._say(f"m={m}: {sum(len(reg.nfc) for reg in cells.values())} Non-FC classes")
+        first = next(((reg.nfc[0], reg.witness_certificate)
+                      for reg in cells.values() if reg.nfc), None)
+        yield {cell: len(reg.nfc) for cell, reg in cells.items()}, first
 
 
 def _scan(k: int, n: int, levels: Iterator[Level], last: int, floor: int) -> FcValueReport:

@@ -4,8 +4,9 @@ Every derived expected value in the tests comes from one of these: they
 enumerate, never search, and share nothing with the production algorithms
 beyond the Family container and exact arithmetic.  The two class
 enumerations are the exception: `uc_reps_with_full_universe` deduplicates
-by `canon.canonical_key`, and `gen_noniso_families` reads
-`enumfam.noniso_levels`, which the tests check against brute-force counts.
+by `canon.canonical_key`, and `noniso_levels` augments with
+`enumfam._extensions` and deduplicates by `canon.canonical_form`; the tests
+check both against brute-force counts.
 """
 
 from __future__ import annotations
@@ -190,14 +191,37 @@ def uc_reps_with_full_universe(n: int) -> list[Family]:
     return [reps[k] for k in sorted(reps)]
 
 
+def noniso_levels(n: int, k: int, m_max: int) -> Iterator[list[Family]]:
+    """Yield representatives of families of m distinct k-sets over ground
+    sets of at most n elements (universes compacted to [u]), m = 1..m_max,
+    by incremental augmentation: each (m-1)-set representative over [u] is
+    extended by every k-set that takes j fresh elements (canonically
+    u+1..u+j) and k-j old ones, then deduplicated by canonical form, so
+    every representative is its own canonical form."""
+    from fcfam.canon import canonical_form
+    from fcfam.enumfam import _extensions
+
+    if k > n or m_max < 1:
+        return
+    level = [Family.from_masks(k, [(1 << k) - 1])]
+    yield level
+    for _ in range(2, m_max + 1):
+        registry: dict = {}
+        for fam in level:
+            for j in range(0, min(k, n - fam.n) + 1):
+                for ext in _extensions(fam, k, j):
+                    cf = canonical_form(ext)
+                    registry.setdefault(cf.key, cf.relabeled)
+        level = sorted(registry.values(), key=lambda f: (f.n, f.members))
+        yield level
+
+
 def gen_noniso_families(n: int, k: int, m: int) -> list[Family]:
     """One representative per isomorphism class of families of m distinct
     k-sets with universe exactly [n]; empty when the parameters are
     impossible.  The flat reference enumeration: level m of
-    `enumfam.noniso_levels`, kept to universe [n], which `TestGenNonIso`
-    checks against a brute-force class count."""
-    from fcfam.enumfam import noniso_levels
-
+    `noniso_levels`, kept to universe [n], which `TestGenNonIso` checks
+    against a brute-force class count."""
     if m < 1:
         raise ValueError("m must be positive")
     if k > n or k * m < n or m > math.comb(n, k):

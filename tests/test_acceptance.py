@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+import fcfam.enumfam
+
 from fcfam.setfam import (
     Family,
     no_singletons_family,
@@ -68,7 +70,7 @@ def test_criterion_03_fc4_values():
            f"({rep5.wall_time:.1f}s, {rep6.wall_time:.1f}s)")
 
 
-def test_criterion_04_vfc_results():
+def test_criterion_04_vfc_results(monkeypatch):
     v3 = Family.from_masks(3, tuple(m for m in range(8) if m != 0b001))
     assert is_fc(Family.from_sets(3, [[1, 2, 3]]), domain=v3).kind == "fc"
     assert (
@@ -87,11 +89,18 @@ def test_criterion_04_vfc_results():
         is_fc(Family.from_sets(6, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6]]), domain=v6).kind
         == "non-fc"
     )
-    values = [
-        fcv_value(5, 6, "no-singletons").value,
-        fcv_value(5, 7, "no-singletons").value,
-        fcv_value(6, 7, "no-singletons").value,
-    ]
+    decided = []
+
+    def counting(family, **kwargs):
+        decided.append(family)
+        return is_fc(family, **kwargs)
+
+    monkeypatch.setattr(fcfam.enumfam, "is_fc", counting)
+    values = [fcv_value(5, 6, "no-singletons").value]
+    decided.clear()
+    values.append(fcv_value(5, 7, "no-singletons").value)
+    assert len(decided) == 15  # the FC_V(5,7) decisions
+    values.append(fcv_value(6, 7, "no-singletons").value)
     assert values == [3, 5, 7]
     report(f"criterion 4: V-FC corollaries hold; FC_V(5,6),(5,7),(6,7) = {values}")
 

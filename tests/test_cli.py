@@ -125,7 +125,9 @@ class TestBatchCommands:
 
     def test_fcvalue(self, capsys):
         assert dispatch(["fcvalue", "-k", "3", "-n", "4"]) == 0
-        assert "FC(3,4) = 3" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "FC(3,4) = 3" in out
+        assert "m=2: 1 Non-FC classes" in err.splitlines()
 
     def test_fcvalue_past_the_complete_family(self, capsys):
         # C(6,5) = 6 sets is the complete family, and it is Non-FC: a larger
@@ -142,7 +144,11 @@ class TestBatchCommands:
 
     def test_vfcvalue(self, capsys):
         assert dispatch(["vfcvalue", "-k", "5", "-n", "6", "--v", "no-singletons"]) == 0
-        assert "FC_V(5,6) = 3" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "FC_V(5,6) = 3" in out
+        # the same per-level line as fcvalue, and nothing decided below [6]
+        assert "m=2: 1 Non-FC classes" in err.splitlines()
+        assert "getNFC(5,5,1): 1 classes kept undecided below [6]" in err.splitlines()
 
     def test_vfcvalue_domain_file(self, tmp_path, capsys):
         path = tmp_path / "v.fam"
@@ -255,7 +261,7 @@ class TestReadme:
         subparsers = next(a for a in build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
         commands = _readme_commands()
-        assert len(commands) == 14
+        assert len(commands) == 15
         unknown = []
         for _, cmd, *words in commands:
             accepted = subparsers.choices[cmd]._option_string_actions

@@ -2,15 +2,21 @@ import itertools
 import math
 import multiprocessing
 import random
-import re
 import time
 
 import pytest
 
 import fcfam.enumfam
-from fcfam.setfam import Family, lex_ksets, lex_prefix, no_singletons_family, universe
+from fcfam.setfam import (
+    Family,
+    lex_ksets,
+    lex_prefix,
+    no_singletons_family,
+    powerset_family,
+    universe,
+)
 from fcfam.canon import canonical_form, canonical_key
-from fcfam.fcsolve import certificate_to_dict, is_fc
+from fcfam.fcsolve import certificate_to_dict, fc3_value, is_fc
 from fcfam.verify import verify_certificate
 from fcfam.enumfam import (
     EnumSession,
@@ -239,6 +245,36 @@ class TestFcvValue:
         with pytest.raises(ValueError, match="symmetric"):
             fcv_value(3, 4, dom)
 
+    @pytest.mark.parametrize(
+        "k,n,domain",
+        [(5, 6, no_singletons_family(6)), (4, 5, powerset_family(5)), (4, 6, powerset_family(6))],
+        ids=["v56-no-singletons", "v45-powerset", "v46-powerset"],
+    )
+    def test_level_counts_match_the_flat_enumeration(self, k, n, domain):
+        # every class over [n] of each level, decided over the domain
+        rep = fcv_value(k, n, domain)
+        assert rep.status == "found"
+        assert sorted(rep.counts) == [(n, m) for m in range(1, len(rep.counts) + 1)]
+        for (_, m), count in rep.counts.items():
+            flat = gen_noniso_families(n, k, m)
+            assert count == sum(is_fc(f, domain=domain).kind == "non-fc" for f in flat), m
+
+    def test_powerset_domain_gives_the_fc_value(self):
+        vrep = fcv_value(4, 6, powerset_family(6))
+        rep = fc_value(4, 6)
+        assert (vrep.status, vrep.value) == (rep.status, rep.value) == ("found", 7)
+        assert vrep.counts == {(u, m): c for (u, m), c in rep.counts.items() if u == 6}
+
+    @pytest.mark.parametrize("k,n", [(3, 6), (4, 6), (5, 7)])
+    def test_cells_below_the_domain_keep_every_class_undecided(self, isfc_calls, k, n):
+        with EnumSession(domain=no_singletons_family(n)) as session:
+            for u in range(k, n):
+                for m in range(1, math.comb(u, k) + 1):
+                    reg = session.get_nfc(u, k, m)
+                    assert reg.nfc == gen_noniso_families(u, k, m), (u, m)
+                    assert not reg.fc and reg.witness_certificate is None
+        assert isfc_calls == []
+
 
 @pytest.fixture
 def isfc_calls(monkeypatch):
@@ -253,6 +289,20 @@ def isfc_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def recorded(monkeypatch):
+    """The families the getNFC cells record, decided FC or Non-FC."""
+    fams = []
+    real = NfcRegistry.record
+
+    def recording(self, fam, cert):
+        fams.append(fam)
+        real(self, fam, cert)
+
+    monkeypatch.setattr(NfcRegistry, "record", recording)
+    return fams
+
+
 def first_full_prefix(n, k):
     uni = 0
     for idx, s in enumerate(lex_ksets(n, k)):
@@ -262,15 +312,11 @@ def first_full_prefix(n, k):
 
 
 class TestOneDecisionPerFamily:
-    def test_fcv_value_decides_each_family_once(self, isfc_calls):
-        solved = []
-
-        def count_solved(msg):
-            solved.append(int(re.search(r"solved=(\d+)", msg)[1]))
-
-        rep = fcv_value(5, 6, progress=count_solved)
+    def test_fcv_value_decides_each_family_once(self, isfc_calls, recorded):
+        rep = fcv_value(5, 6)
         assert rep.value == 3
-        assert len(isfc_calls) == sum(solved) > 0
+        assert isfc_calls == recorded
+        assert len(recorded) == 2
         assert rep.witness in isfc_calls
 
     def test_fcv_witness_certificate_is_a_fresh_decision(self):
@@ -278,22 +324,27 @@ class TestOneDecisionPerFamily:
         fresh = is_fc(rep.witness, domain=no_singletons_family(6), warm_start=True)
         assert certificate_to_dict(rep.witness_certificate) == certificate_to_dict(fresh)
 
-    @pytest.mark.parametrize("k,n", [(3, 5), (4, 6)])
-    def test_fc_value_decides_each_family_once(self, isfc_calls, monkeypatch, k, n):
-        recorded = []
-        real = NfcRegistry.record
-
-        def counting(self, fam, cert):
-            recorded.append(fam)
-            real(self, fam, cert)
-
-        monkeypatch.setattr(NfcRegistry, "record", counting)
+    @pytest.mark.parametrize("k,n,decided", [(3, 5, 7), (4, 6, 50)], ids=["3-5", "4-6"])
+    def test_fc_value_decides_each_family_once(self, isfc_calls, recorded, k, n, decided):
         rep = fc_value(k, n)
         assert rep.status == "found"
         assert isfc_calls == recorded
+        assert len(recorded) == decided
         assert rep.witness in isfc_calls
         fresh = is_fc(rep.witness, warm_start=True)
         assert certificate_to_dict(rep.witness_certificate) == certificate_to_dict(fresh)
+
+    def test_fc_supersets_are_not_decided_again(self, isfc_calls, recorded):
+        # {123, 124, 134, 567, 568} holds {123, 124, 134} two members down,
+        # which is FC since FC(3,4) = 3; its n = 8 proof takes minutes, so
+        # deciding it would raise TimeoutError here
+        held = Family.from_sets(8, [[1, 2, 3], [1, 2, 4], [1, 3, 4], [5, 6, 7], [5, 6, 8]])
+        rep = fc_value(3, 8, time_limit=30)
+        assert (rep.status, rep.value) == ("found", fc3_value(8)) == ("found", 5)
+        assert verify_certificate(rep.witness_certificate).passed
+        assert isfc_calls == recorded
+        assert len(recorded) == 22
+        assert canonical_key(held) not in {canonical_key(f) for f in recorded}
 
     def test_lex_scan_decides_each_prefix_once(self, isfc_calls):
         res = lex_scan(4, 5)

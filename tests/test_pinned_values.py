@@ -2,9 +2,10 @@
 every (universe size u, m) cell up to the value, and the size of an n = 8
 FC proof.
 
-At jobs=1 the runs take 43 s and 175 s on a 2-core Intel Xeon virtual
-machine with Python 3.11.7, and the n = 8 decision with its verification
-about 10 s each way, so all are marked `slow` and deselected by default.
+At jobs=1 the runs took 22 s and 215 s on a 2-core Intel Xeon virtual
+machine with Python 3.11.7 (2026-10-19), and the n = 8 decision with its
+verification 7 s warm and 11 s cold, so all are marked `slow` and
+deselected by default.
 Run them with
 
     PYTHONPATH=src python -m pytest -m slow tests/test_pinned_values.py
