@@ -28,7 +28,7 @@ from fcfam.sepip import build_separation, solve_separation
 print("== canonical forms identify isomorphic families ==")
 a = Family.from_sets(5, [[1, 2, 3, 4], [1, 2, 3, 5]])
 b = Family.from_sets(5, [[2, 3, 4, 5], [1, 3, 4, 5]])
-print("same canonical form:", canonical_form(a).key == canonical_form(b).key)
+print("same canonical form:", canonical_form(a).relabeled == canonical_form(b).relabeled)
 print("are_isomorphic:", are_isomorphic(a, b))
 
 print("\n== automorphisms and orbits ==")

@@ -25,7 +25,6 @@ from .canon import (
     are_isomorphic,
     automorphism_group,
     canonical_form,
-    canonical_key,
     orbits,
 )
 from .ratlp import (

@@ -84,7 +84,8 @@ def apply_perm_family(p: Permutation, family: Family) -> Family:
 class CanonicalForm:
     """Relabeling-invariant representative of an isomorphism class.
 
-    `relabeled` lives over the compacted universe [u]; `witness` maps the
+    `relabeled` lives over the compacted universe [u] and names the class:
+    two families are isomorphic iff theirs are equal.  `witness` maps the
     compacted input onto it; `compaction` lists the original universe
     elements in ascending order (old label of compacted element i is
     compaction[i-1]).
@@ -93,10 +94,6 @@ class CanonicalForm:
     relabeled: Family
     witness: Permutation
     compaction: tuple[int, ...]
-
-    @property
-    def key(self) -> tuple[int, tuple[int, ...]]:
-        return (self.relabeled.n, self.relabeled.members)
 
 
 @dataclass(frozen=True)
@@ -235,11 +232,6 @@ def canonical_form(family: Family) -> CanonicalForm:
     return CanonicalForm(Family.from_masks(u, best), tuple(witness), compaction)
 
 
-def canonical_key(family: Family) -> tuple[int, tuple[int, ...]]:
-    """Hashable registry key of a family's isomorphism class."""
-    return canonical_form(family).key
-
-
 def are_isomorphic(a: Family, b: Family) -> bool:
     if len(a.members) != len(b.members):
         return False
@@ -247,7 +239,7 @@ def are_isomorphic(a: Family, b: Family) -> bool:
         return False
     if sorted(m.bit_count() for m in a.members) != sorted(m.bit_count() for m in b.members):
         return False
-    return canonical_key(a) == canonical_key(b)
+    return canonical_form(a).relabeled == canonical_form(b).relabeled
 
 
 def _find_automorphism(

@@ -46,11 +46,17 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _load_family(path: str) -> Family:
+def _load_family(path: str, v: Optional[str] = None) -> Family:
+    """The family in path, compacted to its universe; a domain spec v is
+    refused for a family that needs compacting, since V-FC is defined only
+    for universe [n]."""
     with open(path, "r", encoding="utf-8") as fh:
         fam = parse_family(fh.read())
     if universe(fam) != (1 << fam.n) - 1:
         compacted, elems = compact_universe(fam)
+        if v is not None:
+            raise ValueError(f"--v needs a family with universe [{fam.n}], "
+                             f"but this one keeps only elements {list(elems)}")
         _progress(
             f"note: universe compacted to [{compacted.n}] (kept elements {list(elems)})"
         )
@@ -87,7 +93,7 @@ def _positive_seconds(text: str) -> float:
 
 
 def _cmd_isfc(args) -> int:
-    fam = _load_family(args.family)
+    fam = _load_family(args.family, args.v)
     domain = _parse_domain(args.v, fam.n)
     cert = is_fc(
         fam,

@@ -2,8 +2,10 @@
 
 `get_nfc` is getNFC, the one enumeration behind FC(k, n) and FC_V(k, n),
 memoized bottom-up over cells (u, k, m) of families of m distinct k-sets
-with universe [u], one canonical form per isomorphism class; m = 1, the
-single k-set over [k], is its only base case.  Cell (u, k, m) extends each
+with universe [u]; m = 1, the single k-set over [k], is its only base case.
+An isomorphism class is named by its canonical family,
+`canonical_form(f).relabeled`, which is frozen and hashable, so the class
+sets of a cell and of a run hold these families.  Cell (u, k, m) extends each
 parent of m-1 sets over [i], max(k, u-k) <= i <= u, by every k-set that
 takes the fresh elements i+1..u and k-(u-i) old ones, so the new k-set
 brings the missing elements.  A cell's parents are its Non-FC classes,
@@ -24,25 +26,27 @@ universe size.  By monotonicity a skipped class is FC, so recording it
 hides no Non-FC class.  Each extension class is tested once, and a class
 is decided only when no one-down subfamily in a decided cell is FC: if F
 extends the parent F - y and F - x is FC, then (F - x) - y lies in F - y,
-is a parent too, and F - x was listed, so its key is in `fc`.  A subfamily
-is canonicalized only when the previous level has an FC key of its
-universe size, so runs whose previous levels are all Non-FC never
+is a parent too, and F - x was listed, so its class is in `fc`.  A
+subfamily is canonicalized only when the previous level has an FC class of
+its universe size, so runs whose previous levels are all Non-FC never
 canonicalize one.
 
 `fc_value` and `fcv_value` share one threshold scan, `_scan`, over the
 levels m = 1..min(m_max, C(n, k)) that `_levels` reads off the getNFC
 cells: u = k..n for FC, u = n for FC_V.  Each level gives its Non-FC class
-count per (u, m) cell and its first Non-FC family with its certificate.
-The value is one past the last level with a Non-FC class, found at the
-first clean level at or past a floor (1 for FC, n for FC_V), and the
-witness is the first Non-FC class of that last level.
+count per (u, m) cell and the certificate of its first Non-FC class.  The
+value is one past the last level with a Non-FC class, found at the first
+clean level at or past a floor (1 for FC, n for FC_V).  The witness is the
+first Non-FC class of that last level, and the report holds it only as the
+family of its certificate, whatever the status, so no report has a witness
+without its certificate.
 
 `EnumSession.classify` is the one place where a driver, or the CLI's
 getnfc, decides a family: with `is_fc` over the session's domain (all of
 P([n]) unless one is given), streaming (family, certificate) pairs in input
 order, so a caller keeps only the certificates it reports.  Each getNFC
 cell keeps the certificate of its first Non-FC family, which the drivers
-report with their witness without solving it again.  Each decision stops at
+report as their witness without solving it again.  Each decision stops at
 the earlier of the session's run deadline and its own start plus
 `time_limit`.  With jobs > 1 the decisions fan out over one worker pool per
 session.  Decisions use the session defaults, symmetry off and warm start
@@ -53,6 +57,7 @@ takes only `progress` and `time_limit`, and `get_nfc` only `jobs` and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -75,33 +80,31 @@ from .fcsolve import (
 
 ProgressFn = Callable[[str], None]
 
-CanonKey = tuple[int, tuple[int, ...]]
-
 # one level of a threshold scan: its Non-FC class count per (u, m) cell, and
-# its first Non-FC family with that family's certificate (None if clean)
-Level = tuple[dict[tuple[int, int], int], Optional[tuple[Family, NonFcCertificate]]]
+# the certificate of its first Non-FC family (None if clean)
+Level = tuple[dict[tuple[int, int], int], Optional[NonFcCertificate]]
 
 
 @dataclass
 class NfcRegistry:
-    """The parents and the known-FC keys of one (n, k, m) cell, by
-    canonical form.
+    """The parents and the known-FC classes of one (n, k, m) cell.
 
-    `nfc` holds the cell's Non-FC families in decision order, which is
+    A class is named by its canonical family, `canonical_form(f).relabeled`.
+    `nfc` holds the cell's Non-FC classes in decision order, which is
     sorted order because candidates are sorted by members; below a
-    session's domain it holds every class, undecided.  `fc` holds the keys
-    of the classes known to be FC: decided FC, or skipped by `candidates`.
+    session's domain it holds every class, undecided.  `fc` holds the
+    classes known to be FC: decided FC, or skipped by `candidates`.
     Only the certificate of `nfc[0]`, the cell's witness, is kept: all
     Non-FC certificates of a cell can take megabytes.
     """
 
     nfc: list[Family] = field(default_factory=list)
-    fc: set[CanonKey] = field(default_factory=set)
+    fc: set[Family] = field(default_factory=set)
     witness_certificate: Optional[NonFcCertificate] = None
 
     def record(self, fam: Family, cert: Certificate) -> None:
         if isinstance(cert, FcCertificate):
-            self.fc.add((fam.n, fam.members))
+            self.fc.add(fam)
             return
         if not self.nfc:
             self.witness_certificate = cert
@@ -110,14 +113,21 @@ class NfcRegistry:
 
 @dataclass
 class FcValueReport:
+    """A threshold run's value and status, its Non-FC class counts, and the
+    certificate of its witness, the first Non-FC class of the last level
+    with one (None only when no level has a Non-FC class)."""
+
     k: int
     n: int
     value: Optional[int]
     status: str  # "found" | "undefined" | "exhausted"
-    witness: Optional[Family]
     counts: dict[tuple[int, int], int]  # (universe size, m) -> Non-FC class count
     wall_time: float
-    witness_certificate: Optional[NonFcCertificate] = None
+    witness_certificate: Optional[NonFcCertificate]
+
+    @property
+    def witness(self) -> Optional[Family]:
+        return None if self.witness_certificate is None else self.witness_certificate.family
 
 
 @dataclass
@@ -143,10 +153,8 @@ def _extensions(fam: Family, k: int, j: int) -> Iterator[Family]:
             yield Family.from_masks(u + j, fam.members + (s,))
 
 
-def _decide(
-    args: tuple[Family, Optional[Family], bool, bool, Optional[float], Optional[float]]
-) -> Certificate:
-    family, domain, symmetry, warm_start, deadline, time_limit = args
+def _decide(family: Family, *, domain: Optional[Family], symmetry: bool, warm_start: bool,
+            deadline: Optional[float], time_limit: Optional[float]) -> Certificate:
     # monotonic clock values are system-wide, so a session deadline holds in workers too
     if time_limit:
         own = time.monotonic() + time_limit
@@ -204,20 +212,21 @@ class EnumSession:
 
     def classify(self, fams: Sequence[Family]) -> Iterator[tuple[Family, Certificate]]:
         """Decide each family lazily, yielding (family, certificate) in input order."""
-        config = (self.domain, self.symmetry, self.warm_start, self.deadline, self.time_limit)
-        args = [(f, *config) for f in fams]
+        decide = functools.partial(_decide, domain=self.domain, symmetry=self.symmetry,
+                                   warm_start=self.warm_start, deadline=self.deadline,
+                                   time_limit=self.time_limit)
         if self.jobs > 1 and len(fams) > 1:
             if self._pool is None:
                 from multiprocessing import Pool
 
                 self._pool = Pool(self.jobs)
-            chunk = -(-len(args) // (4 * self.jobs))  # Pool.map's default chunking
-            return zip(fams, self._pool.imap(_decide, args, chunk))
-        return zip(fams, map(_decide, args))
+            chunk = -(-len(fams) // (4 * self.jobs))  # Pool.map's default chunking
+            return zip(fams, self._pool.imap(decide, fams, chunk))
+        return zip(fams, map(decide, fams))
 
-    def candidates(self, n: int, k: int, m: int) -> tuple[list[Family], set[CanonKey]]:
+    def candidates(self, n: int, k: int, m: int) -> tuple[list[Family], set[Family]]:
         """The canonical families of the (n, k, m) cell, sorted by members,
-        and the keys of the classes it skips as known FC: the single k-set
+        and those of the classes it skips as known FC: the single k-set
         at m = 1, else the extensions of the parents one member down (every
         class below the domain, else the Non-FC ones) whose one-down
         subfamilies are not known FC."""
@@ -232,20 +241,20 @@ class EnumSession:
         prev = {i: self.get_nfc(i, k, m - 1) for i in range(max(k, n - k), n + 1)}
         prev_fc = {i: reg.fc for i, reg in prev.items()}
 
-        seen: set[CanonKey] = set()  # tested once per class, kept or not
+        seen: set[Family] = set()  # tested once per class, kept or not
         candidates: list[Family] = []
-        known_fc: set[CanonKey] = set()
+        known_fc: set[Family] = set()
         for parent in (p for reg in prev.values() for p in reg.nfc):
             # the new set must cover the elements the parent's universe lacks
             for ext in _extensions(parent, k, n - parent.n):
-                cf = canonical_form(ext)
-                if cf.key in seen:
+                canon = canonical_form(ext).relabeled
+                if canon in seen:
                     continue
-                seen.add(cf.key)
+                seen.add(canon)
                 if _has_subfamily_in(ext, prev_fc):
-                    known_fc.add(cf.key)
+                    known_fc.add(canon)
                 else:
-                    candidates.append(cf.relabeled)
+                    candidates.append(canon)
         candidates.sort(key=lambda f: f.members)
         self._say(f"getNFC({n},{k},{m}): {len(candidates)} candidates, "
                   f"{len(known_fc)} known FC")
@@ -294,6 +303,8 @@ def fc_value(
     of all k-subsets of [n] is Non-FC."""
     if not (n > k >= 3):
         raise ValueError("need n > k >= 3")
+    if m_max is not None and m_max < 1:
+        raise ValueError("m_max must be >= 1")
     cap = math.comb(n, k)
     last = cap if m_max is None else min(m_max, cap)
     with EnumSession(jobs, symmetry, warm_start, deadline, progress, time_limit) as session:
@@ -377,8 +388,7 @@ def _levels(session: EnumSession, k: int, sizes: Sequence[int]) -> Iterator[Leve
     for m in itertools.count(1):
         cells = {(u, m): session.get_nfc(u, k, m) for u in sizes}
         session._say(f"m={m}: {sum(len(reg.nfc) for reg in cells.values())} Non-FC classes")
-        first = next(((reg.nfc[0], reg.witness_certificate)
-                      for reg in cells.values() if reg.nfc), None)
+        first = next((reg.witness_certificate for reg in cells.values() if reg.nfc), None)
         yield {cell: len(reg.nfc) for cell, reg in cells.items()}, first
 
 
@@ -389,27 +399,24 @@ def _scan(k: int, n: int, levels: Iterator[Level], last: int, floor: int) -> FcV
     t0 = time.monotonic()
     counts: dict[tuple[int, int], int] = {}
     last_bad = 0
-    witness: Optional[Family] = None
     cert: Optional[NonFcCertificate] = None
     for m, (level_counts, first) in zip(range(1, last + 1), levels):
         counts.update(level_counts)
         if first is not None:
-            last_bad, (witness, cert) = m, first
+            last_bad, cert = m, first
         elif m >= floor:
-            return FcValueReport(
-                k, n, last_bad + 1, "found", witness, counts, time.monotonic() - t0, cert
-            )
+            return FcValueReport(k, n, last_bad + 1, "found", counts, time.monotonic() - t0, cert)
     status = "undefined" if last_bad == math.comb(n, k) else "exhausted"
-    return FcValueReport(k, n, None, status, witness, counts, time.monotonic() - t0)
+    return FcValueReport(k, n, None, status, counts, time.monotonic() - t0, cert)
 
 
-def _has_subfamily_in(fam: Family, tables: dict[int, set[CanonKey]]) -> bool:
-    """Whether dropping one member of fam leaves a family whose canonical key
-    is in the table of its universe size; a subfamily whose size has no
-    table, or an empty one, is not canonicalized."""
+def _has_subfamily_in(fam: Family, tables: dict[int, set[Family]]) -> bool:
+    """Whether dropping one member of fam leaves a family whose canonical
+    family is in the table of its universe size; a subfamily whose size has
+    no table, or an empty one, is not canonicalized."""
     for drop in range(len(fam.members)):
         sub = Family.from_masks(fam.n, fam.members[:drop] + fam.members[drop + 1 :])
         table = tables.get(universe(sub).bit_count())
-        if table and canonical_form(sub).key in table:
+        if table and canonical_form(sub).relabeled in table:
             return True
     return False

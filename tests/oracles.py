@@ -3,10 +3,10 @@
 Every derived expected value in the tests comes from one of these: they
 enumerate, never search, and share nothing with the production algorithms
 beyond the Family container and exact arithmetic.  The two class
-enumerations are the exception: `uc_reps_with_full_universe` deduplicates
-by `canon.canonical_key`, and `noniso_levels` augments with
-`enumfam._extensions` and deduplicates by `canon.canonical_form`; the tests
-check both against brute-force counts.
+enumerations are the exception: `uc_reps_with_full_universe` and
+`noniso_levels` deduplicate by `canon.canonical_form`, and `noniso_levels`
+augments with `enumfam._extensions`; the tests check both against
+brute-force counts.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def relabel(perm: tuple[int, ...], fam: Family) -> Family:
     return Family.from_masks(fam.n, (apply_perm_mask(perm, m) for m in fam.members))
 
 
-def brute_min_canonical(fam: Family) -> tuple[int, tuple[int, ...]]:
+def brute_min_canonical(fam: Family) -> Family:
     """Minimum normal form over all relabelings of the compacted universe."""
     comp, _ = compact_universe(fam)
     best = None
@@ -41,7 +41,7 @@ def brute_min_canonical(fam: Family) -> tuple[int, tuple[int, ...]]:
         img = tuple(sorted(apply_perm_mask(perm, m) for m in comp.members))
         if best is None or img < best:
             best = img
-    return (comp.n, best)
+    return Family(comp.n, best)
 
 
 def brute_automorphisms(fam: Family) -> list[tuple[int, ...]]:
@@ -174,7 +174,7 @@ def brute_poonen_fc(fam: Family) -> bool:
 def uc_reps_with_full_universe(n: int) -> list[Family]:
     """One representative per isomorphism class of union-closed families with
     universe exactly [n]."""
-    from fcfam.canon import canonical_key
+    from fcfam.canon import canonical_form
 
     full = (1 << n) - 1
     reps: dict = {}
@@ -187,8 +187,8 @@ def uc_reps_with_full_universe(n: int) -> list[Family]:
         if uni != full:
             continue
         fam = Family(n, members)
-        reps.setdefault(canonical_key(fam), fam)
-    return [reps[k] for k in sorted(reps)]
+        reps.setdefault(canonical_form(fam).relabeled, fam)
+    return [reps[c] for c in sorted(reps, key=lambda c: c.members)]
 
 
 def noniso_levels(n: int, k: int, m_max: int) -> Iterator[list[Family]]:
@@ -206,13 +206,12 @@ def noniso_levels(n: int, k: int, m_max: int) -> Iterator[list[Family]]:
     level = [Family.from_masks(k, [(1 << k) - 1])]
     yield level
     for _ in range(2, m_max + 1):
-        registry: dict = {}
+        classes: set[Family] = set()
         for fam in level:
             for j in range(0, min(k, n - fam.n) + 1):
                 for ext in _extensions(fam, k, j):
-                    cf = canonical_form(ext)
-                    registry.setdefault(cf.key, cf.relabeled)
-        level = sorted(registry.values(), key=lambda f: (f.n, f.members))
+                    classes.add(canonical_form(ext).relabeled)
+        level = sorted(classes, key=lambda f: (f.n, f.members))
         yield level
 
 

@@ -17,7 +17,6 @@ from fcfam.canon import (
     are_isomorphic,
     automorphism_group,
     canonical_form,
-    canonical_key,
     compose,
     family_orbit,
     generating_set,
@@ -49,7 +48,7 @@ class TestCanonicalForm:
     def test_relabeled_pair(self):
         a = Family.from_sets(3, [[1, 2], [2, 3]])
         b = Family.from_sets(3, [[1, 3], [3, 2]])
-        assert canonical_key(a) == canonical_key(b)
+        assert canonical_form(a).relabeled == canonical_form(b).relabeled
 
     def test_empty_set_family(self):
         cf = canonical_form(Family.from_masks(2, [0]))
@@ -60,20 +59,20 @@ class TestCanonicalForm:
         b = Family.from_sets(5, [[2, 3, 4, 5], [1, 3, 4, 5]])
         # derived by exhibiting a bijection via brute force over 5! relabelings
         assert brute_min_canonical(a) == brute_min_canonical(b)
-        assert canonical_key(a) == canonical_key(b)
+        assert canonical_form(a).relabeled == canonical_form(b).relabeled
 
     def test_matches_brute_minimum(self):
         rng = random.Random(17)
         for _ in range(150):
             fam = random_family(rng, max_n=5)
-            assert canonical_form(fam).key == brute_min_canonical(fam)
+            assert canonical_form(fam).relabeled == brute_min_canonical(fam)
 
     def test_invariance_under_relabeling(self):
         rng = random.Random(29)
         for _ in range(200):
             fam = random_family(rng, max_n=7)
             perm = random_perm(rng, fam.n)
-            assert canonical_key(apply_perm_family(perm, fam)) == canonical_key(fam)
+            assert canonical_form(apply_perm_family(perm, fam)).relabeled == canonical_form(fam).relabeled
 
     def test_witness_achieves_canonical_family(self):
         rng = random.Random(31)
@@ -103,7 +102,7 @@ class TestCanonicalForm:
             fam = Family.from_masks(n, masks)
             comp, _ = compact_universe(fam)
             cf = canonical_form(fam)
-            assert cf.key == brute_min_canonical(fam)
+            assert cf.relabeled == brute_min_canonical(fam)
             assert apply_perm_family(cf.witness, comp) == cf.relabeled
 
 

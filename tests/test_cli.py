@@ -90,6 +90,20 @@ class TestIsfcAndVerify:
         data = json.loads(capsys.readouterr().out)
         assert data["n"] == 3
 
+    @pytest.mark.parametrize("spec", ["no-singletons", "file"])
+    def test_domain_refused_for_a_compacted_family(self, spec, tmp_path, capsys):
+        # V-FC is defined only for universe [n], so a family that leaves out
+        # element 3 of [4] is not compacted under --v but refused
+        path = tmp_path / "gap.fam"
+        path.write_text("n=4\n1,2\n2,4\n")
+        if spec == "file":
+            spec = str(tmp_path / "v.fam")
+            Path(spec).write_text(format_family(no_singletons_family(4)))
+        assert dispatch(["isfc", str(path), "--v", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "keeps only elements [1, 2, 4]" in err
+
 
 class TestBatchCommands:
     def test_upperbound_prints_value(self, capsys):
@@ -134,6 +148,12 @@ class TestBatchCommands:
         # --max-m must not turn the empty levels beyond it into a value
         assert dispatch(["fcvalue", "-k", "5", "-n", "6", "--max-m", "10"]) == 0
         assert "FC(5,6) is undefined" in capsys.readouterr().out
+
+    def test_fcvalue_needs_a_positive_max_m(self, capsys):
+        assert dispatch(["fcvalue", "-k", "4", "-n", "6", "--max-m", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "m_max must be >= 1" in err
 
     @pytest.mark.parametrize("cmd", ["fcvalue", "vfcvalue"])
     def test_value_commands_take_no_output_dir(self, cmd, tmp_path, capsys):

@@ -15,7 +15,7 @@ from fcfam.setfam import (
     powerset_family,
     universe,
 )
-from fcfam.canon import canonical_form, canonical_key
+from fcfam.canon import canonical_form
 from fcfam.fcsolve import certificate_to_dict, fc3_value, is_fc
 from fcfam.verify import verify_certificate
 from fcfam.enumfam import (
@@ -38,7 +38,7 @@ def brute_classes(n, k, m):
         fam = Family.from_masks(n, combo)
         if universe(fam) != (1 << n) - 1:
             continue
-        seen.setdefault(canonical_key(fam), fam)
+        seen.setdefault(canonical_form(fam).relabeled, fam)
     return seen
 
 
@@ -62,8 +62,8 @@ class TestGenNonIso:
 
     def test_outputs_cover_universe_and_are_distinct(self):
         fams = gen_noniso_families(5, 3, 3)
-        keys = {canonical_key(f) for f in fams}
-        assert len(keys) == len(fams)
+        classes = {canonical_form(f).relabeled for f in fams}
+        assert len(classes) == len(fams)
         assert all(universe(f) == (1 << 5) - 1 for f in fams)
 
     def test_outputs_are_canonical_forms(self):
@@ -94,24 +94,24 @@ class TestGetNfc:
 
     def test_outputs_are_nonfc_and_noniso(self):
         fams = get_nfc(5, 3, 2)
-        keys = set()
+        classes = set()
         for fam in fams:
             cert = is_fc(fam)
             assert cert.kind == "non-fc"
             assert verify_certificate(cert).passed
-            keys.add(canonical_key(fam))
-        assert len(keys) == len(fams)
+            classes.add(canonical_form(fam).relabeled)
+        assert len(classes) == len(fams)
 
     def test_matches_definitional_enumeration(self):
         # for small parameters: enumerate ALL families, filter Non-FC by the
         # exhaustive Poonen check, reduce by canonical form
         for n, k, m in [(3, 3, 1), (4, 3, 2), (4, 3, 3), (4, 4, 1)]:
             want = {
-                key
-                for key, fam in brute_classes(n, k, m).items()
+                canon
+                for canon, fam in brute_classes(n, k, m).items()
                 if not brute_poonen_fc(fam)
             }
-            got = {canonical_key(f) for f in get_nfc(n, k, m)}
+            got = {canonical_form(f).relabeled for f in get_nfc(n, k, m)}
             assert got == want, (n, k, m)
 
     def test_matches_flat_enumeration_at_n5(self):
@@ -119,11 +119,11 @@ class TestGetNfc:
         # own correctness is established against the definitional oracle)
         for n, k, m in [(5, 3, 2), (5, 3, 3), (5, 4, 3), (5, 4, 4)]:
             want = {
-                key
-                for key, fam in brute_classes(n, k, m).items()
+                canon
+                for canon, fam in brute_classes(n, k, m).items()
                 if is_fc(fam).kind == "non-fc"
             }
-            got = {canonical_key(f) for f in get_nfc(n, k, m)}
+            got = {canonical_form(f).relabeled for f in get_nfc(n, k, m)}
             assert got == want, (n, k, m)
 
     def test_parameter_validation(self):
@@ -163,10 +163,11 @@ class TestDeadlines:
         monkeypatch.setattr(fcfam.enumfam, "is_fc", lambda fam, **kw: seen.append(kw["deadline"]))
         fam = lex_prefix(5, 4, 5)
         start = time.monotonic()
-        _decide((fam, None, False, True, start + 1000, 10))  # the time limit ends first
-        _decide((fam, None, False, True, start + 5, 1000))  # the run deadline ends first
-        _decide((fam, None, False, True, None, 10))
-        _decide((fam, None, False, True, start + 5, None))
+        config = dict(domain=None, symmetry=False, warm_start=True)
+        _decide(fam, **config, deadline=start + 1000, time_limit=10)  # the time limit ends first
+        _decide(fam, **config, deadline=start + 5, time_limit=1000)  # the run deadline ends first
+        _decide(fam, **config, deadline=None, time_limit=10)
+        _decide(fam, **config, deadline=start + 5, time_limit=None)
         end = time.monotonic()
         assert start + 10 <= seen[0] <= end + 10
         assert seen[1] == start + 5
@@ -194,6 +195,19 @@ class TestFcValue:
         # the complete family of all 5-subsets of [6] is Non-FC
         rep = fc_value(5, 6)
         assert rep.status == "undefined" and rep.value is None
+
+    @pytest.mark.parametrize("k,n,m_max,status", [(5, 6, None, "undefined"), (4, 6, 4, "exhausted")])
+    def test_unresolved_runs_carry_the_witness_certificate(self, k, n, m_max, status):
+        rep = fc_value(k, n, m_max)
+        assert rep.status == status
+        assert rep.witness_certificate is not None
+        assert verify_certificate(rep.witness_certificate).passed
+        assert rep.witness == rep.witness_certificate.family
+
+    @pytest.mark.parametrize("m_max", [0, -1])
+    def test_m_max_below_one_rejected(self, m_max):
+        with pytest.raises(ValueError, match="m_max"):
+            fc_value(4, 6, m_max=m_max)
 
     def test_m_max_past_the_complete_family(self):
         # levels beyond C(6,5) = 6 are empty, not clean
@@ -344,7 +358,7 @@ class TestOneDecisionPerFamily:
         assert verify_certificate(rep.witness_certificate).passed
         assert isfc_calls == recorded
         assert len(recorded) == 22
-        assert canonical_key(held) not in {canonical_key(f) for f in recorded}
+        assert canonical_form(held).relabeled not in {canonical_form(f).relabeled for f in recorded}
 
     def test_lex_scan_decides_each_prefix_once(self, isfc_calls):
         res = lex_scan(4, 5)
@@ -414,14 +428,14 @@ class TestCanonicalLabelingCalls:
     def test_one_subfamily_test_per_extension_class(self, monkeypatch, k, n, value, calls):
         # an extension class is tested for an FC subfamily once, whether it
         # is kept or rejected, in every cell with m > 1
-        keys = []
+        classes = []
         real = fcfam.enumfam._has_subfamily_in
 
         def recording(fam, tables):
-            keys.append(canonical_key(fam))
+            classes.append(canonical_form(fam).relabeled)
             return real(fam, tables)
 
         monkeypatch.setattr(fcfam.enumfam, "_has_subfamily_in", recording)
         rep = fc_value(k, n)
-        assert len(keys) == len(set(keys)) == calls
+        assert len(classes) == len(set(classes)) == calls
         assert rep.value == value
