@@ -31,6 +31,20 @@ subfamily is canonicalized only when the previous level has an FC class of
 its universe size, so runs whose previous levels are all Non-FC never
 canonicalize one.
 
+Before canonical labeling, `candidates` drops an extension whose new set
+does not reach the maximum of a member invariant over the extension: the
+degree sum of the member's elements, then the sorted sizes of its
+intersections with the other members, both unchanged by relabeling (the
+cheap half of McKay's canonical deletion, *J. Algorithms* 26, 1998).  Ties
+pass, and `seen` removes the duplicates left.  The filter runs only when
+every previous cell's `fc` set is empty, and then it drops no class.  A
+class reached from some parent F - x is still reached: delete a member y of
+maximum invariant.  (F - x) - y lies in the parent F - x, so it is a parent
+too and F - y was listed; with an empty `fc` set, F - y is then a parent,
+and its canonical family plus the image of y is a copy of F whose new set
+has the maximum.  So candidates, `fc` sets, decisions and witnesses are
+those of full extension.
+
 `fc_value` and `fcv_value` share one threshold scan, `_scan`, over the
 levels m = 1..min(m_max, C(n, k)) that `_levels` reads off the getNFC
 cells: u = k..n for FC, u = n for FC_V.  Each level gives its Non-FC class
@@ -153,6 +167,21 @@ def _extensions(fam: Family, k: int, j: int) -> Iterator[Family]:
             yield Family.from_masks(u + j, fam.members + (s,))
 
 
+def _member_invariant(members: Sequence[int], s: int) -> tuple[int, list[int]]:
+    """The degree sum of member s's elements and the sorted sizes of s & y
+    over the other members y: unchanged when the family is relabeled."""
+    meets = sorted((s & y).bit_count() for y in members if y != s)
+    return s.bit_count() + sum(meets), meets
+
+
+def _new_set_wins(members: Sequence[int], old: Sequence[int]) -> bool:
+    """Whether the one member of `members` missing from `old` has the
+    maximum member invariant; ties win."""
+    new = next(s for s in members if s not in old)
+    mine = _member_invariant(members, new)
+    return all(_member_invariant(members, y) <= mine for y in old)
+
+
 def _decide(family: Family, *, domain: Optional[Family], symmetry: bool, warm_start: bool,
             deadline: Optional[float], time_limit: Optional[float]) -> Certificate:
     # monotonic clock values are system-wide, so a session deadline holds in workers too
@@ -229,7 +258,9 @@ class EnumSession:
         and those of the classes it skips as known FC: the single k-set
         at m = 1, else the extensions of the parents one member down (every
         class below the domain, else the Non-FC ones) whose one-down
-        subfamilies are not known FC."""
+        subfamilies are not known FC.  While the previous level knows no FC
+        class, an extension is canonicalized only if its new set has the
+        maximum member invariant."""
         if not (n >= k >= 3):
             raise ValueError("need n >= k >= 3")
         self.check_deadline()
@@ -241,12 +272,17 @@ class EnumSession:
         prev = {i: self.get_nfc(i, k, m - 1) for i in range(max(k, n - k), n + 1)}
         prev_fc = {i: reg.fc for i, reg in prev.items()}
 
+        # with no known-FC class one level down, a class reached from a
+        # parent is reached by a new set of maximum member invariant
+        augment = not any(prev_fc.values())
         seen: set[Family] = set()  # tested once per class, kept or not
         candidates: list[Family] = []
         known_fc: set[Family] = set()
         for parent in (p for reg in prev.values() for p in reg.nfc):
             # the new set must cover the elements the parent's universe lacks
             for ext in _extensions(parent, k, n - parent.n):
+                if augment and not _new_set_wins(ext.members, parent.members):
+                    continue
                 canon = canonical_form(ext).relabeled
                 if canon in seen:
                     continue

@@ -195,9 +195,12 @@ def compact_universe(family: Family) -> tuple[Family, tuple[int, ...]]:
 
     Returns the compacted family and the original universe elements in
     ascending order (the old label of new element i is the i-th entry).
-    Families with an empty universe compact to ground size 1.
+    Families with an empty universe compact to ground size 1, and a family
+    whose universe is already [n] comes back as it is.
     """
     uni = universe(family)
+    if uni == (1 << family.n) - 1:
+        return family, tuple(range(1, family.n + 1))
     elems = mask_elements(uni)
     pos = {e: i for i, e in enumerate(elems)}
     masks = []

@@ -2,11 +2,13 @@
 
 Every derived expected value in the tests comes from one of these: they
 enumerate, never search, and share nothing with the production algorithms
-beyond the Family container and exact arithmetic.  The two class
-enumerations are the exception: `uc_reps_with_full_universe` and
-`noniso_levels` deduplicate by `canon.canonical_form`, and `noniso_levels`
-augments with `enumfam._extensions`; the tests check both against
-brute-force counts.
+beyond the Family container and exact arithmetic.  The class
+enumerations are the exception: `uc_reps_with_full_universe`,
+`noniso_levels` and `full_candidates` deduplicate by
+`canon.canonical_form`, and the last two augment with
+`enumfam._extensions`; the tests check the first two against brute-force
+counts, and `full_candidates` is the unfiltered reference for
+`EnumSession.candidates`.
 """
 
 from __future__ import annotations
@@ -213,6 +215,34 @@ def noniso_levels(n: int, k: int, m_max: int) -> Iterator[list[Family]]:
                     classes.add(canonical_form(ext).relabeled)
         level = sorted(classes, key=lambda f: (f.n, f.members))
         yield level
+
+
+def full_candidates(session, n: int, k: int, m: int) -> tuple[list[Family], set[Family]]:
+    """`EnumSession.candidates` of the (n, k, m) cell by full extension: every
+    extension of every parent in the session's cells one member down is
+    canonicalized, with no invariant filter.  The reference for the
+    filtered path, which must return the same lists."""
+    from fcfam.canon import canonical_form
+    from fcfam.enumfam import _extensions, _has_subfamily_in
+
+    if k * m < n or m > math.comb(n, k):
+        return [], set()
+    if m == 1:
+        return [Family.from_masks(k, [(1 << k) - 1])], set()
+    prev = {i: session.get_nfc(i, k, m - 1) for i in range(max(k, n - k), n + 1)}
+    prev_fc = {i: reg.fc for i, reg in prev.items()}
+    candidates: dict[Family, None] = {}
+    known_fc: set[Family] = set()
+    for parent in (p for reg in prev.values() for p in reg.nfc):
+        for ext in _extensions(parent, k, n - parent.n):
+            canon = canonical_form(ext).relabeled
+            if canon in known_fc or canon in candidates:
+                continue
+            if _has_subfamily_in(ext, prev_fc):
+                known_fc.add(canon)
+            else:
+                candidates[canon] = None
+    return sorted(candidates, key=lambda f: f.members), known_fc
 
 
 def gen_noniso_families(n: int, k: int, m: int) -> list[Family]:

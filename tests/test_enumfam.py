@@ -22,13 +22,21 @@ from fcfam.enumfam import (
     EnumSession,
     NfcRegistry,
     _decide,
+    _member_invariant,
     fc_value,
     fcv_value,
     get_nfc,
     lex_scan,
 )
 
-from oracles import brute_poonen_fc, gen_noniso_families
+from oracles import (
+    apply_perm_mask,
+    brute_poonen_fc,
+    full_candidates,
+    gen_noniso_families,
+    random_family,
+    relabel,
+)
 
 
 def brute_classes(n, k, m):
@@ -439,3 +447,45 @@ class TestCanonicalLabelingCalls:
         rep = fc_value(k, n)
         assert len(classes) == len(set(classes)) == calls
         assert rep.value == value
+
+    @pytest.mark.parametrize("run,k,n,calls", [("fc", 3, 7, 204), ("fc", 4, 6, 406),
+                                              ("fcv", 5, 6, 9)],
+                             ids=["fc37", "fc46", "fcv56"])
+    def test_canonical_labelings_per_run(self, monkeypatch, run, k, n, calls):
+        # full extension labels 220 and 507 for FC(3,7) and FC(4,6): the
+        # member-invariant filter drops the rest before labeling
+        count = [0]
+        real = fcfam.enumfam.canonical_form
+
+        def counting(family):
+            count[0] += 1
+            return real(family)
+
+        monkeypatch.setattr(fcfam.enumfam, "canonical_form", counting)
+        rep = fc_value(k, n) if run == "fc" else fcv_value(k, n)
+        assert rep.status == "found"
+        assert count[0] == calls
+
+
+class TestInvariantFilter:
+    @pytest.mark.parametrize("k,n,v", [(3, 6, False), (4, 6, False), (5, 7, False),
+                                       (4, 6, True), (5, 6, True)],
+                             ids=["fc36", "fc46", "fc57", "fcv46", "fcv56"])
+    def test_candidates_equal_full_extension(self, k, n, v):
+        # every cell up to m = 7, whether the gate is open or closed
+        domain = no_singletons_family(n) if v else None
+        with EnumSession(domain=domain) as session:
+            for m in range(1, 8):
+                for u in range(k, n + 1):
+                    got = session.candidates(u, k, m)
+                    assert got == full_candidates(session, u, k, m), (u, m)
+
+    def test_member_invariant_survives_relabeling(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            fam = random_family(rng)
+            perm = tuple(rng.sample(range(1, fam.n + 1), fam.n))
+            img = relabel(perm, fam)
+            for s in fam.members:
+                assert _member_invariant(img.members, apply_perm_mask(perm, s)) == \
+                    _member_invariant(fam.members, s), (fam, perm, s)

@@ -1,10 +1,10 @@
 """FC(5,7) = 14 and FC(6,8) = 26 end to end, with the Non-FC class count of
-every (universe size u, m) cell up to the value, and the size of an n = 8
-FC proof.
+every (universe size u, m) cell up to the value and the number of
+canonical labelings, and the size of an n = 8 FC proof.
 
-At jobs=1 the runs took 22 s and 215 s on a 2-core Intel Xeon virtual
+At jobs=1 the runs took 12 s and 44 s on a 2-core Intel Xeon virtual
 machine with Python 3.11.7 (2026-10-19), and the n = 8 decision with its
-verification 7 s warm and 11 s cold, so all are marked `slow` and
+verification 4 s warm and 6 s cold, so all are marked `slow` and
 deselected by default.
 Run them with
 
@@ -13,6 +13,7 @@ Run them with
 
 import pytest
 
+import fcfam.enumfam
 from fcfam.enumfam import fc_value
 from fcfam.fcsolve import is_fc
 from fcfam.setfam import lex_prefix
@@ -34,11 +35,24 @@ FC68_ROWS = {
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "k,n,value,rows", [(5, 7, 14, FC57_ROWS), (6, 8, 26, FC68_ROWS)], ids=["fc57", "fc68"]
+    "k,n,value,rows,labelings",
+    [(5, 7, 14, FC57_ROWS, 4_410), (6, 8, 26, FC68_ROWS, 28_545)],
+    ids=["fc57", "fc68"],
 )
-def test_pinned_fc_value(k, n, value, rows):
+def test_pinned_fc_value(monkeypatch, k, n, value, rows, labelings):
+    # full extension labels 10,579 and 172,805 times; the member-invariant
+    # filter skips the rest
+    count = [0]
+    real = fcfam.enumfam.canonical_form
+
+    def counting(family):
+        count[0] += 1
+        return real(family)
+
+    monkeypatch.setattr(fcfam.enumfam, "canonical_form", counting)
     rep = fc_value(k, n)
     assert (rep.status, rep.value) == ("found", value)
+    assert count[0] == labelings
     assert rep.counts == {(u, m): c for u, row in rows.items() for m, c in enumerate(row, 1)}
     assert len(rep.witness.members) == value - 1
     assert verify_certificate(rep.witness_certificate).passed
