@@ -20,7 +20,6 @@ from .setfam import (
     uplus,
 )
 from .canon import (
-    CanonicalForm,
     OrbitPartition,
     are_isomorphic,
     automorphism_group,

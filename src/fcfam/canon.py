@@ -22,9 +22,9 @@ values, so their sorted lists are lexicographic lower bounds:
 
 Neither bound can prune the first optimal leaf in search order (its bound
 is at most the optimum, which is below the incumbent until that leaf), so
-the result, witness included, is the same as without them.  Plain
-enumeration of all permutations is kept in the test suite as the reference
-oracle for small universes.
+the result is the same as without them.  Plain enumeration of all
+permutations is kept in the test suite as the reference oracle for small
+universes.
 
 Automorphisms come from one find-one search, `_find_automorphism`: it
 assigns images in domain order under a member-multiset consistency test,
@@ -78,22 +78,6 @@ def apply_perm_family(p: Permutation, family: Family) -> Family:
     if len(p) != family.n:
         raise ValueError("permutation size does not match ground size")
     return Family.from_masks(family.n, (apply_perm_mask(p, m) for m in family.members))
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Relabeling-invariant representative of an isomorphism class.
-
-    `relabeled` lives over the compacted universe [u] and names the class:
-    two families are isomorphic iff theirs are equal.  `witness` maps the
-    compacted input onto it; `compaction` lists the original universe
-    elements in ascending order (old label of compacted element i is
-    compaction[i-1]).
-    """
-
-    relabeled: Family
-    witness: Permutation
-    compaction: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -164,15 +148,16 @@ def _distinct_bound(bound: list[int], low_mask: int) -> list[int]:
     return out
 
 
-def canonical_form(family: Family) -> CanonicalForm:
-    """Deterministic minimum relabeling over the compacted universe."""
+def canonical_form(family: Family) -> Family:
+    """The canonical family: the minimum relabeling over the compacted
+    universe [u].  Two families are isomorphic iff theirs are equal."""
     if family.n > GROUND_CAP:
         raise ValueError(f"ground size {family.n} exceeds cap {GROUND_CAP}")
-    fam, compaction = compact_universe(family)
+    fam, _ = compact_universe(family)
     u = fam.n
     members = fam.members
     if not members or members == (0,):
-        return CanonicalForm(fam, identity_perm(u), compaction)
+        return fam
 
     twin = _twin_classes(members, u)
     nm = len(members)
@@ -182,21 +167,18 @@ def canonical_form(family: Family) -> CanonicalForm:
 
     # incumbent from the identity relabeling
     best = list(members)
-    best_assign: list[int] = list(range(u))  # best_assign[pos] = old element index for new label pos+1
 
     # remaining[j] = unplaced elements of member j; opt[j] = its placed bits
     # (high labels) plus those elements on the lowest free labels
     remaining = [m.bit_count() for m in members]
     opt = [(1 << r) - 1 for r in remaining]
-    order: list[int] = [0] * u  # order[pos] = old element index receiving new label pos+1
     used = [False] * u
 
     def rec(label: int) -> None:
-        nonlocal best, best_assign
+        nonlocal best
         if label == 0:
             # the bound is exact at a leaf, and it passed the test against best
             best = sorted(opt)
-            best_assign = order.copy()
             return
         bit = 1 << (label - 1)
         low_mask = bit - 1
@@ -209,7 +191,6 @@ def canonical_form(family: Family) -> CanonicalForm:
                 continue
             tried_twins.add(rep)
             used[e] = True
-            order[label - 1] = e
             touched = inc[e]
             for j in touched:
                 r = remaining[j]
@@ -226,20 +207,11 @@ def canonical_form(family: Family) -> CanonicalForm:
         return
 
     rec(u)
-    witness = [0] * u
-    for pos, e in enumerate(best_assign):
-        witness[e] = pos + 1
-    return CanonicalForm(Family.from_masks(u, best), tuple(witness), compaction)
+    return Family.from_masks(u, best)
 
 
 def are_isomorphic(a: Family, b: Family) -> bool:
-    if len(a.members) != len(b.members):
-        return False
-    if universe(a).bit_count() != universe(b).bit_count():
-        return False
-    if sorted(m.bit_count() for m in a.members) != sorted(m.bit_count() for m in b.members):
-        return False
-    return canonical_form(a).relabeled == canonical_form(b).relabeled
+    return canonical_form(a) == canonical_form(b)
 
 
 def _find_automorphism(

@@ -245,8 +245,7 @@ def _cmd_translates(args) -> int:
 def _cmd_canon(args) -> int:
     with open(args.family, "r", encoding="utf-8") as fh:
         fam = parse_family(fh.read())
-    cf = canonical_form(fam)
-    sys.stdout.write(format_family(cf.relabeled))
+    sys.stdout.write(format_family(canonical_form(fam)))
     return 0
 
 

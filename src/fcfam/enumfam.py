@@ -3,9 +3,9 @@
 `get_nfc` is getNFC, the one enumeration behind FC(k, n) and FC_V(k, n),
 memoized bottom-up over cells (u, k, m) of families of m distinct k-sets
 with universe [u]; m = 1, the single k-set over [k], is its only base case.
-An isomorphism class is named by its canonical family,
-`canonical_form(f).relabeled`, which is frozen and hashable, so the class
-sets of a cell and of a run hold these families.  Cell (u, k, m) extends each
+An isomorphism class is named by its canonical family, which
+`canonical_form` returns frozen and hashable, so the class sets of a cell
+and of a run hold these families.  Cell (u, k, m) extends each
 parent of m-1 sets over [i], max(k, u-k) <= i <= u, by every k-set that
 takes the fresh elements i+1..u and k-(u-i) old ones, so the new k-set
 brings the missing elements.  A cell's parents are its Non-FC classes,
@@ -103,7 +103,7 @@ Level = tuple[dict[tuple[int, int], int], Optional[NonFcCertificate]]
 class NfcRegistry:
     """The parents and the known-FC classes of one (n, k, m) cell.
 
-    A class is named by its canonical family, `canonical_form(f).relabeled`.
+    A class is named by its canonical family (see `canonical_form`).
     `nfc` holds the cell's Non-FC classes in decision order, which is
     sorted order because candidates are sorted by members; below a
     session's domain it holds every class, undecided.  `fc` holds the
@@ -185,7 +185,7 @@ def _new_set_wins(members: Sequence[int], old: Sequence[int]) -> bool:
 def _decide(family: Family, *, domain: Optional[Family], symmetry: bool, warm_start: bool,
             deadline: Optional[float], time_limit: Optional[float]) -> Certificate:
     # monotonic clock values are system-wide, so a session deadline holds in workers too
-    if time_limit:
+    if time_limit is not None:
         own = time.monotonic() + time_limit
         deadline = own if deadline is None else min(deadline, own)
     return is_fc(
@@ -212,6 +212,8 @@ class EnumSession:
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if time_limit is not None and time_limit <= 0:
+            raise ValueError("time_limit must be > 0")
         self.jobs = jobs
         self.symmetry = symmetry
         self.warm_start = warm_start
@@ -283,7 +285,7 @@ class EnumSession:
             for ext in _extensions(parent, k, n - parent.n):
                 if augment and not _new_set_wins(ext.members, parent.members):
                     continue
-                canon = canonical_form(ext).relabeled
+                canon = canonical_form(ext)
                 if canon in seen:
                     continue
                 seen.add(canon)
@@ -453,6 +455,6 @@ def _has_subfamily_in(fam: Family, tables: dict[int, set[Family]]) -> bool:
     for drop in range(len(fam.members)):
         sub = Family.from_masks(fam.n, fam.members[:drop] + fam.members[drop + 1 :])
         table = tables.get(universe(sub).bit_count())
-        if table and canonical_form(sub).relabeled in table:
+        if table and canonical_form(sub) in table:
             return True
     return False

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 GROUND_CAP = 16
 DECISION_GROUND_CAP = 8
@@ -77,12 +77,6 @@ class Family:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in set(self.members)
 
     def __repr__(self) -> str:
         body = ", ".join("{" + ",".join(map(str, s)) + "}" for s in self.member_sets())

@@ -189,7 +189,7 @@ def uc_reps_with_full_universe(n: int) -> list[Family]:
         if uni != full:
             continue
         fam = Family(n, members)
-        reps.setdefault(canonical_form(fam).relabeled, fam)
+        reps.setdefault(canonical_form(fam), fam)
     return [reps[c] for c in sorted(reps, key=lambda c: c.members)]
 
 
@@ -212,7 +212,7 @@ def noniso_levels(n: int, k: int, m_max: int) -> Iterator[list[Family]]:
         for fam in level:
             for j in range(0, min(k, n - fam.n) + 1):
                 for ext in _extensions(fam, k, j):
-                    classes.add(canonical_form(ext).relabeled)
+                    classes.add(canonical_form(ext))
         level = sorted(classes, key=lambda f: (f.n, f.members))
         yield level
 
@@ -235,7 +235,7 @@ def full_candidates(session, n: int, k: int, m: int) -> tuple[list[Family], set[
     known_fc: set[Family] = set()
     for parent in (p for reg in prev.values() for p in reg.nfc):
         for ext in _extensions(parent, k, n - parent.n):
-            canon = canonical_form(ext).relabeled
+            canon = canonical_form(ext)
             if canon in known_fc or canon in candidates:
                 continue
             if _has_subfamily_in(ext, prev_fc):

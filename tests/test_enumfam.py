@@ -46,7 +46,7 @@ def brute_classes(n, k, m):
         fam = Family.from_masks(n, combo)
         if universe(fam) != (1 << n) - 1:
             continue
-        seen.setdefault(canonical_form(fam).relabeled, fam)
+        seen.setdefault(canonical_form(fam), fam)
     return seen
 
 
@@ -70,14 +70,14 @@ class TestGenNonIso:
 
     def test_outputs_cover_universe_and_are_distinct(self):
         fams = gen_noniso_families(5, 3, 3)
-        classes = {canonical_form(f).relabeled for f in fams}
+        classes = {canonical_form(f) for f in fams}
         assert len(classes) == len(fams)
         assert all(universe(f) == (1 << 5) - 1 for f in fams)
 
     def test_outputs_are_canonical_forms(self):
         for n, k, m in [(5, 3, 2), (6, 4, 2), (7, 5, 2), (6, 3, 3)]:
             for fam in gen_noniso_families(n, k, m):
-                assert canonical_form(fam).relabeled == fam
+                assert canonical_form(fam) == fam
 
     def test_impossible_parameters(self):
         assert gen_noniso_families(4, 3, 5) == []  # m > C(4,3)
@@ -107,7 +107,7 @@ class TestGetNfc:
             cert = is_fc(fam)
             assert cert.kind == "non-fc"
             assert verify_certificate(cert).passed
-            classes.add(canonical_form(fam).relabeled)
+            classes.add(canonical_form(fam))
         assert len(classes) == len(fams)
 
     def test_matches_definitional_enumeration(self):
@@ -119,7 +119,7 @@ class TestGetNfc:
                 for canon, fam in brute_classes(n, k, m).items()
                 if not brute_poonen_fc(fam)
             }
-            got = {canonical_form(f).relabeled for f in get_nfc(n, k, m)}
+            got = {canonical_form(f) for f in get_nfc(n, k, m)}
             assert got == want, (n, k, m)
 
     def test_matches_flat_enumeration_at_n5(self):
@@ -131,7 +131,7 @@ class TestGetNfc:
                 for canon, fam in brute_classes(n, k, m).items()
                 if is_fc(fam).kind == "non-fc"
             }
-            got = {canonical_form(f).relabeled for f in get_nfc(n, k, m)}
+            got = {canonical_form(f) for f in get_nfc(n, k, m)}
             assert got == want, (n, k, m)
 
     def test_parameter_validation(self):
@@ -181,6 +181,13 @@ class TestDeadlines:
         assert seen[1] == start + 5
         assert start + 10 <= seen[2] <= end + 10
         assert seen[3] == start + 5
+
+    @pytest.mark.parametrize("time_limit", [0, -1])
+    @pytest.mark.parametrize("run", [fc_value, fcv_value, lex_scan])
+    def test_non_positive_time_limit_rejected(self, run, time_limit):
+        # 0 is not "no limit": only None is
+        with pytest.raises(ValueError, match="time_limit"):
+            run(3, 5, time_limit=time_limit)
 
 
 class TestFcValue:
@@ -366,7 +373,7 @@ class TestOneDecisionPerFamily:
         assert verify_certificate(rep.witness_certificate).passed
         assert isfc_calls == recorded
         assert len(recorded) == 22
-        assert canonical_form(held).relabeled not in {canonical_form(f).relabeled for f in recorded}
+        assert canonical_form(held) not in {canonical_form(f) for f in recorded}
 
     def test_lex_scan_decides_each_prefix_once(self, isfc_calls):
         res = lex_scan(4, 5)
@@ -440,7 +447,7 @@ class TestCanonicalLabelingCalls:
         real = fcfam.enumfam._has_subfamily_in
 
         def recording(fam, tables):
-            classes.append(canonical_form(fam).relabeled)
+            classes.append(canonical_form(fam))
             return real(fam, tables)
 
         monkeypatch.setattr(fcfam.enumfam, "_has_subfamily_in", recording)

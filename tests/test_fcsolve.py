@@ -179,6 +179,40 @@ class TestInvariants:
                        if bound not in used and (module, bound) not in wrapped]
         assert unused == []
 
+    def test_every_private_helper_has_a_reader(self):
+        # a private module-level function or class, or a private method, must
+        # be named somewhere in the package outside its own definition
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src", "fcfam")
+        trees = {}
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name), encoding="utf-8") as fh:
+                    trees[name] = ast.parse(fh.read(), name)
+
+        def private(node):
+            return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__"))
+
+        helpers = []
+        for name, tree in trees.items():
+            for node in tree.body:
+                if private(node):
+                    helpers.append((name, node))
+                if isinstance(node, ast.ClassDef):
+                    helpers += [(name, item) for item in node.body if private(item)]
+        unread = []
+        for name, helper in helpers:
+            inside = {id(node) for node in ast.walk(helper)}
+            readers = [node for tree in trees.values() for node in ast.walk(tree)
+                       if id(node) not in inside
+                       and ((isinstance(node, ast.Name) and node.id == helper.name)
+                            or (isinstance(node, ast.Attribute) and node.attr == helper.name))]
+            if not readers:
+                unread.append(f"{name}:{helper.lineno} {helper.name}")
+        assert len(helpers) > 40
+        assert unread == []
+
 
 class TestClosedForms:
     def test_fc3_values(self):
