@@ -45,9 +45,9 @@ and its canonical family plus the image of y is a copy of F whose new set
 has the maximum.  So candidates, `fc` sets, decisions and witnesses are
 those of full extension.
 
-`fc_value` and `fcv_value` share one threshold scan, `_scan`, over the
-levels m = 1..min(m_max, C(n, k)) that `_levels` reads off the getNFC
-cells: u = k..n for FC, u = n for FC_V.  Each level gives its Non-FC class
+`fc_value` and `fcv_value` share one threshold scan, `_scan`, which reads
+the levels m = 1..min(m_max, C(n, k)) off the getNFC cells (u, k, m):
+u = k..n for FC, u = n for FC_V.  Each level gives its Non-FC class
 count per (u, m) cell and the certificate of its first Non-FC class.  The
 value is one past the last level with a Non-FC class, found at the first
 clean level at or past a floor (1 for FC, n for FC_V).  The witness is the
@@ -84,7 +84,7 @@ from .setfam import (
     no_singletons_family,
     universe,
 )
-from .canon import _twin_classes, canonical_form
+from .canon import canonical_form
 from .fcsolve import (
     Certificate,
     FcCertificate,
@@ -93,10 +93,6 @@ from .fcsolve import (
 )
 
 ProgressFn = Callable[[str], None]
-
-# one level of a threshold scan: its Non-FC class count per (u, m) cell, and
-# the certificate of its first Non-FC family (None if clean)
-Level = tuple[dict[tuple[int, int], int], Optional[NonFcCertificate]]
 
 
 @dataclass
@@ -194,7 +190,8 @@ def _decide(family: Family, *, domain: Optional[Family], symmetry: bool, warm_st
 
 
 class EnumSession:
-    """Shared memo of getNFC cells plus the isFC configuration.
+    """Shared memo of getNFC cells plus `decide`, isFC bound to the session's
+    configuration once.
 
     A context manager: the worker pool of jobs > 1 opens on first use and
     closes with the session.
@@ -215,12 +212,13 @@ class EnumSession:
         if time_limit is not None and time_limit <= 0:
             raise ValueError("time_limit must be > 0")
         self.jobs = jobs
-        self.symmetry = symmetry
-        self.warm_start = warm_start
         self.deadline = deadline
-        self.time_limit = time_limit  # per isFC call
         self.domain = domain  # None means all of P([n])
         self.progress = progress
+        # every decision of the session; time_limit bounds each one
+        self.decide = functools.partial(_decide, domain=domain, symmetry=symmetry,
+                                        warm_start=warm_start, deadline=deadline,
+                                        time_limit=time_limit)
         self.memo: dict[tuple[int, int, int], NfcRegistry] = {}
         self._pool = None
 
@@ -243,17 +241,14 @@ class EnumSession:
 
     def classify(self, fams: Sequence[Family]) -> Iterator[tuple[Family, Certificate]]:
         """Decide each family lazily, yielding (family, certificate) in input order."""
-        decide = functools.partial(_decide, domain=self.domain, symmetry=self.symmetry,
-                                   warm_start=self.warm_start, deadline=self.deadline,
-                                   time_limit=self.time_limit)
         if self.jobs > 1 and len(fams) > 1:
             if self._pool is None:
                 from multiprocessing import Pool
 
                 self._pool = Pool(self.jobs)
             chunk = -(-len(fams) // (4 * self.jobs))  # Pool.map's default chunking
-            return zip(fams, self._pool.imap(decide, fams, chunk))
-        return zip(fams, map(decide, fams))
+            return zip(fams, self._pool.imap(self.decide, fams, chunk))
+        return zip(fams, map(self.decide, fams))
 
     def candidates(self, n: int, k: int, m: int) -> tuple[list[Family], set[Family]]:
         """The canonical families of the (n, k, m) cell, sorted by members,
@@ -346,7 +341,7 @@ def fc_value(
     cap = math.comb(n, k)
     last = cap if m_max is None else min(m_max, cap)
     with EnumSession(jobs, symmetry, warm_start, deadline, progress, time_limit) as session:
-        return _scan(k, n, _levels(session, k, range(k, n + 1)), last, 1)
+        return _scan(session, k, n, range(k, n + 1), last, 1)
 
 
 def lex_scan(
@@ -413,33 +408,30 @@ def fcv_value(
         dom = v_spec
         if dom.n != n:
             raise ValueError("domain ground size mismatch")
-        # S_n-invariant iff swapping the first element with any other fixes it
-        if any(_twin_classes(dom.members, n)):
+        # S_n-invariant iff it holds all or none of the r-subsets of [n], each r
+        sizes = [s.bit_count() for s in dom.members]
+        if any(sizes.count(r) not in (0, math.comb(n, r)) for r in range(n + 1)):
             raise ValueError("isomorphism pruning needs a symmetric domain")
     with EnumSession(jobs, warm_start=warm_start, deadline=deadline, progress=progress,
                      time_limit=time_limit, domain=dom) as session:
-        return _scan(k, n, _levels(session, k, [n]), math.comb(n, k), n)
+        return _scan(session, k, n, [n], math.comb(n, k), n)
 
 
-def _levels(session: EnumSession, k: int, sizes: Sequence[int]) -> Iterator[Level]:
-    """Levels m = 1, 2, ... of the getNFC cells (u, k, m), u in sizes."""
-    for m in itertools.count(1):
-        cells = {(u, m): session.get_nfc(u, k, m) for u in sizes}
-        session._say(f"m={m}: {sum(len(reg.nfc) for reg in cells.values())} Non-FC classes")
-        first = next((reg.witness_certificate for reg in cells.values() if reg.nfc), None)
-        yield {cell: len(reg.nfc) for cell, reg in cells.items()}, first
-
-
-def _scan(k: int, n: int, levels: Iterator[Level], last: int, floor: int) -> FcValueReport:
-    """The threshold over levels m = 1..last <= C(n, k): one past the last
-    level with a Non-FC class, found at the first clean level m >= floor;
-    else "undefined" if level C(n, k) has a Non-FC class, "exhausted" if not."""
+def _scan(session: EnumSession, k: int, n: int, sizes: Sequence[int], last: int,
+          floor: int) -> FcValueReport:
+    """The threshold over levels m = 1..last <= C(n, k) of the getNFC cells
+    (u, k, m), u in sizes: one past the last level with a Non-FC class,
+    found at the first clean level m >= floor; else "undefined" if level
+    C(n, k) has a Non-FC class, "exhausted" if not."""
     t0 = time.monotonic()
     counts: dict[tuple[int, int], int] = {}
     last_bad = 0
     cert: Optional[NonFcCertificate] = None
-    for m, (level_counts, first) in zip(range(1, last + 1), levels):
-        counts.update(level_counts)
+    for m in range(1, last + 1):
+        cells = [session.get_nfc(u, k, m) for u in sizes]
+        counts.update(((u, m), len(reg.nfc)) for u, reg in zip(sizes, cells))
+        session._say(f"m={m}: {sum(len(reg.nfc) for reg in cells)} Non-FC classes")
+        first = next((reg.witness_certificate for reg in cells if reg.nfc), None)
         if first is not None:
             last_bad, cert = m, first
         elif m >= floor:

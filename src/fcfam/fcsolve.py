@@ -164,18 +164,20 @@ def is_fc(
             out[oid[j]] += c
         return tuple(out)
 
-    # one stored cut per orbit of cuts, as a bitset (bit x for the set x),
-    # and its LP row over the orbits, counted by popcounts against the M[i]
-    # of `_shift_steps` (the sets that hold i)
+    # one LP for the whole decision: sum(c) = 1, which weighs each orbit's
+    # variable by the orbit's size, and one row per stored cut.  A cut is
+    # stored once per orbit of cuts, as a bitset (bit x for the set x), and
+    # its row over the orbits is counted by popcounts against the M[i] of
+    # `_shift_steps` (the sets that hold i)
+    lp = LinearProgram(orbit_part.num_orbits, [(over_orbits([1] * n), Fraction(1))])
     steps = _shift_steps(n)
     every = steps[full]  # (M[i], its complement, 2^i) for each element i
     cuts: list[int] = []
-    ge_rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
 
     def add_cut(cut: int) -> None:
         cuts.append(cut)
         counts = [(cut & keep).bit_count() for keep, _, _ in every]
-        ge_rows.append((over_orbits(counts), Fraction(cut.bit_count(), 2)))
+        lp.ge_rows.append((over_orbits(counts), Fraction(cut.bit_count(), 2)))
 
     if warm_start:
         # the classically strongest inequalities: B_i = <A> |+| D_i, with D_i
@@ -194,14 +196,12 @@ def is_fc(
             if b not in cuts:
                 add_cut(b)
 
-    # sum(c) = 1 weighs each orbit's variable by the orbit's size
-    eq_row = (over_orbits([1] * n), Fraction(1))
     rounds = 0
     while True:
         rounds += 1
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("is_fc deadline exceeded")
-        res = lp_solve(LinearProgram(orbit_part.num_orbits, [eq_row], list(ge_rows)))
+        res = lp_solve(lp)
         if isinstance(res, Infeasible):
             return _build_nonfc(family, n, domain, cuts, gens, res.certificate)
         point = tuple(res.point[o] for o in oid)

@@ -136,8 +136,7 @@ def _cuts_wellformed(cert: NonFcCertificate, dom: Family, closure: Family, ck: _
             return ck.run("cuts-wellformed", False, f"cut {idx}: leaves the domain")
         if not is_union_closed(cut):
             return ck.run("cuts-wellformed", False, f"cut {idx}: not union-closed")
-        absorbed = uplus(closure, cut) if cut.members else cut
-        if absorbed != cut:
+        if uplus(closure, cut) != cut:
             return ck.run("cuts-wellformed", False, f"cut {idx}: not absorbed by <A>")
     return ck.run("cuts-wellformed", True)
 

@@ -11,7 +11,14 @@ import fcfam.enumfam
 from fcfam import fcsolve
 from fcfam.cli import build_parser, dispatch
 from fcfam.fcsolve import certificate_to_dict, is_fc
-from fcfam.setfam import Family, format_family, no_singletons_family
+from fcfam.enumfam import get_nfc
+from fcfam.setfam import (
+    Family,
+    format_family,
+    no_singletons_family,
+    parse_family,
+    powerset_family,
+)
 
 
 @pytest.fixture
@@ -46,6 +53,16 @@ class TestIsfcAndVerify:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert dispatch(["verify", str(bad)]) == 2
+
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_verify_ground_size_out_of_range(self, n, fam_file, tmp_path, capsys):
+        cert_path = tmp_path / "cert.json"
+        assert dispatch(["isfc", fam_file, "--out", str(cert_path)]) == 0
+        data = json.loads(cert_path.read_text())
+        data["n"] = n
+        cert_path.write_text(json.dumps(data))
+        assert dispatch(["verify", str(cert_path)]) == 2
+        assert f"ground size {n} out of range" in capsys.readouterr().err
 
     def test_vfc_flag(self, fam_file, tmp_path, capsys):
         cert_path = str(tmp_path / "cert.json")
@@ -143,6 +160,11 @@ class TestBatchCommands:
         assert "FC(3,4) = 3" in out
         assert "m=2: 1 Non-FC classes" in err.splitlines()
 
+    def test_fcvalue_unresolved_up_to_max_m(self, capsys):
+        # FC(4,6) = 7, so levels 1..3 leave the value open
+        assert dispatch(["fcvalue", "-k", "4", "-n", "6", "--max-m", "3"]) == 1
+        assert "FC(4,6) unresolved up to m = 3" in capsys.readouterr().out
+
     def test_fcvalue_past_the_complete_family(self, capsys):
         # C(6,5) = 6 sets is the complete family, and it is Non-FC: a larger
         # --max-m must not turn the empty levels beyond it into a value
@@ -183,6 +205,19 @@ class TestBatchCommands:
         assert dispatch(["vfcvalue", "-k", "5", "-n", "6", "--v", str(path)]) == 2
         assert "symmetric domain" in capsys.readouterr().err
 
+    def test_vfcvalue_undefined_over_the_powerset(self, tmp_path, capsys):
+        # over P([6]) V-FC is FC, and the complete family of 5-subsets of [6] is Non-FC
+        path = tmp_path / "P6.fam"
+        path.write_text(format_family(powerset_family(6)))
+        assert dispatch(["vfcvalue", "-k", "5", "-n", "6", "--v", str(path)]) == 0
+        assert "FC_V(5,6) is undefined" in capsys.readouterr().out
+
+    def test_lexscan_notes_an_fc_predecessor(self, capsys):
+        assert dispatch(["lexscan", "-k", "3", "-n", "6"]) == 0
+        out, err = capsys.readouterr()
+        assert "first FC prefix has m = 4" in out
+        assert "note: the previous prefix is FC over its smaller universe" in err
+
     def test_lexscan(self, capsys, tmp_path):
         assert dispatch(["lexscan", "-k", "4", "-n", "5", "-o", str(tmp_path)]) == 0
         assert "m = 5" in capsys.readouterr().out
@@ -192,6 +227,19 @@ class TestBatchCommands:
         assert dispatch(["translates", "-n", "4", "--r", "0,1,2"]) == 0
         out = capsys.readouterr().out
         assert "degree 6" in out and "m = 32" in out and "FC(3,16) = 9" in out
+
+    def test_translates_writes_its_family(self, tmp_path, capsys):
+        assert dispatch(["translates", "-n", "4", "--r", "0,1,2", "-o", str(tmp_path)]) == 0
+        fam = parse_family((tmp_path / "translates_n4.fam").read_text())
+        assert (fam.n, len(fam.members)) == (16, 32)
+
+    def test_getnfc_lists_on_stdout(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.delenv("FCFAM_OUTPUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(["getnfc", "-n", "4", "-k", "3", "-m", "2"]) == 0
+        assert capsys.readouterr().out == "# family 1\n" + format_family(
+            get_nfc(4, 3, 2)[0])
+        assert list(tmp_path.iterdir()) == []
 
     def test_canon(self, tmp_path, capsys):
         path = tmp_path / "f.fam"

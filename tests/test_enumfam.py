@@ -252,6 +252,11 @@ class TestLexScan:
         # the predecessor prefix lives on universe [5] and is FC there
         assert res.prev_nonfc is None
 
+    def test_no_fc_prefix(self):
+        # even the complete family of 5-subsets of [6] is Non-FC
+        with pytest.raises(ValueError, match=r"no FC prefix up to C\(6,5\)"):
+            lex_scan(5, 6)
+
 
 class TestFcvValue:
     def test_no_singleton_v56(self):
@@ -273,6 +278,33 @@ class TestFcvValue:
         dom = Family.from_masks(4, tuple(m for m in range(16) if m != 0b0001))
         with pytest.raises(ValueError, match="symmetric"):
             fcv_value(3, 4, dom)
+
+    def test_symmetric_domain_is_fixed_by_every_transposition(self):
+        # the check by set sizes refuses exactly the domains that some
+        # transposition (1 j) moves; those transpositions generate S_n
+        rng = random.Random(11)
+        n = 4
+        swaps = [tuple(j if i == 1 else 1 if i == j else i for i in range(1, n + 1))
+                 for j in range(2, n + 1)]
+        for _ in range(40):
+            sizes = [r for r in range(n + 1) if rng.random() < 0.5]
+            masks = {s for s in range(1 << n) if s.bit_count() in sizes}
+            if rng.random() < 0.5:
+                masks ^= {rng.randrange(1 << n)}
+            dom = Family.from_masks(n, masks)
+            fixed = all(relabel(perm, dom) == dom for perm in swaps)
+            try:
+                fcv_value(3, n, dom)
+                refused = False
+            except ValueError as exc:  # a symmetric domain may still be invalid
+                refused = "symmetric" in str(exc)
+            assert refused == (not fixed), sorted(masks)
+
+    def test_unknown_spec_and_foreign_ground_rejected(self):
+        with pytest.raises(ValueError, match="unknown domain spec 'no-pairs'"):
+            fcv_value(4, 6, "no-pairs")
+        with pytest.raises(ValueError, match="domain ground size mismatch"):
+            fcv_value(4, 6, no_singletons_family(5))
 
     @pytest.mark.parametrize(
         "k,n,domain",

@@ -213,6 +213,39 @@ class TestInvariants:
         assert len(helpers) > 40
         assert unread == []
 
+    def test_private_names_reached_across_modules(self):
+        # a private name stays in its module; sepip's bitset and flow kernels
+        # are the only ones another module imports, so a new reach fails here
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src", "fcfam")
+        reached = []
+        for name in sorted(os.listdir(src)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            modules = {}  # local name -> sibling module, for `from . import x`
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                if node.level == 1 and node.module is None:
+                    modules.update((a.asname or a.name, a.name) for a in node.names)
+                elif node.level == 1 or (node.module or "").startswith("fcfam"):
+                    source = node.module.split(".")[-1]
+                    reached += [f"{name}: {source}.{a.name}" for a in node.names
+                                if a.name.startswith("_")]
+            reached += [f"{name}: {modules[node.value.id]}.{node.attr}"
+                        for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id in modules and node.attr.startswith("_")]
+        assert sorted(reached) == [
+            "fcsolve.py: sepip._bits",
+            "fcsolve.py: sepip._shift",
+            "fcsolve.py: sepip._shift_steps",
+            "verify.py: sepip._greedy_flow",
+            "verify.py: sepip._max_flow",
+        ]
+
 
 class TestClosedForms:
     def test_fc3_values(self):
@@ -561,6 +594,28 @@ class TestWorkDoneOnce:
             cert = is_fc(fam, warm_start=warm, domain=no_singletons_family(fam.n))
             assert cert.kind == kind and len(builds) == 1
             assert (len(lps) == 1) == one_lp
+
+    @pytest.mark.parametrize("symmetry", [False, True])
+    def test_every_round_solves_one_lp(self, monkeypatch, symmetry):
+        # one LinearProgram per decision: each round solves it again with the
+        # cut of the round before appended, and nothing copies it
+        seen = []
+        solve = fcfam.fcsolve.lp_solve
+
+        def recorded(lp):
+            seen.append((lp, len(lp.ge_rows)))
+            return solve(lp)
+
+        monkeypatch.setattr(fcfam.fcsolve, "lp_solve", recorded)
+        for sets, kind in (([[1, 2, 3], [2, 3, 4], [3, 4, 5]], "fc"),
+                           ([[1, 2, 3], [3, 4, 5]], "non-fc")):
+            seen.clear()
+            cert = is_fc(Family.from_sets(5, sets), symmetry=symmetry)
+            assert cert.kind == kind and len(seen) > 2
+            lp = seen[0][0]
+            assert all(other is lp for other, _ in seen)
+            assert [rows for _, rows in seen] == list(range(len(seen)))
+            assert len(lp.eq_rows) == 1
 
     def test_each_cut_built_once(self, monkeypatch):
         # one LP row per stored cut, a distinct violated family; a Non-FC

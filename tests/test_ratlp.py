@@ -173,6 +173,22 @@ class TestSerialization:
         cert = FarkasCertificate((Fraction(-1),), ())
         assert not check_farkas(lp, cert)
 
+    def test_wrong_lengths_rejected(self):
+        # x + y = 1 and x >= 2 are infeasible; x >= 2 alone holds at (2, 0)
+        one = Fraction(1)
+        lp = LinearProgram(2)
+        lp.add_ge([1, 0], 2)
+        assert check_point(lp, (2 * one, 0 * one))
+        assert not check_point(lp, (2 * one,))
+        assert not check_point(lp, (2 * one, 0 * one, 0 * one))
+        lp.add_eq([1, 1], 1)
+        assert check_farkas(lp, FarkasCertificate((one,), (-one,)))
+        # one multiplier too few or too many, on either kind of row
+        assert not check_farkas(lp, FarkasCertificate((), (-one,)))
+        assert not check_farkas(lp, FarkasCertificate((one, one), (-one,)))
+        assert not check_farkas(lp, FarkasCertificate((one,), ()))
+        assert not check_farkas(lp, FarkasCertificate((one,), (-one, -one)))
+
 
 def _serialize(res):
     if isinstance(res, Feasible):

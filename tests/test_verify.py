@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -207,6 +208,29 @@ class TestTargetedTampers:
         cert.multipliers = tuple(y)
         rep = verify_nonfc(cert)
         assert not rep.passed
+
+    @pytest.mark.parametrize("change,failure", [
+        (lambda c: {"n": 9}, "ground-size: n=9"),
+        (lambda c: {"multipliers": c.multipliers[:-1]},
+         "multiplier-count: one multiplier per cut required"),
+        (lambda c: {"cuts": [Family(6, (0, 0b111111))] + c.cuts[1:]},
+         "cuts-wellformed: cut 0: ground size mismatch"),
+        (lambda c: {"cuts": [Family.from_masks(7, c.cuts[0].members + (0b1,))] + c.cuts[1:]},
+         "cuts-wellformed: cut 0: leaves the domain"),
+    ], ids=["ground-size", "multiplier-count", "cut-ground", "cut-outside-domain"])
+    def test_nonfc_structure(self, change, failure):
+        cert = is_fc(Family.from_sets(7, [[1, 2, 3, 4, 5], [3, 4, 5, 6, 7]]), warm_start=True,
+                     domain=no_singletons_family(7))
+        assert isinstance(cert, NonFcCertificate) and verify_nonfc(cert).passed
+        rep = verify_nonfc(dataclasses.replace(cert, **change(cert)))
+        assert not rep.passed and rep.failure == failure
+
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_file_ground_size_out_of_range(self, n):
+        data = certificate_to_dict(is_fc(Family.from_sets(2, [[1, 2]])))
+        data["n"] = n
+        with pytest.raises(CertificateError, match=f"ground size {n} out of range"):
+            certificate_from_dict(data)
 
     def test_file_level_kind_swap(self):
         from fcfam.fcsolve import CertificateError
