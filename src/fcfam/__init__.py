@@ -36,7 +36,6 @@ from .ratlp import (
 from .sepip import (
     SeparationProblem,
     SeparationResult,
-    brute_separation,
     build_separation,
     solve_separation,
 )

@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TypeVar
 
-from .setfam import GROUND_CAP, Family, compact_universe, universe
+from .setfam import GROUND_CAP, Family, bits, compact_universe, frequencies, universe
 
 Permutation = tuple[int, ...]  # images[i-1] = image of element i, 1-based values
 
@@ -67,10 +67,8 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 
 def apply_perm_mask(p: Permutation, mask: int) -> int:
     out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << (p[low.bit_length() - 1] - 1)
-        mask ^= low
+    for b in bits(mask):
+        out |= 1 << (p[b] - 1)
     return out
 
 
@@ -161,7 +159,7 @@ def canonical_form(family: Family) -> Family:
 
     twin = _twin_classes(members, u)
     nm = len(members)
-    degree = [sum(m >> e & 1 for m in members) for e in range(u)]
+    degree = frequencies(fam).counts
     elem_order = sorted(range(u), key=lambda e: (degree[e], e))
     inc = [[j for j in range(nm) if members[j] >> e & 1] for e in range(u)]
 

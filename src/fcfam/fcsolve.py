@@ -44,6 +44,7 @@ from typing import Callable, Optional, Sequence, Union
 from .setfam import (
     DECISION_GROUND_CAP,
     Family,
+    bits,
     powerset_family,
     union_closure,
     universe,
@@ -62,7 +63,7 @@ from .ratlp import (
     frac_str,
     lp_solve,
 )
-from .sepip import LEAF, _bits, _shift, _shift_steps, build_separation, solve_separation
+from .sepip import LEAF, _shift, _shift_steps, build_separation, solve_separation
 
 ProgressFn = Callable[[str], None]
 
@@ -235,7 +236,7 @@ def _build_nonfc(
     lam = farkas.eq_multipliers[0]
     cut_mult: list[tuple[Family, Fraction]] = []
     for cut, y in zip(cuts, farkas.ge_multipliers):
-        fam = Family(n, tuple(_bits(cut)))
+        fam = Family(n, tuple(bits(cut)))
         # with no generators a cut is its own orbit, and no symmetry work runs
         images = family_orbit(fam, gens) if gens else [fam]
         share = y / len(images)

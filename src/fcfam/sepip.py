@@ -102,7 +102,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .setfam import DECISION_GROUND_CAP, Family, is_union_closed, universe
+from .setfam import DECISION_GROUND_CAP, Family, bits, is_union_closed, universe
 from .ratlp import frac
 
 BRUTE_DOMAIN_CAP = 16
@@ -216,16 +216,6 @@ def _weigher(lcm: int, scaled: Sequence[int]) -> Callable[[int], int]:
     return weigh
 
 
-def _bits(F: int) -> list[int]:
-    """The masks of a bitset, in ascending order."""
-    out = []
-    while F:
-        low = F & -F
-        out.append(low.bit_length() - 1)
-        F ^= low
-    return out
-
-
 def solve_separation(
     problem: SeparationProblem,
     weights: Sequence,
@@ -280,7 +270,7 @@ def solve_separation(
                 if not taken >> s & 1:
                     forced = _shift(fixed, steps[s])
                     if not forced & zeros:
-                        cands[s] = _bits(forced & free_neg)
+                        cands[s] = bits(forced & free_neg)
                         forcing[s] = forced
         else:
             cands, forcing = inherited
@@ -340,7 +330,7 @@ def solve_separation(
         node(0, 0, 0)
     except _Found as found:
         value, wit = found.args
-        return SeparationResult(Fraction(value, lcm), Family.from_masks(n, _bits(wit)),
+        return SeparationResult(Fraction(value, lcm), Family.from_masks(n, bits(wit)),
                                 nodes=ticks, **pruned)
     return SeparationResult(Fraction(0), Family.from_masks(n, ()), tuple(proof),
                             nodes=ticks, **pruned)

@@ -33,14 +33,20 @@ def mask_from_elements(elements: Iterable[int], n: int) -> int:
     return mask
 
 
+def bits(x: int) -> list[int]:
+    """The 0-based positions of the set bits of x, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
 def mask_elements(mask: int) -> tuple[int, ...]:
     """1-based element labels of a member mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return tuple(out)
+    # bit i-1 stands for element i, so one shift makes positions into labels
+    return tuple(bits(mask << 1))
 
 
 @dataclass(frozen=True)
@@ -168,11 +174,8 @@ def uplus(a: Family, b: Family) -> Family:
 def frequencies(family: Family) -> FrequencyTable:
     counts = [0] * family.n
     for m in family.members:
-        rest = m
-        while rest:
-            low = rest & -rest
-            counts[low.bit_length() - 1] += 1
-            rest ^= low
+        for b in bits(m):
+            counts[b] += 1
     return FrequencyTable(tuple(counts), len(family.members))
 
 
@@ -196,16 +199,8 @@ def compact_universe(family: Family) -> tuple[Family, tuple[int, ...]]:
     if uni == (1 << family.n) - 1:
         return family, tuple(range(1, family.n + 1))
     elems = mask_elements(uni)
-    pos = {e: i for i, e in enumerate(elems)}
-    masks = []
-    for member in family.members:
-        out = 0
-        rest = member
-        while rest:
-            low = rest & -rest
-            out |= 1 << pos[low.bit_length()]
-            rest ^= low
-        masks.append(out)
+    pos = {e - 1: i for i, e in enumerate(elems)}
+    masks = [sum(1 << pos[b] for b in bits(member)) for member in family.members]
     return Family.from_masks(max(1, len(elems)), masks), elems
 
 
@@ -281,7 +276,7 @@ def regularity(family: Family) -> Optional[int]:
     if uni == 0:
         return None
     counts = frequencies(family).counts
-    degs = {counts[i] for i in range(family.n) if (uni >> i) & 1}
+    degs = {counts[i] for i in bits(uni)}
     return degs.pop() if len(degs) == 1 else None
 
 

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import os
 import time
@@ -10,7 +11,7 @@ import fcfam.cli
 import fcfam.enumfam
 from fcfam import fcsolve
 from fcfam.cli import build_parser, dispatch
-from fcfam.fcsolve import certificate_to_dict, is_fc
+from fcfam.fcsolve import certificate_to_dict, fc3_value, is_fc
 from fcfam.enumfam import get_nfc
 from fcfam.setfam import (
     Family,
@@ -18,6 +19,9 @@ from fcfam.setfam import (
     no_singletons_family,
     parse_family,
     powerset_family,
+    regular_3set_fc,
+    regularity,
+    translates_family,
 )
 
 
@@ -140,6 +144,19 @@ class TestBatchCommands:
         assert len(manifest["certificates"]) == 1
         assert dispatch(["verify", os.path.join(out, manifest["certificates"][0])]) == 0
 
+    def test_getnfc_with_every_candidate_fc(self, monkeypatch, tmp_path, capsys):
+        # FC(3,5) = 3: each family of three 3-sets on [5] is FC
+        monkeypatch.delenv("FCFAM_OUTPUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(["getnfc", "-n", "5", "-k", "3", "-m", "3"]) == 0
+        assert capsys.readouterr().out == "# no Non-FC families\n"
+        out = tmp_path / "results"
+        assert dispatch(["getnfc", "-n", "5", "-k", "3", "-m", "3", "-o", str(out)]) == 0
+        manifest = json.loads((out / "manifest_n5_k3_m3.json").read_text())
+        assert (manifest["count"], manifest["certificates"]) == (0, [])
+        assert (out / "nfc_n5_k3_m3.fam").read_text() == "# no Non-FC families\n"
+        assert list(out.glob("*.cert.json")) == []
+
     def test_getnfc_files_do_not_depend_on_jobs(self, tmp_path):
         # the certificates come from pool workers at --jobs 2
         outputs = []
@@ -227,6 +244,19 @@ class TestBatchCommands:
         assert dispatch(["translates", "-n", "4", "--r", "0,1,2"]) == 0
         out = capsys.readouterr().out
         assert "degree 6" in out and "m = 32" in out and "FC(3,16) = 9" in out
+
+    def test_every_torus_family_passes_the_count_bound(self):
+        # so `translates` prints the count bound for every input it accepts:
+        # each n with a torus of at most 256 cells, each residue triple;
+        # an arithmetic triple of step n/3 makes translates coincide, degree 2
+        degrees = {}
+        for n in range(4, 17):
+            for r in itertools.combinations(range(n), 3):
+                fam = translates_family(n, r)
+                assert regular_3set_fc(fam) and len(fam) >= fc3_value(n * n)
+                deg = regularity(fam)
+                degrees[deg] = degrees.get(deg, 0) + 1
+        assert degrees == {6: 2365, 2: 14}
 
     def test_translates_writes_its_family(self, tmp_path, capsys):
         assert dispatch(["translates", "-n", "4", "--r", "0,1,2", "-o", str(tmp_path)]) == 0

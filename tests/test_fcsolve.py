@@ -239,12 +239,37 @@ class TestInvariants:
                         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                         and node.value.id in modules and node.attr.startswith("_")]
         assert sorted(reached) == [
-            "fcsolve.py: sepip._bits",
             "fcsolve.py: sepip._shift",
             "fcsolve.py: sepip._shift_steps",
             "verify.py: sepip._greedy_flow",
             "verify.py: sepip._max_flow",
         ]
+
+    def test_one_lowest_set_bit_loop(self):
+        # `x & -x` lists set bits in setfam.bits; the other two uses are
+        # Gosper's step and the reference oracle, so a new one fails here
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src", "fcfam")
+
+        def lowest_bit(node):
+            return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+                    and any(isinstance(neg, ast.UnaryOp) and isinstance(neg.op, ast.USub)
+                            and ast.dump(neg.operand) == ast.dump(other)
+                            for neg, other in ((node.right, node.left),
+                                               (node.left, node.right))))
+
+        found = set()
+        for name in sorted(os.listdir(src)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            for func in ast.walk(tree):
+                if isinstance(func, ast.FunctionDef):
+                    found |= {f"{name[:-3]}.{func.name}" for node in ast.walk(func)
+                              if lowest_bit(node)}
+        assert sorted(found) == ["canon._distinct_bound", "sepip.brute_separation",
+                                 "setfam.bits"]
 
 
 class TestClosedForms:

@@ -375,7 +375,7 @@ class TestBitsets:
             lcm, W, scaled = fcfam.sepip._integer_weights(w, dom)
             weigh = _weigher(lcm, scaled)
             F = bitset(x for x in dom.members if rng.random() < 0.5)
-            assert weigh(F) == sum(W[x] for x in fcfam.sepip._bits(F))
+            assert weigh(F) == sum(W[x] for x in fcfam.setfam.bits(F))
 
     def test_branch_test_is_the_escape_rule(self):
         rng = random.Random(32)

@@ -4,6 +4,7 @@ import pytest
 
 from fcfam.setfam import (
     Family,
+    bits,
     compact_universe,
     format_family,
     frequencies,
@@ -71,6 +72,16 @@ class TestParse:
 class TestMasks:
     def test_elements_round_trip(self):
         assert mask_elements(mask_from_elements([3, 1], 4)) == (1, 3)
+
+    def test_bits_lists_positions_ascending(self):
+        # masks of families and 2^n-bit bitsets of sets, up to 256 bits
+        rng = random.Random(26)
+        assert bits(0) == []
+        for width in (1, 8, 64, 256):
+            for _ in range(50):
+                x = rng.getrandbits(width)
+                assert bits(x) == [i for i in range(width) if x >> i & 1]
+                assert mask_elements(x) == tuple(i + 1 for i in bits(x))
 
     def test_family_normal_form(self):
         fam = Family.from_masks(3, [6, 1, 6])

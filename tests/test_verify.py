@@ -193,6 +193,17 @@ class TestTargetedTampers:
         rep = verify_fc(cert)
         assert not rep.passed and "weights-simplex" in rep.failure
 
+    def test_fc_without_proof_fails_without_raising(self):
+        cert = is_fc(Family.from_sets(2, [[1, 2]]))
+        rep = verify_fc(dataclasses.replace(cert, proof=None))
+        assert not rep.passed
+        assert rep.failure == ("separation-nonpositive: "
+                               "the certificate carries no separation proof")
+
+    def test_not_a_certificate(self):
+        with pytest.raises(TypeError, match="not a certificate: object"):
+            verify_certificate(object())
+
     def test_cut_replaced_by_non_union_closed_family(self):
         cert = is_fc(Family.from_sets(3, [[1, 2, 3]]))
         bad = Family.from_sets(3, [[1], [2]])
