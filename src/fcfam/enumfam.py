@@ -76,7 +76,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .setfam import (
     Family,
@@ -89,10 +89,9 @@ from .fcsolve import (
     Certificate,
     FcCertificate,
     NonFcCertificate,
+    ProgressFn,
     is_fc,
 )
-
-ProgressFn = Callable[[str], None]
 
 
 @dataclass

@@ -50,8 +50,7 @@ class LinearProgram:
 
     def __post_init__(self):
         for coeffs, _ in list(self.eq_rows) + list(self.ge_rows):
-            if len(coeffs) != self.num_vars:
-                raise ValueError("row length does not match variable count")
+            self._check_len(coeffs)
 
     def add_eq(self, coeffs: Sequence[Rat], rhs: Rat) -> None:
         self._check_len(coeffs)

@@ -32,13 +32,14 @@ free sets are not modeled, which only relaxes): the value of O plus the
 candidates' weight W(cands) minus a maximum flow on the bipartite forcing
 graph, source -> candidate S (capacity W[S]) -> each arc T of S -> sink
 (capacity -W[T]).  Any feasible flow f already bounds it by
-val(O) + W(cands) - f, so a node is tried against three bounds in turn,
-and the first that reaches 0 prunes it:
+val(O) + W(cands) - f, so a node is tried against two bounds in turn, and
+the first that reaches 0 prunes it:
 
 1. the trivial bound, f = 0;
-2. a one-pass greedy flow, each candidate pushing its weight straight into
-   its arcs;
-3. the maximum flow, augmented from the greedy flow along shortest paths.
+2. a flow (`_max_flow`) that starts greedily, each candidate pushing its
+   weight straight into its arcs, then augments along shortest paths and
+   stops as soon as its value reaches val(O) + W(cands).  A flow that stops
+   short of it is a maximum flow.
 
 The graph has no candidate-to-candidate arcs: by transitivity a candidate
 already has an arc into every negative set a chain of candidates it forces
@@ -51,12 +52,12 @@ backward from S.  They are thus the minimal minimum cut with
 candidate-to-candidate arcs too, and the relaxed pick is the reached
 candidates and their arcs (every candidate forces itself, as the base holds
 the empty set); closing the arcs adds nothing to closing the candidates.
-Neither the shortcuts nor the start of the flow change the proof: a node
-the greedy flow prunes is a leaf under the maximum flow too, and the pick,
-and with it the witness and the branch set, do not depend on the flow
-found.  The relaxed solution either closes into a feasible family or yields
-the branching set.  `verify` builds its own arcs and calls the same
-`_greedy_flow` and `_max_flow`, whose output it checks.
+Neither the shortcuts nor the stop change the proof: a node is pruned
+exactly when its maximum flow reaches the bound, and the pick, and with it
+the witness and the branch set, do not depend on the maximum flow found.
+The relaxed solution either closes into a feasible family or yields the
+branching set.  `verify` builds its own arcs and calls the same `_max_flow`,
+whose flow it checks.
 
 The branch set is a reached candidate whose unions with the relaxed pick
 escape it into negative sets, its escape; fixing it either way tightens
@@ -85,9 +86,9 @@ pick C into a negative set iff shift(C, S) & NEG & ~C is nonzero.  A right
 child has its parent's O (and so the same forcing sets and arcs) and its
 Z plus the branch set, so its candidates are its parent's, in the same
 order, but for those whose forcing set holds the branch set: it inherits
-them instead of filtering again.  The proof does not depend on the order of
-the arcs, which moves only the split between greedy and flow prunes: the
-candidates, the bound and the pick do not.
+them instead of filtering again.  The order of the arcs moves neither the
+proof nor any counter: the candidates, the bound, whether the flow reaches
+it and the pick do not depend on it.
 
 `brute_separation` is the independent oracle: exhaustive enumeration over
 all subfamilies of D, returning the maximum.
@@ -115,10 +116,9 @@ class SeparationResult:
     witness: Family
     proof: Optional[tuple[int, ...]] = None  # preorder search tree, if no violation
     # search work: nodes visited, and the pruned ones by the bound that
-    # pruned them (the candidates' weight, a greedy flow, the maximum flow)
+    # pruned them (the candidates' weight, a flow)
     nodes: int = 0
     pruned_trivial: int = 0
-    pruned_greedy: int = 0
     pruned_flow: int = 0
 
 
@@ -233,7 +233,7 @@ def solve_separation(
 
     ticks = 0  # nodes visited
     proof: list[int] = []
-    pruned = {"pruned_trivial": 0, "pruned_greedy": 0, "pruned_flow": 0}
+    pruned = {"pruned_trivial": 0, "pruned_flow": 0}
 
     def leaf(reason: str) -> None:
         pruned[reason] += 1
@@ -278,11 +278,8 @@ def solve_separation(
         bound = val + sum(W[s] for s in cands)
         if bound <= 0:
             return leaf("pruned_trivial")
-        greedy, pushes = _greedy_flow(cands, W)
-        if bound <= greedy:
-            return leaf("pruned_greedy")
-        flow, reached = _max_flow(cands, W, pushes)
-        gap = bound - sum(flow.values())
+        value, _, reached = _max_flow(cands, W, bound)
+        gap = bound - value
         if gap <= 0:
             return leaf("pruned_flow")
         # try to close the relaxed pick, the reached candidates (closed under
@@ -336,62 +333,46 @@ def solve_separation(
                             nodes=ticks, **pruned)
 
 
-def _greedy_flow(
-    cands: dict[int, list[int]], W: list[int]
-) -> tuple[int, dict[tuple[int, int], int]]:
-    """A feasible flow on the bipartite forcing graph of `_max_flow`, in one
-    pass: each candidate in turn pushes its weight straight into its arcs,
-    the negative sets it forces, up to what each one's sink arc has left.
-
-    Returns its value and its flow on each candidate-to-negative-set arc.
-    Any feasible flow f bounds the relaxation by W(cands) - f, so a node this
-    value prunes is pruned by the maximum flow too.
-    """
-    room = [-w for w in W]  # by mask: capacity left on a negative set's sink arc
-    pushes: dict[tuple[int, int], int] = {}
-    total = 0
-    for s, arcs in cands.items():
-        left = W[s]
-        for t in arcs:
-            push = room[t] if room[t] < left else left
-            if push:
-                room[t] -= push
-                pushes[s, t] = push
-                left -= push
-                if not left:
-                    break
-        total += W[s] - left
-    return total, pushes
-
-
 def _max_flow(
-    cands: dict[int, list[int]],
-    W: list[int],
-    start: dict[tuple[int, int], int],
-) -> tuple[dict[tuple[int, int], int], set[int]]:
-    """Maximum flow on the bipartite forcing graph, from the feasible flow
-    `start` (keyed like `_greedy_flow`'s, trusted to respect every capacity).
+    cands: dict[int, list[int]], W: list[int], need: int
+) -> tuple[int, dict[tuple[int, int], int], set[int]]:
+    """A flow on the bipartite forcing graph that stops once its value
+    reaches `need`, else a maximum flow.
 
     The source feeds each candidate S up to W[S], S sends without limit into
     each of its arcs `cands[S]`, and each arc T drains up to -W[T] into the
-    sink.  Each round augments along a shortest alternating path,
-    found by breadth-first search: source -> S -> T <- S' -> T' ... -> sink,
-    where a backward step T <- S' cancels flow that S' sends into T.
+    sink.  The flow starts greedily: each candidate in turn pushes what it
+    has straight into its arcs, up to what each one's sink arc has left.
+    Each later round augments along a shortest alternating path, found by
+    breadth-first search: source -> S -> T <- S' -> T' ... -> sink, where a
+    backward step T <- S' cancels flow that S' sends into T.
 
-    Returns the flow on each arc (only positive entries) and the candidates
-    the source still reaches, the minimal minimum cut's candidates, which
-    are the same for every maximum flow and so do not depend on `start`.
+    Returns the value, the flow on each arc (only positive entries) and,
+    for a maximum flow below `need`, the candidates the source still
+    reaches: the minimal minimum cut's, the same for every maximum flow.
+    A flow that reaches `need` (the empty flow if `need <= 0`) comes with
+    no candidates.
     """
-    flow = dict(start)
     # by mask: capacity left on a candidate's source arc or a negative set's
     # sink arc, |W| at the start
     room = [abs(w) for w in W]
+    flow: dict[tuple[int, int], int] = {}
     senders: dict[int, set[int]] = {}  # negative set -> candidates sending into it
-    for (s, t), f in flow.items():
-        room[s] -= f
-        room[t] -= f
-        senders.setdefault(t, set()).add(s)
-    while True:
+    value = 0
+    for s, arcs in cands.items():
+        if value >= need:
+            break
+        for t in arcs:
+            push = room[t] if room[t] < room[s] else room[s]
+            if push:
+                room[s] -= push
+                room[t] -= push
+                flow[s, t] = push
+                senders.setdefault(t, set()).add(s)
+                value += push
+                if not room[s]:
+                    break
+    while value < need:
         queue = [s for s in cands if room[s]]
         back = dict.fromkeys(queue)  # candidate -> the set it was reached from
         via: dict[int, int] = {}  # negative set -> the candidate it was reached from
@@ -411,13 +392,14 @@ def _max_flow(
             if end is not None:
                 break
         else:
-            return flow, set(back)
+            return value, flow, set(back)
         push, t = room[end], end
         while (prev := back[via[t]]) is not None:
             push = min(push, flow[via[t], prev])
             t = prev
         push = min(push, room[via[t]])
         room[end] -= push
+        value += push
         t = end
         while True:
             s = via[t]
@@ -432,6 +414,7 @@ def _max_flow(
                 del flow[s, prev]
                 senders[prev].discard(s)
             t = prev
+    return value, flow, set()
 
 
 def brute_separation(base: Family, weights: Sequence, domain: Family) -> SeparationResult:

@@ -29,8 +29,9 @@ negative sets outside O that C forces, all in B.  Every unit of flow
 leaves a candidate outside C or enters N(C), so
 F <= W(candidates outside C) - W(N(C)), and
 W(B) <= val + W(C) + W(N(C)) <= val + W(candidates) - F.  The flow is the
-shared greedy flow when it settles the leaf, else the shared `_max_flow`
-started from it; the checks above are made here, on each flow used.
+one the shared `_max_flow` returns, stopped at the leaf's bound; the checks
+above are made here on that flow, and the value `_max_flow` reports is not
+used.
 
 Non-FC certificates are replayed as a pure Farkas computation over their
 cuts, each checked to be a union-closed family in the domain absorbed by
@@ -67,7 +68,6 @@ from .fcsolve import (
 )
 from .sepip import (
     LEAF,
-    _greedy_flow,
     _max_flow,
     # not called here; bench/spans.py wraps these three by name
     brute_separation,  # noqa: F401
@@ -198,7 +198,7 @@ def check_separation_proof(
                     cands[s] = [t for t in forced if W[t] < 0 and t not in ones]
         bound = val + sum(W[s] for s in cands)
         if bound > 0:
-            bound -= _checked_flow(cands, W, bound)
+            bound -= _flow_value(cands, W, _max_flow(cands, W, bound)[1])
         if bound > 0:
             raise _ProofError(f"a leaf bounds the value only by {bound}/{lcm} > 0")
 
@@ -223,18 +223,6 @@ def check_separation_proof(
     except _ProofError as exc:
         return str(exc)
     return None
-
-
-def _checked_flow(cands: dict[int, list[int]], W: list[int], bound: int) -> int:
-    """Value of a flow on a leaf's forcing graph, after checking that it
-    sends only along the arcs this leaf built itself and respects every
-    capacity: the greedy flow when its value reaches `bound`, else a max
-    flow augmented from it."""
-    greedy = _greedy_flow(cands, W)[1]
-    value = _flow_value(cands, W, greedy)
-    if value >= bound:
-        return value
-    return _flow_value(cands, W, _max_flow(cands, W, greedy)[0])
 
 
 def _flow_value(cands: dict[int, list[int]], W: list[int],

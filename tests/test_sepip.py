@@ -19,7 +19,6 @@ from fcfam.setfam import (
 from fcfam.fcsolve import is_fc
 from fcfam.sepip import (
     LEAF,
-    _greedy_flow,
     _max_flow,
     _shift,
     _shift_steps,
@@ -116,39 +115,46 @@ def test_search_trajectory_is_pinned():
 
 def test_prunes_account_for_every_leaf():
     searched = 0
-    totals = [0, 0, 0, 0]
+    totals = [0, 0, 0]
     for base, w, dom in trajectory_instances():
         res = solve_separation(build_separation(base, dom), w)
-        pruned = res.pruned_trivial + res.pruned_greedy + res.pruned_flow
+        pruned = res.pruned_trivial + res.pruned_flow
         if res.proof is None:
             assert pruned < res.nodes
         else:
             assert pruned == res.proof.count(LEAF)
             assert res.nodes == len(res.proof)
         searched += res.nodes > 1
-        for i, count in enumerate((res.nodes, res.pruned_trivial, res.pruned_greedy,
-                                   res.pruned_flow)):
+        for i, count in enumerate((res.nodes, res.pruned_trivial, res.pruned_flow)):
             totals[i] += count
     assert searched > 20
-    # nodes, and prunes by the trivial, the greedy and the max-flow bound;
-    # like the digest, these move only with a change to the search itself,
-    # but for the greedy/flow split, which follows the order of each
-    # candidate's arcs (ascending by mask)
-    assert totals == [745, 0, 254, 4]
+    # nodes, and prunes by the trivial and the flow bound; like the digest,
+    # these move only with a change to the search itself, and the order of
+    # each candidate's arcs moves none of them
+    assert totals == [745, 0, 258]
 
 
-def test_greedy_prunes_only_what_the_max_flow_prunes(monkeypatch):
-    # with the greedy flow replaced by the zero flow every node that the
-    # greedy bound pruned goes to the max flow, which must prune it too:
-    # the same proof, and the greedy prunes become flow prunes
-    greedy = [solve_separation(build_separation(b, d), w) for b, w, d in trajectory_instances()]
-    monkeypatch.setattr(fcfam.sepip, "_greedy_flow", lambda cands, W: (0, {}))
-    for res, (b, w, d) in zip(greedy, trajectory_instances()):
-        cold = solve_separation(build_separation(b, d), w)
-        assert (cold.optimum, cold.witness, cold.proof) == (res.optimum, res.witness, res.proof)
-        assert cold.pruned_greedy == 0
-        assert cold.pruned_flow == res.pruned_flow + res.pruned_greedy
-    assert sum(res.pruned_greedy for res in greedy) > 0
+def unstopped(cands, W):
+    """`_max_flow` with a `need` above every flow, so it runs to the maximum."""
+    return _max_flow(cands, W, sum(W[s] for s in cands) + 1)
+
+
+def test_stop_prunes_only_what_the_max_flow_prunes(monkeypatch):
+    # a flow that runs to the maximum at every node, or one that meets each
+    # candidate's arcs in the reverse order, prunes the same nodes as the
+    # flow stopped at the node's bound: the same proofs and the same counts
+    def search():
+        return [solve_separation(build_separation(b, d), w) for b, w, d in trajectory_instances()]
+
+    stopped = search()
+    max_flow = fcfam.sepip._max_flow
+    for variant in (lambda cands, W, need: unstopped(cands, W),
+                    lambda cands, W, need: max_flow(
+                        {s: arcs[::-1] for s, arcs in cands.items()}, W, need)):
+        monkeypatch.setattr(fcfam.sepip, "_max_flow", variant)
+        assert search() == stopped
+        monkeypatch.undo()
+    assert sum(res.pruned_flow for res in stopped) > 0
 
 
 def fc_proof_over_6():
@@ -175,15 +181,15 @@ def flow_instances():
 
 
 def capture_nodes(monkeypatch, limit=400):
-    """The real search nodes that reached the max flow, as `_max_flow` was
-    called on them: (arcs, W, start)."""
+    """The real search nodes that reached the flow bound, as `_max_flow` was
+    called on them: (arcs, W, need)."""
     nodes = []
     max_flow = fcfam.sepip._max_flow
 
-    def record(cands, W, start):
+    def record(cands, W, need):
         if len(nodes) < limit:
-            nodes.append((cands, W, start))
-        return max_flow(cands, W, start)
+            nodes.append((cands, W, need))
+        return max_flow(cands, W, need)
 
     monkeypatch.setattr(fcfam.sepip, "_max_flow", record)
     for base, w, dom in flow_instances():
@@ -194,7 +200,7 @@ def capture_nodes(monkeypatch, limit=400):
 
 
 def forcing_nodes(monkeypatch):
-    """The max-flow nodes of the proofs of `flow_instances`, with what the
+    """The flow-bound nodes of the proofs of `flow_instances`, with what the
     search does not pass on: for each, its 1-fixed sets, every set each
     candidate forces (computed here from the base and the 1-fixed sets),
     the arcs the search handed to `_max_flow` and W.  The nodes come from
@@ -204,8 +210,8 @@ def forcing_nodes(monkeypatch):
     for base, w, dom in flow_instances():
         calls = []
         max_flow = fcfam.sepip._max_flow
-        monkeypatch.setattr(fcfam.sepip, "_max_flow", lambda cands, W, start: (
-            calls.append(cands) or max_flow(cands, W, start)))
+        monkeypatch.setattr(fcfam.sepip, "_max_flow", lambda cands, W, need: (
+            calls.append(cands) or max_flow(cands, W, need)))
         res = solve_separation(build_separation(base, dom), w)
         monkeypatch.undo()
         if res.proof is None:
@@ -239,22 +245,6 @@ def flow_value(cands, W, flow):
     return sum(sent.values())
 
 
-def random_feasible_flow(rng, cands, W):
-    """A feasible flow that puts a random amount on a random half of the arcs,
-    as far as the capacities left allow."""
-    room = {s: W[s] for s in cands}
-    flow = {}
-    arcs = [(s, t) for s in cands for t in cands[s]]
-    rng.shuffle(arcs)
-    for s, t in arcs[: len(arcs) // 2]:
-        most = min(room[s], room.setdefault(t, -W[t]))
-        if most:
-            flow[s, t] = rng.randint(1, most)
-            room[s] -= flow[s, t]
-            room[t] -= flow[s, t]
-    return flow
-
-
 def random_bipartite(rng):
     """Candidates 1..p of positive weight, each with arcs into some of the
     negative sets p+1..p+q, in a random order."""
@@ -266,45 +256,100 @@ def random_bipartite(rng):
     return cands, W
 
 
-def check_max_flow(rng, cands, W, greedy):
-    """`_max_flow` from the greedy, the zero and a random feasible start
-    reaches the oracle's minimum cut and its minimal source side."""
+def greedy_flow(cands, W):
+    """The reference greedy flow: each candidate in turn pushes its weight
+    straight into its arcs, up to what each one's sink arc has left."""
+    room = {t: -W[t] for arcs in cands.values() for t in arcs}
+    flow = {}
+    for s, arcs in cands.items():
+        left = W[s]
+        for t in arcs:
+            push = min(left, room[t])
+            if push:
+                flow[s, t] = push
+                room[t] -= push
+                left -= push
+    return flow
+
+
+def check_max_flow(cands, W):
+    """Run to the end, the greedily started flow reaches the oracle's
+    minimum cut and returns its minimal source side."""
     want, meet = brute_min_cut(cands, W)
-    for start in (greedy, {}, random_feasible_flow(rng, cands, W)):
-        flow, reached = _max_flow(cands, W, dict(start))
-        assert flow_value(cands, W, flow) == want
-        assert reached == meet
+    value, flow, reached = unstopped(cands, W)
+    assert flow_value(cands, W, flow) == value == want
+    assert reached == meet
+
+
+def check_stop(rng, cands, W):
+    """Each case of `need`: just above the maximum, the oracle's minimum cut
+    and its minimal source side; at or below it, a feasible flow worth at
+    least `need` and no candidates; at most 0, the empty flow."""
+    want, meet = brute_min_cut(cands, W)
+    value, flow, reached = _max_flow(cands, W, want + 1)
+    assert flow_value(cands, W, flow) == value == want
+    assert reached == meet
+    for need in {want, rng.randint(1, want), 1} if want else ():
+        value, flow, reached = _max_flow(cands, W, need)
+        assert flow_value(cands, W, flow) == value >= need
+        assert reached == set()
+    for need in (0, -rng.randint(1, 9)):
+        assert _max_flow(cands, W, need) == (0, {}, set())
 
 
 class TestFlows:
     def test_greedy_flow_is_feasible(self, monkeypatch):
-        for cands, W, start in capture_nodes(monkeypatch):
-            value, pushes = _greedy_flow(cands, W)
-            assert pushes == start
-            assert flow_value(cands, W, pushes) == value
+        # the flow starts with the reference greedy flow, and a `need` that
+        # it meets stops the flow there
+        for cands, W, need in capture_nodes(monkeypatch):
+            greedy = greedy_flow(cands, W)
+            value = flow_value(cands, W, greedy)
+            if value:
+                assert _max_flow(cands, W, value) == (value, greedy, set())
+            stopped, flow, _ = _max_flow(cands, W, need)
+            assert flow_value(cands, W, flow) == stopped
 
     def test_greedy_value_bounds_the_relaxation(self, monkeypatch):
-        for cands, W, start in capture_nodes(monkeypatch):
-            flow, reached = _max_flow(cands, W, start)
-            value = flow_value(cands, W, flow)
-            assert _greedy_flow(cands, W)[0] <= value
-            cold, cold_reached = _max_flow(cands, W, {})
-            assert (flow_value(cands, W, cold), cold_reached) == (value, reached)
+        # the greedy value is at most the maximum, and a flow stopped at the
+        # node's bound falls short of it exactly when the maximum does, and
+        # then is the maximum with the same candidates
+        for cands, W, need in capture_nodes(monkeypatch):
+            value, _, reached = unstopped(cands, W)
+            assert flow_value(cands, W, greedy_flow(cands, W)) <= value
+            stopped, _, stopped_reached = _max_flow(cands, W, need)
+            if value < need:
+                assert (stopped, stopped_reached) == (value, reached)
+            else:
+                assert need <= stopped <= value and stopped_reached == set()
 
     def test_warm_start_matches_cold_on_real_nodes(self, monkeypatch):
-        rng = random.Random(8)
+        # the flow, warm-started greedily, reaches the minimum cut that the
+        # oracle enumerates from nothing
         checked = 0
-        for cands, W, start in capture_nodes(monkeypatch):
+        for cands, W, _ in capture_nodes(monkeypatch):
             if len(cands) <= 12:
-                check_max_flow(rng, cands, W, start)
+                check_max_flow(cands, W)
                 checked += 1
         assert checked > 100
 
     def test_warm_start_matches_cold_on_random_graphs(self):
         rng = random.Random(9)
         for _ in range(500):
-            cands, W = random_bipartite(rng)
-            check_max_flow(rng, cands, W, _greedy_flow(cands, W)[1])
+            check_max_flow(*random_bipartite(rng))
+
+    def test_stop_rule_on_real_nodes(self, monkeypatch):
+        rng = random.Random(8)
+        checked = 0
+        for cands, W, _ in capture_nodes(monkeypatch):
+            if len(cands) <= 12:
+                check_stop(rng, cands, W)
+                checked += 1
+        assert checked > 100
+
+    def test_stop_rule_on_random_graphs(self):
+        rng = random.Random(10)
+        for _ in range(500):
+            check_stop(rng, *random_bipartite(rng))
 
     def test_reached_is_closed_under_forcing(self, monkeypatch):
         # the pick from the arcs alone is the pick from the forcing sets, the
@@ -312,7 +357,7 @@ class TestFlows:
         # and the least minimum cut closed under forcing
         small = 0
         for ones, forced, arcs, W in forcing_nodes(monkeypatch):
-            _, reached = _max_flow(arcs, W, _greedy_flow(arcs, W)[1])
+            _, _, reached = unstopped(arcs, W)
             assert all(t in reached for s in reached for t in forced[s] if t in forced)
             old = {t for s in reached for t in forced[s]
                    if t in forced or (W[t] < 0 and t not in ones)}
@@ -335,8 +380,8 @@ def set_rule_branch(cands, W, ones, zeros):
     one whose escape weighs the most, the first on ties, scanning no further
     than the first whose escape weighs at least the node's gap (its bound
     minus the maximum flow).  With no escape, the first reached candidate."""
-    flow, reached = _max_flow(cands, W, _greedy_flow(cands, W)[1])
-    gap = sum(W[s] for s in ones) + sum(W[s] for s in cands) - sum(flow.values())
+    value, _, reached = unstopped(cands, W)
+    gap = sum(W[s] for s in ones) + sum(W[s] for s in cands) - value
     chosen = set(ones).union(reached, *(cands[s] for s in reached))
     picked = [s for s in cands if s in reached]
     best, heaviest = picked[0], 0
@@ -392,16 +437,16 @@ class TestBitsets:
         assert 50 < escapes < 350
 
     def test_every_node_matches_the_set_rule(self, monkeypatch):
-        # at every node of real proofs, the candidates handed to the greedy
-        # flow (a right child's inherited from its parent, any other node's
+        # at every node of real proofs, the candidates handed to the flow
+        # (a right child's inherited from its parent, any other node's
         # filtered afresh) are the set rule's, in the same order and with
         # the same arcs, and each branch set is the set rule's pick
         nodes = branches = 0
         for base, w, dom in flow_instances():
             calls = []
-            greedy = fcfam.sepip._greedy_flow
-            monkeypatch.setattr(fcfam.sepip, "_greedy_flow",
-                                lambda cands, W: calls.append(cands) or greedy(cands, W))
+            max_flow = fcfam.sepip._max_flow
+            monkeypatch.setattr(fcfam.sepip, "_max_flow",
+                                lambda cands, W, need: calls.append(cands) or max_flow(cands, W, need))
             res = solve_separation(build_separation(base, dom), w)
             monkeypatch.undo()
             if res.proof is None:

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import fcfam.sepip
 import fcfam.verify
 from fcfam.setfam import Family, no_singletons_family, powerset_family, union_closure
 from fcfam.fcsolve import (
@@ -25,7 +26,7 @@ from fcfam.verify import (
     verify_nonfc,
 )
 
-from oracles import gen_noniso_families, proof_nodes, random_family
+from oracles import gen_noniso_families, proof_nodes, random_family, separation_candidates
 from test_sepip import random_instance, random_weights
 
 
@@ -403,74 +404,62 @@ class TestProofReplay:
     ], ids=["doubled", "into-positive", "into-ones"])
     def test_flow_is_checked_not_trusted(self, monkeypatch, larger_certs, corrupt, failure):
         # a flow code that reports more flow than the graph carries must not
-        # make a leaf pass, whether the greedy flow settles the leaf or the
-        # max flow augmented from it does
-        for routine in ("_greedy_flow", "_max_flow"):
-            real = getattr(fcfam.verify, routine)
-            greedy = routine == "_greedy_flow"
-            reached = 0
-            for cert in larger_certs:
-                base = union_closure(cert.family)
-                leaves = ((ones, zeros) for ones, zeros, entry in proof_nodes(base, cert.proof)
-                          if entry == LEAF)
-                calls = []
-
-                def bad_flow(cands, W, *start):
-                    out = real(cands, W, *start)
-                    calls.append(cands)
-                    # this flow's leaf is the next one in preorder with these arcs
-                    for ones, zeros in leaves:
-                        forced = {s: {s | x for x in set(base.members) | ones}
-                                  for s in range(len(W)) if W[s] > 0 and s not in ones | zeros}
-                        arcs = {s: {t for t in f if W[t] < 0 and t not in ones}
-                                for s, f in forced.items() if f.isdisjoint(zeros)}
-                        if arcs == {s: set(t) for s, t in cands.items()}:
-                            break
-                    else:
-                        raise AssertionError("no leaf of the proof has these arcs")
-                    into_ones = {(s, t) for s in cands for t in forced[s] & ones}
-                    if greedy:
-                        return out[0], corrupt(out[1], cands, into_ones)
-                    return corrupt(out[0], cands, into_ones), out[1]
-
-                monkeypatch.setattr(fcfam.verify, routine, bad_flow)
-                rep = verify_fc(cert)
-                monkeypatch.undo()
-                if calls:
-                    reached += 1
-                    assert not rep.passed and failure in rep.failure
-            # every proof has a leaf the greedy flow must settle; the max flow
-            # runs only where the greedy flow falls short, in two of these proofs
-            assert reached == (len(larger_certs) if greedy else 2)
-
-    def test_max_flow_only_where_the_greedy_flow_falls_short(self, monkeypatch, larger_certs):
-        greedy = fcfam.verify._greedy_flow
-        checked_flow = fcfam.verify._checked_flow
-        max_flow = fcfam.verify._max_flow
-        values, bounds, calls = [], [], []
-
-        def record_greedy(cands, W):
-            out = greedy(cands, W)
-            values.append(out[0])
-            return out
-
-        def record_bound(cands, W, bound):
-            bounds.append(bound)
-            return checked_flow(cands, W, bound)
-
-        def count_max_flow(cands, W, start):
-            calls.append(cands)
-            return max_flow(cands, W, start)
-
-        monkeypatch.setattr(fcfam.verify, "_greedy_flow", record_greedy)
-        monkeypatch.setattr(fcfam.verify, "_checked_flow", record_bound)
-        monkeypatch.setattr(fcfam.verify, "_max_flow", count_max_flow)
+        # make a leaf pass
+        real = fcfam.verify._max_flow
         for cert in larger_certs:
+            base = union_closure(cert.family)
+            leaves = ((ones, zeros) for ones, zeros, entry in proof_nodes(base, cert.proof)
+                      if entry == LEAF)
+            calls = []
+
+            def bad_flow(cands, W, need):
+                value, flow, reached = real(cands, W, need)
+                calls.append(cands)
+                # this flow's leaf is the next one in preorder with these arcs
+                for ones, zeros in leaves:
+                    forced = {s: {s | x for x in set(base.members) | ones}
+                              for s in range(len(W)) if W[s] > 0 and s not in ones | zeros}
+                    arcs = {s: {t for t in f if W[t] < 0 and t not in ones}
+                            for s, f in forced.items() if f.isdisjoint(zeros)}
+                    if arcs == {s: set(t) for s, t in cands.items()}:
+                        break
+                else:
+                    raise AssertionError("no leaf of the proof has these arcs")
+                into_ones = {(s, t) for s in cands for t in forced[s] & ones}
+                return value, corrupt(flow, cands, into_ones), reached
+
+            monkeypatch.setattr(fcfam.verify, "_max_flow", bad_flow)
+            rep = verify_fc(cert)
+            monkeypatch.undo()
+            # every proof has a leaf the flow must settle
+            assert calls
+            assert not rep.passed and failure in rep.failure
+
+    def test_one_max_flow_per_leaf_with_a_positive_bound(self, monkeypatch, larger_certs):
+        # the checker asks for one flow at each leaf that the candidates'
+        # weight does not settle, with the leaf's bound as `need`, in preorder
+        max_flow = fcfam.verify._max_flow
+        checked = 0
+        for cert in larger_certs:
+            base = union_closure(cert.family)
+            dom = cert.domain if cert.domain is not None else powerset_family(cert.n)
+            _, W, _ = fcfam.sepip._integer_weights(cert.weights, dom)
+            want = []
+            for ones, zeros, entry in proof_nodes(base, cert.proof):
+                if entry == LEAF:
+                    cands = separation_candidates(base, dom, W, ones, zeros)
+                    bound = sum(W[s] for s in ones) + sum(W[s] for s in cands)
+                    if bound > 0:
+                        want.append(({s: set(t) for s, t in cands.items()}, bound))
+            calls = []
+            monkeypatch.setattr(fcfam.verify, "_max_flow", lambda cands, W, need: (
+                calls.append(({s: set(t) for s, t in cands.items()}, need))
+                or max_flow(cands, W, need)))
             assert verify_fc(cert).passed
-        assert len(values) == len(bounds)
-        short = sum(value < bound for value, bound in zip(values, bounds))
-        assert len(calls) == short
-        assert 0 < short < len(bounds) // 8
+            monkeypatch.undo()
+            assert calls == want
+            checked += len(want)
+        assert checked > 100
 
     def test_verify_never_searches(self, monkeypatch, larger_certs):
         def refuse(*args, **kwargs):
