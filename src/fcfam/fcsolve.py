@@ -56,13 +56,7 @@ from .canon import (
     family_orbit,
     generating_set,
 )
-from .ratlp import (
-    FarkasCertificate,
-    Infeasible,
-    LinearProgram,
-    frac_str,
-    lp_solve,
-)
+from .ratlp import FarkasCertificate, Infeasible, LinearProgram, lp_solve
 from .sepip import LEAF, _shift, _shift_steps, build_separation, solve_separation
 
 ProgressFn = Callable[[str], None]
@@ -159,8 +153,8 @@ def is_fc(
     orbit_part = OrbitPartition.from_generators(gens, n)
     oid = orbit_part.orbit_id
 
-    def over_orbits(coeffs: Sequence[int]) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * orbit_part.num_orbits
+    def over_orbits(coeffs: Sequence[int]) -> tuple[int, ...]:
+        out = [0] * orbit_part.num_orbits
         for j, c in enumerate(coeffs):
             out[oid[j]] += c
         return tuple(out)
@@ -169,16 +163,17 @@ def is_fc(
     # variable by the orbit's size, and one row per stored cut.  A cut is
     # stored once per orbit of cuts, as a bitset (bit x for the set x), and
     # its row over the orbits is counted by popcounts against the M[i] of
-    # `_shift_steps` (the sets that hold i)
-    lp = LinearProgram(orbit_part.num_orbits, [(over_orbits([1] * n), Fraction(1))])
+    # `_shift_steps` (the sets that hold i).  Every row is doubled, so that
+    # |B|/2 is an integer: 2 sum(c) = 2 and sum_i 2 c_i |B_i| >= |B|
+    lp = LinearProgram(orbit_part.num_orbits, [(over_orbits([2] * n), 2)])
     steps = _shift_steps(n)
     every = steps[full]  # (M[i], its complement, 2^i) for each element i
     cuts: list[int] = []
 
     def add_cut(cut: int) -> None:
         cuts.append(cut)
-        counts = [(cut & keep).bit_count() for keep, _, _ in every]
-        lp.ge_rows.append((over_orbits(counts), Fraction(cut.bit_count(), 2)))
+        counts = [2 * (cut & keep).bit_count() for keep, _, _ in every]
+        lp.add_ge(over_orbits(counts), cut.bit_count())
 
     if warm_start:
         # the classically strongest inequalities: B_i = <A> |+| D_i, with D_i
@@ -232,7 +227,9 @@ def _build_nonfc(
     farkas: FarkasCertificate,
 ) -> NonFcCertificate:
     """The certificate over the original system: each stored cut's orbit of
-    images, with its multiplier spread uniformly over them."""
+    images, with its multiplier spread uniformly over them.  The LP's rows
+    are twice the inequalities, so its multipliers are half of theirs; the
+    normalization below removes that factor."""
     lam = farkas.eq_multipliers[0]
     cut_mult: list[tuple[Family, Fraction]] = []
     for cut, y in zip(cuts, farkas.ge_multipliers):
@@ -261,6 +258,11 @@ def _build_nonfc(
 
 # ---------------------------------------------------------------------------
 # certificate file format
+
+
+def frac_str(x: Fraction) -> str:
+    """Serialize with an explicit denominator, e.g. "0/1", "1/3"."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def certificate_to_dict(cert: Certificate) -> dict:

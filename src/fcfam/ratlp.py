@@ -1,4 +1,4 @@
-"""Exact linear feasibility over rationals.
+"""Exact linear feasibility over rationals, from integer rows.
 
 Phase one of a dense-tableau primal simplex with Bland's anti-cycling rule.
 Every variable is nonnegative and there is no objective: the solver returns
@@ -6,13 +6,16 @@ either a point that satisfies the constraints exactly or a Farkas
 certificate of infeasibility that replays by pure arithmetic.  There is no
 tolerance anywhere.  Each inequality a.x >= b gets a surplus variable.
 
-The tableau holds Python ints only.  Each row is scaled to integers once,
-and pivots are fraction-free (Edmonds/Bareiss): every entry is an integer
-over one shared denominator, the previous pivot, which each update divides
-out exactly, so no operation pays a gcd.  `Fraction` appears only where the
-rows are read in, where the point or the multipliers are written out, and
-in `check_point`.  It and `check_farkas`, which sums in integers over one
-common denominator, replay every answer before it is returned.
+The rows go in as Python ints, coefficients and right side, and the point
+and the multipliers come out as `Fraction`s.  A caller with rational rows
+scales each one to integers itself, so a row's scale never depends on the
+other rows: the tableau is the rows as given (a row with a negative right
+side negated), every artificial costs 1, and a row added between solves
+changes no other row.  Pivots are fraction-free (Edmonds/Bareiss): every
+entry is an integer over one shared denominator, the previous pivot, which
+each update divides out exactly, so no operation pays a gcd.  `check_point`
+and `check_farkas`, which sums in integers over one common denominator,
+replay every answer before it is returned.
 
 Built for the small, dense systems of the cutting-plane loop (tens of
 variables, up to a few hundred rows), not for sparse large-scale work.
@@ -25,44 +28,37 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union
 
-Rat = Union[int, str, Fraction]
-
 ZERO = Fraction(0)
 
-
-def frac(x: Rat) -> Fraction:
-    """Coerce ints and "p/q" strings to Fraction."""
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def frac_str(x: Fraction) -> str:
-    """Serialize with an explicit denominator, e.g. "0/1", "1/3"."""
-    return f"{x.numerator}/{x.denominator}"
+Row = tuple[tuple[int, ...], int]
 
 
 @dataclass
 class LinearProgram:
-    """Find x >= 0 with every equality row and every >=-row satisfied."""
+    """Find x >= 0 with every equality row and every >=-row satisfied.
+    A row is (coefficients, right side), all of type int."""
 
     num_vars: int
-    eq_rows: list[tuple[tuple[Fraction, ...], Fraction]] = field(default_factory=list)
-    ge_rows: list[tuple[tuple[Fraction, ...], Fraction]] = field(default_factory=list)
+    eq_rows: list[Row] = field(default_factory=list)
+    ge_rows: list[Row] = field(default_factory=list)
 
     def __post_init__(self):
-        for coeffs, _ in list(self.eq_rows) + list(self.ge_rows):
-            self._check_len(coeffs)
+        for coeffs, rhs in list(self.eq_rows) + list(self.ge_rows):
+            self._row(coeffs, rhs)
 
-    def add_eq(self, coeffs: Sequence[Rat], rhs: Rat) -> None:
-        self._check_len(coeffs)
-        self.eq_rows.append((tuple(frac(c) for c in coeffs), frac(rhs)))
+    def add_eq(self, coeffs: Sequence[int], rhs: int) -> None:
+        self.eq_rows.append(self._row(coeffs, rhs))
 
-    def add_ge(self, coeffs: Sequence[Rat], rhs: Rat) -> None:
-        self._check_len(coeffs)
-        self.ge_rows.append((tuple(frac(c) for c in coeffs), frac(rhs)))
+    def add_ge(self, coeffs: Sequence[int], rhs: int) -> None:
+        self.ge_rows.append(self._row(coeffs, rhs))
 
-    def _check_len(self, coeffs: Sequence[Rat]) -> None:
-        if len(coeffs) != self.num_vars:
+    def _row(self, coeffs: Sequence[int], rhs: int) -> Row:
+        row = tuple(coeffs)
+        if len(row) != self.num_vars:
             raise ValueError("row length does not match variable count")
+        if any(type(x) is not int for x in (*row, rhs)):
+            raise ValueError("LP rows take int coefficients and right sides only")
+        return row, rhs
 
 
 @dataclass(frozen=True)
@@ -108,28 +104,22 @@ def check_point(lp: LinearProgram, point: Sequence[Fraction]) -> bool:
 
 
 def check_farkas(lp: LinearProgram, cert: FarkasCertificate) -> bool:
-    """Exact replay of a Farkas certificate, in integers: y * row is
-    (y / L) * (L * row) with L the lcm of the row's denominators, and the
-    y / L are put over one common denominator, which changes no sign."""
+    """Exact replay of a Farkas certificate, in integers: the multipliers
+    are put over one common denominator, which changes no sign, and the
+    integer rows are summed with the numerators."""
     if len(cert.ge_multipliers) != len(lp.ge_rows):
         return False
     if len(cert.eq_multipliers) != len(lp.eq_rows):
         return False
     if any(y < 0 for y in cert.ge_multipliers):
         return False
-    terms = []  # (y / L, L * row), the right side last
-    for y, (coeffs, b) in zip(cert.ge_multipliers + cert.eq_multipliers,
-                              lp.ge_rows + lp.eq_rows):
-        if y:
-            row = (*coeffs, b)
-            scale = lcm(*(c.denominator for c in row))
-            terms.append((Fraction(y, scale),
-                          [c.numerator * (scale // c.denominator) for c in row]))
-    common = lcm(*(z.denominator for z, _ in terms))
+    mults = cert.ge_multipliers + cert.eq_multipliers
+    common = lcm(*(y.denominator for y in mults))
     agg = [0] * (lp.num_vars + 1)
-    for z, row in terms:
-        k = z.numerator * (common // z.denominator)
-        agg = [a + k * c for a, c in zip(agg, row)]
+    for y, (coeffs, b) in zip(mults, lp.ge_rows + lp.eq_rows):
+        if y:
+            k = y.numerator * (common // y.denominator)
+            agg = [a + k * c for a, c in zip(agg, (*coeffs, b))]
     return all(a <= 0 for a in agg[:-1]) and agg[-1] > 0
 
 
@@ -142,30 +132,23 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     m = len(raw_rows)
     rhs_col = ncols + m  # x, surplus, one artificial per row, then the rhs
 
-    # Row r is multiplied by sigma_r = -1 if its rhs is negative and by L_r,
-    # the lcm of its denominators; its artificial keeps coefficient 1, so it
-    # stands for L_r times the unscaled one.  Costing that artificial
-    # lcm(L) / L_r gives phase one's objective times lcm(L), and Bland's rule
-    # then makes the same choices as on the unscaled rows.
+    # row r is multiplied by sigma_r = -1 if its rhs is negative, so the
+    # artificial basis starts feasible; every artificial costs 1
     sigma = [-1 if rhs < 0 else 1 for _, rhs, _ in raw_rows]
-    scale = [lcm(rhs.denominator, *(c.denominator for c in coeffs))
-             for coeffs, rhs, _ in raw_rows]
-    big = lcm(*scale)
-    cost = [big // s for s in scale]
     rows: list[list[int]] = []
     for r, (coeffs, rhs, ge_idx) in enumerate(raw_rows):
-        f = sigma[r] * scale[r]
-        row = [f * c.numerator // c.denominator for c in coeffs] + [0] * (rhs_col + 1 - n)
+        f = sigma[r]
+        row = [f * c for c in coeffs] + [0] * (rhs_col + 1 - n)
         if ge_idx >= 0:
             row[n + ge_idx] = -f
         row[ncols + r] = 1
-        row[rhs_col] = f * rhs.numerator // rhs.denominator
+        row[rhs_col] = f * rhs
         rows.append(row)
     # reduced costs for the artificial basis, and minus the objective value
     obj = [0] * (rhs_col + 1)
-    for c, row in zip(cost, rows):
+    for row in rows:
         for j in (*range(ncols), rhs_col):
-            obj[j] -= c * row[j]
+            obj[j] -= row[j]
 
     # Bareiss pivoting: the tableau is the integer rows divided by d, the
     # previous pivot, and every update divides by d exactly.  d stays
@@ -201,12 +184,12 @@ def lp_solve(lp: LinearProgram) -> LPResult:
         d = p
 
     if obj[rhs_col] < 0:
-        # infeasible: the reduced cost of artificial r is cost_r - y_r for
-        # the scaled phase-one dual y; undo sigma_r, L_r and lcm(L)
+        # infeasible: the reduced cost of artificial r is 1 - y_r for the
+        # phase-one dual y of the sign-flipped rows; undo sigma_r
         ge_mult = [ZERO] * len(lp.ge_rows)
         eq_mult = [ZERO] * len(lp.eq_rows)
         for r, (_, _, ge_idx) in enumerate(raw_rows):
-            y = Fraction(sigma[r] * (cost[r] * d - obj[ncols + r]) * scale[r], d * big)
+            y = Fraction(sigma[r] * (d - obj[ncols + r]), d)
             if ge_idx >= 0:
                 ge_mult[ge_idx] = y
             else:

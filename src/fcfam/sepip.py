@@ -104,7 +104,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .setfam import DECISION_GROUND_CAP, Family, bits, is_union_closed, universe
-from .ratlp import frac
 
 BRUTE_DOMAIN_CAP = 16
 LEAF = -1  # proof entry of a pruned node
@@ -134,7 +133,7 @@ def _integer_weights(weights: Sequence, domain: Family) -> tuple[int, list[int],
     """Check one round's weights and scale them to integers: the lcm L of
     their denominators, by mask W[S] = L - 2 * sum_{i in S} L*c_i for each
     domain set S (0 elsewhere), and the scaled weights L*c_i."""
-    w = tuple(frac(x) for x in weights)
+    w = tuple(Fraction(x) for x in weights)
     if len(w) != domain.n:
         raise ValueError(f"expected {domain.n} weights, got {len(w)}")
     if any(x < 0 for x in w):

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from fcfam.setfam import Family, compact_universe, union_closure, universe
-from fcfam.ratlp import FarkasCertificate, LinearProgram, Infeasible, Feasible, lp_solve
+from fcfam.ratlp import FarkasCertificate, Feasible, Infeasible, LinearProgram, LPResult, lp_solve
 
 
 def apply_perm_mask(perm: tuple[int, ...], mask: int) -> int:
@@ -153,9 +153,10 @@ def brute_poonen_fc(fam: Family) -> bool:
     active: list[tuple[tuple[int, ...], int]] = []
     while True:
         lp = LinearProgram(n)
-        lp.add_eq([1] * n, 1)
+        # every row doubled, so |B|/2 is an integer
+        lp.add_eq([2] * n, 2)
         for freq, size in active:
-            lp.add_ge(list(freq), Fraction(size, 2))
+            lp.add_ge([2 * f for f in freq], size)
         res = lp_solve(lp)
         if isinstance(res, Infeasible):
             return False
@@ -371,3 +372,58 @@ def fraction_check_farkas(lp: LinearProgram, cert: FarkasCertificate) -> bool:
             agg[j] += lam * c
         rhs += lam * b
     return all(a <= 0 for a in agg) and rhs > 0
+
+
+def fraction_phase_one(lp: LinearProgram) -> LPResult:
+    """Phase one of the simplex method in `Fraction` arithmetic, the
+    reference for the pivots of `ratlp.lp_solve`: rows with a negative right
+    side negated, one artificial per row costing 1, Bland's rule (the lowest
+    column with a negative reduced cost enters; the least ratio leaves, ties
+    to the lowest basic column), and the textbook pivot that divides the
+    pivot row by its pivot.  Infeasible when the artificials cannot all
+    leave: the multiplier of row r is sigma_r times 1 minus the reduced cost
+    of its artificial."""
+    n, m = lp.num_vars, len(lp.eq_rows) + len(lp.ge_rows)
+    ncols = n + len(lp.ge_rows)
+    rows_in = [(c, b, None) for c, b in lp.eq_rows]
+    rows_in += [(c, b, i) for i, (c, b) in enumerate(lp.ge_rows)]
+    sigma = [-1 if b < 0 else 1 for _, b, _ in rows_in]
+    tab = []
+    for r, (coeffs, b, ge) in enumerate(rows_in):
+        row = [Fraction(sigma[r] * c) for c in coeffs] + [Fraction(0)] * (ncols - n + m)
+        if ge is not None:
+            row[n + ge] = Fraction(-sigma[r])
+        row[ncols + r] = Fraction(1)
+        tab.append(row + [Fraction(sigma[r] * b)])
+    # reduced costs c_j - sum_r row_r[j] of the artificial basis, then minus
+    # the objective value
+    cost = [0] * ncols + [1] * m + [0]
+    obj = [c - sum(row[j] for row in tab) for j, c in enumerate(cost)]
+    basis = list(range(ncols, ncols + m))
+    while True:
+        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        if enter is None:
+            break
+        ratios = [(row[-1] / row[enter], basis[r], r) for r, row in enumerate(tab) if row[enter] > 0]
+        _, _, leave = min(ratios)
+        piv = tab[leave][enter]
+        tab[leave] = [a / piv for a in tab[leave]]
+        for other in [*tab[:leave], *tab[leave + 1:], obj]:
+            f = other[enter]
+            other[:] = [a - f * b for a, b in zip(other, tab[leave])]
+        basis[leave] = enter
+    if obj[-1] < 0:
+        ge_mult = [Fraction(0)] * len(lp.ge_rows)
+        eq_mult = [Fraction(0)] * len(lp.eq_rows)
+        for r, (_, _, ge) in enumerate(rows_in):
+            y = sigma[r] * (1 - obj[ncols + r])
+            if ge is None:
+                eq_mult[r] = y
+            else:
+                ge_mult[ge] = y
+        return Infeasible(FarkasCertificate(tuple(ge_mult), tuple(eq_mult)))
+    point = [Fraction(0)] * n
+    for r, b in enumerate(basis):
+        if b < n:
+            point[b] = tab[r][-1]
+    return Feasible(tuple(point))

@@ -30,6 +30,7 @@ from fcfam.fcsolve import (
     certificate_from_dict,
     certificate_to_dict,
     fc3_value,
+    frac_str,
     is_fc,
     upper_bound,
 )
@@ -329,14 +330,14 @@ class TestClosedForms:
 class TestSymmetryReduce:
     def test_transitive_family_gives_one_variable_lps(self, monkeypatch):
         # Aut of all 3-subsets of [6] is S_6: one orbit, so every LP has one
-        # variable, sum(c) = 1 weighs it by the orbit size, and the lifted
-        # weights are constant
+        # variable, sum(c) = 1 (doubled, as every row is) weighs it by the
+        # orbit size, and the lifted weights are constant
         lps = count_calls(monkeypatch, fcfam.fcsolve, "lp_solve")
         cert = is_fc(Family.from_masks(6, lex_ksets(6, 3)), symmetry=True)
         assert cert.kind == "fc" and lps
         for (lp,) in lps:
             assert lp.num_vars == 1
-            assert lp.eq_rows == [((Fraction(6),), Fraction(1))]
+            assert lp.eq_rows == [((12,), 2)]
         assert cert.weights == (Fraction(1, 6),) * 6
         assert verify_certificate(cert).passed
 
@@ -470,6 +471,11 @@ class TestLoopProperties:
 
 
 class TestCertificateFormat:
+    def test_frac_str(self):
+        assert frac_str(Fraction(0)) == "0/1"
+        assert frac_str(Fraction(1, 3)) == "1/3"
+        assert frac_str(Fraction(-7, 2)) == "-7/2"
+
     def _roundtrip(self, cert):
         data = certificate_to_dict(cert)
         again = certificate_from_dict(data)
@@ -572,15 +578,15 @@ def first_lp(monkeypatch, family, **options):
 
 
 def lp_row(cut, oid=None):
-    """The LP row of a cut, counted from its members: its element counts
-    summed over the orbits oid (default: every element its own orbit), and
-    |B|/2."""
+    """The LP row of a cut, counted from its members and doubled: twice its
+    element counts summed over the orbits oid (default: every element its
+    own orbit), and |B|."""
     counts = frequencies(cut).counts
     oid = oid or tuple(range(cut.n))
-    out = [Fraction(0)] * (max(oid) + 1)
+    out = [0] * (max(oid) + 1)
     for i, c in enumerate(counts):
-        out[oid[i]] += c
-    return tuple(out), Fraction(len(cut.members), 2)
+        out[oid[i]] += 2 * c
+    return tuple(out), len(cut.members)
 
 
 class TestWarmStart:

@@ -48,6 +48,12 @@ CASES = {
                       "row length does not match variable count"),
     "lp-add-ge-length": (lambda: LinearProgram(2, []).add_ge([1], 1),
                          "row length does not match variable count"),
+    "lp-fraction-entry": (lambda: LinearProgram(2, []).add_ge([1, Fraction(1, 2)], 1),
+                          "LP rows take int coefficients and right sides only"),
+    "lp-bool-entry": (lambda: LinearProgram(2, [((1, True), 1)]),
+                      "LP rows take int coefficients and right sides only"),
+    "lp-float-rhs": (lambda: LinearProgram(2, []).add_eq([1, 1], 1.0),
+                     "LP rows take int coefficients and right sides only"),
     "fc-value-k2": (lambda: fc_value(2, 5), r"need n > k >= 3"),
     "fcv-value-n-equals-k": (lambda: fcv_value(5, 5), r"need n > k >= 3"),
     "lex-scan-n-equals-k": (lambda: lex_scan(4, 4), r"need n > k >= 3"),

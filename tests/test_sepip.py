@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import fcfam.sepip
-from fcfam.ratlp import frac_str
+from fcfam.fcsolve import frac_str
 from fcfam.setfam import (
     Family,
     frequencies,
