@@ -10,6 +10,10 @@ certificate (exit 0 pass, 1 fail, 2 structural error).
 Every command that decides more than one family decides it through
 `enumfam.EnumSession.classify`, and `--time-limit` bounds each decision;
 `getnfc -o` writes each Non-FC certificate as the enumeration yields it.
+Every decision is warm-started, `isfc`'s too, so `isfc` and `getnfc -o`
+write the same certificate for a family unless `isfc` is given
+`--symmetry`.  One report prints FC for `fcvalue` and FC_V for
+`vfcvalue`.
 Long computations report progress on stderr; results go to stdout or into
 the output directory (flag -o or FCFAM_OUTPUT_DIR).
 """
@@ -45,12 +49,16 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
+def _read_family(path: str, ground_size: Optional[int] = None) -> Family:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_family(fh.read(), ground_size=ground_size)
+
+
 def _load_family(path: str, v: Optional[str] = None) -> Family:
     """The family in path, compacted to its universe; a domain spec v is
     refused for a family that needs compacting, since V-FC is defined only
     for universe [n]."""
-    with open(path, "r", encoding="utf-8") as fh:
-        fam = parse_family(fh.read())
+    fam = _read_family(path)
     if universe(fam) != (1 << fam.n) - 1:
         compacted, elems = compact_universe(fam)
         if v is not None:
@@ -68,9 +76,7 @@ def _parse_domain(spec: Optional[str], n: int) -> Optional[Family]:
         return None
     if spec == "no-singletons":
         return no_singletons_family(n)
-    with open(spec, "r", encoding="utf-8") as fh:
-        dom = parse_family(fh.read(), ground_size=n)
-    return dom
+    return _read_family(spec, n)
 
 
 def _out_path(args, default_name: str) -> Optional[str]:
@@ -91,13 +97,30 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _report(rep: enumfam.FcValueReport, name: str, not_fc: str, note: str = "") -> int:
+    """Print a threshold run: its value, or why it has none, on stdout, and
+    its witness and wall time on stderr.  Exit 1 when the levels read
+    ended before the value."""
+    head = f"{name}({rep.k},{rep.n})"
+    if rep.status == "found":
+        print(f"{head} = {rep.value}{note}")
+        if rep.witness is not None:
+            _progress(f"maximum witness ({rep.value - 1} sets, {not_fc}): {rep.witness}")
+    elif rep.status == "undefined":
+        print(f"{head} is undefined (the complete family is {not_fc})")
+    else:  # "exhausted": counts end at the last level read
+        print(f"{head} unresolved up to m = {max(m for _, m in rep.counts)}")
+    _progress(f"wall time {rep.wall_time:.1f}s")
+    return 1 if rep.status == "exhausted" else 0
+
+
 def _cmd_isfc(args) -> int:
     fam = _load_family(args.family, args.v)
     domain = _parse_domain(args.v, fam.n)
     cert = is_fc(
         fam,
         symmetry=args.symmetry,
-        warm_start=args.warm_start,
+        warm_start=True,
         domain=domain,
         deadline=time.monotonic() + args.time_limit if args.time_limit else None,
         progress=_progress,
@@ -166,17 +189,7 @@ def _cmd_fcvalue(args) -> int:
         progress=_progress,
         time_limit=args.time_limit,
     )
-    if rep.status == "found":
-        print(f"FC({args.k},{args.n}) = {rep.value}")
-        if rep.witness is not None:
-            _progress(f"maximum Non-FC witness ({rep.value - 1} sets): {rep.witness}")
-    elif rep.status == "undefined":
-        print(f"FC({args.k},{args.n}) is undefined (the complete family is Non-FC)")
-    else:
-        print(f"FC({args.k},{args.n}) unresolved up to m = {args.max_m}")
-        return 1
-    _progress(f"wall time {rep.wall_time:.1f}s")
-    return 0
+    return _report(rep, "FC", "Non-FC")
 
 
 def _cmd_lexscan(args) -> int:
@@ -206,12 +219,7 @@ def _cmd_vfcvalue(args) -> int:
         progress=_progress,
         time_limit=args.time_limit,
     )
-    if rep.status == "found":
-        print(f"FC_V({args.k},{args.n}) = {rep.value}  [V = {args.v}]")
-    else:
-        print(f"FC_V({args.k},{args.n}) is undefined (the complete family is not V-FC)")
-    _progress(f"wall time {rep.wall_time:.1f}s")
-    return 0
+    return _report(rep, "FC_V", "not V-FC", f"  [V = {args.v}]")
 
 
 def _cmd_upperbound(args) -> int:
@@ -238,17 +246,12 @@ def _cmd_translates(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    with open(args.family, "r", encoding="utf-8") as fh:
-        fam = parse_family(fh.read())
-    sys.stdout.write(format_family(canonical_form(fam)))
+    sys.stdout.write(format_family(canonical_form(_read_family(args.family))))
     return 0
 
 
 def _cmd_orbits(args) -> int:
-    with open(args.family, "r", encoding="utf-8") as fh:
-        fam = parse_family(fh.read())
-    part = orbits(fam)
-    for orbit in part.orbit_sets():
+    for orbit in orbits(_read_family(args.family)).orbit_sets():
         print(",".join(map(str, orbit)))
     return 0
 
@@ -281,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("isfc", help="decide FC / V-FC for one family file")
     p.add_argument("family")
     p.add_argument("--symmetry", action="store_true")
-    p.add_argument("--warm-start", action="store_true")
     p.add_argument("--v", help='"no-singletons" or a family file for the domain V')
     p.add_argument("--out", help="certificate file (default: stdout)")
     add_common(p)

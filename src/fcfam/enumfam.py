@@ -259,6 +259,8 @@ class EnumSession:
         maximum member invariant."""
         if not (n >= k >= 3):
             raise ValueError("need n >= k >= 3")
+        if m < 1:
+            raise ValueError("m must be >= 1")
         self.check_deadline()
         if k * m < n or m > math.comb(n, k):
             return [], set()
@@ -283,7 +285,7 @@ class EnumSession:
                 if canon in seen:
                     continue
                 seen.add(canon)
-                if _has_subfamily_in(ext, prev_fc):
+                if _has_subfamily_in(ext, parent.members, prev_fc):
                     known_fc.add(canon)
                 else:
                     candidates.append(canon)
@@ -439,12 +441,14 @@ def _scan(session: EnumSession, k: int, n: int, sizes: Sequence[int], last: int,
     return FcValueReport(k, n, None, status, counts, time.monotonic() - t0, cert)
 
 
-def _has_subfamily_in(fam: Family, tables: dict[int, set[Family]]) -> bool:
-    """Whether dropping one member of fam leaves a family whose canonical
-    family is in the table of its universe size; a subfamily whose size has
-    no table, or an empty one, is not canonicalized."""
-    for drop in range(len(fam.members)):
-        sub = Family.from_masks(fam.n, fam.members[:drop] + fam.members[drop + 1 :])
+def _has_subfamily_in(fam: Family, old: Sequence[int], tables: dict[int, set[Family]]) -> bool:
+    """Whether dropping one member of fam that is in old, the parent's
+    members, leaves a family whose canonical family is in the table of its
+    universe size; a subfamily whose size has no table, or an empty one, is
+    not canonicalized.  Dropping the new set gives back the parent, a
+    Non-FC class or one below the domain, never in a table."""
+    for y in old:
+        sub = Family.from_masks(fam.n, [x for x in fam.members if x != y])
         table = tables.get(universe(sub).bit_count())
         if table and canonical_form(sub) in table:
             return True

@@ -239,7 +239,7 @@ def full_candidates(session, n: int, k: int, m: int) -> tuple[list[Family], set[
             canon = canonical_form(ext)
             if canon in known_fc or canon in candidates:
                 continue
-            if _has_subfamily_in(ext, prev_fc):
+            if _has_subfamily_in(ext, parent.members, prev_fc):
                 known_fc.add(canon)
             else:
                 candidates[canon] = None

@@ -104,6 +104,18 @@ class TestIsfcAndVerify:
         assert dispatch(["verify", str(cert_path)]) == 2
         assert "no separation proof" in capsys.readouterr().err
 
+    def test_isfc_writes_the_getnfc_certificate(self, tmp_path):
+        # isfc decides warm like every driver: for this Non-FC class of cell
+        # (6,4,5) a cold decision writes a different certificate
+        path = tmp_path / "f.fam"
+        path.write_text("n=6\n1,2,3,4\n1,2,3,5\n1,2,4,5\n1,2,3,6\n1,3,4,6\n")
+        out = tmp_path / "results"
+        assert dispatch(["getnfc", "-n", "6", "-k", "4", "-m", "5", "-o", str(out)]) == 0
+        cert_path = tmp_path / "cert.json"
+        assert dispatch(["isfc", str(path), "--out", str(cert_path)]) == 0
+        assert cert_path.read_text() == (out / "nfc_n6_k4_m5_3.cert.json").read_text()
+        assert dispatch(["isfc", str(path), "--warm-start"]) == 2
+
     def test_gappy_family_compacted(self, tmp_path, capsys):
         path = tmp_path / "gap.fam"
         path.write_text("2,5\n5,7\n")
@@ -143,6 +155,13 @@ class TestBatchCommands:
         assert manifest["count"] == 1
         assert len(manifest["certificates"]) == 1
         assert dispatch(["verify", os.path.join(out, manifest["certificates"][0])]) == 0
+
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_getnfc_needs_a_positive_m(self, m, capsys):
+        assert dispatch(["getnfc", "-n", "4", "-k", "3", "-m", m]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "m must be >= 1" in err
 
     def test_getnfc_with_every_candidate_fc(self, monkeypatch, tmp_path, capsys):
         # FC(3,5) = 3: each family of three 3-sets on [5] is FC
@@ -193,6 +212,30 @@ class TestBatchCommands:
         out, err = capsys.readouterr()
         assert out == ""
         assert "m_max must be >= 1" in err
+
+    @pytest.mark.parametrize("argv,code,line,witness", [
+        (["fcvalue", "-k", "3", "-n", "4"], 0, "FC(3,4) = 3",
+         "maximum witness (2 sets, Non-FC): Family(n=4, {{1,2,3}, {1,2,4}})"),
+        (["vfcvalue", "-k", "5", "-n", "6"], 0, "FC_V(5,6) = 3  [V = no-singletons]",
+         "maximum witness (2 sets, not V-FC): Family(n=6, {{1,2,3,4,5}, {1,2,3,4,6}})"),
+        (["fcvalue", "-k", "4", "-n", "6", "--max-m", "3"], 1,
+         "FC(4,6) unresolved up to m = 3", None),
+        (["fcvalue", "-k", "5", "-n", "6"], 0,
+         "FC(5,6) is undefined (the complete family is Non-FC)", None),
+        (["vfcvalue", "-k", "5", "-n", "6", "--v", "P6"], 0,
+         "FC_V(5,6) is undefined (the complete family is not V-FC)", None),
+    ], ids=["fc-found", "fcv-found", "fc-unresolved", "fc-undefined", "fcv-undefined"])
+    def test_one_report_for_both_values(self, argv, code, line, witness, tmp_path, capsys):
+        # one stdout line; on stderr the witness of a found value, then the wall time
+        p6 = tmp_path / "P6.fam"
+        p6.write_text(format_family(powerset_family(6)))
+        assert dispatch([str(p6) if a == "P6" else a for a in argv]) == code
+        out, err = capsys.readouterr()
+        assert out == line + "\n"
+        lines = err.splitlines()
+        assert lines[-1].startswith("wall time ")
+        witnesses = [x for x in lines if x.startswith("maximum witness")]
+        assert witnesses == ([witness] if witness else [])
 
     @pytest.mark.parametrize("cmd", ["fcvalue", "vfcvalue"])
     def test_value_commands_take_no_output_dir(self, cmd, tmp_path, capsys):

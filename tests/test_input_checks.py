@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fcfam.canon import apply_perm_family, canonical_form, generating_set
-from fcfam.enumfam import EnumSession, fc_value, fcv_value, lex_scan
+from fcfam.enumfam import EnumSession, fc_value, fcv_value, get_nfc, lex_scan
 from fcfam.fcsolve import upper_bound
 from fcfam.ratlp import LinearProgram
 from fcfam.sepip import build_separation, solve_separation
@@ -58,6 +58,9 @@ CASES = {
     "fcv-value-n-equals-k": (lambda: fcv_value(5, 5), r"need n > k >= 3"),
     "lex-scan-n-equals-k": (lambda: lex_scan(4, 4), r"need n > k >= 3"),
     "session-jobs-0": (lambda: EnumSession(jobs=0), r"jobs must be >= 1"),
+    "get-nfc-m0": (lambda: get_nfc(4, 3, 0), "m must be >= 1"),
+    "get-nfc-m-negative": (lambda: get_nfc(4, 3, -2), "m must be >= 1"),
+    "candidates-m-negative": (lambda: EnumSession().candidates(4, 3, -3), "m must be >= 1"),
     "family-ground-0": (lambda: Family(0, ()), r"ground size 0 not in 1\.\.256"),
     "family-ground-257": (lambda: Family(257, ()), r"ground size 257 not in 1\.\.256"),
     "family-unsorted": (lambda: Family(3, (2, 1)), "members must be strictly sorted and distinct"),

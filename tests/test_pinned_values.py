@@ -36,11 +36,11 @@ FC68_ROWS = {
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "k,n,value,rows,labelings",
-    [(5, 7, 14, FC57_ROWS, 4_410), (6, 8, 26, FC68_ROWS, 28_545)],
+    [(5, 7, 14, FC57_ROWS, 4_312), (6, 8, 26, FC68_ROWS, 28_545)],
     ids=["fc57", "fc68"],
 )
 def test_pinned_fc_value(monkeypatch, k, n, value, rows, labelings):
-    # full extension labels 10,579 and 172,805 times; the member-invariant
+    # full extension labels 10,481 and 172,805 times; the member-invariant
     # filter skips the rest
     count = [0]
     real = fcfam.enumfam.canonical_form
