@@ -10,9 +10,9 @@ certificate (exit 0 pass, 1 fail, 2 structural error).
 Every command that decides more than one family decides it through
 `enumfam.EnumSession.classify`, and `--time-limit` bounds each decision;
 `getnfc -o` writes each Non-FC certificate as the enumeration yields it.
-Every decision is warm-started, `isfc`'s too, so `isfc` and `getnfc -o`
-write the same certificate for a family unless `isfc` is given
-`--symmetry`.  One report prints FC for `fcvalue` and FC_V for
+Every decision is warm-started, `isfc`'s too, so for a canonical family
+over [n] and no `--v`, `isfc` without `--symmetry` writes the certificate
+`getnfc -o` writes.  One report prints FC for `fcvalue` and FC_V for
 `vfcvalue`.
 Long computations report progress on stderr; results go to stdout or into
 the output directory (flag -o or FCFAM_OUTPUT_DIR).

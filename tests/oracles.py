@@ -221,7 +221,8 @@ def noniso_levels(n: int, k: int, m_max: int) -> Iterator[list[Family]]:
 def full_candidates(session, n: int, k: int, m: int) -> tuple[list[Family], set[Family]]:
     """`EnumSession.candidates` of the (n, k, m) cell by full extension: every
     extension of every parent in the session's cells one member down is
-    canonicalized, with no invariant filter.  The reference for the
+    canonicalized, with no invariant filter, and the known-FC test drops
+    every member of an extension, its new set too.  The reference for the
     filtered path, which must return the same lists."""
     from fcfam.canon import canonical_form
     from fcfam.enumfam import _extensions, _has_subfamily_in
@@ -239,7 +240,7 @@ def full_candidates(session, n: int, k: int, m: int) -> tuple[list[Family], set[
             canon = canonical_form(ext)
             if canon in known_fc or canon in candidates:
                 continue
-            if _has_subfamily_in(ext, parent.members, prev_fc):
+            if _has_subfamily_in(ext, ext.members, prev_fc):
                 known_fc.add(canon)
             else:
                 candidates[canon] = None

@@ -32,6 +32,15 @@ def fam_file(tmp_path):
     return str(path)
 
 
+def check_report(out: str, err: str, line: str, witness: str = "") -> None:
+    """A threshold run prints one stdout line; on stderr the witness of a
+    found value, then the wall time."""
+    assert out == line + "\n"
+    lines = err.splitlines()
+    assert [x for x in lines if x.startswith("maximum witness")] == ([witness] if witness else [])
+    assert lines[-1].startswith("wall time ")
+
+
 class TestIsfcAndVerify:
     def test_nonfc_certificate_roundtrip(self, fam_file, tmp_path, capsys):
         cert_path = str(tmp_path / "cert.json")
@@ -195,47 +204,29 @@ class TestBatchCommands:
         out, err = capsys.readouterr()
         assert "FC(3,4) = 3" in out
         assert "m=2: 1 Non-FC classes" in err.splitlines()
+        check_report(out, err, "FC(3,4) = 3",
+                     "maximum witness (2 sets, Non-FC): Family(n=4, {{1,2,3}, {1,2,4}})")
 
     def test_fcvalue_unresolved_up_to_max_m(self, capsys):
         # FC(4,6) = 7, so levels 1..3 leave the value open
         assert dispatch(["fcvalue", "-k", "4", "-n", "6", "--max-m", "3"]) == 1
-        assert "FC(4,6) unresolved up to m = 3" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "FC(4,6) unresolved up to m = 3" in out
+        check_report(out, err, "FC(4,6) unresolved up to m = 3")
 
     def test_fcvalue_past_the_complete_family(self, capsys):
         # C(6,5) = 6 sets is the complete family, and it is Non-FC: a larger
         # --max-m must not turn the empty levels beyond it into a value
         assert dispatch(["fcvalue", "-k", "5", "-n", "6", "--max-m", "10"]) == 0
-        assert "FC(5,6) is undefined" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "FC(5,6) is undefined" in out
+        check_report(out, err, "FC(5,6) is undefined (the complete family is Non-FC)")
 
     def test_fcvalue_needs_a_positive_max_m(self, capsys):
         assert dispatch(["fcvalue", "-k", "4", "-n", "6", "--max-m", "0"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert "m_max must be >= 1" in err
-
-    @pytest.mark.parametrize("argv,code,line,witness", [
-        (["fcvalue", "-k", "3", "-n", "4"], 0, "FC(3,4) = 3",
-         "maximum witness (2 sets, Non-FC): Family(n=4, {{1,2,3}, {1,2,4}})"),
-        (["vfcvalue", "-k", "5", "-n", "6"], 0, "FC_V(5,6) = 3  [V = no-singletons]",
-         "maximum witness (2 sets, not V-FC): Family(n=6, {{1,2,3,4,5}, {1,2,3,4,6}})"),
-        (["fcvalue", "-k", "4", "-n", "6", "--max-m", "3"], 1,
-         "FC(4,6) unresolved up to m = 3", None),
-        (["fcvalue", "-k", "5", "-n", "6"], 0,
-         "FC(5,6) is undefined (the complete family is Non-FC)", None),
-        (["vfcvalue", "-k", "5", "-n", "6", "--v", "P6"], 0,
-         "FC_V(5,6) is undefined (the complete family is not V-FC)", None),
-    ], ids=["fc-found", "fcv-found", "fc-unresolved", "fc-undefined", "fcv-undefined"])
-    def test_one_report_for_both_values(self, argv, code, line, witness, tmp_path, capsys):
-        # one stdout line; on stderr the witness of a found value, then the wall time
-        p6 = tmp_path / "P6.fam"
-        p6.write_text(format_family(powerset_family(6)))
-        assert dispatch([str(p6) if a == "P6" else a for a in argv]) == code
-        out, err = capsys.readouterr()
-        assert out == line + "\n"
-        lines = err.splitlines()
-        assert lines[-1].startswith("wall time ")
-        witnesses = [x for x in lines if x.startswith("maximum witness")]
-        assert witnesses == ([witness] if witness else [])
 
     @pytest.mark.parametrize("cmd", ["fcvalue", "vfcvalue"])
     def test_value_commands_take_no_output_dir(self, cmd, tmp_path, capsys):
@@ -251,6 +242,8 @@ class TestBatchCommands:
         # the same per-level line as fcvalue, and nothing decided below [6]
         assert "m=2: 1 Non-FC classes" in err.splitlines()
         assert "getNFC(5,5,1): 1 classes kept undecided below [6]" in err.splitlines()
+        check_report(out, err, "FC_V(5,6) = 3  [V = no-singletons]",
+                     "maximum witness (2 sets, not V-FC): Family(n=6, {{1,2,3,4,5}, {1,2,3,4,6}})")
 
     def test_vfcvalue_domain_file(self, tmp_path, capsys):
         path = tmp_path / "v.fam"
@@ -270,7 +263,9 @@ class TestBatchCommands:
         path = tmp_path / "P6.fam"
         path.write_text(format_family(powerset_family(6)))
         assert dispatch(["vfcvalue", "-k", "5", "-n", "6", "--v", str(path)]) == 0
-        assert "FC_V(5,6) is undefined" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "FC_V(5,6) is undefined" in out
+        check_report(out, err, "FC_V(5,6) is undefined (the complete family is not V-FC)")
 
     def test_lexscan_notes_an_fc_predecessor(self, capsys):
         assert dispatch(["lexscan", "-k", "3", "-n", "6"]) == 0

@@ -491,8 +491,9 @@ class TestCanonicalLabelingCalls:
                                               ("fcv", 5, 6, 9)],
                              ids=["fc37", "fc46", "fcv56"])
     def test_canonical_labelings_per_run(self, monkeypatch, run, k, n, calls):
-        # full extension labels 215 and 486 for FC(3,7) and FC(4,6): the
-        # member-invariant filter drops the rest before labeling
+        # with the member-invariant filter off, this path labels 215 and 486
+        # times for FC(3,7) and FC(4,6): the filter drops the rest before
+        # labeling
         count = [0]
         real = fcfam.enumfam.canonical_form
 

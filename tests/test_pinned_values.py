@@ -40,8 +40,8 @@ FC68_ROWS = {
     ids=["fc57", "fc68"],
 )
 def test_pinned_fc_value(monkeypatch, k, n, value, rows, labelings):
-    # full extension labels 10,481 and 172,805 times; the member-invariant
-    # filter skips the rest
+    # with the member-invariant filter off, this path labels 10,481 and
+    # 172,805 times; the filter skips the rest
     count = [0]
     real = fcfam.enumfam.canonical_form
 
