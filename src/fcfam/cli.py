@@ -10,10 +10,10 @@ certificate (exit 0 pass, 1 fail, 2 structural error).
 Every command that decides more than one family decides it through
 `enumfam.EnumSession.classify`, and `--time-limit` bounds each decision;
 `getnfc -o` writes each Non-FC certificate as the enumeration yields it.
-Every decision is warm-started, `isfc`'s too, so for a canonical family
-over [n] and no `--v`, `isfc` without `--symmetry` writes the certificate
-`getnfc -o` writes.  One report prints FC for `fcvalue` and FC_V for
-`vfcvalue`.
+Every decision is warm-started, as `is_fc` is by default, so for a
+canonical family over [n] and no `--v`, `isfc` without `--symmetry` writes
+the certificate `getnfc -o` writes.  One report prints FC for `fcvalue`
+and FC_V for `vfcvalue`.
 Long computations report progress on stderr; results go to stdout or into
 the output directory (flag -o or FCFAM_OUTPUT_DIR).
 """
@@ -120,7 +120,6 @@ def _cmd_isfc(args) -> int:
     cert = is_fc(
         fam,
         symmetry=args.symmetry,
-        warm_start=True,
         domain=domain,
         deadline=time.monotonic() + args.time_limit if args.time_limit else None,
         progress=_progress,

@@ -123,7 +123,7 @@ def is_fc(
     family: Family,
     *,
     symmetry: bool = False,
-    warm_start: bool = False,
+    warm_start: bool = True,
     domain: Optional[Family] = None,
     deadline: Optional[float] = None,
     progress: Optional[ProgressFn] = None,
@@ -131,7 +131,9 @@ def is_fc(
     """Decide FC (full domain) or V-FC (restricted domain) exactly.
 
     The input universe must be all of [n] with n <= 8; the decision runs on
-    the union closure of the input.
+    the union closure of the input.  With `warm_start` (the default, as in
+    every driver) the LP starts from the classical cuts B_i below; without
+    it, from none, a slower path that cross-checks the verdicts.
     """
     n = family.n
     if n > DECISION_GROUND_CAP:

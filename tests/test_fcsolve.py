@@ -638,7 +638,7 @@ class TestWorkDoneOnce:
                            ([[1, 2, 3], [3, 4, 5]], "non-fc")):
             lps.clear()
             builds.clear()
-            cert = is_fc(Family.from_sets(5, sets))
+            cert = is_fc(Family.from_sets(5, sets), warm_start=False)
             assert cert.kind == kind and len(lps) > 2 and len(builds) == 1
         # a caller's domain: its instance is built before the first LP, which
         # validates the domain, and serves every later round
@@ -668,7 +668,7 @@ class TestWorkDoneOnce:
         for sets, kind in (([[1, 2, 3], [2, 3, 4], [3, 4, 5]], "fc"),
                            ([[1, 2, 3], [3, 4, 5]], "non-fc")):
             seen.clear()
-            cert = is_fc(Family.from_sets(5, sets), symmetry=symmetry)
+            cert = is_fc(Family.from_sets(5, sets), symmetry=symmetry, warm_start=False)
             assert cert.kind == kind and len(seen) > 2
             lp = seen[0][0]
             assert all(other is lp for other, _ in seen)
@@ -694,7 +694,7 @@ class TestWorkDoneOnce:
                 witnesses.clear()
                 lps.clear()
                 fam = Family.from_sets(5, sets)
-                cert = is_fc(fam, symmetry=symmetry)
+                cert = is_fc(fam, symmetry=symmetry, warm_start=False)
                 closure = union_closure(fam)
                 oid = orbits(closure).orbit_id if symmetry else None
                 rows = lps[-1][0].ge_rows

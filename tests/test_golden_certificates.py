@@ -25,22 +25,25 @@ K4_N6 = [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 6], [1, 3, 5, 6], [2, 4, 5, 6],
 
 # name: (n, member sets, is_fc options, kind, sha256)
 CASES = {
-    "fc-n6": (6, K4_N6, {}, "fc",
-              "84eef04851d30d856e867298aa098a5d1337379d2b4d8d2fc76b0dfcd5c44d3a"),
+    "fc-n6": (6, K4_N6, {"warm_start": False}, "fc",
+              "06743c1fa34722de98195b4406b3c13208c256e864fbe3004f9c7fe3696538b7"),
     "fc-n6-symmetry": (6, K4_N6, {"symmetry": True, "warm_start": True}, "fc",
-                       "3441bc74fa9492f93032c1ba9579c9902fce1a6126a79ee4d3269ca45cec0e40"),
-    "fc-n5-symmetry": (5, [[1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 4, 5]], {"symmetry": True}, "fc",
-                       "7176824db2052a08476ef026f13e8b3c5ae0fb760b78e79f53efb28d7a3d3c18"),
-    "nonfc-n5": (5, [[1, 2, 3], [3, 4, 5]], {}, "non-fc",
+                       "6c92e9ec54c0ca0159f5ea04a40c0aff7cf87bed8ad4f8bcf7939081883803a7"),
+    "fc-n5-symmetry": (5, [[1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 4, 5]],
+                       {"symmetry": True, "warm_start": False}, "fc",
+                       "60a8f91457db42dccfbfcfce5e782af0cc80804597610836cf7580215c151c16"),
+    "nonfc-n5": (5, [[1, 2, 3], [3, 4, 5]], {"warm_start": False}, "non-fc",
                  "ea7ac4efaf163246d477d53afae8ed1648b843cb8f42fe271eed6943dec827ef"),
-    "nonfc-n6-symmetry": (6, [[1, 2, 3, 4], [1, 2, 5, 6], [3, 4, 5, 6]], {"symmetry": True},
-                          "non-fc",
+    "nonfc-n6-symmetry": (6, [[1, 2, 3, 4], [1, 2, 5, 6], [3, 4, 5, 6]],
+                          {"symmetry": True, "warm_start": False}, "non-fc",
                           "f70766573b9148267dff1b1459ec3062ab8ef8dfd40da9e198a1ce70b18dce83"),
-    "vfc-n6": (6, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6], [1, 2, 3, 5, 6]], {"domain": "no-singletons"},
-               "fc", "12530b014cdfb590d3e766989d3ad14e5457f94d873cfde870ed15d3b07ca818"),
+    "vfc-n6": (6, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6], [1, 2, 3, 5, 6]],
+               {"domain": "no-singletons", "warm_start": False}, "fc",
+               "2b20fed5073208dc2d6f9df0ef85e33964588e8ff21ba9eb85d256aedc1a4d86"),
     "nonvfc-n6-symmetry": (6, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6]],
-                           {"domain": "no-singletons", "symmetry": True}, "non-fc",
-                           "b448e02ad6f50f26306c05efea12c09f753147010ee4a9e639601e8421456be5"),
+                           {"domain": "no-singletons", "symmetry": True, "warm_start": False},
+                           "non-fc",
+                           "58984dc3224ba2c2499230bb406b77092b7acfd4801069542cf202a804736b18"),
 }
 
 

@@ -2,9 +2,9 @@
 every (universe size u, m) cell up to the value and the number of
 canonical labelings, and the size of an n = 8 FC proof.
 
-At jobs=1 the runs took 12 s and 44 s on a 2-core Intel Xeon virtual
-machine with Python 3.11.7 (2026-10-19), and the n = 8 decision with its
-verification 4 s warm and 6 s cold, so all are marked `slow` and
+At jobs=1 the runs took 13 s and 58 s on a 2-core Intel Xeon virtual
+machine with Python 3.11.7 (2026-10-20), and the n = 8 decision with its
+verification 5 s warm and 26 s cold, so all are marked `slow` and
 deselected by default.
 Run them with
 
@@ -61,10 +61,10 @@ def test_pinned_fc_value(monkeypatch, k, n, value, rows, labelings):
 @pytest.mark.slow
 @pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
 def test_n8_proof_stays_small(warm_start):
-    # the first 12 4-subsets of [8]: a proof of 6,703 entries warm and 7,757
-    # cold, against 31,691 and 59,937 when every node branched on its first
-    # escape
+    # the first 12 4-subsets of [8]: a proof of 4,981 entries warm and 3,965
+    # cold, against 6,703 and 7,757 when the first dive branched on its
+    # first escape, and 31,691 and 59,937 when every node did
     cert = is_fc(lex_prefix(8, 4, 12), warm_start=warm_start)
     assert cert.kind == "fc"
     assert verify_certificate(cert).passed
-    assert len(cert.proof) <= 12_000
+    assert len(cert.proof) <= 6_000

@@ -102,11 +102,11 @@ def trajectory_digest():
 
 
 # sha256 of every trajectory instance's optimum, witness and proof, as the
-# search produces them branching on the heaviest escape off the first dive; a
+# search produces them branching on the heaviest escape at every node; a
 # change that only skips work (a cheaper bound, a warm-started flow) must not
 # move it.  A change meant to alter the search prints the new digest with
 # PYTHONPATH=src python tests/test_sepip.py
-TRAJECTORY_SHA256 = "5d6d3a86176905bc6f67bc2cf361a58000b46c8768c28c3f000cdbef10384e1d"
+TRAJECTORY_SHA256 = "463f7f2273c1708b19d44a2dc55af2d1e02dacaef98f68611337099782e18f15"
 
 
 def test_search_trajectory_is_pinned():
@@ -131,7 +131,7 @@ def test_prunes_account_for_every_leaf():
     # nodes, and prunes by the trivial and the flow bound; like the digest,
     # these move only with a change to the search itself, and the order of
     # each candidate's arcs moves none of them
-    assert totals == [745, 0, 258]
+    assert totals == [697, 0, 248]
 
 
 def unstopped(cands, W):
@@ -157,17 +157,19 @@ def test_stop_prunes_only_what_the_max_flow_prunes(monkeypatch):
     assert sum(res.pruned_flow for res in stopped) > 0
 
 
-def fc_proof_over_6():
+def fc_proof_over_6(symmetry=True):
     """The final separation instance of an FC decision over [6], whose
-    search reaches the max flow at many nodes."""
+    search reaches the max flow at many nodes: 63 decided with symmetry,
+    113 without."""
     fam = Family.from_sets(6, [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 6], [1, 3, 5, 6],
                                [2, 4, 5, 6], [3, 4, 5, 6], [1, 2, 5, 6]])
-    cert = is_fc(fam, symmetry=True, warm_start=True)
+    cert = is_fc(fam, symmetry=symmetry)
     return union_closure(fam), cert.weights, powerset_family(6)
 
 
 def test_past_deadline_names_the_separation():
-    base, w, dom = fc_proof_over_6()
+    # the deadline is read every 64 nodes
+    base, w, dom = fc_proof_over_6(symmetry=False)
     assert solve_separation(build_separation(base, dom), w).nodes >= 64
     with pytest.raises(TimeoutError) as info:
         solve_separation(build_separation(base, dom), w, deadline=time.monotonic() - 1)
@@ -178,6 +180,7 @@ def test_past_deadline_names_the_separation():
 def flow_instances():
     yield fc_proof_over_6()
     yield from trajectory_instances()
+    yield fc_proof_over_6(symmetry=False)
 
 
 def capture_nodes(monkeypatch, limit=400):
@@ -372,14 +375,13 @@ def bitset(masks):
     return sum(1 << x for x in set(masks))
 
 
-def set_rule_branch(cands, W, ones, zeros):
+def set_rule_branch(cands, W, ones):
     """The branch set of a node by the set rule.  A reached candidate's
     escape is the negative sets outside the relaxed pick that its unions
-    with the pick fall on.  With no set fixed to 0, the first reached
-    candidate, in candidate order, whose escape is nonempty; otherwise the
-    one whose escape weighs the most, the first on ties, scanning no further
-    than the first whose escape weighs at least the node's gap (its bound
-    minus the maximum flow).  With no escape, the first reached candidate."""
+    with the pick fall on.  The reached candidate, in candidate order, whose
+    escape weighs the most, the first on ties, scanning no further than the
+    first whose escape weighs at least the node's gap (its bound minus the
+    maximum flow).  With no escape, the first reached candidate."""
     value, _, reached = unstopped(cands, W)
     gap = sum(W[s] for s in ones) + sum(W[s] for s in cands) - value
     chosen = set(ones).union(reached, *(cands[s] for s in reached))
@@ -387,8 +389,6 @@ def set_rule_branch(cands, W, ones, zeros):
     best, heaviest = picked[0], 0
     for s in picked:
         weight = -sum(W[t] for t in {s | o for o in chosen} - chosen if W[t] < 0)
-        if weight and not zeros:
-            return s
         if weight > heaviest:
             best, heaviest = s, weight
             if weight >= gap:
@@ -459,7 +459,7 @@ class TestBitsets:
                     assert list(next(pending).items()) == list(cands.items())
                     nodes += 1
                 if entry != LEAF:
-                    assert entry == set_rule_branch(cands, W, ones, zeros)
+                    assert entry == set_rule_branch(cands, W, ones)
                     branches += 1
             assert next(pending, None) is None
         # each branch set has one right child
