@@ -4,7 +4,15 @@ Phase one of a dense-tableau primal simplex with Bland's anti-cycling rule.
 Every variable is nonnegative and there is no objective: the solver returns
 either a point that satisfies the constraints exactly or a Farkas
 certificate of infeasibility that replays by pure arithmetic.  There is no
-tolerance anywhere.  Each inequality a.x >= b gets a surplus variable.
+tolerance anywhere.
+
+The tableau has four groups of columns: x; one surplus column per >=-row
+(a.x - s = b); one artificial column per equality row; the right side.  A
+>=-row's artificial is basic at the start like any other row's, but gets no
+column: no pivot enters an artificial, so its column would only be read at
+the end.  On an infeasible phase one, a >=-row's Farkas multiplier is the
+reduced cost of its surplus column, and an equality row's comes from the
+reduced cost of its artificial.
 
 The rows go in as Python ints, coefficients and right side, and the point
 and the multipliers come out as `Fraction`s.  A caller with rational rows
@@ -43,8 +51,9 @@ class LinearProgram:
     ge_rows: list[Row] = field(default_factory=list)
 
     def __post_init__(self):
-        for coeffs, rhs in list(self.eq_rows) + list(self.ge_rows):
-            self._row(coeffs, rhs)
+        # fresh lists of Row tuples: adding a row never changes the caller's
+        self.eq_rows = [self._row(coeffs, rhs) for coeffs, rhs in self.eq_rows]
+        self.ge_rows = [self._row(coeffs, rhs) for coeffs, rhs in self.ge_rows]
 
     def add_eq(self, coeffs: Sequence[int], rhs: int) -> None:
         self.eq_rows.append(self._row(coeffs, rhs))
@@ -127,21 +136,19 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     """Decide feasibility exactly: a point, or a Farkas certificate."""
     n = lp.num_vars
     ncols = n + len(lp.ge_rows)  # x, then one surplus column per >=-row
-    raw_rows = [(coeffs, rhs, -1) for coeffs, rhs in lp.eq_rows]
-    raw_rows += [(coeffs, rhs, idx) for idx, (coeffs, rhs) in enumerate(lp.ge_rows)]
-    m = len(raw_rows)
-    rhs_col = ncols + m  # x, surplus, one artificial per row, then the rhs
+    neq = len(lp.eq_rows)
+    rhs_col = ncols + neq  # then one artificial per equality row, then the rhs
 
-    # row r is multiplied by sigma_r = -1 if its rhs is negative, so the
-    # artificial basis starts feasible; every artificial costs 1
-    sigma = [-1 if rhs < 0 else 1 for _, rhs, _ in raw_rows]
+    # the equality rows come first; a row with a negative rhs is negated, so
+    # the artificial basis starts feasible
     rows: list[list[int]] = []
-    for r, (coeffs, rhs, ge_idx) in enumerate(raw_rows):
-        f = sigma[r]
+    for r, (coeffs, rhs) in enumerate(lp.eq_rows + lp.ge_rows):
+        f = -1 if rhs < 0 else 1
         row = [f * c for c in coeffs] + [0] * (rhs_col + 1 - n)
-        if ge_idx >= 0:
-            row[n + ge_idx] = -f
-        row[ncols + r] = 1
+        if r < neq:
+            row[ncols + r] = 1
+        else:
+            row[n + r - neq] = -f
         row[rhs_col] = f * rhs
         rows.append(row)
     # reduced costs for the artificial basis, and minus the objective value
@@ -153,7 +160,9 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     # Bareiss pivoting: the tableau is the integer rows divided by d, the
     # previous pivot, and every update divides by d exactly.  d stays
     # positive because every pivot is, so signs and ratios read off directly.
-    basis = list(range(ncols, rhs_col))
+    # Row r's artificial is basic variable ncols + r, for Bland's tie-break,
+    # even where it has no column: no pivot enters an artificial.
+    basis = list(range(ncols, ncols + len(rows)))
     d = 1
     while True:
         enter = next((j for j in range(ncols) if obj[j] < 0), -1)
@@ -184,17 +193,14 @@ def lp_solve(lp: LinearProgram) -> LPResult:
         d = p
 
     if obj[rhs_col] < 0:
-        # infeasible: the reduced cost of artificial r is 1 - y_r for the
-        # phase-one dual y of the sign-flipped rows; undo sigma_r
-        ge_mult = [ZERO] * len(lp.ge_rows)
-        eq_mult = [ZERO] * len(lp.eq_rows)
-        for r, (_, _, ge_idx) in enumerate(raw_rows):
-            y = Fraction(sigma[r] * (d - obj[ncols + r]), d)
-            if ge_idx >= 0:
-                ge_mult[ge_idx] = y
-            else:
-                eq_mult[r] = y
-        cert = FarkasCertificate(tuple(ge_mult), tuple(eq_mult))
+        # infeasible: with y' the phase-one dual of the rows as negated and
+        # s_r = -1 for a negated row, else 1, row r's multiplier is s_r y'_r.
+        # A >=-row's surplus column, -s_r e_r at cost 0, has that as its
+        # reduced cost; an equality row's artificial, e_r at cost 1, has 1 - y'_r
+        ge_mult = tuple(Fraction(obj[j], d) for j in range(n, ncols))
+        eq_mult = tuple(Fraction(d - obj[ncols + r] if rhs >= 0 else obj[ncols + r] - d, d)
+                        for r, (_, rhs) in enumerate(lp.eq_rows))
+        cert = FarkasCertificate(ge_mult, eq_mult)
         if not check_farkas(lp, cert):
             raise RuntimeError("extracted Farkas certificate failed to replay")
         return Infeasible(cert)

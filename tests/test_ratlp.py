@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+import fcfam.fcsolve
 import fcfam.ratlp
+from fcfam.fcsolve import is_fc
 from fcfam.ratlp import (
     FarkasCertificate,
     Feasible,
@@ -18,6 +20,7 @@ from fcfam.ratlp import (
     check_point,
     lp_solve,
 )
+from fcfam.setfam import Family
 
 from oracles import fraction_check_farkas, fraction_phase_one
 
@@ -37,6 +40,14 @@ class TestExamples:
         res = lp_solve(lp)
         assert isinstance(res, Feasible)
         assert res.point == (Fraction(1, 2), Fraction(1, 2))
+        # rows given to the constructor are copied into Row tuples, so adding
+        # a row leaves the caller's list as it was
+        given = [([1, 1], 1)]
+        lp = LinearProgram(2, given)
+        lp.add_eq([1, -1], 0)
+        assert given == [([1, 1], 1)]
+        assert lp.eq_rows == [((1, 1), 1), ((1, -1), 0)]
+        assert lp_solve(lp) == res
 
     def test_infeasible_with_farkas(self):
         # x + y = 1 with x, y >= 2/3, the bounds given as 3x >= 2 and 3y >= 2
@@ -215,12 +226,31 @@ def _seeded_lps(seed=10, count=300):
         yield lp
 
 
+def _decision_lps(monkeypatch):
+    """Every LP of one V-FC decision, {1234, 1256} over the subsets of [6]
+    without sizes 1 and 2: one equality row, positive right sides and up to
+    22 >=-rows, a shape `_seeded_lps` never draws.  Each is copied when it
+    is solved, since the decision's LP grows between rounds."""
+    lps = []
+    solve = fcfam.fcsolve.lp_solve
+
+    def recorded(lp):
+        lps.append(LinearProgram(lp.num_vars, lp.eq_rows, lp.ge_rows))
+        return solve(lp)
+
+    monkeypatch.setattr(fcfam.fcsolve, "lp_solve", recorded)
+    domain = Family(6, tuple(s for s in range(1 << 6) if s.bit_count() not in (1, 2)))
+    assert is_fc(Family.from_sets(6, [[1, 2, 3, 4], [1, 2, 5, 6]]), domain=domain).kind == "fc"
+    assert len(lps) == 17 and max(len(lp.ge_rows) for lp in lps) == 22
+    return lps
+
+
 class TestPivotIdentity:
-    def test_seeded_results_match_fraction_tableau(self):
+    def test_seeded_results_match_fraction_tableau(self, monkeypatch):
         # the entering column, the ratio test, its tie-break and the unit
         # phase-one costs are those of the Fraction tableau, result by result
         kinds = set()
-        for lp in _seeded_lps():
+        for lp in [*_seeded_lps(), *_decision_lps(monkeypatch)]:
             res = lp_solve(lp)
             assert res == fraction_phase_one(lp), lp
             kinds.add(type(res))
