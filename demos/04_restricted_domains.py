@@ -34,4 +34,4 @@ for k, n in [(5, 6), (6, 7)]:
     t0 = time.time()
     rep = fcv_value(k, n, "no-singletons")
     print(f"FC_V({k},{n}) = {rep.value}   ({time.time() - t0:.1f}s)")
-print("(FC_V(5,7) = 5 reproduces in about half a minute)")
+print("(FC_V(5,7) = 5 reproduces in about a second)")

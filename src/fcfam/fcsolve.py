@@ -14,6 +14,17 @@ first LP, which validates the domain, and over the full domain on the first
 feasible LP round, so a full-domain decision that its first LP settles
 builds none.
 
+A warm decision (the default) also uses the classical cuts B_X = <A> |+| D_X,
+with D_X the domain sets disjoint from X.  D_X is union-closed and holds the
+empty set, so B_X is union-closed, holds <A>, lies in the domain and is
+absorbed by <A>: every B_X is a valid cut.  The B_i (|X| = 1) enter the first
+LP.  The B_ij (|X| = 2) form a pool, built on the first feasible round: after
+each feasible LP the most violated pool cut, if there is one, is the next
+cut, and the exact separation runs only when none is violated.  A cold
+decision uses neither.  Either way an FC verdict rests on an exact
+separation proof and a Non-FC verdict on a Farkas certificate over cuts that
+the checker replays one by one; the cold path cross-checks the warm one.
+
 The LP has one variable per automorphism orbit of <A> when symmetry is
 enabled, and one per element otherwise (the same construction over the
 trivial partition): each stored cut and sum(c) = 1 enter as rows summed
@@ -35,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 import time
 from dataclasses import dataclass
@@ -132,8 +144,9 @@ def is_fc(
 
     The input universe must be all of [n] with n <= 8; the decision runs on
     the union closure of the input.  With `warm_start` (the default, as in
-    every driver) the LP starts from the classical cuts B_i below; without
-    it, from none, a slower path that cross-checks the verdicts.
+    every driver) the LP starts from the classical cuts B_i and tries the
+    pairwise B_ij before each separation; without it, it uses neither, a
+    slower path that cross-checks the verdicts.
     """
     n = family.n
     if n > DECISION_GROUND_CAP:
@@ -172,27 +185,38 @@ def is_fc(
     every = steps[full]  # (M[i], its complement, 2^i) for each element i
     cuts: list[int] = []
 
+    def row(cut: int) -> tuple[list[int], int]:
+        return [2 * (cut & keep).bit_count() for keep, _, _ in every], cut.bit_count()
+
     def add_cut(cut: int) -> None:
         cuts.append(cut)
-        counts = [2 * (cut & keep).bit_count() for keep, _, _ in every]
-        lp.add_ge(over_orbits(counts), cut.bit_count())
+        counts, size = row(cut)
+        lp.add_ge(over_orbits(counts), size)
+
+    # the classical cut B_X = <A> |+| D_X, valid as the module docstring
+    # says: D_X, the domain sets that avoid X, then B |= shift(B, a) for each
+    # member a of A
+    inside = (1 << (1 << n)) - 1 if domain is None else sum(1 << s for s in domain.members)
+
+    def avoiding(x: int) -> int:
+        b = inside
+        for _, avoids, _ in steps[x]:
+            b &= avoids
+        for a in family.members:
+            b |= _shift(b, steps[a])
+        return b
 
     if warm_start:
-        # the classically strongest inequalities: B_i = <A> |+| D_i, with D_i
-        # the domain sets that avoid element i, built by B |= shift(B, a) for
-        # each member a of A.  B_i needs no check: D_i holds the empty set, so
-        # B_i holds <A> and is not empty, and the validated D is union-closed
-        # and holds <A>, so B_i stays inside D.  Only the first element of
-        # each orbit gets one, since the other B_i are its images; the B_i
-        # of two orbits can still coincide, and are then stored once
-        inside = (1 << (1 << n)) - 1 if domain is None else sum(1 << s for s in domain.members)
+        # the classically strongest inequalities, the B_i, up front.  Only
+        # the first element of each orbit gets one, since the other B_i are
+        # its images; the B_i of two orbits can still coincide, and are then
+        # stored once
         for orbit in orbit_part.orbit_sets():
-            _, avoids, _ = every[orbit[0] - 1]
-            b = inside & avoids
-            for a in family.members:
-                b |= _shift(b, steps[a])
+            b = avoiding(1 << (orbit[0] - 1))
             if b not in cuts:
                 add_cut(b)
+    # the pairwise B_ij, with their rows, built on the first feasible round
+    pool: Optional[list[tuple[int, list[int], int]]] = None
 
     rounds = 0
     while True:
@@ -203,14 +227,33 @@ def is_fc(
         if isinstance(res, Infeasible):
             return _build_nonfc(family, n, domain, cuts, gens, res.certificate)
         point = tuple(res.point[o] for o in oid)
+        # the LP point is orbit-constant and satisfies every stored row, so a
+        # violated family, from the pool or the separation, is no image of a
+        # stored cut
+        if warm_start:
+            # a warm decision adds the most violated pool cut, weighed by
+            # popcounts over the lcm L of the point: L|B| - 2 sum_i L c_i |B_i|
+            if pool is None:
+                pairs = dict.fromkeys(avoiding(x) for x in range(1 << n) if x.bit_count() == 2)
+                pool = [(b, *row(b)) for b in pairs]
+            lcm = math.lcm(*(c.denominator for c in point))
+            scaled = [int(c * lcm) for c in point]
+            value, cut = 0, 0
+            for b, counts, size in pool:
+                violation = lcm * size - sum(map(operator.mul, scaled, counts))
+                if violation > value:
+                    value, cut = violation, b
+            if value > 0:
+                if progress:
+                    progress(f"round {rounds}: {len(cuts)} cut classes, pool cut")
+                add_cut(cut)
+                continue
         if progress:
             progress(f"round {rounds}: {len(cuts)} cut classes, separating")
         if prob is None:
             prob = build_separation(closure, powerset_family(n))
         sep = solve_separation(prob, point, deadline=deadline)
         if sep.optimum > 0:
-            # the LP point is orbit-constant and satisfies every stored row,
-            # so a violated family is no image of a stored cut
             cut = sum(1 << x for x in sep.witness.members)
             if cut in cuts:
                 # the same LP would come back and the loop would never end

@@ -270,14 +270,19 @@ def random_family(rng, max_n: int = 6, max_members: int = 8) -> Family:
     return Family.from_masks(n, masks)
 
 
-def warm_start_cuts(family: Family, domain: Family) -> list[Family]:
-    """The warm-start families <A> |+| (D & P([n] minus {i})) for i = 1..n, in
-    that order, each kept at its first appearance."""
+def avoiding_cut(family: Family, domain: Family, x: int) -> Family:
+    """The classical family <A> |+| {d in D : d & x = 0} for a mask x."""
     closure = brute_union_closure(family).members
+    avoid = [d for d in domain.members if not d & x]
+    return Family.from_masks(family.n, (a | d for a in closure for d in avoid))
+
+
+def warm_start_cuts(family: Family, domain: Family) -> list[Family]:
+    """The warm-start families avoiding_cut(family, domain, {i}) for i = 1..n,
+    in that order, each kept at its first appearance."""
     out: list[Family] = []
     for i in range(family.n):
-        avoid = [d for d in domain.members if not d >> i & 1]
-        cut = Family.from_masks(family.n, (a | d for a in closure for d in avoid))
+        cut = avoiding_cut(family, domain, 1 << i)
         if cut not in out:
             out.append(cut)
     return out

@@ -23,6 +23,7 @@ from fcfam.setfam import (
     powerset_family,
     union_closure,
 )
+from fcfam.ratlp import Infeasible
 from fcfam.sepip import SeparationResult, brute_separation
 from fcfam.fcsolve import (
     FcCertificate,
@@ -38,7 +39,7 @@ from fcfam.verify import verify_certificate
 
 from test_bench_spans import SPANS
 from test_golden_certificates import K4_N6
-from oracles import brute_poonen_fc, random_family, warm_start_cuts
+from oracles import avoiding_cut, brute_poonen_fc, family_value, random_family, warm_start_cuts
 
 
 class TestKnownDecisions:
@@ -611,6 +612,97 @@ class TestWarmStart:
                 assert lp.ge_rows == [lp_row(cut) for cut in cuts], (fam, kind)
                 kinds[kind] += 1
         assert min(kinds.values()) >= 10, kinds
+
+
+def restricted_domains(rng, count):
+    """count random (family, domain) pairs over [4] to [6]: the family's
+    k-sets cover [n], and the domain is an `asymmetric_domain` draw or, when
+    the closure holds no singleton, the no-singletons domain."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(4, 6)
+        ksets = lex_ksets(n, rng.randint(2, n - 1))
+        fam = Family.from_masks(n, rng.sample(ksets, rng.randint(2, min(5, len(ksets)))))
+        if functools.reduce(operator.or_, fam.members) != (1 << n) - 1:
+            continue
+        closure = union_closure(fam)
+        if rng.random() < 0.5:
+            drop = set(rng.sample(range(1, 1 << n), rng.randint(1, 4)))
+            dom = asymmetric_domain(n, drop, closure)
+        elif all(m & (m - 1) for m in closure.members[1:]):
+            dom = no_singletons_family(n)
+        else:
+            dom = None
+        if dom is not None:
+            out.append((fam, dom))
+    return out
+
+
+class TestPool:
+    """After each feasible LP a warm decision adds the most violated of the
+    pairwise cuts B_ij = <A> |+| (the domain sets that avoid i and j), and
+    runs the exact separation only when none is violated."""
+
+    def test_pool_cut_is_the_most_violated_pair(self, monkeypatch):
+        events = []
+        solve, separate = fcfam.fcsolve.lp_solve, fcfam.fcsolve.solve_separation
+
+        def solved(lp):
+            res = solve(lp)
+            events.append((lp, len(lp.ge_rows), res))
+            return res
+
+        def separated(*args, **kwargs):
+            events.append(None)
+            return separate(*args, **kwargs)
+
+        monkeypatch.setattr(fcfam.fcsolve, "lp_solve", solved)
+        monkeypatch.setattr(fcfam.fcsolve, "solve_separation", separated)
+        hits = 0
+        for fam, dom in restricted_domains(random.Random(32), 30):
+            events.clear()
+            cert = is_fc(fam, domain=dom)
+            pairs = [avoiding_cut(fam, dom, (1 << i) | (1 << j))
+                     for j in range(fam.n) for i in range(j)]
+            for now, after in zip(events, events[1:] + [None]):
+                if now is None or isinstance(now[2], Infeasible):
+                    continue
+                lp, rows, res = now
+                best = max(family_value(cut, res.point) for cut in pairs)
+                if after is None:
+                    # the separation runs only when no pool cut is violated
+                    assert best <= 0, (fam, dom)
+                    continue
+                # a pool round: the LP's next row is a most violated B_ij
+                hits += 1
+                added = [cut for cut in pairs if lp_row(cut) == lp.ge_rows[rows]]
+                assert added and best > 0, (fam, dom)
+                assert family_value(added[0], res.point) == best
+                if cert.kind == "non-fc":
+                    assert any(cut in cert.cuts for cut in added)
+        assert hits >= 20, hits
+
+    def test_warm_and_cold_agree(self):
+        hits = 0
+        for fam, dom in restricted_domains(random.Random(33), 30):
+            for symmetry in (False, True):
+                lines = []
+                warm = is_fc(fam, symmetry=symmetry, domain=dom, progress=lines.append)
+                cold = is_fc(fam, symmetry=symmetry, domain=dom, warm_start=False)
+                assert warm.kind == cold.kind, (fam, dom, symmetry)
+                assert verify_certificate(warm).passed, (fam, dom, symmetry)
+                hits += sum(line.endswith("pool cut") for line in lines)
+        assert hits >= 20, hits
+
+    def test_progress_names_the_source_of_each_cut(self):
+        lines = []
+        fam = Family.from_sets(6, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6], [1, 2, 3, 5, 6]])
+        assert is_fc(fam, domain=no_singletons_family(6), progress=lines.append).kind == "fc"
+        assert lines == ["round 1: 6 cut classes, pool cut", "round 2: 7 cut classes, pool cut",
+                         "round 3: 8 cut classes, separating"]
+        lines.clear()
+        is_fc(fam, domain=no_singletons_family(6), warm_start=False, progress=lines.append)
+        assert lines and all(line.endswith("separating") for line in lines)
 
 
 def count_calls(monkeypatch, owner, name):

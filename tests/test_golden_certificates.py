@@ -44,6 +44,16 @@ CASES = {
                            {"domain": "no-singletons", "symmetry": True, "warm_start": False},
                            "non-fc",
                            "58984dc3224ba2c2499230bb406b77092b7acfd4801069542cf202a804736b18"),
+    # warm over a caller's domain, where pool cuts enter: the FC decision adds
+    # two before its separation, the Non-FC one adds one, whose images the
+    # certificate lists
+    "vfc-n6-warm": (6, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6], [1, 2, 3, 5, 6]],
+                    {"domain": "no-singletons", "warm_start": True}, "fc",
+                    "3de5fbe0864e9a4051f883bd104b88fa1542496a7689f4483c1034b9239afd04"),
+    "nonvfc-n6-symmetry-warm": (6, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6]],
+                                {"domain": "no-singletons", "symmetry": True, "warm_start": True},
+                                "non-fc",
+                                "48caa4ea120586d2850a9c88022a6c709d0837b16cdc145b26b50d55b565bc0d"),
 }
 
 

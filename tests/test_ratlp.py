@@ -229,7 +229,7 @@ def _seeded_lps(seed=10, count=300):
 def _decision_lps(monkeypatch):
     """Every LP of one V-FC decision, {1234, 1256} over the subsets of [6]
     without sizes 1 and 2: one equality row, positive right sides and up to
-    22 >=-rows, a shape `_seeded_lps` never draws.  Each is copied when it
+    14 >=-rows, a shape `_seeded_lps` never draws.  Each is copied when it
     is solved, since the decision's LP grows between rounds."""
     lps = []
     solve = fcfam.fcsolve.lp_solve
@@ -241,7 +241,7 @@ def _decision_lps(monkeypatch):
     monkeypatch.setattr(fcfam.fcsolve, "lp_solve", recorded)
     domain = Family(6, tuple(s for s in range(1 << 6) if s.bit_count() not in (1, 2)))
     assert is_fc(Family.from_sets(6, [[1, 2, 3, 4], [1, 2, 5, 6]]), domain=domain).kind == "fc"
-    assert len(lps) == 17 and max(len(lp.ge_rows) for lp in lps) == 22
+    assert len(lps) == 9 and max(len(lp.ge_rows) for lp in lps) == 14
     return lps
 
 
