@@ -233,17 +233,7 @@ def _find_automorphism(
     img = [0] * nm
 
     def consistent() -> bool:
-        need: dict[tuple[int, int], int] = {}
-        for j in range(nm):
-            key = (img[j], sizes[j])
-            need[key] = need.get(key, 0) + 1
-        for m in members:
-            key = (m & val_mask, m.bit_count())
-            cnt = need.get(key, 0)
-            if cnt == 0:
-                return False
-            need[key] = cnt - 1
-        return True
+        return sorted(zip(img, sizes)) == sorted(zip([m & val_mask for m in members], sizes))
 
     def rec(d: int) -> bool:
         nonlocal val_mask

@@ -20,7 +20,8 @@ empty set, so B_X is union-closed, holds <A>, lies in the domain and is
 absorbed by <A>: every B_X is a valid cut.  The B_i (|X| = 1) enter the first
 LP.  The B_ij (|X| = 2) form a pool, built on the first feasible round: after
 each feasible LP the most violated pool cut, if there is one, is the next
-cut, and the exact separation runs only when none is violated.  A cold
+cut, and the exact separation runs only when none is violated.  The pool is
+weighed with `sepip.weigher`, the separation's own value of a family.  A cold
 decision uses neither.  Either way an FC verdict rests on an exact
 separation proof and a Non-FC verdict on a Farkas certificate over cuts that
 the checker replays one by one; the cold path cross-checks the warm one.
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import re
 import time
 from dataclasses import dataclass
@@ -69,7 +69,7 @@ from .canon import (
     generating_set,
 )
 from .ratlp import FarkasCertificate, Infeasible, LinearProgram, lp_solve
-from .sepip import LEAF, _shift, _shift_steps, build_separation, solve_separation
+from .sepip import LEAF, _shift, _shift_steps, build_separation, solve_separation, weigher
 
 ProgressFn = Callable[[str], None]
 
@@ -185,13 +185,10 @@ def is_fc(
     every = steps[full]  # (M[i], its complement, 2^i) for each element i
     cuts: list[int] = []
 
-    def row(cut: int) -> tuple[list[int], int]:
-        return [2 * (cut & keep).bit_count() for keep, _, _ in every], cut.bit_count()
-
     def add_cut(cut: int) -> None:
         cuts.append(cut)
-        counts, size = row(cut)
-        lp.add_ge(over_orbits(counts), size)
+        lp.add_ge(over_orbits([2 * (cut & keep).bit_count() for keep, _, _ in every]),
+                  cut.bit_count())
 
     # the classical cut B_X = <A> |+| D_X, valid as the module docstring
     # says: D_X, the domain sets that avoid X, then B |= shift(B, a) for each
@@ -215,8 +212,8 @@ def is_fc(
             b = avoiding(1 << (orbit[0] - 1))
             if b not in cuts:
                 add_cut(b)
-    # the pairwise B_ij, with their rows, built on the first feasible round
-    pool: Optional[list[tuple[int, list[int], int]]] = None
+    # the pairwise B_ij, built on the first feasible round
+    pool: Optional[list[int]] = None
 
     rounds = 0
     while True:
@@ -231,19 +228,15 @@ def is_fc(
         # violated family, from the pool or the separation, is no image of a
         # stored cut
         if warm_start:
-            # a warm decision adds the most violated pool cut, weighed by
-            # popcounts over the lcm L of the point: L|B| - 2 sum_i L c_i |B_i|
+            # a warm decision adds the most violated pool cut, the first on
+            # ties, weighed with the separation's `weigher`
             if pool is None:
-                pairs = dict.fromkeys(avoiding(x) for x in range(1 << n) if x.bit_count() == 2)
-                pool = [(b, *row(b)) for b in pairs]
+                pool = list(dict.fromkeys(
+                    avoiding(x) for x in range(1 << n) if x.bit_count() == 2))
             lcm = math.lcm(*(c.denominator for c in point))
-            scaled = [int(c * lcm) for c in point]
-            value, cut = 0, 0
-            for b, counts, size in pool:
-                violation = lcm * size - sum(map(operator.mul, scaled, counts))
-                if violation > value:
-                    value, cut = violation, b
-            if value > 0:
+            weigh = weigher(lcm, [int(c * lcm) for c in point])
+            cut = max(pool, key=weigh, default=0)
+            if weigh(cut) > 0:
                 if progress:
                     progress(f"round {rounds}: {len(cuts)} cut classes, pool cut")
                 add_cut(cut)

@@ -66,13 +66,9 @@ that gap.  At every node it is the candidate whose escape weighs the most,
 revisited", 2005), and the scan stops at the first candidate whose escape
 weighs at least the node's gap, the bound minus the maximum flow.  With no
 escape, the branch set is the first reached candidate.  The rule holds on
-the search's first dive (no set fixed to 0) too.  The first escape there
-would keep which violated family a solve finds first, and those families
-cut better when a decision starts from no cut; but `is_fc` and every
-driver start warm, and there the one rule makes fewer nodes and smaller
-proofs (`vfc-57`: 17,865 -> 9,638 separation nodes; the `decide-n7` pool:
-32,006 -> 23,282 proof entries) for a few more separation rounds.
-`verify` replays whatever branch sets a proof holds.
+the search's first dive (no set fixed to 0) too, since `is_fc` and every
+driver decide warm, and from the warm cuts it makes fewer nodes and smaller
+proofs.  `verify` replays whatever branch sets a proof holds.
 
 The node state is held in bitsets, 2^n-bit ints in which bit x stands for
 the set x: O, Z, the base B and the negative sets NEG are one int each.
@@ -87,7 +83,10 @@ Z plus the branch set, so its candidates are its parent's, in the same
 order, but for those whose forcing set holds the branch set: it inherits
 them instead of filtering again.  The order of the arcs moves neither the
 proof nor any counter: the candidates, the bound, whether the flow reaches
-it and the pick do not depend on it.
+it and the pick do not depend on it.  The weight of a bitset F takes n+1
+popcounts, W(F) = L|F| - 2 sum_i L c_i |F & M[i]| with L the lcm of the
+weights' denominators (`weigher`), and `is_fc`'s pool of classical cuts is
+weighed with the same function.
 
 `brute_separation` is the independent oracle: exhaustive enumeration over
 all subfamilies of D, returning the maximum.
@@ -200,10 +199,11 @@ def _shift(F: int, steps: tuple[tuple[int, int, int], ...]) -> int:
     return F
 
 
-def _weigher(lcm: int, scaled: Sequence[int]) -> Callable[[int], int]:
+def weigher(lcm: int, scaled: Sequence[int]) -> Callable[[int], int]:
     """weigh(F), the total weight W(F) of a bitset F of domain sets, by n+1
     popcounts instead of listing F: W(F) = L*|F| - 2 * sum_i L*c_i * |F & M[i]|,
-    for the lcm L and the scaled weights L*c_i of `_integer_weights`."""
+    for the lcm L of the weights' denominators and the scaled weights L*c_i,
+    as `_integer_weights` returns them."""
     # the steps of the full mask hold every M[i], in element order
     every = _shift_steps(len(scaled))[-1]
     terms = [(2 * c, keep) for c, (keep, _, _) in zip(scaled, every) if c]
@@ -222,7 +222,7 @@ def solve_separation(
     """A violated family (optimum > 0), or optimum 0 with its proof."""
     n = problem.base.n
     lcm, W, scaled = _integer_weights(weights, problem.domain)
-    weigh = _weigher(lcm, scaled)
+    weigh = weigher(lcm, scaled)
     steps = _shift_steps(n)
     base = sum(1 << x for x in problem.base.members)
     neg = sum(1 << s for s in problem.domain.members if W[s] < 0)

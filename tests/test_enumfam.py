@@ -337,6 +337,20 @@ class TestFcvValue:
         assert isfc_calls == []
 
 
+class TestDriverOptions:
+    @pytest.mark.parametrize("run,k,n,option", [(fc_value, 3, 7, {"symmetry": True}),
+                                                (fc_value, 3, 7, {"warm_start": False}),
+                                                (fcv_value, 5, 6, {"warm_start": False})],
+                             ids=["fc37-symmetry", "fc37-cold", "fcv56-cold"])
+    def test_an_option_never_changes_the_report(self, run, k, n, option):
+        # symmetry and the warm start change how a run decides, never what
+        # it finds: the value, the status and every (u, m) count
+        default, other = run(k, n), run(k, n, **option)
+        assert (other.value, other.status, other.counts) == (
+            default.value, default.status, default.counts)
+        assert verify_certificate(other.witness_certificate).passed
+
+
 @pytest.fixture
 def isfc_calls(monkeypatch):
     """Count the decisions the drivers make through enumfam.is_fc."""

@@ -22,10 +22,10 @@ from fcfam.sepip import (
     _max_flow,
     _shift,
     _shift_steps,
-    _weigher,
     brute_separation,
     build_separation,
     solve_separation,
+    weigher,
 )
 from fcfam.verify import check_separation_proof
 
@@ -418,7 +418,7 @@ class TestBitsets:
             dom = powerset_family(n) if rng.random() < 0.5 else union_closure(
                 Family.from_masks(n, seeds + [0]))
             lcm, W, scaled = fcfam.sepip._integer_weights(w, dom)
-            weigh = _weigher(lcm, scaled)
+            weigh = weigher(lcm, scaled)
             F = bitset(x for x in dom.members if rng.random() < 0.5)
             assert weigh(F) == sum(W[x] for x in fcfam.setfam.bits(F))
 
