@@ -32,14 +32,11 @@ free sets are not modeled, which only relaxes): the value of O plus the
 candidates' weight W(cands) minus a maximum flow on the bipartite forcing
 graph, source -> candidate S (capacity W[S]) -> each arc T of S -> sink
 (capacity -W[T]).  Any feasible flow f already bounds it by
-val(O) + W(cands) - f, so a node is tried against two bounds in turn, and
-the first that reaches 0 prunes it:
-
-1. the trivial bound, f = 0;
-2. a flow (`_max_flow`) that starts greedily, each candidate pushing its
-   weight straight into its arcs, then augments along shortest paths and
-   stops as soon as its value reaches val(O) + W(cands).  A flow that stops
-   short of it is a maximum flow.
+val(O) + W(cands) - f, so a node is pruned as soon as its flow (`_max_flow`)
+reaches val(O) + W(cands).  The flow is empty when val(O) + W(cands) <= 0;
+otherwise it starts greedily, each candidate pushing its weight straight
+into its arcs, then augments along shortest paths and stops at that value.
+A flow that stops short of it is a maximum flow.
 
 The graph has no candidate-to-candidate arcs: by transitivity a candidate
 already has an arc into every negative set a chain of candidates it forces
@@ -112,11 +109,9 @@ class SeparationResult:
     optimum: Fraction
     witness: Family
     proof: Optional[tuple[int, ...]] = None  # preorder search tree, if no violation
-    # search work: nodes visited, and the pruned ones by the bound that
-    # pruned them (the candidates' weight, a flow)
+    # search work: nodes visited, and the pruned ones among them
     nodes: int = 0
-    pruned_trivial: int = 0
-    pruned_flow: int = 0
+    pruned: int = 0
 
 
 @dataclass(frozen=True)
@@ -146,12 +141,14 @@ def _integer_weights(weights: Sequence, domain: Family) -> tuple[int, list[int],
     return lcm, W, scaled
 
 
-def _validate_base_domain(base: Family, domain: Family) -> None:
+def build_separation(base: Family, domain: Family) -> SeparationProblem:
+    """Validate a base and a domain."""
     n = base.n
-    full = (1 << n) - 1
+    if n > DECISION_GROUND_CAP:
+        raise ValueError(f"ground size {n} exceeds cap {DECISION_GROUND_CAP}")
     if 0 not in base.members:
         raise ValueError("base family must contain the empty set")
-    if universe(base) != full:
+    if universe(base) != (1 << n) - 1:
         raise ValueError("base family universe must be all of [n]")
     if not is_union_closed(base):
         raise ValueError("base family must be union-closed")
@@ -165,13 +162,6 @@ def _validate_base_domain(base: Family, domain: Family) -> None:
     # base is the same as containing the base
     if not set(base.members) <= set(domain.members):
         raise ValueError("domain is not closed under union with base members")
-
-
-def build_separation(base: Family, domain: Family) -> SeparationProblem:
-    """Validate a base and a domain."""
-    if base.n > DECISION_GROUND_CAP:
-        raise ValueError(f"ground size {base.n} exceeds cap {DECISION_GROUND_CAP}")
-    _validate_base_domain(base, domain)
     return SeparationProblem(base, domain)
 
 
@@ -231,11 +221,6 @@ def solve_separation(
 
     ticks = 0  # nodes visited
     proof: list[int] = []
-    pruned = {"pruned_trivial": 0, "pruned_flow": 0}
-
-    def leaf(reason: str) -> None:
-        pruned[reason] += 1
-        proof.append(LEAF)
 
     def tick() -> None:
         nonlocal ticks
@@ -274,12 +259,11 @@ def solve_separation(
             cands, forcing = inherited
 
         bound = val + sum(W[s] for s in cands)
-        if bound <= 0:
-            return leaf("pruned_trivial")
         value, _, reached = _max_flow(cands, W, bound)
         gap = bound - value
         if gap <= 0:
-            return leaf("pruned_flow")
+            proof.append(LEAF)
+            return
         # try to close the relaxed pick, the reached candidates (closed under
         # forcing) and their arcs, into a feasible family
         wit = close(ones, reached)
@@ -323,9 +307,9 @@ def solve_separation(
     except _Found as found:
         value, wit = found.args
         return SeparationResult(Fraction(value, lcm), Family.from_masks(n, bits(wit)),
-                                nodes=ticks, **pruned)
+                                nodes=ticks, pruned=proof.count(LEAF))
     return SeparationResult(Fraction(0), Family.from_masks(n, ()), tuple(proof),
-                            nodes=ticks, **pruned)
+                            nodes=ticks, pruned=proof.count(LEAF))
 
 
 def _max_flow(
@@ -414,7 +398,7 @@ def _max_flow(
 
 def brute_separation(base: Family, weights: Sequence, domain: Family) -> SeparationResult:
     """Exhaustive oracle over all subfamilies of the domain (|D| <= 16)."""
-    _validate_base_domain(base, domain)
+    build_separation(base, domain)
     lcm, W, _ = _integer_weights(weights, domain)
     mem = domain.members
     nd = len(mem)

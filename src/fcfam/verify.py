@@ -19,19 +19,18 @@ transitive and this one pass needs no fixpoint.  It is the rule the
 producer's search applies at every node, but `sepip` keeps its own copy:
 the two modules share no leaf code.  Each candidate S keeps its arcs, the
 negative sets T not in O that it forces, filtered here from this leaf's own
-forcing sets.  The leaf holds if val + W(candidates) <= 0 or, failing that,
-if val + W(candidates) - F <= 0 for a flow of value F on the bipartite
-forcing graph: S sends f(S, T) > 0 only along one of its arcs, S sends at
-most W[S] in all and T takes at most -W[T].  Such a
+forcing sets.  The leaf holds if val + W(candidates) - F <= 0 for a flow of
+value F on the bipartite forcing graph: S sends f(S, T) > 0 only along one
+of its arcs, S sends at most W[S] in all and T takes at most -W[T].  Such a
 flow need not be maximum nor conserved anywhere, by weak duality: take a
 feasible family B below the leaf, C the candidates in B and N(C) the
 negative sets outside O that C forces, all in B.  Every unit of flow
 leaves a candidate outside C or enters N(C), so
 F <= W(candidates outside C) - W(N(C)), and
 W(B) <= val + W(C) + W(N(C)) <= val + W(candidates) - F.  The flow is the
-one the shared `_max_flow` returns, stopped at the leaf's bound; the checks
-above are made here on that flow, and the value `_max_flow` reports is not
-used.
+one the shared `_max_flow` returns, stopped at the leaf's bound (the empty
+flow when val + W(candidates) <= 0); the checks above are made here on that
+flow, and the value `_max_flow` reports is not used.
 
 Non-FC certificates are replayed as a pure Farkas computation over their
 cuts, each checked to be a union-closed family in the domain absorbed by
@@ -197,8 +196,7 @@ def check_separation_proof(
                 if forced.isdisjoint(zeros):
                     cands[s] = [t for t in forced if W[t] < 0 and t not in ones]
         bound = val + sum(W[s] for s in cands)
-        if bound > 0:
-            bound -= _flow_value(cands, W, _max_flow(cands, W, bound)[1])
+        bound -= _flow_value(cands, W, _max_flow(cands, W, bound)[1])
         if bound > 0:
             raise _ProofError(f"a leaf bounds the value only by {bound}/{lcm} > 0")
 

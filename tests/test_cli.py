@@ -2,6 +2,8 @@ import argparse
 import itertools
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -151,6 +153,16 @@ class TestBatchCommands:
     def test_upperbound_prints_value(self, capsys):
         assert dispatch(["upperbound", "-k", "4", "-n", "9", "--base-n", "8", "--base-m", "12"]) == 0
         assert capsys.readouterr().out.strip() == "21"
+
+    def test_module_entry_point(self):
+        # `python -m fcfam.cli` runs `main`, which exits with dispatch's code
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "fcfam.cli", "upperbound", "-k", "4", "-n", "9",
+             "--base-n", "8", "--base-m", "12"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "21\n"), done.stderr
 
     def test_upperbound_bad_arguments(self, capsys):
         assert dispatch(["upperbound", "-k", "4", "-n", "8", "--base-n", "8", "--base-m", "12"]) == 2

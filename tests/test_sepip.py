@@ -115,23 +115,22 @@ def test_search_trajectory_is_pinned():
 
 def test_prunes_account_for_every_leaf():
     searched = 0
-    totals = [0, 0, 0]
+    totals = [0, 0]
     for base, w, dom in trajectory_instances():
         res = solve_separation(build_separation(base, dom), w)
-        pruned = res.pruned_trivial + res.pruned_flow
         if res.proof is None:
-            assert pruned < res.nodes
+            assert res.pruned < res.nodes
         else:
-            assert pruned == res.proof.count(LEAF)
+            assert res.pruned == res.proof.count(LEAF)
             assert res.nodes == len(res.proof)
         searched += res.nodes > 1
-        for i, count in enumerate((res.nodes, res.pruned_trivial, res.pruned_flow)):
+        for i, count in enumerate((res.nodes, res.pruned)):
             totals[i] += count
     assert searched > 20
-    # nodes, and prunes by the trivial and the flow bound; like the digest,
-    # these move only with a change to the search itself, and the order of
-    # each candidate's arcs moves none of them
-    assert totals == [697, 0, 248]
+    # nodes, and pruned nodes; like the digest, these move only with a
+    # change to the search itself, and the order of each candidate's arcs
+    # moves neither
+    assert totals == [697, 248]
 
 
 def unstopped(cands, W):
@@ -154,7 +153,7 @@ def test_stop_prunes_only_what_the_max_flow_prunes(monkeypatch):
         monkeypatch.setattr(fcfam.sepip, "_max_flow", variant)
         assert search() == stopped
         monkeypatch.undo()
-    assert sum(res.pruned_flow for res in stopped) > 0
+    assert sum(res.pruned for res in stopped) > 0
 
 
 def fc_proof_over_6(symmetry=True):
@@ -184,8 +183,8 @@ def flow_instances():
 
 
 def capture_nodes(monkeypatch, limit=400):
-    """The real search nodes that reached the flow bound, as `_max_flow` was
-    called on them: (arcs, W, need)."""
+    """The real search nodes, as `_max_flow` was called on them:
+    (arcs, W, need)."""
     nodes = []
     max_flow = fcfam.sepip._max_flow
 
@@ -203,12 +202,12 @@ def capture_nodes(monkeypatch, limit=400):
 
 
 def forcing_nodes(monkeypatch):
-    """The flow-bound nodes of the proofs of `flow_instances`, with what the
-    search does not pass on: for each, its 1-fixed sets, every set each
-    candidate forces (computed here from the base and the 1-fixed sets),
+    """The nodes of the proofs of `flow_instances`, with what the search
+    does not pass on: for each, its 1-fixed sets, every set each candidate
+    forces (computed here from the base and the 1-fixed sets),
     the arcs the search handed to `_max_flow` and W.  The nodes come from
-    replaying each proof in preorder, matched one by one to those calls by
-    the arcs computed here."""
+    replaying each proof in preorder, one per call, and each call's arcs
+    are checked against the arcs computed here."""
     nodes = []
     for base, w, dom in flow_instances():
         calls = []
@@ -220,17 +219,13 @@ def forcing_nodes(monkeypatch):
         if res.proof is None:
             continue
         _, W, _ = fcfam.sepip._integer_weights(w, dom)
-        pending = iter(calls)
-        call = next(pending, None)
-        for ones, zeros, _ in proof_nodes(base, res.proof):
+        for (ones, zeros, _), call in zip(proof_nodes(base, res.proof), calls, strict=True):
             forced = {s: {s | x for x in set(base.members) | ones}
                       for s in dom.members if W[s] > 0 and s not in ones | zeros}
             forced = {s: f for s, f in forced.items() if f.isdisjoint(zeros)}
             arcs = {s: {t for t in f if W[t] < 0 and t not in ones} for s, f in forced.items()}
-            if call is not None and {s: set(t) for s, t in call.items()} == arcs:
-                nodes.append((ones, forced, call, W))
-                call = next(pending, None)
-        assert call is None
+            assert {s: set(t) for s, t in call.items()} == arcs
+            nodes.append((ones, forced, call, W))
     assert len(nodes) > 100
     return nodes
 
@@ -437,9 +432,9 @@ class TestBitsets:
         assert 50 < escapes < 350
 
     def test_every_node_matches_the_set_rule(self, monkeypatch):
-        # at every node of real proofs, the candidates handed to the flow
-        # (a right child's inherited from its parent, any other node's
-        # filtered afresh) are the set rule's, in the same order and with
+        # every node of real proofs hands its candidates to the flow (a
+        # right child's inherited from its parent, any other node's filtered
+        # afresh), and they are the set rule's, in the same order and with
         # the same arcs, and each branch set is the set rule's pick
         nodes = branches = 0
         for base, w, dom in flow_instances():
@@ -455,9 +450,8 @@ class TestBitsets:
             pending = iter(calls)
             for ones, zeros, entry in proof_nodes(base, res.proof):
                 cands = separation_candidates(base, dom, W, ones, zeros)
-                if sum(W[s] for s in ones) + sum(W[s] for s in cands) > 0:
-                    assert list(next(pending).items()) == list(cands.items())
-                    nodes += 1
+                assert list(next(pending).items()) == list(cands.items())
+                nodes += 1
                 if entry != LEAF:
                     assert entry == set_rule_branch(cands, W, ones)
                     branches += 1

@@ -279,11 +279,16 @@ class TestTranslates:
 class TestRegularity:
     def test_irregular(self):
         assert regularity(Family.from_sets(3, [[1, 2], [2, 3]])) is None
+        assert regularity(Family.from_masks(3, [0])) is None  # empty universe
 
     def test_single_3set(self):
         fam = Family.from_sets(3, [[1, 2, 3]])
         assert regularity(fam) == 1
         assert not regular_3set_fc(fam)  # degree < 2
+        # regular of degree 2 on four elements, but of 2-sets
+        cycle = Family.from_sets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+        assert regularity(cycle) == 2
+        assert not regular_3set_fc(cycle)
 
     def test_small_universe_rejected(self):
         # regular 3-sets but universe of size 3

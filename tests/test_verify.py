@@ -435,9 +435,9 @@ class TestProofReplay:
             assert calls
             assert not rep.passed and failure in rep.failure
 
-    def test_one_max_flow_per_leaf_with_a_positive_bound(self, monkeypatch, larger_certs):
-        # the checker asks for one flow at each leaf that the candidates'
-        # weight does not settle, with the leaf's bound as `need`, in preorder
+    def test_one_max_flow_per_leaf(self, monkeypatch, larger_certs):
+        # the checker asks for one flow at each leaf, with the leaf's bound
+        # as `need`, in preorder
         max_flow = fcfam.verify._max_flow
         checked = 0
         for cert in larger_certs:
@@ -449,8 +449,7 @@ class TestProofReplay:
                 if entry == LEAF:
                     cands = separation_candidates(base, dom, W, ones, zeros)
                     bound = sum(W[s] for s in ones) + sum(W[s] for s in cands)
-                    if bound > 0:
-                        want.append(({s: set(t) for s, t in cands.items()}, bound))
+                    want.append(({s: set(t) for s, t in cands.items()}, bound))
             calls = []
             monkeypatch.setattr(fcfam.verify, "_max_flow", lambda cands, W, need: (
                 calls.append(({s: set(t) for s, t in cands.items()}, need))
