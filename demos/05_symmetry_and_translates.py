@@ -5,7 +5,9 @@ If two ground elements are exchanged by an automorphism of <A>, some
 certifying weight vector gives them equal weight, so the LP can be
 projected to one variable per orbit.  For transitive families that single
 variable forces the uniform vector, and one separation solve settles
-FC-ness.
+FC-ness.  A warm `is_fc` (the default) tries the uniform vector itself on
+its first feasible round, for any family, unless a classical cut rules it
+out.
 """
 
 from fractions import Fraction
@@ -54,4 +56,8 @@ print("orbit count:", orbits(closure).num_orbits)
 prob = build_separation(closure, powerset_family(4))
 print("uniform weights admit no separating family:",
       solve_separation(prob, [Fraction(1, 4)] * 4).optimum <= 0)
-print("matches the full decision:", is_fc(fam).kind == "fc")
+# is_fc makes this check itself: its first feasible round separates at the
+# uniform vector unless a classical cut B_i or B_ij rules it out
+cert = is_fc(fam)
+print("matches the full decision:", cert.kind == "fc")
+print("whose certificate carries the uniform weights:", cert.weights == (Fraction(1, 4),) * 4)

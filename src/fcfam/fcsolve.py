@@ -21,10 +21,16 @@ absorbed by <A>: every B_X is a valid cut.  The B_i (|X| = 1) enter the first
 LP.  The B_ij (|X| = 2) form a pool, built on the first feasible round: after
 each feasible LP the most violated pool cut, if there is one, is the next
 cut, and the exact separation runs only when none is violated.  The pool is
-weighed with `sepip.weigher`, the separation's own value of a family.  A cold
-decision uses neither.  Either way an FC verdict rests on an exact
-separation proof and a Non-FC verdict on a Farkas certificate over cuts that
-the checker replays one by one; the cold path cross-checks the warm one.
+weighed with `sepip.weigher`, the separation's own value of a family.  So a
+separation runs only at a point that violates no stored or pool cut.  On
+the first feasible round that point is the barycenter (1/n, ..., 1/n) when
+no B_i and no B_ij rules it out: any weight vector that the separation
+proves valid proves FC (Poonen), and a proof there ends the decision in one
+search.  A violated family found there is the round's cut like any other,
+and rules the barycenter out for every later round.  A cold decision uses
+none of this.  Either way an FC verdict rests on an exact separation proof
+and a Non-FC verdict on a Farkas certificate over cuts that the checker
+replays one by one; the cold path cross-checks the warm one.
 
 The LP has one variable per automorphism orbit of <A> when symmetry is
 enabled, and one per element otherwise (the same construction over the
@@ -145,8 +151,9 @@ def is_fc(
     The input universe must be all of [n] with n <= 8; the decision runs on
     the union closure of the input.  With `warm_start` (the default, as in
     every driver) the LP starts from the classical cuts B_i and tries the
-    pairwise B_ij before each separation; without it, it uses neither, a
-    slower path that cross-checks the verdicts.
+    pairwise B_ij before each separation, and the first feasible round
+    separates at the barycenter when no B_i or B_ij rules it out; without
+    it, it does none of this, a slower path that cross-checks the verdicts.
     """
     n = family.n
     if n > DECISION_GROUND_CAP:
@@ -214,6 +221,7 @@ def is_fc(
                 add_cut(b)
     # the pairwise B_ij, built on the first feasible round
     pool: Optional[list[int]] = None
+    barycenter = (Fraction(1, n),) * n
 
     rounds = 0
     while True:
@@ -228,11 +236,19 @@ def is_fc(
         # violated family, from the pool or the separation, is no image of a
         # stored cut
         if warm_start:
-            # a warm decision adds the most violated pool cut, the first on
-            # ties, weighed with the separation's `weigher`
             if pool is None:
                 pool = list(dict.fromkeys(
                     avoiding(x) for x in range(1 << n) if x.bit_count() == 2))
+                # the first feasible round separates at the barycenter when
+                # no stored or pool cut rules it out; a cut found there rules
+                # it out for every later round.  It is constant, so it too
+                # violates no image of a stored cut
+                centre = weigher(n, [1] * n)
+                if all(centre(b) <= 0 for b in cuts + pool):
+                    point = barycenter
+            # a warm decision adds the most violated pool cut, the first on
+            # ties, weighed with the separation's `weigher`; at the
+            # barycenter none is violated
             lcm = math.lcm(*(c.denominator for c in point))
             weigh = weigher(lcm, [int(c * lcm) for c in point])
             cut = max(pool, key=weigh, default=0)
@@ -242,7 +258,8 @@ def is_fc(
                 add_cut(cut)
                 continue
         if progress:
-            progress(f"round {rounds}: {len(cuts)} cut classes, separating")
+            at = " at the barycenter" if point == barycenter else ""
+            progress(f"round {rounds}: {len(cuts)} cut classes, separating{at}")
         if prob is None:
             prob = build_separation(closure, powerset_family(n))
         sep = solve_separation(prob, point, deadline=deadline)

@@ -288,6 +288,15 @@ def warm_start_cuts(family: Family, domain: Family) -> list[Family]:
     return out
 
 
+def barycenter_ruled_out(family: Family, domain: Family) -> bool:
+    """Whether the barycenter (1/n, ..., 1/n) violates a classical cut
+    avoiding_cut(family, domain, x) with |x| = 1 or 2, a B_i or a B_ij."""
+    n = family.n
+    centre = [Fraction(1, n)] * n
+    return any(family_value(avoiding_cut(family, domain, x), centre) > 0
+               for x in range(1, 1 << n) if x.bit_count() <= 2)
+
+
 def family_value(fam: Family, weights) -> Fraction:
     """|B| - 2 * sum_i c_i |B_i|: positive exactly when B violates the weights."""
     total = Fraction(len(fam.members))

@@ -24,7 +24,7 @@ from fcfam.setfam import (
     union_closure,
 )
 from fcfam.ratlp import Infeasible
-from fcfam.sepip import SeparationResult, brute_separation
+from fcfam.sepip import SeparationResult, brute_separation, build_separation
 from fcfam.fcsolve import (
     FcCertificate,
     NonFcCertificate,
@@ -39,7 +39,14 @@ from fcfam.verify import verify_certificate
 
 from test_bench_spans import SPANS
 from test_golden_certificates import K4_N6
-from oracles import avoiding_cut, brute_poonen_fc, family_value, random_family, warm_start_cuts
+from oracles import (
+    avoiding_cut,
+    barycenter_ruled_out,
+    brute_poonen_fc,
+    family_value,
+    random_family,
+    warm_start_cuts,
+)
 
 
 class TestKnownDecisions:
@@ -638,10 +645,22 @@ def restricted_domains(rng, count):
     return out
 
 
+def ruled_out_domains(rng, count):
+    """count `restricted_domains` draws whose barycenter a B_i or a B_ij
+    rules out, so that a warm decision of them never separates there."""
+    out = []
+    while len(out) < count:
+        out += [(fam, dom) for fam, dom in restricted_domains(rng, 1)
+                if barycenter_ruled_out(fam, dom)]
+    return out
+
+
 class TestPool:
     """After each feasible LP a warm decision adds the most violated of the
-    pairwise cuts B_ij = <A> |+| (the domain sets that avoid i and j), and
-    runs the exact separation only when none is violated."""
+    pairwise cuts B_ij = <A> |+| (the domain sets that avoid i and j).  A
+    separation runs only at a point that violates no stored or pool cut:
+    the LP point, or on the first feasible round the barycenter when no
+    B_i or B_ij rules it out."""
 
     def test_pool_cut_is_the_most_violated_pair(self, monkeypatch):
         events = []
@@ -649,29 +668,30 @@ class TestPool:
 
         def solved(lp):
             res = solve(lp)
-            events.append((lp, len(lp.ge_rows), res))
+            events.append(("solved", lp, len(lp.ge_rows), res))
             return res
 
-        def separated(*args, **kwargs):
-            events.append(None)
-            return separate(*args, **kwargs)
+        def separated(prob, point, **kwargs):
+            events.append(("separated", point))
+            return separate(prob, point, **kwargs)
 
         monkeypatch.setattr(fcfam.fcsolve, "lp_solve", solved)
         monkeypatch.setattr(fcfam.fcsolve, "solve_separation", separated)
         hits = 0
-        for fam, dom in restricted_domains(random.Random(32), 30):
+        for fam, dom in ruled_out_domains(random.Random(32), 60):
             events.clear()
             cert = is_fc(fam, domain=dom)
             pairs = [avoiding_cut(fam, dom, (1 << i) | (1 << j))
                      for j in range(fam.n) for i in range(j)]
             for now, after in zip(events, events[1:] + [None]):
-                if now is None or isinstance(now[2], Infeasible):
+                if now[0] == "separated" or isinstance(now[3], Infeasible):
                     continue
-                lp, rows, res = now
+                _, lp, rows, res = now
                 best = max(family_value(cut, res.point) for cut in pairs)
-                if after is None:
-                    # the separation runs only when no pool cut is violated
-                    assert best <= 0, (fam, dom)
+                if after[0] == "separated":
+                    # the separation runs at the LP point, which violates no
+                    # stored or pool cut
+                    assert after[1] == res.point and best <= 0, (fam, dom)
                     continue
                 # a pool round: the LP's next row is a most violated B_ij
                 hits += 1
@@ -684,7 +704,7 @@ class TestPool:
 
     def test_warm_and_cold_agree(self):
         hits = 0
-        for fam, dom in restricted_domains(random.Random(33), 30):
+        for fam, dom in ruled_out_domains(random.Random(33), 60):
             for symmetry in (False, True):
                 lines = []
                 warm = is_fc(fam, symmetry=symmetry, domain=dom, progress=lines.append)
@@ -696,13 +716,141 @@ class TestPool:
 
     def test_progress_names_the_source_of_each_cut(self):
         lines = []
-        fam = Family.from_sets(6, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6], [1, 2, 3, 5, 6]])
+        # B_4 rules this family's barycenter out
+        fam = Family.from_sets(6, [[1, 2, 3, 4, 5], [1, 2, 3, 5], [2, 3, 5, 6]])
         assert is_fc(fam, domain=no_singletons_family(6), progress=lines.append).kind == "fc"
         assert lines == ["round 1: 6 cut classes, pool cut", "round 2: 7 cut classes, pool cut",
-                         "round 3: 8 cut classes, separating"]
+                         "round 3: 8 cut classes, pool cut", "round 4: 9 cut classes, separating",
+                         "round 5: 10 cut classes, separating"]
         lines.clear()
         is_fc(fam, domain=no_singletons_family(6), warm_start=False, progress=lines.append)
         assert lines and all(line.endswith("separating") for line in lines)
+        # no B_i or B_ij rules this one's out: it is settled where it is tried
+        lines.clear()
+        fam = Family.from_sets(6, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6], [1, 2, 3, 5, 6]])
+        cert = is_fc(fam, domain=no_singletons_family(6), progress=lines.append)
+        assert cert.kind == "fc" and cert.weights == (Fraction(1, 6),) * 6
+        assert lines == ["round 1: 6 cut classes, separating at the barycenter"]
+
+
+def covering_families(rng, count):
+    """count random families of 2 to 5 members over [4] to [6] whose union
+    is [n], each with the full domain (None)."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(4, 6)
+        fam = Family.from_masks(n, rng.sample(range(1, 1 << n), rng.randint(2, 5)))
+        if functools.reduce(operator.or_, fam.members) == (1 << n) - 1:
+            out.append((fam, None))
+    return out
+
+
+class TestBarycenter:
+    """The first feasible round of a warm decision separates at the
+    barycenter (1/n, ..., 1/n) when no stored cut B_i and no pool cut B_ij
+    rules it out.  Any weight vector that the separation proves valid
+    proves FC, so a proof there ends the decision."""
+
+    @staticmethod
+    def draws():
+        rng = random.Random(35)
+        return covering_families(rng, 40) + restricted_domains(rng, 40)
+
+    def test_warm_and_cold_agree_and_barycenter_certificates_verify(self):
+        at_barycenter = {4: 0, 5: 0, 6: 0}
+        ruled_out = 0
+        for fam, dom in self.draws():
+            n = fam.n
+            ruled_out += barycenter_ruled_out(fam, dom or powerset_family(n))
+            for symmetry in (False, True):
+                warm = is_fc(fam, symmetry=symmetry, domain=dom)
+                cold = is_fc(fam, symmetry=symmetry, domain=dom, warm_start=False)
+                assert warm.kind == cold.kind, (fam, dom, symmetry)
+                if warm.kind != "fc" or warm.weights != (Fraction(1, n),) * n:
+                    continue
+                at_barycenter[n] += 1
+                assert verify_certificate(warm).passed, (fam, dom, symmetry)
+                if n <= 4:
+                    base = union_closure(fam)
+                    sep = brute_separation(base, warm.weights, dom or powerset_family(n))
+                    assert sep.optimum == 0, (fam, dom)
+        assert min(at_barycenter.values()) >= 8 and ruled_out >= 20, (at_barycenter, ruled_out)
+
+    def test_separates_there_exactly_when_no_cut_rules_it_out(self, monkeypatch):
+        points = count_calls(monkeypatch, fcfam.fcsolve, "solve_separation")
+        tried = 0
+        for fam, dom in self.draws() + ruled_out_domains(random.Random(36), 20):
+            n = fam.n
+            barycenter = (Fraction(1, n),) * n
+            ruled_out = barycenter_ruled_out(fam, dom or powerset_family(n))
+            for symmetry in (False, True):
+                points.clear()
+                is_fc(fam, symmetry=symmetry, domain=dom)
+                separated = [point for _, point in points]
+                if ruled_out:
+                    assert barycenter not in separated, (fam, dom, symmetry)
+                else:
+                    # the first LP is feasible, since the barycenter satisfies
+                    # its rows, and its round separates at the barycenter
+                    assert separated[0] == barycenter, (fam, dom, symmetry)
+                    assert barycenter not in separated[1:]
+                    tried += 1
+        assert tried >= 60, tried
+
+    def test_a_violated_barycenter_gives_the_rounds_cut(self, monkeypatch):
+        # no drawn decision has found a violated family at a barycenter that
+        # no B_i or B_ij rules out, so the filter is made to pass one that a
+        # B_i rules out, on families whose most violated family there is no
+        # B_i: the separation there finds it, it is the round's cut, and no
+        # later round goes back
+        real_weigher, solve, separate = (fcfam.fcsolve.weigher, fcfam.fcsolve.lp_solve,
+                                         fcfam.fcsolve.solve_separation)
+
+        def blind(lcm, scaled):
+            if lcm == len(scaled) and set(scaled) == {1}:
+                return lambda F: 0
+            return real_weigher(lcm, scaled)
+
+        lps, seps = [], []
+
+        def solved(lp):
+            lps.append((lp, len(lp.ge_rows)))
+            return solve(lp)
+
+        def separated(prob, point, **kwargs):
+            res = separate(prob, point, **kwargs)
+            seps.append((point, res))
+            return res
+
+        monkeypatch.setattr(fcfam.fcsolve, "weigher", blind)
+        monkeypatch.setattr(fcfam.fcsolve, "lp_solve", solved)
+        monkeypatch.setattr(fcfam.fcsolve, "solve_separation", separated)
+        checked = 0
+        for fam, _ in covering_families(random.Random(37), 120):
+            n = fam.n
+            full = powerset_family(n)
+            barycenter = (Fraction(1, n),) * n
+            first = separate(build_separation(union_closure(fam), full), barycenter)
+            if first.optimum <= 0 or first.witness in warm_start_cuts(fam, full):
+                continue
+            lps.clear()
+            seps.clear()
+            cert = is_fc(fam)
+            if not seps:
+                continue  # Non-FC by the first LP, which the B_i make infeasible
+            # the first round separates at the barycenter and finds a violated
+            # family, which is the second LP's new row; no later separation
+            # runs there
+            (point, res), *later = seps
+            assert point == barycenter and res.optimum > 0, fam
+            assert family_value(res.witness, barycenter) > 0
+            (lp, rows), (_, grown) = lps[:2]
+            assert grown == rows + 1 and lp.ge_rows[rows] == lp_row(res.witness)
+            assert all(p != barycenter for p, _ in later)
+            assert cert.kind == is_fc(fam, warm_start=False).kind, fam
+            assert verify_certificate(cert).passed
+            checked += 1
+        assert checked >= 5, checked
 
 
 def count_calls(monkeypatch, owner, name):
@@ -733,11 +881,13 @@ class TestWorkDoneOnce:
             cert = is_fc(Family.from_sets(5, sets), warm_start=False)
             assert cert.kind == kind and len(lps) > 2 and len(builds) == 1
         # a caller's domain: its instance is built before the first LP, which
-        # validates the domain, and serves every later round
+        # validates the domain, and serves every later round (the warm FC
+        # family's barycenter is ruled out, so its decision takes more than
+        # one round)
         for sets, warm, kind, one_lp in (
                 ([[1, 2, 3, 4, 5], [3, 4, 5, 6, 7]], True, "non-fc", True),
                 ([[1, 2, 3, 4, 5], [3, 4, 5, 6, 7]], False, "non-fc", False),
-                ([[1, 2, 3], [3, 4, 5]], True, "fc", False)):
+                ([[1, 2, 3, 4, 5], [1, 2, 3, 5], [2, 3, 5, 6]], True, "fc", False)):
             lps.clear()
             builds.clear()
             fam = Family.from_sets(max(map(max, sets)), sets)

@@ -22,13 +22,21 @@ from fcfam.verify import verify_certificate
 
 K4_N6 = [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 6], [1, 3, 5, 6], [2, 4, 5, 6],
          [3, 4, 5, 6], [1, 2, 5, 6]]
+K4_N6_RULED_OUT = [[1, 2, 4, 5], [1, 2, 3, 6], [1, 2, 4, 6], [2, 3, 4, 6], [1, 2, 5, 6],
+                   [2, 3, 5, 6], [3, 4, 5, 6]]
 
 # name: (n, member sets, is_fc options, kind, sha256)
 CASES = {
     "fc-n6": (6, K4_N6, {"warm_start": False}, "fc",
               "06743c1fa34722de98195b4406b3c13208c256e864fbe3004f9c7fe3696538b7"),
-    "fc-n6-symmetry": (6, K4_N6, {"symmetry": True, "warm_start": True}, "fc",
-                       "6c92e9ec54c0ca0159f5ea04a40c0aff7cf87bed8ad4f8bcf7939081883803a7"),
+    # warm with symmetry on a family whose barycenter B_1 and B_3 rule out:
+    # one violated separation at the LP point, then a proof
+    "fc-n6-symmetry": (6, K4_N6_RULED_OUT, {"symmetry": True, "warm_start": True}, "fc",
+                       "d13ba6bbebf5ecfeab5023598a5849fb537a531ee201df3edf4b3372a96d5d89"),
+    # warm on a family whose barycenter no B_i or B_ij rules out: the first
+    # feasible round separates at the barycenter and proves FC there
+    "fc-n6-barycenter": (6, K4_N6, {"symmetry": True, "warm_start": True}, "fc",
+                         "40b2d5de626da5fcc47388f874cbb3888bb71ff979d6eb952d7b865a95714970"),
     "fc-n5-symmetry": (5, [[1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 4, 5]],
                        {"symmetry": True, "warm_start": False}, "fc",
                        "60a8f91457db42dccfbfcfce5e782af0cc80804597610836cf7580215c151c16"),
@@ -44,12 +52,12 @@ CASES = {
                            {"domain": "no-singletons", "symmetry": True, "warm_start": False},
                            "non-fc",
                            "58984dc3224ba2c2499230bb406b77092b7acfd4801069542cf202a804736b18"),
-    # warm over a caller's domain, where pool cuts enter: the FC decision adds
-    # two before its separation, the Non-FC one adds one, whose images the
-    # certificate lists
-    "vfc-n6-warm": (6, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6], [1, 2, 3, 5, 6]],
+    # warm over a caller's domain, where pool cuts enter: the FC decision, on
+    # a family whose barycenter is ruled out, adds three before its
+    # separations, the Non-FC one adds one, whose images the certificate lists
+    "vfc-n6-warm": (6, [[1, 2, 3, 4, 5], [1, 2, 3, 5], [2, 3, 5, 6]],
                     {"domain": "no-singletons", "warm_start": True}, "fc",
-                    "3de5fbe0864e9a4051f883bd104b88fa1542496a7689f4483c1034b9239afd04"),
+                    "a28b323b54d1299d5bde472d154515df9c7c7869c9cf82f17ab77b9f74287a8c"),
     "nonvfc-n6-symmetry-warm": (6, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6]],
                                 {"domain": "no-singletons", "symmetry": True, "warm_start": True},
                                 "non-fc",

@@ -2,16 +2,21 @@
 every (universe size u, m) cell up to the value and the number of
 canonical labelings, the size of an n = 8 FC proof, and the LP solve count
 of the slowest decision of FC_V(5,7) over the subsets of [7] without sizes
-1 and 2.
+1 and 2, and the separation work over the benchmark's decide-n7 pool.
 
 At jobs=1 the runs took 13 s and 58 s on a 2-core Intel Xeon virtual
 machine with Python 3.11.7 (2026-10-20), and the n = 8 decision with its
-verification 5 s warm and 26 s cold, so these are marked `slow` and
+verification 5 s warm and 26 s cold, and the decide-n7 pool with its
+verification 5 s, so these are marked `slow` and
 deselected by default.  The LP-heaviest decision with its verification
 takes 0.3 s and runs with the default tests.  Run the slow ones with
 
     PYTHONPATH=src python -m pytest -m slow tests/test_pinned_values.py
 """
+
+import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +76,31 @@ def test_n8_proof_stays_small(warm_start):
     assert cert.kind == "fc"
     assert verify_certificate(cert).passed
     assert len(cert.proof) <= 6_000
+
+
+@pytest.mark.slow
+def test_decide_n7_pool_work(monkeypatch):
+    # the 60 families of the benchmark's decide-n7 pool, decided as its
+    # workload decides them: 38 are settled by one proof at the barycenter.
+    # Separating only at LP points took 300 separations, 240 of them
+    # violated, and 23,282 proof entries
+    pool = json.loads((Path(__file__).parent.parent / "bench" / "pool.json").read_text())
+    p = pool["decide-n7"]["full"]
+    seps = []
+    real = fcfam.fcsolve.solve_separation
+
+    def counting(*args, **kwargs):
+        seps.append(real(*args, **kwargs))
+        return seps[-1]
+
+    monkeypatch.setattr(fcfam.fcsolve, "solve_separation", counting)
+    certs = [is_fc(Family.from_masks(p["n"], masks), symmetry=True)
+             for stratum in p["strata"] for masks in stratum["families"]]
+    assert len(certs) == 60
+    assert len(seps) == 151 and sum(sep.optimum > 0 for sep in seps) == 91
+    assert sum(len(sep.proof or ()) for sep in seps) == 18_216
+    assert sum(c.kind == "fc" and set(c.weights) == {Fraction(1, 7)} for c in certs) == 38
+    assert all(verify_certificate(c).passed for c in certs)
 
 
 def test_lp_heaviest_decision(monkeypatch):

@@ -20,7 +20,7 @@ from fcfam.ratlp import (
     check_point,
     lp_solve,
 )
-from fcfam.setfam import Family
+from fcfam.setfam import Family, no_singletons_family
 
 from oracles import fraction_check_farkas, fraction_phase_one
 
@@ -227,10 +227,11 @@ def _seeded_lps(seed=10, count=300):
 
 
 def _decision_lps(monkeypatch):
-    """Every LP of one V-FC decision, {1234, 1256} over the subsets of [6]
-    without sizes 1 and 2: one equality row, positive right sides and up to
-    14 >=-rows, a shape `_seeded_lps` never draws.  Each is copied when it
-    is solved, since the decision's LP grows between rounds."""
+    """Every LP of one V-FC decision, {124, 2345, 12356} over the subsets of
+    [6] without singletons, whose barycenter B_6 rules out: one equality
+    row, positive right sides and up to 14 >=-rows, a shape `_seeded_lps`
+    never draws.  Each is copied when it is solved, since the decision's LP
+    grows between rounds."""
     lps = []
     solve = fcfam.fcsolve.lp_solve
 
@@ -239,8 +240,8 @@ def _decision_lps(monkeypatch):
         return solve(lp)
 
     monkeypatch.setattr(fcfam.fcsolve, "lp_solve", recorded)
-    domain = Family(6, tuple(s for s in range(1 << 6) if s.bit_count() not in (1, 2)))
-    assert is_fc(Family.from_sets(6, [[1, 2, 3, 4], [1, 2, 5, 6]]), domain=domain).kind == "fc"
+    fam = Family.from_sets(6, [[1, 2, 4], [2, 3, 4, 5], [1, 2, 3, 5, 6]])
+    assert is_fc(fam, domain=no_singletons_family(6)).kind == "fc"
     assert len(lps) == 9 and max(len(lp.ge_rows) for lp in lps) == 14
     return lps
 

@@ -273,7 +273,8 @@ def larger_certs():
     certs = [
         is_fc(Family.from_sets(5, list(combinations(range(1, 6), 4)))),
         is_fc(Family.from_sets(5, [[1, 2, 3], [1, 2, 4], [1, 2, 5]]), symmetry=True),
-        is_fc(Family.from_sets(6, list(combinations(range(1, 7), 5))[:3]),
+        # a V-FC decision whose barycenter B_4 rules out
+        is_fc(Family.from_sets(6, [[1, 2, 3, 4, 5], [1, 2, 3, 5], [2, 3, 5, 6]]),
               domain=no_singletons_family(6), warm_start=True),
         is_fc(Family.from_sets(6, k4_of_6), symmetry=True, warm_start=True),
     ]
