@@ -9,10 +9,12 @@ proves that none exists.  An LP-infeasibility ends in a Non-FC certificate
 (cuts plus Farkas multipliers).  A proof ends in an FC certificate: the
 weights and the final separation's search tree, with no cuts, because the
 cuts are only the LP's working set and an FC verdict does not rest on them.
-The separation instance is built once: over a caller's domain before the
-first LP, which validates the domain, and over the full domain on the first
-feasible LP round, so a full-domain decision that its first LP settles
-builds none.
+The separation instance is built once per decision, before the first LP,
+which validates a caller's domain; the full domain P([n]) skips the
+domain's union-closure check, so a decision that its first LP settles pays
+little for it.  `sepip` owns the bitset form of a family that the instance
+holds, and `is_fc` takes its classical cuts (`classical_cut`) and its LP
+rows (`element_counts`) from there.
 
 A warm decision (the default) also uses the classical cuts B_X = <A> |+| D_X,
 with D_X the domain sets disjoint from X.  D_X is union-closed and holds the
@@ -22,15 +24,17 @@ LP.  The B_ij (|X| = 2) form a pool, built on the first feasible round: after
 each feasible LP the most violated pool cut, if there is one, is the next
 cut, and the exact separation runs only when none is violated.  The pool is
 weighed with `sepip.weigher`, the separation's own value of a family.  So a
-separation runs only at a point that violates no stored or pool cut.  On
-the first feasible round that point is the barycenter (1/n, ..., 1/n) when
-no B_i and no B_ij rules it out: any weight vector that the separation
-proves valid proves FC (Poonen), and a proof there ends the decision in one
-search.  A violated family found there is the round's cut like any other,
-and rules the barycenter out for every later round.  A cold decision uses
-none of this.  Either way an FC verdict rests on an exact separation proof
-and a Non-FC verdict on a Farkas certificate over cuts that the checker
-replays one by one; the cold path cross-checks the warm one.
+separation runs only at a point that violates no stored or pool cut.  The
+first feasible round tries the barycenter (1/n, ..., 1/n) when no B_i rules
+it out, and a B_ij that does becomes the round's pool cut.  So the round
+separates there when no B_i and no B_ij rules it out: any weight vector
+that the separation proves valid proves FC (Poonen), and a proof there ends
+the decision in one search.  A violated family found there is the round's
+cut like any other, and rules the barycenter out for every later round.  A
+cold decision uses none of this.  Either way an FC verdict rests on an
+exact separation proof and a Non-FC verdict on a Farkas certificate over
+cuts that the checker replays one by one; the cold path cross-checks the
+warm one.
 
 The LP has one variable per automorphism orbit of <A> when symmetry is
 enabled, and one per element otherwise (the same construction over the
@@ -75,7 +79,7 @@ from .canon import (
     generating_set,
 )
 from .ratlp import FarkasCertificate, Infeasible, LinearProgram, lp_solve
-from .sepip import LEAF, _shift, _shift_steps, build_separation, solve_separation, weigher
+from .sepip import LEAF, build_separation, classical_cut, element_counts, solve_separation, weigher
 
 ProgressFn = Callable[[str], None]
 
@@ -158,14 +162,12 @@ def is_fc(
     n = family.n
     if n > DECISION_GROUND_CAP:
         raise ValueError(f"ground size {n} exceeds cap {DECISION_GROUND_CAP}")
-    full = (1 << n) - 1
-    if universe(family) != full:
+    if universe(family) != (1 << n) - 1:
         raise ValueError("family universe must be all of [n] (compact it first)")
     closure = union_closure(family)
-    # a caller's domain is validated before the first LP, so an invalid one
-    # never gets a verdict; the full domain's instance waits for the first
-    # feasible round
-    prob = None if domain is None else build_separation(closure, domain)
+    # the decision's one separation instance, built before the first LP, so
+    # an invalid domain never gets a verdict
+    prob = build_separation(closure, powerset_family(n) if domain is None else domain)
 
     # without symmetry every element is its own orbit; with it, the group is
     # generated by the generators of Aut(<A>) that fix the domain
@@ -184,31 +186,15 @@ def is_fc(
     # one LP for the whole decision: sum(c) = 1, which weighs each orbit's
     # variable by the orbit's size, and one row per stored cut.  A cut is
     # stored once per orbit of cuts, as a bitset (bit x for the set x), and
-    # its row over the orbits is counted by popcounts against the M[i] of
-    # `_shift_steps` (the sets that hold i).  Every row is doubled, so that
-    # |B|/2 is an integer: 2 sum(c) = 2 and sum_i 2 c_i |B_i| >= |B|
+    # its row over the orbits is counted by `sepip.element_counts`, the
+    # |B_i| of each element i.  Every row is doubled, so that |B|/2 is an
+    # integer: 2 sum(c) = 2 and sum_i 2 c_i |B_i| >= |B|
     lp = LinearProgram(orbit_part.num_orbits, [(over_orbits([2] * n), 2)])
-    steps = _shift_steps(n)
-    every = steps[full]  # (M[i], its complement, 2^i) for each element i
     cuts: list[int] = []
 
     def add_cut(cut: int) -> None:
         cuts.append(cut)
-        lp.add_ge(over_orbits([2 * (cut & keep).bit_count() for keep, _, _ in every]),
-                  cut.bit_count())
-
-    # the classical cut B_X = <A> |+| D_X, valid as the module docstring
-    # says: D_X, the domain sets that avoid X, then B |= shift(B, a) for each
-    # member a of A
-    inside = (1 << (1 << n)) - 1 if domain is None else sum(1 << s for s in domain.members)
-
-    def avoiding(x: int) -> int:
-        b = inside
-        for _, avoids, _ in steps[x]:
-            b &= avoids
-        for a in family.members:
-            b |= _shift(b, steps[a])
-        return b
+        lp.add_ge(over_orbits([2 * c for c in element_counts(n, cut)]), cut.bit_count())
 
     if warm_start:
         # the classically strongest inequalities, the B_i, up front.  Only
@@ -216,7 +202,7 @@ def is_fc(
         # its images; the B_i of two orbits can still coincide, and are then
         # stored once
         for orbit in orbit_part.orbit_sets():
-            b = avoiding(1 << (orbit[0] - 1))
+            b = classical_cut(prob, family, 1 << (orbit[0] - 1))
             if b not in cuts:
                 add_cut(b)
     # the pairwise B_ij, built on the first feasible round
@@ -237,18 +223,18 @@ def is_fc(
         # stored cut
         if warm_start:
             if pool is None:
-                pool = list(dict.fromkeys(
-                    avoiding(x) for x in range(1 << n) if x.bit_count() == 2))
-                # the first feasible round separates at the barycenter when
-                # no stored or pool cut rules it out; a cut found there rules
-                # it out for every later round.  It is constant, so it too
+                pool = list(dict.fromkeys(classical_cut(prob, family, x)
+                                          for x in range(1 << n) if x.bit_count() == 2))
+                # the first feasible round tries the barycenter when no
+                # stored B_i rules it out; a B_ij that does becomes the
+                # round's pool cut below, and any cut taken there rules it
+                # out for every later round.  It is constant, so it too
                 # violates no image of a stored cut
                 centre = weigher(n, [1] * n)
-                if all(centre(b) <= 0 for b in cuts + pool):
+                if all(centre(b) <= 0 for b in cuts):
                     point = barycenter
             # a warm decision adds the most violated pool cut, the first on
-            # ties, weighed with the separation's `weigher`; at the
-            # barycenter none is violated
+            # ties, weighed with the separation's `weigher`
             lcm = math.lcm(*(c.denominator for c in point))
             weigh = weigher(lcm, [int(c * lcm) for c in point])
             cut = max(pool, key=weigh, default=0)
@@ -260,8 +246,6 @@ def is_fc(
         if progress:
             at = " at the barycenter" if point == barycenter else ""
             progress(f"round {rounds}: {len(cuts)} cut classes, separating{at}")
-        if prob is None:
-            prob = build_separation(closure, powerset_family(n))
         sep = solve_separation(prob, point, deadline=deadline)
         if sep.optimum > 0:
             cut = sum(1 << x for x in sep.witness.members)

@@ -11,14 +11,16 @@ that none exists.  Feasible B are exactly the 0/1 points of
 and the objective weight of S is w_S = 1 - 2 * sum_{i in S} c_i.
 
 `build_separation` validates a base and a domain once and returns the
-weight-free `SeparationProblem`.  `solve_separation` takes one round's
-weights and answers with either a violated family (`optimum > 0`, its value,
-and `witness`) or `optimum == 0` and a `proof`: the search tree in preorder,
-which is what an FC certificate carries and `verify` replays without
-searching.  Each branching node adds its branch set S (the left child fixes
-S and its closure to 1, the right child fixes S to 0; a left child whose
-closure meets a 0-fixed set is infeasible and has no entries) and each
-pruned node adds `LEAF`.
+weight-free `SeparationProblem`, which also holds the domain as a bitset
+(below); a domain of all 2^n sets is P([n]) and skips the union-closure
+check.  `solve_separation` takes one round's weights and answers with
+either a violated family (`optimum > 0`, its value, and `witness`) or
+`optimum == 0` and a `proof`: the search tree in preorder, which is what an
+FC certificate carries and `verify` replays without searching.  Each
+branching node adds its branch set S (the left child fixes S and its
+closure to 1, the right child fixes S to 0; a left child whose closure
+meets a 0-fixed set is infeasible and has no entries) and each pruned node
+adds `LEAF`.
 
 The solve is exact branch and bound on integer-scaled weights.  A node with
 1-fixed sets O and 0-fixed sets Z filters and bounds exactly the way
@@ -82,8 +84,10 @@ them instead of filtering again.  The order of the arcs moves neither the
 proof nor any counter: the candidates, the bound, whether the flow reaches
 it and the pick do not depend on it.  The weight of a bitset F takes n+1
 popcounts, W(F) = L|F| - 2 sum_i L c_i |F & M[i]| with L the lcm of the
-weights' denominators (`weigher`), and `is_fc`'s pool of classical cuts is
-weighed with the same function.
+weights' denominators (`weigher`).  This module is the only one that knows
+this form: `is_fc` builds its classical cuts B_X = <A> |+| D_X with
+`classical_cut`, counts each cut's LP row |B & M[i]| with `element_counts`
+and weighs its pool of classical cuts with `weigher`.
 
 `brute_separation` is the independent oracle: exhaustive enumeration over
 all subfamilies of D, returning the maximum.
@@ -120,6 +124,7 @@ class SeparationProblem:
 
     base: Family
     domain: Family
+    domain_bits: int  # bit x for each domain set x
 
 
 def _integer_weights(weights: Sequence, domain: Family) -> tuple[int, list[int], list[int]]:
@@ -156,13 +161,15 @@ def build_separation(base: Family, domain: Family) -> SeparationProblem:
         raise ValueError("domain ground size mismatch")
     if 0 not in domain.members:
         raise ValueError("domain must contain the empty set")
-    if not is_union_closed(domain):
+    # a domain of all 2^n sets is P([n]), which is union-closed: checking it
+    # would take |D|^2 unions on every full-domain decision
+    if len(domain.members) < 1 << n and not is_union_closed(domain):
         raise ValueError("domain is not union-closed")
     # with the empty set in a union-closed D, closure under union with the
     # base is the same as containing the base
     if not set(base.members) <= set(domain.members):
         raise ValueError("domain is not closed under union with base members")
-    return SeparationProblem(base, domain)
+    return SeparationProblem(base, domain, sum(1 << s for s in domain.members))
 
 
 class _Found(Exception):
@@ -202,6 +209,25 @@ def weigher(lcm: int, scaled: Sequence[int]) -> Callable[[int], int]:
         return lcm * F.bit_count() - sum(c * (F & keep).bit_count() for c, keep in terms)
 
     return weigh
+
+
+def classical_cut(problem: SeparationProblem, generators: Family, x: int) -> int:
+    """The classical cut B_X = <A> |+| D_X as a bitset, for the mask x and
+    the generators A of the base <A>: D_X, the domain sets that avoid X,
+    then B |= shift(B, a) for each generator a."""
+    steps = _shift_steps(problem.base.n)
+    cut = problem.domain_bits
+    for _, avoids, _ in steps[x]:
+        cut &= avoids
+    for a in generators.members:
+        cut |= _shift(cut, steps[a])
+    return cut
+
+
+def element_counts(n: int, F: int) -> list[int]:
+    """|F & M[i]| for each element i of [n]: how many sets of the bitset F
+    hold i."""
+    return [(F & keep).bit_count() for keep, _, _ in _shift_steps(n)[-1]]
 
 
 def solve_separation(

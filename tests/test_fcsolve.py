@@ -251,8 +251,9 @@ class TestInvariants:
         assert unread == []
 
     def test_private_names_reached_across_modules(self):
-        # a private name stays in its module; sepip's bitset and flow kernels
-        # are the only ones another module imports, so a new reach fails here
+        # a private name stays in its module; sepip's flow kernel, which the
+        # checker replays, is the only one another module imports, so a new
+        # reach fails here
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "src", "fcfam")
         reached = []
@@ -275,11 +276,7 @@ class TestInvariants:
                         for node in ast.walk(tree)
                         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                         and node.value.id in modules and node.attr.startswith("_")]
-        assert sorted(reached) == [
-            "fcsolve.py: sepip._shift",
-            "fcsolve.py: sepip._shift_steps",
-            "verify.py: sepip._max_flow",
-        ]
+        assert sorted(reached) == ["verify.py: sepip._max_flow"]
 
     def test_one_lowest_set_bit_loop(self):
         # `x & -x` lists set bits in setfam.bits; the other two uses are
@@ -659,8 +656,9 @@ class TestPool:
     """After each feasible LP a warm decision adds the most violated of the
     pairwise cuts B_ij = <A> |+| (the domain sets that avoid i and j).  A
     separation runs only at a point that violates no stored or pool cut:
-    the LP point, or on the first feasible round the barycenter when no
-    B_i or B_ij rules it out."""
+    the LP point, or on the first feasible round the barycenter, which is
+    tried when no B_i rules it out; a B_ij that does becomes the round's
+    pool cut."""
 
     def test_pool_cut_is_the_most_violated_pair(self, monkeypatch):
         events = []
@@ -746,9 +744,10 @@ def covering_families(rng, count):
 
 
 class TestBarycenter:
-    """The first feasible round of a warm decision separates at the
-    barycenter (1/n, ..., 1/n) when no stored cut B_i and no pool cut B_ij
-    rules it out.  Any weight vector that the separation proves valid
+    """The first feasible round of a warm decision tries the barycenter
+    (1/n, ..., 1/n) when no stored cut B_i rules it out; a pool cut B_ij
+    that does becomes the round's pool cut, and otherwise the round
+    separates there.  Any weight vector that the separation proves valid
     proves FC, so a proof there ends the decision."""
 
     @staticmethod
@@ -796,6 +795,35 @@ class TestBarycenter:
                     assert barycenter not in separated[1:]
                     tried += 1
         assert tried >= 60, tried
+
+    def test_a_pair_that_rules_it_out_is_the_rounds_pool_cut(self, monkeypatch):
+        # over P([5]) less the singletons {1}, {3}, {4} and {5}, no B_i rules
+        # this family's barycenter out but B_35 does: the first round takes
+        # B_35, the one pair cut violated there, not B_34, the most violated
+        # pair cut at the first LP point
+        fam = Family.from_sets(5, [[2], [1, 4], [1, 3, 4, 5]])
+        dom = Family.from_masks(5, [m for m in range(32) if m not in (1, 4, 8, 16)])
+        barycenter = [Fraction(1, 5)] * 5
+        pairs = {x: avoiding_cut(fam, dom, x) for x in range(32) if x.bit_count() == 2}
+        assert all(family_value(avoiding_cut(fam, dom, 1 << i), barycenter) <= 0
+                   for i in range(5))
+        assert [x for x, cut in pairs.items() if family_value(cut, barycenter) > 0] == [0b10100]
+        lps = []
+        solve = fcfam.fcsolve.lp_solve
+
+        def solved(lp):
+            lps.append((lp, len(lp.ge_rows), solve(lp)))
+            return lps[-1][2]
+
+        monkeypatch.setattr(fcfam.fcsolve, "lp_solve", solved)
+        lines = []
+        cert = is_fc(fam, domain=dom, progress=lines.append)
+        (lp, rows, first), (_, grown, _) = lps[:2]
+        assert max(pairs, key=lambda x: family_value(pairs[x], first.point)) == 0b01100
+        assert lines[0] == "round 1: 5 cut classes, pool cut"
+        assert grown == rows + 1 and lp.ge_rows[rows] == lp_row(pairs[0b10100])
+        assert cert.kind == is_fc(fam, domain=dom, warm_start=False).kind == "fc"
+        assert verify_certificate(cert).passed
 
     def test_a_violated_barycenter_gives_the_rounds_cut(self, monkeypatch):
         # no drawn decision has found a violated family at a barycenter that
@@ -867,33 +895,49 @@ def count_calls(monkeypatch, owner, name):
 
 
 class TestWorkDoneOnce:
-    def test_separation_built_on_first_need(self, monkeypatch):
-        builds = count_calls(monkeypatch, fcfam.fcsolve, "build_separation")
-        lps = count_calls(monkeypatch, fcfam.fcsolve, "lp_solve")
-        # Non-FC from the first LP over the warm-start cuts: nothing to build
-        cert = is_fc(Family.from_sets(5, [[1, 2, 3], [3, 4, 5]]), warm_start=True)
-        assert cert.kind == "non-fc" and len(lps) == 1 and builds == []
-        # one instance serves every round of a longer decision
-        for sets, kind in (([[1, 2, 3], [2, 3, 4], [3, 4, 5]], "fc"),
-                           ([[1, 2, 3], [3, 4, 5]], "non-fc")):
-            lps.clear()
-            builds.clear()
-            cert = is_fc(Family.from_sets(5, sets), warm_start=False)
-            assert cert.kind == kind and len(lps) > 2 and len(builds) == 1
-        # a caller's domain: its instance is built before the first LP, which
-        # validates the domain, and serves every later round (the warm FC
-        # family's barycenter is ruled out, so its decision takes more than
-        # one round)
-        for sets, warm, kind, one_lp in (
-                ([[1, 2, 3, 4, 5], [3, 4, 5, 6, 7]], True, "non-fc", True),
-                ([[1, 2, 3, 4, 5], [3, 4, 5, 6, 7]], False, "non-fc", False),
-                ([[1, 2, 3, 4, 5], [1, 2, 3, 5], [2, 3, 5, 6]], True, "fc", False)):
-            lps.clear()
-            builds.clear()
+    def test_separation_built_once_before_the_first_lp(self, monkeypatch):
+        # each decision builds its one separation instance, over the full
+        # domain or the caller's, before its first LP, and every round
+        # separates over that instance
+        events = []
+        build, solve, separate = (fcfam.fcsolve.build_separation, fcfam.fcsolve.lp_solve,
+                                  fcfam.fcsolve.solve_separation)
+
+        def built(base, domain):
+            prob = build(base, domain)
+            events.append(("build", prob))
+            return prob
+
+        def separated(prob, point, **kwargs):
+            events.append(("separate", prob))
+            return separate(prob, point, **kwargs)
+
+        monkeypatch.setattr(fcfam.fcsolve, "build_separation", built)
+        monkeypatch.setattr(fcfam.fcsolve, "lp_solve",
+                            lambda lp: events.append(("lp",)) or solve(lp))
+        monkeypatch.setattr(fcfam.fcsolve, "solve_separation", separated)
+        for sets, warm, domain, kind, one_lp in (
+                # Non-FC from the first LP over the warm-start cuts
+                ([[1, 2, 3], [3, 4, 5]], True, False, "non-fc", True),
+                # cold decisions that take several rounds
+                ([[1, 2, 3], [2, 3, 4], [3, 4, 5]], False, False, "fc", False),
+                ([[1, 2, 3], [3, 4, 5]], False, False, "non-fc", False),
+                # a caller's domain: building its instance validates it (the
+                # warm FC family's barycenter is ruled out, so its decision
+                # takes more than one round)
+                ([[1, 2, 3, 4, 5], [3, 4, 5, 6, 7]], True, True, "non-fc", True),
+                ([[1, 2, 3, 4, 5], [3, 4, 5, 6, 7]], False, True, "non-fc", False),
+                ([[1, 2, 3, 4, 5], [1, 2, 3, 5], [2, 3, 5, 6]], True, True, "fc", False)):
+            events.clear()
             fam = Family.from_sets(max(map(max, sets)), sets)
-            cert = is_fc(fam, warm_start=warm, domain=no_singletons_family(fam.n))
-            assert cert.kind == kind and len(builds) == 1
-            assert (len(lps) == 1) == one_lp
+            dom = no_singletons_family(fam.n) if domain else None
+            cert = is_fc(fam, warm_start=warm, domain=dom)
+            assert cert.kind == kind and events[0][0] == "build", sets
+            assert [e for e in events if e[0] == "build"] == events[:1]
+            prob = events[0][1]
+            assert prob.domain == (dom or powerset_family(fam.n))
+            assert all(e[1] is prob for e in events if e[0] == "separate")
+            assert (sum(e[0] == "lp" for e in events) == 1) == one_lp
 
     @pytest.mark.parametrize("symmetry", [False, True])
     def test_every_round_solves_one_lp(self, monkeypatch, symmetry):

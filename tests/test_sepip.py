@@ -12,6 +12,7 @@ from fcfam.setfam import (
     Family,
     frequencies,
     is_union_closed,
+    no_singletons_family,
     powerset_family,
     union_closure,
     uplus,
@@ -24,12 +25,21 @@ from fcfam.sepip import (
     _shift_steps,
     brute_separation,
     build_separation,
+    classical_cut,
+    element_counts,
     solve_separation,
     weigher,
 )
 from fcfam.verify import check_separation_proof
 
-from oracles import brute_min_cut, family_value, proof_nodes, separation_candidates
+from oracles import (
+    avoiding_cut,
+    brute_min_cut,
+    family_value,
+    proof_nodes,
+    separation_candidates,
+)
+from test_fcsolve import covering_families, restricted_domains
 
 
 def uniform(n):
@@ -458,6 +468,57 @@ class TestBitsets:
             assert next(pending, None) is None
         # each branch set has one right child
         assert nodes > 400 and branches > 100
+
+
+class TestClassicalCuts:
+    """The bitset forms `is_fc` takes from this module: its classical cuts
+    and its LP rows' element counts."""
+
+    def test_classical_cut_is_the_avoiding_family(self):
+        # over the full domain and over restricted ones, for masks x of
+        # every size from 0 to n
+        rng = random.Random(48)
+        draws = covering_families(rng, 40) + restricted_domains(rng, 40)
+        for fam, dom in draws:
+            n = fam.n
+            dom = dom or powerset_family(n)
+            prob = build_separation(union_closure(fam), dom)
+            assert prob.domain_bits == bitset(dom.members)
+            for size in range(n + 1):
+                x = sum(1 << i for i in rng.sample(range(n), size))
+                cut = classical_cut(prob, fam, x)
+                assert cut == bitset(avoiding_cut(fam, dom, x).members), (fam, dom, x)
+
+    def test_element_counts_are_the_frequencies(self):
+        rng = random.Random(49)
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            F = rng.sample(range(1 << n), rng.randint(0, min(1 << n, 60)))
+            counts = frequencies(Family.from_masks(n, F)).counts
+            assert element_counts(n, bitset(F)) == list(counts)
+
+    def test_full_domain_checks_only_the_base_for_union_closure(self, monkeypatch):
+        checked = []
+        real = fcfam.sepip.is_union_closed
+        monkeypatch.setattr(fcfam.sepip, "is_union_closed",
+                            lambda fam: checked.append(fam) or real(fam))
+        for n in range(1, 9):
+            base = union_closure(Family.from_masks(n, [(1 << n) - 1, 1]))
+            checked.clear()
+            prob = build_separation(base, powerset_family(n))
+            assert checked == [base] and prob.domain_bits == (1 << (1 << n)) - 1
+        # any other domain is checked too
+        base = union_closure(Family.from_sets(3, [[1, 2, 3]]))
+        dom = no_singletons_family(3)
+        checked.clear()
+        build_separation(base, dom)
+        assert checked == [base, dom]
+        # one set short of P([3]), and {1} u {2} is the missing one
+        short = Family.from_masks(3, [m for m in range(8) if m != 3])
+        checked.clear()
+        with pytest.raises(ValueError, match="not union-closed"):
+            build_separation(base, short)
+        assert checked == [base, short]
 
 
 class TestBuild:
