@@ -36,7 +36,11 @@ does not reach the maximum of a member invariant over the extension: the
 degree sum of the member's elements, then the sorted sizes of its
 intersections with the other members, both unchanged by relabeling (the
 cheap half of McKay's canonical deletion, *J. Algorithms* 26, 1998).  Ties
-pass, and `seen` removes the duplicates left.  The filter runs only when
+pass, and `seen` removes the duplicates left.  The degree sums come first:
+a parent's element degrees and member degree sums are counted once, an
+extension by s gives each old member y |y & s| more, and the sorted
+intersection sizes are compared only when the largest old sum ties with
+the new set's.  The filter runs only when
 every previous cell's `fc` set is empty, and then it drops no class.  A
 class reached from some parent F - x is still reached: delete a member y of
 maximum invariant.  (F - x) - y lies in the parent F - x, so it is a parent
@@ -76,10 +80,12 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .setfam import (
     Family,
+    bits,
+    frequencies,
     lex_ksets,
     no_singletons_family,
     universe,
@@ -149,9 +155,10 @@ class LexScanResult:
     prev_nonfc: Optional[NonFcCertificate]
 
 
-def _extensions(fam: Family, k: int, j: int) -> Iterator[Family]:
-    """fam over its universe [u] plus one new k-set that takes the fresh
-    elements u+1..u+j and k-j old ones, over [u+j]."""
+def _new_sets(fam: Family, k: int, j: int) -> Iterator[int]:
+    """The k-sets that extend fam over its universe [u] to a family over
+    [u+j]: each takes the fresh elements u+1..u+j and k-j old ones, and is
+    not a member already."""
     u = fam.n
     memberset = set(fam.members)
     for combo in itertools.combinations(range(u), k - j):
@@ -159,7 +166,7 @@ def _extensions(fam: Family, k: int, j: int) -> Iterator[Family]:
         for e in combo:
             s |= 1 << e
         if s not in memberset:
-            yield Family.from_masks(u + j, fam.members + (s,))
+            yield s
 
 
 def _member_invariant(members: Sequence[int], s: int) -> tuple[int, list[int]]:
@@ -175,6 +182,28 @@ def _new_set_wins(members: Sequence[int], old: Sequence[int]) -> bool:
     new = next(s for s in members if s not in old)
     mine = _member_invariant(members, new)
     return all(_member_invariant(members, y) <= mine for y in old)
+
+
+def _new_set_gate(parent: Family) -> Callable[[int], bool]:
+    """`_new_set_wins` for the extensions of one parent by a new set s.
+
+    The parent's element degrees and its members' degree sums are counted
+    once.  In the extension an old member y's degree sum grows by |y & s|,
+    and s's is |s| plus the parent degrees of its elements; the first
+    component of the invariant decides unless the largest old sum ties
+    with s's, and only then is the whole invariant compared.
+    """
+    old = parent.members
+    degree = frequencies(parent).counts
+    sums = [(y, sum(degree[e] for e in bits(y))) for y in old]
+    inside = (1 << parent.n) - 1
+
+    def wins(s: int) -> bool:
+        mine = s.bit_count() + sum(degree[e] for e in bits(s & inside))
+        top = max(total + (y & s).bit_count() for y, total in sums)
+        return top < mine or top == mine and _new_set_wins(old + (s,), old)
+
+    return wins
 
 
 def _decide(family: Family, *, domain: Optional[Family], symmetry: bool, warm_start: bool,
@@ -278,9 +307,11 @@ class EnumSession:
         known_fc: set[Family] = set()
         for parent in (p for reg in prev.values() for p in reg.nfc):
             # the new set must cover the elements the parent's universe lacks
-            for ext in _extensions(parent, k, n - parent.n):
-                if augment and not _new_set_wins(ext.members, parent.members):
-                    continue
+            new_sets = _new_sets(parent, k, n - parent.n)
+            if augment:
+                new_sets = filter(_new_set_gate(parent), new_sets)
+            for s in new_sets:
+                ext = Family.from_masks(n, parent.members + (s,))
                 canon = canonical_form(ext)
                 if canon in seen:
                     continue

@@ -268,22 +268,30 @@ def _build_nonfc(
     """The certificate over the original system: each stored cut's orbit of
     images, with its multiplier spread uniformly over them.  The LP's rows
     are twice the inequalities, so its multipliers are half of theirs; the
-    normalization below removes that factor."""
+    normalization below removes that factor.  It runs in integers over one
+    common denominator, and each cut's share becomes one `Fraction`."""
     lam = farkas.eq_multipliers[0]
-    cut_mult: list[tuple[Family, Fraction]] = []
-    for cut, y in zip(cuts, farkas.ge_multipliers):
-        fam = Family(n, tuple(bits(cut)))
-        # with no generators a cut is its own orbit, and no symmetry work runs
-        images = family_orbit(fam, gens) if gens else [fam]
-        share = y / len(images)
-        cut_mult.extend((img, share) for img in images)
+    ys = farkas.ge_multipliers
+    # with no generators a cut is its own orbit, and no symmetry work runs
+    cut_images = [family_orbit(fam, gens) if gens else [fam]
+                  for fam in (Family(n, tuple(bits(cut))) for cut in cuts)]
+    # den makes lam and every share y / len(images) an integer, and every
+    # share even, so that the halved right side below is an integer too
+    den = 2 * math.lcm(lam.denominator,
+                       *(y.denominator * len(images) for y, images in zip(ys, cut_images)))
+    shares = [y.numerator * (den // (y.denominator * len(images)))
+              for y, images in zip(ys, cut_images)]
+    scaled_lam = lam.numerator * (den // lam.denominator)
     # normalize so the aggregated right side is exactly 1; any single-field
     # change then breaks the replay
-    rhs = sum(y * Fraction(len(c.members), 2) for c, y in cut_mult) + lam
+    rhs = scaled_lam + sum(share * len(images) * cut.bit_count()
+                           for share, images, cut in zip(shares, cut_images, cuts)) // 2
     if rhs <= 0:
         raise RuntimeError("Farkas certificate has a nonpositive right side")
-    cut_mult = [(c, y / rhs) for c, y in cut_mult]
-    lam = lam / rhs
+    cut_mult: list[tuple[Family, Fraction]] = []
+    for images, share in zip(cut_images, shares):
+        y = Fraction(share, rhs)
+        cut_mult.extend((img, y) for img in images)
     cut_mult.sort(key=lambda pair: pair[0].members)
     return NonFcCertificate(
         family=family,
@@ -291,7 +299,7 @@ def _build_nonfc(
         domain=domain,
         cuts=[c for c, _ in cut_mult],
         multipliers=tuple(y for _, y in cut_mult),
-        lam=lam,
+        lam=Fraction(scaled_lam, rhs),
     )
 
 

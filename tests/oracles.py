@@ -6,9 +6,13 @@ beyond the Family container and exact arithmetic.  The class
 enumerations are the exception: `uc_reps_with_full_universe`,
 `noniso_levels` and `full_candidates` deduplicate by
 `canon.canonical_form`, and the last two augment with
-`enumfam._extensions`; the tests check the first two against brute-force
+`enumfam._new_sets`; the tests check the first two against brute-force
 counts, and `full_candidates` is the unfiltered reference for
-`EnumSession.candidates`.
+`EnumSession.candidates`.  Two references keep a replaced kernel's old
+form: `unpacked_canonical_form`, the canonical search with one bound per
+member (it shares the twin classes and the distinct bound of `canon`), and
+`fraction_nonfc_certificate`, the Non-FC normalization in `Fraction`
+arithmetic (it lists images with `canon.family_orbit`).
 """
 
 from __future__ import annotations
@@ -44,6 +48,72 @@ def brute_min_canonical(fam: Family) -> Family:
         if best is None or img < best:
             best = img
     return Family(comp.n, best)
+
+
+def unpacked_canonical_form(family: Family) -> Family:
+    """`canon.canonical_form` with each member's optimistic bound kept in its
+    own list entry and updated, member by member, for the members that hold
+    the element just placed.  The same search with the same twins, element
+    order and bounds (it shares `_twin_classes` and `_distinct_bound`), so
+    it checks the packed bookkeeping on universes too large for
+    `brute_min_canonical`."""
+    from fcfam.canon import _distinct_bound, _twin_classes
+    from fcfam.setfam import frequencies
+
+    fam, _ = compact_universe(family)
+    u = fam.n
+    members = fam.members
+    if not members or members == (0,):
+        return fam
+
+    twin = _twin_classes(members, u)
+    nm = len(members)
+    degree = frequencies(fam).counts
+    elem_order = sorted(range(u), key=lambda e: (degree[e], e))
+    inc = [[j for j in range(nm) if members[j] >> e & 1] for e in range(u)]
+
+    # incumbent from the identity relabeling
+    best = list(members)
+
+    # remaining[j] = unplaced elements of member j; opt[j] = its placed bits
+    # (high labels) plus those elements on the lowest free labels
+    remaining = [m.bit_count() for m in members]
+    opt = [(1 << r) - 1 for r in remaining]
+    used = [False] * u
+
+    def rec(label: int) -> None:
+        nonlocal best
+        if label == 0:
+            # the bound is exact at a leaf, and it passed the test against best
+            best = sorted(opt)
+            return
+        bit = 1 << (label - 1)
+        low_mask = bit - 1
+        tried_twins = set()
+        for e in elem_order:
+            if used[e]:
+                continue
+            rep = twin[e]
+            if rep in tried_twins:
+                continue
+            tried_twins.add(rep)
+            used[e] = True
+            touched = inc[e]
+            for j in touched:
+                r = remaining[j]
+                opt[j] += bit - (1 << (r - 1))
+                remaining[j] = r - 1
+            bound = sorted(opt)
+            if bound < best and _distinct_bound(bound, low_mask) < best:
+                rec(label - 1)
+            for j in touched:
+                r = remaining[j] + 1
+                opt[j] -= bit - (1 << (r - 1))
+                remaining[j] = r
+            used[e] = False
+
+    rec(u)
+    return Family.from_masks(u, best)
 
 
 def brute_automorphisms(fam: Family) -> list[tuple[int, ...]]:
@@ -202,7 +272,7 @@ def noniso_levels(n: int, k: int, m_max: int) -> Iterator[list[Family]]:
     u+1..u+j) and k-j old ones, then deduplicated by canonical form, so
     every representative is its own canonical form."""
     from fcfam.canon import canonical_form
-    from fcfam.enumfam import _extensions
+    from fcfam.enumfam import _new_sets
 
     if k > n or m_max < 1:
         return
@@ -212,8 +282,8 @@ def noniso_levels(n: int, k: int, m_max: int) -> Iterator[list[Family]]:
         classes: set[Family] = set()
         for fam in level:
             for j in range(0, min(k, n - fam.n) + 1):
-                for ext in _extensions(fam, k, j):
-                    classes.add(canonical_form(ext))
+                for new in _new_sets(fam, k, j):
+                    classes.add(canonical_form(Family.from_masks(fam.n + j, fam.members + (new,))))
         level = sorted(classes, key=lambda f: (f.n, f.members))
         yield level
 
@@ -225,7 +295,7 @@ def full_candidates(session, n: int, k: int, m: int) -> tuple[list[Family], set[
     every member of an extension, its new set too.  The reference for the
     filtered path, which must return the same lists."""
     from fcfam.canon import canonical_form
-    from fcfam.enumfam import _extensions, _has_subfamily_in
+    from fcfam.enumfam import _has_subfamily_in, _new_sets
 
     if k * m < n or m > math.comb(n, k):
         return [], set()
@@ -236,7 +306,8 @@ def full_candidates(session, n: int, k: int, m: int) -> tuple[list[Family], set[
     candidates: dict[Family, None] = {}
     known_fc: set[Family] = set()
     for parent in (p for reg in prev.values() for p in reg.nfc):
-        for ext in _extensions(parent, k, n - parent.n):
+        for new in _new_sets(parent, k, n - parent.n):
+            ext = Family.from_masks(n, parent.members + (new,))
             canon = canonical_form(ext)
             if canon in known_fc or canon in candidates:
                 continue
@@ -387,6 +458,27 @@ def fraction_check_farkas(lp: LinearProgram, cert: FarkasCertificate) -> bool:
             agg[j] += lam * c
         rhs += lam * b
     return all(a <= 0 for a in agg) and rhs > 0
+
+
+def fraction_nonfc_certificate(family: Family, n: int, domain, cuts: list[int], gens,
+                               farkas: FarkasCertificate):
+    """`fcsolve._build_nonfc` in `Fraction` arithmetic, its reference: each
+    stored cut (a bitset of sets) spreads its LP multiplier uniformly over
+    its orbit of images under gens, and every multiplier is divided by the
+    aggregated right side so that it becomes exactly 1."""
+    from fcfam.canon import family_orbit
+    from fcfam.fcsolve import NonFcCertificate
+
+    lam = farkas.eq_multipliers[0]
+    cut_mult = []
+    for cut, y in zip(cuts, farkas.ge_multipliers):
+        fam = Family(n, tuple(s for s in range(cut.bit_length()) if cut >> s & 1))
+        images = family_orbit(fam, gens) if gens else [fam]
+        cut_mult.extend((img, y / len(images)) for img in images)
+    rhs = sum(y * Fraction(len(c.members), 2) for c, y in cut_mult) + lam
+    cut_mult = sorted(((c, y / rhs) for c, y in cut_mult), key=lambda pair: pair[0].members)
+    return NonFcCertificate(family, n, domain, [c for c, _ in cut_mult],
+                            tuple(y for _, y in cut_mult), lam / rhs)
 
 
 def fraction_phase_one(lp: LinearProgram) -> LPResult:

@@ -3,11 +3,15 @@ import random
 
 import pytest
 
+import fcfam.enumfam
+from fcfam.enumfam import fc_value, fcv_value
 from fcfam.setfam import (
     Family,
     frequencies,
     lex_ksets,
     lex_prefix,
+    no_singletons_family,
+    powerset_family,
     translates_family,
     union_closure,
 )
@@ -23,7 +27,12 @@ from fcfam.canon import (
     orbits,
 )
 
-from oracles import brute_automorphisms, brute_min_canonical, random_family
+from oracles import (
+    brute_automorphisms,
+    brute_min_canonical,
+    random_family,
+    unpacked_canonical_form,
+)
 
 
 def generated_group(gens, n):
@@ -91,6 +100,64 @@ class TestCanonicalForm:
                 masks.append(0)  # the empty set as a member
             fam = Family.from_masks(n, masks)
             assert canonical_form(fam) == brute_min_canonical(fam)
+
+
+class TestPackedSearch:
+    """The packed search against the per-member search it replaced, on
+    universes up to the 16-element cap, where brute force is out of reach."""
+
+    def test_random_families_up_to_16_elements(self):
+        rng = random.Random(67)
+        for trial in range(200):
+            # one in four draws is over [16], with a member that holds bit
+            # 15, and one in eight holds [16] itself, whose bound field
+            # starts at 2^16 - 1
+            n = 16 if trial % 4 == 0 else rng.randint(1, 15)
+            masks = rng.sample(range(1 << n), min(rng.randint(1, 3), 1 << n))
+            if n == 16:
+                masks.append(1 << 15 | rng.getrandbits(15))
+            if trial % 8 == 0:
+                masks.append((1 << 16) - 1)
+            if trial % 3 == 0:
+                masks.append(0)  # the empty set as a member
+            fam = Family.from_masks(n, masks)
+            assert canonical_form(fam) == unpacked_canonical_form(fam), fam
+
+    def test_families_of_64_or_more_members(self):
+        rng = random.Random(71)
+        fams = [powerset_family(6), no_singletons_family(7)]
+        for _ in range(24):
+            n = rng.randint(6, 8)
+            count = rng.randint(64, min(100, 1 << n))
+            fams.append(Family.from_masks(n, rng.sample(range(1 << n), count)))
+        for fam in fams:
+            assert len(fam.members) >= 64
+            assert canonical_form(fam) == unpacked_canonical_form(fam), fam
+
+    def test_fifteen_15_subsets_of_16(self):
+        # [16] less one of the elements 2..16: element 1 lies in every
+        # member, so it takes the lowest label and the family is canonical
+        full = (1 << 16) - 1
+        fam = Family.from_masks(16, [full ^ 1 << i for i in range(1, 16)])
+        assert canonical_form(fam) == unpacked_canonical_form(fam) == fam
+        perm = tuple(range(16, 0, -1))
+        assert canonical_form(apply_perm_family(perm, fam)) == fam
+
+    @pytest.mark.parametrize("run,k,n", [("fc", 4, 6), ("fcv", 5, 6)], ids=["fc46", "fcv56"])
+    def test_every_extension_a_run_labels(self, monkeypatch, run, k, n):
+        labeled = []
+        real = fcfam.enumfam.canonical_form
+
+        def checked(family):
+            canon = real(family)
+            assert canon == unpacked_canonical_form(family), family
+            labeled.append(family)
+            return canon
+
+        monkeypatch.setattr(fcfam.enumfam, "canonical_form", checked)
+        rep = fc_value(k, n) if run == "fc" else fcv_value(k, n)
+        assert rep.status == "found"
+        assert labeled
 
 
 class TestIsomorphism:

@@ -23,6 +23,9 @@ from fcfam.enumfam import (
     NfcRegistry,
     _decide,
     _member_invariant,
+    _new_set_gate,
+    _new_set_wins,
+    _new_sets,
     fc_value,
     fcv_value,
     get_nfc,
@@ -533,6 +536,35 @@ class TestInvariantFilter:
                 for u in range(k, n + 1):
                     got = session.candidates(u, k, m)
                     assert got == full_candidates(session, u, k, m), (u, m)
+
+    @pytest.mark.parametrize("k,n,m_max,tie_lost", [(5, 7, 8, False), (3, 7, 5, True)],
+                             ids=["fc57", "fc37"])
+    def test_degree_sums_decide_as_the_whole_invariant(self, k, n, m_max, tie_lost):
+        # the degree-sum pre-test plus the tie check accepts exactly the
+        # extensions that _new_set_wins accepts, over every parent of every
+        # cell up to m_max.  In FC(5,7) a new set that ties on degree sums
+        # always wins; in FC(3,7) some lose on the intersection sizes
+        tested = accepted = ties = lost = 0
+        with EnumSession() as session:
+            for m in range(2, m_max + 1):
+                for u in range(k, n + 1):
+                    for i in range(max(k, u - k), u + 1):
+                        for parent in session.get_nfc(i, k, m - 1).nfc:
+                            wins = _new_set_gate(parent)
+                            for s in _new_sets(parent, k, u - parent.n):
+                                members = Family.from_masks(u, parent.members + (s,)).members
+                                expected = _new_set_wins(members, parent.members)
+                                assert wins(s) == expected, (parent, s)
+                                tested += 1
+                                accepted += expected
+                                mine = _member_invariant(members, s)[0]
+                                tie = mine == max(_member_invariant(members, y)[0]
+                                                  for y in parent.members)
+                                ties += tie
+                                lost += tie and not expected
+        assert 0 < accepted < tested
+        assert ties > 0
+        assert (lost > 0) == tie_lost
 
     def test_member_invariant_survives_relabeling(self):
         rng = random.Random(23)

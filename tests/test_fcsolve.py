@@ -9,14 +9,17 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import fcfam.canon
 import fcfam.fcsolve
 from fcfam.canon import apply_perm_family, family_orbit, generating_set, orbits
+from fcfam.enumfam import fc_value
 from fcfam.setfam import (
     Family,
+    bits,
     frequencies,
     lex_ksets,
     no_singletons_family,
@@ -44,6 +47,7 @@ from oracles import (
     barycenter_ruled_out,
     brute_poonen_fc,
     family_value,
+    fraction_nonfc_certificate,
     random_family,
     warm_start_cuts,
 )
@@ -380,6 +384,47 @@ class TestSymmetryReduce:
         assert len(mult) == len(cert.cuts)
         for g in gens:
             assert {apply_perm_family(g, cut): y for cut, y in mult.items()} == mult
+
+
+class TestNonFcNormalization:
+    """`_build_nonfc` normalizes in integers over one common denominator;
+    `oracles.fraction_nonfc_certificate` does it in `Fraction` arithmetic."""
+
+    @pytest.mark.parametrize("symmetry", [False, True], ids=["plain", "symmetry"])
+    def test_integers_match_fractions(self, monkeypatch, symmetry):
+        built = []
+        real = fcfam.fcsolve._build_nonfc
+
+        def recording(family, n, domain, cuts, gens, farkas):
+            cert = real(family, n, domain, cuts, gens, farkas)
+            built.append(((family, n, domain, list(cuts), gens, farkas), cert))
+            return cert
+
+        monkeypatch.setattr(fcfam.fcsolve, "_build_nonfc", recording)
+        # the Non-FC decisions of FC(4,6) and of the certify-n6 pool
+        fc_value(4, 6, symmetry=symmetry)
+        pool = json.loads((Path(__file__).parent.parent / "bench" / "pool.json").read_text())
+        p = pool["certify-n6"]["full"]
+        for stratum in p["strata"]:
+            if stratum["kind"] == "non-fc":
+                for members in stratum["families"]:
+                    assert is_fc(Family(p["n"], tuple(members)), symmetry=symmetry).kind == "non-fc"
+        assert len(built) > 20
+        shared = 0
+        for args, cert in built:
+            ref = fraction_nonfc_certificate(*args)
+            assert (cert.family, cert.n, cert.domain) == (ref.family, ref.n, ref.domain)
+            assert cert.cuts == ref.cuts
+            assert cert.multipliers == ref.multipliers
+            assert cert.lam == ref.lam
+            # the images of each stored cut share one multiplier
+            family, n, _, cuts, gens, _ = args
+            mult = dict(zip(cert.cuts, cert.multipliers))
+            for cut in cuts:
+                images = family_orbit(Family(n, tuple(bits(cut))), gens) if gens else []
+                assert len({mult[img] for img in images}) <= 1
+                shared += len(images) > 1
+        assert (shared > 0) == symmetry
 
 
 def asymmetric_domain(n, drop, closure):

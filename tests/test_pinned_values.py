@@ -4,9 +4,9 @@ canonical labelings, the size of an n = 8 FC proof, and the LP solve count
 of the slowest decision of FC_V(5,7) over the subsets of [7] without sizes
 1 and 2, and the separation work over the benchmark's decide-n7 pool.
 
-At jobs=1 the runs took 13 s and 58 s on a 2-core Intel Xeon virtual
+At jobs=1 the runs took 7 s and 30 s on a 2-core Intel Xeon virtual
 machine with Python 3.11.7 (2026-10-20), and the n = 8 decision with its
-verification 5 s warm and 26 s cold, and the decide-n7 pool with its
+verification 4 s warm and 18 s cold, and the decide-n7 pool with its
 verification 5 s, so these are marked `slow` and
 deselected by default.  The LP-heaviest decision with its verification
 takes 0.3 s and runs with the default tests.  Run the slow ones with

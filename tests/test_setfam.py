@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fcfam.setfam import (
+    DENSE_BITS,
     Family,
     bits,
     compact_universe,
@@ -82,6 +83,17 @@ class TestMasks:
                 x = rng.getrandbits(width)
                 assert bits(x) == [i for i in range(width) if x >> i & 1]
                 assert mask_elements(x) == tuple(i + 1 for i in bits(x))
+        # every popcount from 0 to 256, at widths up to 256 bits, on both
+        # sides of the threshold where bits() switches from one step per set
+        # bit to reading the binary digits
+        assert 0 < DENSE_BITS <= 256
+        for count in range(257):
+            narrowest = max(count, 1)
+            for width in (narrowest, rng.randint(narrowest, 256), 256):
+                x = sum(1 << i for i in rng.sample(range(width), count))
+                assert bits(x) == [i for i in range(width) if x >> i & 1], (count, width)
+        assert bits(1 << 255) == [255]
+        assert bits((1 << 256) - 1) == list(range(256))
 
     def test_family_normal_form(self):
         fam = Family.from_masks(3, [6, 1, 6])
