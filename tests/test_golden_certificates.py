@@ -8,7 +8,11 @@ certificates must say so and regenerate the digests:
 
     PYTHONPATH=src python tests/test_golden_certificates.py
 
-prints the current digest of every case.
+prints the current digest of every case and of the stream below.
+
+One more case pins a whole stream: every certificate that
+`fc_value(5, 7, 11)` decides, in order, all of them Non-FC, so each one ends
+in a Farkas certificate of the exact LP.
 """
 
 import hashlib
@@ -16,6 +20,7 @@ import json
 
 import pytest
 
+from fcfam import enumfam
 from fcfam.fcsolve import certificate_to_dict, is_fc
 from fcfam.setfam import Family, no_singletons_family
 from fcfam.verify import verify_certificate
@@ -64,6 +69,17 @@ CASES = {
                                 "48caa4ea120586d2850a9c88022a6c709d0837b16cdc145b26b50d55b565bc0d"),
 }
 
+# (decisions, kinds, sha256 over the certificates of fc_value(5, 7, 11))
+FC57_STREAM = (669, {"non-fc"},
+               "d021ffaeae156d5d04c1340e811d141a2204ae1d78cc9d982dbac010ed6a7203")
+
+
+def digest_of(certs):
+    digest = hashlib.sha256()
+    for cert in certs:
+        digest.update(json.dumps(certificate_to_dict(cert), sort_keys=True).encode())
+    return digest.hexdigest()
+
 
 def decide(name):
     n, sets, options, _, _ = CASES[name]
@@ -71,8 +87,7 @@ def decide(name):
     if options.get("domain") == "no-singletons":
         options["domain"] = no_singletons_family(n)
     cert = is_fc(Family.from_sets(n, sets), **options)
-    text = json.dumps(certificate_to_dict(cert), sort_keys=True)
-    return cert, hashlib.sha256(text.encode()).hexdigest()
+    return cert, digest_of([cert])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -83,6 +98,29 @@ def test_certificate_is_pinned(name):
     assert digest == CASES[name][4]
 
 
+def fc57_stream():
+    """Every certificate that fc_value(5, 7, 11) decides, in order, recorded
+    by wrapping `enumfam.is_fc`: their count, their kinds and their digest."""
+    certs = []
+    decide_one = enumfam.is_fc
+
+    def recorded(*args, **kwargs):
+        certs.append(decide_one(*args, **kwargs))
+        return certs[-1]
+
+    enumfam.is_fc = recorded
+    try:
+        enumfam.fc_value(5, 7, 11)
+    finally:
+        enumfam.is_fc = decide_one
+    return len(certs), {cert.kind for cert in certs}, digest_of(certs)
+
+
+def test_fc57_certificate_stream_is_pinned():
+    assert fc57_stream() == FC57_STREAM
+
+
 if __name__ == "__main__":
     for name in CASES:
         print(name, decide(name)[1])
+    print("fc57-stream", *fc57_stream())
