@@ -27,7 +27,6 @@ from .canon import (
     orbits,
 )
 from .ratlp import (
-    FarkasCertificate,
     Feasible,
     Infeasible,
     LinearProgram,

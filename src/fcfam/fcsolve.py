@@ -78,7 +78,7 @@ from .canon import (
     family_orbit,
     generating_set,
 )
-from .ratlp import FarkasCertificate, Infeasible, LinearProgram, lp_solve
+from .ratlp import Infeasible, LinearProgram, lp_solve
 from .sepip import LEAF, build_separation, classical_cut, element_counts, solve_separation, weigher
 
 ProgressFn = Callable[[str], None]
@@ -216,7 +216,7 @@ def is_fc(
             raise TimeoutError("is_fc deadline exceeded")
         res = lp_solve(lp)
         if isinstance(res, Infeasible):
-            return _build_nonfc(family, n, domain, cuts, gens, res.certificate)
+            return _build_nonfc(family, n, domain, cuts, gens, res)
         point = tuple(res.point[o] for o in oid)
         # the LP point is orbit-constant and satisfies every stored row, so a
         # violated family, from the pool or the separation, is no image of a
@@ -230,13 +230,12 @@ def is_fc(
                 # round's pool cut below, and any cut taken there rules it
                 # out for every later round.  It is constant, so it too
                 # violates no image of a stored cut
-                centre = weigher(n, [1] * n)
+                centre = weigher(barycenter)
                 if all(centre(b) <= 0 for b in cuts):
                     point = barycenter
             # a warm decision adds the most violated pool cut, the first on
             # ties, weighed with the separation's `weigher`
-            lcm = math.lcm(*(c.denominator for c in point))
-            weigh = weigher(lcm, [int(c * lcm) for c in point])
+            weigh = weigher(point)
             cut = max(pool, key=weigh, default=0)
             if weigh(cut) > 0:
                 if progress:
@@ -263,25 +262,24 @@ def _build_nonfc(
     domain: Optional[Family],
     cuts: list[int],
     gens: list[tuple[int, ...]],
-    farkas: FarkasCertificate,
+    farkas: Infeasible,
 ) -> NonFcCertificate:
     """The certificate over the original system: each stored cut's orbit of
-    images, with its multiplier spread uniformly over them.  The LP's rows
-    are twice the inequalities, so its multipliers are half of theirs; the
-    normalization below removes that factor.  It runs in integers over one
-    common denominator, and each cut's share becomes one `Fraction`."""
+    images, with its multiplier spread uniformly over them.  The LP's
+    multipliers are integers, fixed only up to a positive factor, and its
+    rows are twice the inequalities; the normalization below, which divides
+    by the aggregated right side, removes both factors.  It runs in
+    integers, and each cut's share becomes one `Fraction`."""
     lam = farkas.eq_multipliers[0]
     ys = farkas.ge_multipliers
     # with no generators a cut is its own orbit, and no symmetry work runs
     cut_images = [family_orbit(fam, gens) if gens else [fam]
                   for fam in (Family(n, tuple(bits(cut))) for cut in cuts)]
-    # den makes lam and every share y / len(images) an integer, and every
-    # share even, so that the halved right side below is an integer too
-    den = 2 * math.lcm(lam.denominator,
-                       *(y.denominator * len(images) for y, images in zip(ys, cut_images)))
-    shares = [y.numerator * (den // (y.denominator * len(images)))
-              for y, images in zip(ys, cut_images)]
-    scaled_lam = lam.numerator * (den // lam.denominator)
+    # den makes every share y / len(images) an integer, and every share
+    # even, so that the halved right side below is an integer too
+    den = 2 * math.lcm(*(len(images) for images in cut_images))
+    shares = [y * (den // len(images)) for y, images in zip(ys, cut_images)]
+    scaled_lam = lam * den
     # normalize so the aggregated right side is exactly 1; any single-field
     # change then breaks the replay
     rhs = scaled_lam + sum(share * len(images) * cut.bit_count()

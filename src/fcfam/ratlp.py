@@ -14,16 +14,19 @@ the end.  On an infeasible phase one, a >=-row's Farkas multiplier is the
 reduced cost of its surplus column, and an equality row's comes from the
 reduced cost of its artificial.
 
-The rows go in as Python ints, coefficients and right side, and the point
-and the multipliers come out as `Fraction`s.  A caller with rational rows
+The rows go in as Python ints, coefficients and right side.  The point comes
+out as `Fraction`s and the multipliers as ints: those of the final tableau,
+all over its one positive denominator, which the certificate leaves out, for
+a positive multiple of a Farkas certificate is one too.  The multipliers
+are thus fixed only up to a positive factor.  A caller with rational rows
 scales each one to integers itself, so a row's scale never depends on the
 other rows: the tableau is the rows as given (a row with a negative right
 side negated), every artificial costs 1, and a row added between solves
 changes no other row.  Pivots are fraction-free (Edmonds/Bareiss): every
 entry is an integer over one shared denominator, the previous pivot, which
 each update divides out exactly, so no operation pays a gcd.  `check_point`
-and `check_farkas`, which sums in integers over one common denominator,
-replay every answer before it is returned.
+and `check_farkas`, which sums the integer rows with the integer
+multipliers, replay every answer before it is returned.
 
 Built for the small, dense systems of the cutting-plane loop (tens of
 variables, up to a few hundred rows), not for sparse large-scale work.
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Sequence, Union
 
 ZERO = Fraction(0)
@@ -55,9 +57,6 @@ class LinearProgram:
         self.eq_rows = [self._row(coeffs, rhs) for coeffs, rhs in self.eq_rows]
         self.ge_rows = [self._row(coeffs, rhs) for coeffs, rhs in self.ge_rows]
 
-    def add_eq(self, coeffs: Sequence[int], rhs: int) -> None:
-        self.eq_rows.append(self._row(coeffs, rhs))
-
     def add_ge(self, coeffs: Sequence[int], rhs: int) -> None:
         self.ge_rows.append(self._row(coeffs, rhs))
 
@@ -71,27 +70,20 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
-class FarkasCertificate:
-    """Multipliers proving infeasibility.
-
-    With y >= 0 on the >=-rows and free lambda on the equality rows, the
-    aggregated combination sum(y_l * g_l) + sum(lambda_k * e_k) has a
-    nonpositive coefficient on every variable and a strictly positive right
-    side.
-    """
-
-    ge_multipliers: tuple[Fraction, ...]
-    eq_multipliers: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class Feasible:
     point: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
 class Infeasible:
-    certificate: FarkasCertificate
+    """A Farkas certificate: with y >= 0 on the >=-rows and free lambda on
+    the equality rows, the combination sum(y_l * g_l) + sum(lambda_k * e_k)
+    has a nonpositive coefficient on every variable and a strictly positive
+    right side.  The multipliers are integers, fixed only up to a positive
+    factor."""
+
+    ge_multipliers: tuple[int, ...]
+    eq_multipliers: tuple[int, ...]
 
 
 LPResult = Union[Feasible, Infeasible]
@@ -112,23 +104,20 @@ def check_point(lp: LinearProgram, point: Sequence[Fraction]) -> bool:
     return True
 
 
-def check_farkas(lp: LinearProgram, cert: FarkasCertificate) -> bool:
-    """Exact replay of a Farkas certificate, in integers: the multipliers
-    are put over one common denominator, which changes no sign, and the
-    integer rows are summed with the numerators."""
+def check_farkas(lp: LinearProgram, cert: Infeasible) -> bool:
+    """Exact replay of a Farkas certificate, in integers: the integer rows
+    are summed with the integer multipliers.  These are fixed only up to a
+    positive factor, which changes no sign of the sum."""
     if len(cert.ge_multipliers) != len(lp.ge_rows):
         return False
     if len(cert.eq_multipliers) != len(lp.eq_rows):
         return False
     if any(y < 0 for y in cert.ge_multipliers):
         return False
-    mults = cert.ge_multipliers + cert.eq_multipliers
-    common = lcm(*(y.denominator for y in mults))
     agg = [0] * (lp.num_vars + 1)
-    for y, (coeffs, b) in zip(mults, lp.ge_rows + lp.eq_rows):
+    for y, (coeffs, b) in zip(cert.ge_multipliers + cert.eq_multipliers, lp.ge_rows + lp.eq_rows):
         if y:
-            k = y.numerator * (common // y.denominator)
-            agg = [a + k * c for a, c in zip(agg, (*coeffs, b))]
+            agg = [a + y * c for a, c in zip(agg, (*coeffs, b))]
     return all(a <= 0 for a in agg[:-1]) and agg[-1] > 0
 
 
@@ -196,14 +185,14 @@ def lp_solve(lp: LinearProgram) -> LPResult:
         # infeasible: with y' the phase-one dual of the rows as negated and
         # s_r = -1 for a negated row, else 1, row r's multiplier is s_r y'_r.
         # A >=-row's surplus column, -s_r e_r at cost 0, has that as its
-        # reduced cost; an equality row's artificial, e_r at cost 1, has 1 - y'_r
-        ge_mult = tuple(Fraction(obj[j], d) for j in range(n, ncols))
-        eq_mult = tuple(Fraction(d - obj[ncols + r] if rhs >= 0 else obj[ncols + r] - d, d)
-                        for r, (_, rhs) in enumerate(lp.eq_rows))
-        cert = FarkasCertificate(ge_mult, eq_mult)
+        # reduced cost; an equality row's artificial, e_r at cost 1, has 1 - y'_r.
+        # Each is an integer over d > 0, and the certificate is the integers
+        cert = Infeasible(tuple(obj[n:ncols]),
+                          tuple(d - obj[ncols + r] if rhs >= 0 else obj[ncols + r] - d
+                                for r, (_, rhs) in enumerate(lp.eq_rows)))
         if not check_farkas(lp, cert):
             raise RuntimeError("extracted Farkas certificate failed to replay")
-        return Infeasible(cert)
+        return cert
 
     vals = [ZERO] * n
     for r, b in enumerate(basis):

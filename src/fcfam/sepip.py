@@ -127,10 +127,10 @@ class SeparationProblem:
     domain_bits: int  # bit x for each domain set x
 
 
-def _integer_weights(weights: Sequence, domain: Family) -> tuple[int, list[int], list[int]]:
+def _integer_weights(weights: Sequence, domain: Family) -> tuple[int, list[int]]:
     """Check one round's weights and scale them to integers: the lcm L of
-    their denominators, by mask W[S] = L - 2 * sum_{i in S} L*c_i for each
-    domain set S (0 elsewhere), and the scaled weights L*c_i."""
+    their denominators, and by mask W[S] = L - 2 * sum_{i in S} L*c_i for
+    each domain set S (0 elsewhere)."""
     w = tuple(Fraction(x) for x in weights)
     if len(w) != domain.n:
         raise ValueError(f"expected {domain.n} weights, got {len(w)}")
@@ -143,7 +143,7 @@ def _integer_weights(weights: Sequence, domain: Family) -> tuple[int, list[int],
     W = [0] * (1 << domain.n)
     for s in domain.members:
         W[s] = lcm - 2 * sum(c for i, c in enumerate(scaled) if s >> i & 1)
-    return lcm, W, scaled
+    return lcm, W
 
 
 def build_separation(base: Family, domain: Family) -> SeparationProblem:
@@ -196,14 +196,16 @@ def _shift(F: int, steps: tuple[tuple[int, int, int], ...]) -> int:
     return F
 
 
-def weigher(lcm: int, scaled: Sequence[int]) -> Callable[[int], int]:
-    """weigh(F), the total weight W(F) of a bitset F of domain sets, by n+1
-    popcounts instead of listing F: W(F) = L*|F| - 2 * sum_i L*c_i * |F & M[i]|,
-    for the lcm L of the weights' denominators and the scaled weights L*c_i,
-    as `_integer_weights` returns them."""
+def weigher(weights: Sequence) -> Callable[[int], int]:
+    """weigh(F), the total weight W(F) of a bitset F of domain sets under the
+    exact weights c, by n+1 popcounts instead of listing F:
+    W(F) = L*|F| - 2 * sum_i L*c_i * |F & M[i]|, for the lcm L of the
+    weights' denominators, the scale of `_integer_weights`."""
+    w = [Fraction(x) for x in weights]
+    lcm = math.lcm(*(x.denominator for x in w))
     # the steps of the full mask hold every M[i], in element order
-    every = _shift_steps(len(scaled))[-1]
-    terms = [(2 * c, keep) for c, (keep, _, _) in zip(scaled, every) if c]
+    every = _shift_steps(len(w))[-1]
+    terms = [(2 * int(x * lcm), keep) for x, (keep, _, _) in zip(w, every) if x]
 
     def weigh(F: int) -> int:
         return lcm * F.bit_count() - sum(c * (F & keep).bit_count() for c, keep in terms)
@@ -237,8 +239,8 @@ def solve_separation(
 ) -> SeparationResult:
     """A violated family (optimum > 0), or optimum 0 with its proof."""
     n = problem.base.n
-    lcm, W, scaled = _integer_weights(weights, problem.domain)
-    weigh = weigher(lcm, scaled)
+    lcm, W = _integer_weights(weights, problem.domain)
+    weigh = weigher(weights)
     steps = _shift_steps(n)
     base = sum(1 << x for x in problem.base.members)
     neg = sum(1 << s for s in problem.domain.members if W[s] < 0)
@@ -425,7 +427,7 @@ def _max_flow(
 def brute_separation(base: Family, weights: Sequence, domain: Family) -> SeparationResult:
     """Exhaustive oracle over all subfamilies of the domain (|D| <= 16)."""
     build_separation(base, domain)
-    lcm, W, _ = _integer_weights(weights, domain)
+    lcm, W = _integer_weights(weights, domain)
     mem = domain.members
     nd = len(mem)
     if nd > BRUTE_DOMAIN_CAP:

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from fcfam.setfam import Family, compact_universe, union_closure, universe
-from fcfam.ratlp import FarkasCertificate, Feasible, Infeasible, LinearProgram, LPResult, lp_solve
+from fcfam.ratlp import Feasible, Infeasible, LinearProgram, LPResult, lp_solve
 
 
 def apply_perm_mask(perm: tuple[int, ...], mask: int) -> int:
@@ -222,9 +222,8 @@ def brute_poonen_fc(fam: Family) -> bool:
     rows = poonen_inequalities(fam)
     active: list[tuple[tuple[int, ...], int]] = []
     while True:
-        lp = LinearProgram(n)
         # every row doubled, so |B|/2 is an integer
-        lp.add_eq([2] * n, 2)
+        lp = LinearProgram(n, [([2] * n, 2)])
         for freq, size in active:
             lp.add_ge([2 * f for f in freq], size)
         res = lp_solve(lp)
@@ -438,7 +437,7 @@ def separation_candidates(base: Family, domain: Family, W, ones, zeros) -> dict:
     return out
 
 
-def fraction_check_farkas(lp: LinearProgram, cert: FarkasCertificate) -> bool:
+def fraction_check_farkas(lp: LinearProgram, cert: Infeasible) -> bool:
     """Replay of a Farkas certificate in `Fraction` arithmetic, row by row:
     the reference for `ratlp.check_farkas`."""
     if len(cert.ge_multipliers) != len(lp.ge_rows):
@@ -461,7 +460,7 @@ def fraction_check_farkas(lp: LinearProgram, cert: FarkasCertificate) -> bool:
 
 
 def fraction_nonfc_certificate(family: Family, n: int, domain, cuts: list[int], gens,
-                               farkas: FarkasCertificate):
+                               farkas: Infeasible):
     """`fcsolve._build_nonfc` in `Fraction` arithmetic, its reference: each
     stored cut (a bitset of sets) spreads its LP multiplier uniformly over
     its orbit of images under gens, and every multiplier is divided by the
@@ -474,11 +473,26 @@ def fraction_nonfc_certificate(family: Family, n: int, domain, cuts: list[int], 
     for cut, y in zip(cuts, farkas.ge_multipliers):
         fam = Family(n, tuple(s for s in range(cut.bit_length()) if cut >> s & 1))
         images = family_orbit(fam, gens) if gens else [fam]
-        cut_mult.extend((img, y / len(images)) for img in images)
+        cut_mult.extend((img, Fraction(y) / len(images)) for img in images)
     rhs = sum(y * Fraction(len(c.members), 2) for c, y in cut_mult) + lam
     cut_mult = sorted(((c, y / rhs) for c, y in cut_mult), key=lambda pair: pair[0].members)
     return NonFcCertificate(family, n, domain, [c for c, _ in cut_mult],
                             tuple(y for _, y in cut_mult), lam / rhs)
+
+
+def same_result(res: LPResult, ref: LPResult) -> bool:
+    """Whether an `lp_solve` result is the reference's: the same point, or
+    Farkas multipliers that are the reference's times one positive factor,
+    since a positive multiple of a Farkas certificate is one too."""
+    if isinstance(res, Feasible) or isinstance(ref, Feasible):
+        return res == ref
+    if (len(res.ge_multipliers), len(res.eq_multipliers)) != (len(ref.ge_multipliers),
+                                                            len(ref.eq_multipliers)):
+        return False
+    mults = res.ge_multipliers + res.eq_multipliers
+    ref_mults = ref.ge_multipliers + ref.eq_multipliers
+    k = next((Fraction(y) / r for y, r in zip(mults, ref_mults) if r), None)
+    return k is not None and k > 0 and all(y == k * r for y, r in zip(mults, ref_mults))
 
 
 def fraction_phase_one(lp: LinearProgram) -> LPResult:
@@ -489,7 +503,7 @@ def fraction_phase_one(lp: LinearProgram) -> LPResult:
     to the lowest basic column), and the textbook pivot that divides the
     pivot row by its pivot.  Infeasible when the artificials cannot all
     leave: the multiplier of row r is sigma_r times 1 minus the reduced cost
-    of its artificial."""
+    of its artificial, a `Fraction`; compare it with `same_result`."""
     n, m = lp.num_vars, len(lp.eq_rows) + len(lp.ge_rows)
     ncols = n + len(lp.ge_rows)
     rows_in = [(c, b, None) for c, b in lp.eq_rows]
@@ -528,7 +542,7 @@ def fraction_phase_one(lp: LinearProgram) -> LPResult:
                 eq_mult[r] = y
             else:
                 ge_mult[ge] = y
-        return Infeasible(FarkasCertificate(tuple(ge_mult), tuple(eq_mult)))
+        return Infeasible(tuple(ge_mult), tuple(eq_mult))
     point = [Fraction(0)] * n
     for r, b in enumerate(basis):
         if b < n:

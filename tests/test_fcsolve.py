@@ -26,7 +26,7 @@ from fcfam.setfam import (
     powerset_family,
     union_closure,
 )
-from fcfam.ratlp import Infeasible
+from fcfam.ratlp import Infeasible, LinearProgram, check_farkas
 from fcfam.sepip import SeparationResult, brute_separation, build_separation
 from fcfam.fcsolve import (
     FcCertificate,
@@ -387,7 +387,7 @@ class TestSymmetryReduce:
 
 
 class TestNonFcNormalization:
-    """`_build_nonfc` normalizes in integers over one common denominator;
+    """`_build_nonfc` normalizes the LP's integer multipliers in integers;
     `oracles.fraction_nonfc_certificate` does it in `Fraction` arithmetic."""
 
     @pytest.mark.parametrize("symmetry", [False, True], ids=["plain", "symmetry"])
@@ -425,6 +425,45 @@ class TestNonFcNormalization:
                 assert len({mult[img] for img in images}) <= 1
                 shared += len(images) > 1
         assert (shared > 0) == symmetry
+
+    @pytest.mark.parametrize("symmetry", [False, True], ids=["plain", "symmetry"])
+    def test_certificate_is_scale_free(self, monkeypatch, symmetry):
+        # a positive multiple of a Farkas certificate is one too: lp_solve's
+        # multipliers are ints, check_farkas takes k (y, lambda) for k > 0 and
+        # refuses the negation and a negative >=-multiplier, and _build_nonfc
+        # makes the same certificate from every positive multiple
+        built = []
+        solve, build = fcfam.fcsolve.lp_solve, fcfam.fcsolve._build_nonfc
+
+        def solved(lp):
+            res = solve(lp)
+            built.append([LinearProgram(lp.num_vars, lp.eq_rows, lp.ge_rows), res])
+            return res
+
+        def building(*args):
+            cert = build(*args)
+            built[-1].append((args[:-1], cert))
+            return cert
+
+        monkeypatch.setattr(fcfam.fcsolve, "lp_solve", solved)
+        monkeypatch.setattr(fcfam.fcsolve, "_build_nonfc", building)
+        fc_value(4, 6, symmetry=symmetry)
+        built = [entry for entry in built if isinstance(entry[1], Infeasible)]
+        assert len(built) > 10
+        for lp, res, (args, cert) in built:
+            ge, eq = res.ge_multipliers, res.eq_multipliers
+            assert all(type(y) is int for y in ge + eq)
+            for k in (1, 2, 7):
+                scaled = Infeasible(tuple(k * y for y in ge), tuple(k * y for y in eq))
+                assert check_farkas(lp, scaled)
+                again = build(*args, scaled)
+                assert again == cert
+                assert certificate_to_dict(again) == certificate_to_dict(cert)
+            assert not check_farkas(lp, Infeasible(tuple(-y for y in ge), tuple(-y for y in eq)))
+            for i, y in enumerate(ge):
+                negative = ge[:i] + (-max(y, 1),) + ge[i + 1:]
+                assert not check_farkas(lp, Infeasible(negative, eq))
+            assert verify_certificate(cert).passed
 
 
 def asymmetric_domain(n, drop, closure):
@@ -879,10 +918,10 @@ class TestBarycenter:
         real_weigher, solve, separate = (fcfam.fcsolve.weigher, fcfam.fcsolve.lp_solve,
                                          fcfam.fcsolve.solve_separation)
 
-        def blind(lcm, scaled):
-            if lcm == len(scaled) and set(scaled) == {1}:
+        def blind(weights):
+            if set(weights) == {Fraction(1, len(weights))}:
                 return lambda F: 0
-            return real_weigher(lcm, scaled)
+            return real_weigher(weights)
 
         lps, seps = [], []
 

@@ -52,7 +52,7 @@ CASES = {
                           "LP rows take int coefficients and right sides only"),
     "lp-bool-entry": (lambda: LinearProgram(2, [((1, True), 1)]),
                       "LP rows take int coefficients and right sides only"),
-    "lp-float-rhs": (lambda: LinearProgram(2, []).add_eq([1, 1], 1.0),
+    "lp-float-rhs": (lambda: LinearProgram(2, [([1, 1], 1.0)]),
                      "LP rows take int coefficients and right sides only"),
     "fc-value-k2": (lambda: fc_value(2, 5), r"need n > k >= 3"),
     "fcv-value-n-equals-k": (lambda: fcv_value(5, 5), r"need n > k >= 3"),

@@ -12,7 +12,6 @@ import fcfam.fcsolve
 import fcfam.ratlp
 from fcfam.fcsolve import is_fc
 from fcfam.ratlp import (
-    FarkasCertificate,
     Feasible,
     Infeasible,
     LinearProgram,
@@ -22,7 +21,7 @@ from fcfam.ratlp import (
 )
 from fcfam.setfam import Family, no_singletons_family
 
-from oracles import fraction_check_farkas, fraction_phase_one
+from oracles import fraction_check_farkas, fraction_phase_one, same_result
 
 
 def integer_row(coeffs, rhs):
@@ -33,8 +32,7 @@ def integer_row(coeffs, rhs):
 
 class TestExamples:
     def test_unique_feasible_point(self):
-        lp = LinearProgram(2)
-        lp.add_eq([1, 1], 1)
+        lp = LinearProgram(2, [([1, 1], 1)])
         lp.add_ge([2, 0], 1)
         lp.add_ge([0, 2], 1)
         res = lp_solve(lp)
@@ -42,26 +40,24 @@ class TestExamples:
         assert res.point == (Fraction(1, 2), Fraction(1, 2))
         # rows given to the constructor are copied into Row tuples, so adding
         # a row leaves the caller's list as it was
-        given = [([1, 1], 1)]
-        lp = LinearProgram(2, given)
-        lp.add_eq([1, -1], 0)
-        assert given == [([1, 1], 1)]
-        assert lp.eq_rows == [((1, 1), 1), ((1, -1), 0)]
+        given = [([2, 0], 1)]
+        lp = LinearProgram(2, [([1, 1], 1)], given)
+        lp.add_ge([0, 2], 1)
+        assert given == [([2, 0], 1)]
+        assert lp.eq_rows == [((1, 1), 1)]
+        assert lp.ge_rows == [((2, 0), 1), ((0, 2), 1)]
         assert lp_solve(lp) == res
 
     def test_infeasible_with_farkas(self):
         # x + y = 1 with x, y >= 2/3, the bounds given as 3x >= 2 and 3y >= 2
-        lp = LinearProgram(2)
-        lp.add_eq([1, 1], 1)
-        lp.add_ge([3, 0], 2)
-        lp.add_ge([0, 3], 2)
+        lp = LinearProgram(2, [([1, 1], 1)], [([3, 0], 2), ([0, 3], 2)])
         res = lp_solve(lp)
         assert isinstance(res, Infeasible)
-        assert check_farkas(lp, res.certificate)
-        # the canonical multipliers here: (1, 1) on the bounds, -3 on the equality
-        assert res.certificate.ge_multipliers == (Fraction(1), Fraction(1))
-        assert res.certificate.eq_multipliers == (Fraction(-3),)
-        assert res == fraction_phase_one(lp)
+        assert check_farkas(lp, res)
+        # the canonical multipliers here, up to a positive factor: (1, 1) on
+        # the bounds, -3 on the equality
+        assert same_result(res, Infeasible((1, 1), (-3,)))
+        assert same_result(res, fraction_phase_one(lp))
 
 
 class TestExactness:
@@ -69,18 +65,17 @@ class TestExactness:
         rng = random.Random(2)
         for _ in range(100):
             n = rng.randint(1, 4)
-            lp = LinearProgram(n)
-            lp.add_eq([1] * n, 1)
+            lp = LinearProgram(n, [([1] * n, 1)])
             for _ in range(rng.randint(0, 4)):
                 # a.x >= r/3, scaled by 3
                 lp.add_ge([3 * rng.randint(0, 5) for _ in range(n)], rng.randint(0, 4))
             res = lp_solve(lp)
-            assert res == fraction_phase_one(lp)
+            assert same_result(res, fraction_phase_one(lp))
             if isinstance(res, Feasible):
                 assert check_point(lp, res.point)
             else:
                 assert isinstance(res, Infeasible)
-                assert check_farkas(lp, res.certificate)
+                assert check_farkas(lp, res)
 
 
 def gauss_solve(rows, rhs, n):
@@ -129,12 +124,13 @@ class TestBruteForceCrossCheck:
             for _ in range(rng.randint(0, 5)):
                 lp.add_ge([rng.randint(-3, 3) for _ in range(n)], rng.randint(-4, 4))
             if rng.random() < 0.4:
-                lp.add_eq([rng.randint(-2, 2) for _ in range(n)], rng.randint(-2, 3))
+                lp = LinearProgram(n, [([rng.randint(-2, 2) for _ in range(n)], rng.randint(-2, 3))],
+                                   lp.ge_rows)
             res = lp_solve(lp)
             feasible = brute_boxed_feasible(lp)
             if isinstance(res, Infeasible):
                 assert not feasible
-                assert check_farkas(lp, res.certificate)
+                assert check_farkas(lp, res)
                 infeasible_seen += 1
             else:
                 assert isinstance(res, Feasible)
@@ -163,13 +159,14 @@ class TestBruteForceCrossCheck:
             for _ in range(rng.randint(0, 4)):
                 lp.add_ge(*integer_row([rat(-12, 12) for _ in range(n)], rat(-12, 12)))
             if rng.random() < 0.6:
-                lp.add_eq(*integer_row([rat(-9, 9) for _ in range(n)], -rat(0, 12)))
+                lp = LinearProgram(n, [integer_row([rat(-9, 9) for _ in range(n)], -rat(0, 12))],
+                                   lp.ge_rows)
             res = lp_solve(lp)
-            assert res == fraction_phase_one(lp)
+            assert same_result(res, fraction_phase_one(lp))
             feasible = brute_boxed_feasible(lp)
             if isinstance(res, Infeasible):
                 assert not feasible
-                assert check_farkas(lp, res.certificate)
+                assert check_farkas(lp, res)
                 infeasible_seen += 1
             else:
                 assert isinstance(res, Feasible)
@@ -182,8 +179,10 @@ class TestSerialization:
     def test_bad_farkas_rejected(self):
         lp = LinearProgram(1)
         lp.add_ge([1], 1)
-        cert = FarkasCertificate((Fraction(-1),), ())
-        assert not check_farkas(lp, cert)
+        assert not check_farkas(lp, Infeasible((-1,), ()))
+        # x >= -1 holds at x = 0, and -1 times it sums to -x >= 1, a valid
+        # combination that only the multiplier's sign refuses
+        assert not check_farkas(LinearProgram(1, [], [([1], -1)]), Infeasible((-1,), ()))
 
     def test_wrong_lengths_rejected(self):
         # x + y = 1 and x >= 2 are infeasible; x >= 2 alone holds at (2, 0)
@@ -193,13 +192,13 @@ class TestSerialization:
         assert check_point(lp, (2 * one, 0 * one))
         assert not check_point(lp, (2 * one,))
         assert not check_point(lp, (2 * one, 0 * one, 0 * one))
-        lp.add_eq([1, 1], 1)
-        assert check_farkas(lp, FarkasCertificate((one,), (-one,)))
+        lp = LinearProgram(2, [([1, 1], 1)], lp.ge_rows)
+        assert check_farkas(lp, Infeasible((1,), (-1,)))
         # one multiplier too few or too many, on either kind of row
-        assert not check_farkas(lp, FarkasCertificate((), (-one,)))
-        assert not check_farkas(lp, FarkasCertificate((one, one), (-one,)))
-        assert not check_farkas(lp, FarkasCertificate((one,), ()))
-        assert not check_farkas(lp, FarkasCertificate((one,), (-one, -one)))
+        assert not check_farkas(lp, Infeasible((), (-1,)))
+        assert not check_farkas(lp, Infeasible((1, 1), (-1,)))
+        assert not check_farkas(lp, Infeasible((1,), ()))
+        assert not check_farkas(lp, Infeasible((1,), (-1, -1)))
 
 
 def _seeded_lps(seed=10, count=300):
@@ -213,9 +212,8 @@ def _seeded_lps(seed=10, count=300):
 
     for _ in range(count):
         n = rng.randint(1, 5)
-        lp = LinearProgram(n)
-        for _ in range(rng.randint(0, 2)):
-            lp.add_eq(*integer_row([rat() for _ in range(n)], rat()))
+        lp = LinearProgram(n, [integer_row([rat() for _ in range(n)], rat())
+                               for _ in range(rng.randint(0, 2))])
         for _ in range(rng.randint(1, 5)):
             coeffs, rhs = integer_row([rat() if rng.random() < 0.7 else 0 for _ in range(n)],
                                       0 if rng.random() < 0.3 else rat())
@@ -253,27 +251,23 @@ class TestPivotIdentity:
         kinds = set()
         for lp in [*_seeded_lps(), *_decision_lps(monkeypatch)]:
             res = lp_solve(lp)
-            assert res == fraction_phase_one(lp), lp
+            assert same_result(res, fraction_phase_one(lp)), lp
             kinds.add(type(res))
         assert kinds == {Feasible, Infeasible}
 
 
 def _tampers(lp, cert, rng):
-    """Single-field changes to an LP and its certificate: one multiplier
-    moved by a small rational, or one coefficient or one right side moved by
-    a small integer."""
-    def moved(x):
-        return x + rng.choice((-1, 1)) * Fraction(rng.randint(1, 3), rng.randint(1, 7))
-
+    """Single-field changes to an LP and its certificate: one multiplier, one
+    coefficient or one right side moved by a small integer."""
     def nudged(x):
         return x + rng.choice((-1, 1)) * rng.randint(1, 3)
 
     ge, eq = list(cert.ge_multipliers), list(cert.eq_multipliers)
-    for mult, make in ((ge, lambda m: FarkasCertificate(tuple(m), tuple(eq))),
-                       (eq, lambda m: FarkasCertificate(tuple(ge), tuple(m)))):
+    for mult, make in ((ge, lambda m: Infeasible(tuple(m), tuple(eq))),
+                       (eq, lambda m: Infeasible(tuple(ge), tuple(m)))):
         for i in range(len(mult)):
             changed = list(mult)
-            changed[i] = moved(changed[i])
+            changed[i] = nudged(changed[i])
             yield lp, make(changed)
     for rows in ("ge_rows", "eq_rows"):
         for r, (coeffs, rhs) in enumerate(getattr(lp, rows)):
@@ -300,9 +294,9 @@ class TestFarkasReplay:
             if isinstance(res, Feasible):
                 continue
             infeasible += 1
-            assert check_farkas(lp, res.certificate)
-            assert fraction_check_farkas(lp, res.certificate)
-            for bad_lp, bad_cert in _tampers(lp, res.certificate, rng):
+            assert check_farkas(lp, res)
+            assert fraction_check_farkas(lp, res)
+            for bad_lp, bad_cert in _tampers(lp, res, rng):
                 verdict = check_farkas(bad_lp, bad_cert)
                 assert verdict == fraction_check_farkas(bad_lp, bad_cert)
                 verdicts.add(verdict)
@@ -312,9 +306,8 @@ class TestFarkasReplay:
         rng = random.Random(13)
         verdicts = []
         for lp in _seeded_lps(seed=14):
-            cert = FarkasCertificate(
-                tuple(Fraction(rng.randint(-1, 6), rng.randint(1, 5)) for _ in lp.ge_rows),
-                tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in lp.eq_rows))
+            cert = Infeasible(tuple(rng.randint(-1, 6) for _ in lp.ge_rows),
+                              tuple(rng.randint(-6, 6) for _ in lp.eq_rows))
             verdicts.append(check_farkas(lp, cert))
             assert verdicts[-1] == fraction_check_farkas(lp, cert)
         assert any(verdicts) and not all(verdicts)
@@ -329,51 +322,42 @@ class TestEdgeCases:
         lp = LinearProgram(2)
         lp.add_ge([1, 0], 1)
         lp.add_ge([0, 0], 1)
-        assert lp_solve(lp) == Infeasible(FarkasCertificate((Fraction(0), Fraction(1)), ()))
-        assert lp_solve(lp) == fraction_phase_one(lp)
+        assert same_result(lp_solve(lp), Infeasible((0, 1), ()))
+        assert same_result(lp_solve(lp), fraction_phase_one(lp))
 
     def test_zero_equality_row_with_negative_rhs(self):
-        lp = LinearProgram(2)
-        lp.add_ge([1, 1], 1)
-        lp.add_eq([0, 0], -2)
-        assert lp_solve(lp) == Infeasible(FarkasCertificate((Fraction(0),), (Fraction(-1),)))
-        assert lp_solve(lp) == fraction_phase_one(lp)
+        lp = LinearProgram(2, [([0, 0], -2)], [([1, 1], 1)])
+        assert same_result(lp_solve(lp), Infeasible((0,), (-1,)))
+        assert same_result(lp_solve(lp), fraction_phase_one(lp))
 
     def test_zero_rows_with_zero_rhs(self):
-        lp = LinearProgram(2)
-        lp.add_ge([0, 0], 0)
-        lp.add_eq([0, 0], 0)
-        lp.add_ge([1, 1], 1)
+        lp = LinearProgram(2, [([0, 0], 0)], [([0, 0], 0), ([1, 1], 1)])
         assert lp_solve(lp) == Feasible((Fraction(1), Fraction(0)))
 
     def test_all_zero_column(self):
-        lp = LinearProgram(3)
-        lp.add_eq([1, 0, 1], 2)
+        lp = LinearProgram(3, [([1, 0, 1], 2)])
         lp.add_ge([3, 0, -6], 2)  # x/2 - z >= 1/3, scaled by 6
         assert lp_solve(lp) == Feasible((Fraction(14, 9), Fraction(0), Fraction(4, 9)))
         assert lp_solve(lp) == fraction_phase_one(lp)
         lp = LinearProgram(3)
         lp.add_ge([1, 0, 1], 2)
         lp.add_ge([-1, 0, -1], -1)
-        assert lp_solve(lp) == Infeasible(FarkasCertificate((Fraction(1), Fraction(1)), ()))
-        assert lp_solve(lp) == fraction_phase_one(lp)
+        assert same_result(lp_solve(lp), Infeasible((1, 1), ()))
+        assert same_result(lp_solve(lp), fraction_phase_one(lp))
 
     def test_denominators_2_and_3_in_one_row(self):
         # rows with coefficients of denominators 2 and 3, each given scaled by 6
-        lp = LinearProgram(2)
-        lp.add_eq([3, 2], 6)  # x/2 + y/3 = 1
+        lp = LinearProgram(2, [([3, 2], 6)])  # x/2 + y/3 = 1
         assert lp_solve(lp) == Feasible((Fraction(2), Fraction(0)))
         assert lp_solve(lp) == fraction_phase_one(lp)
         lp.add_ge([-2, -3], -1)  # -x/3 - y/2 >= -1/6
-        assert lp_solve(lp) == Infeasible(FarkasCertificate((Fraction(3, 2),), (Fraction(1),)))
-        assert lp_solve(lp) == fraction_phase_one(lp)
-        lp = LinearProgram(2)
+        assert same_result(lp_solve(lp), Infeasible((3,), (2,)))
+        assert same_result(lp_solve(lp), fraction_phase_one(lp))
+        lp = LinearProgram(2, [([1, 1], 1)])
         lp.add_ge([3, -2], 5)  # x/2 - y/3 >= 5/6
         lp.add_ge([-2, 3], 5)  # -x/3 + y/2 >= 5/6
-        lp.add_eq([1, 1], 1)
-        assert lp_solve(lp) == Infeasible(
-            FarkasCertificate((Fraction(1), Fraction(1)), (Fraction(-1),)))
-        assert lp_solve(lp) == fraction_phase_one(lp)
+        assert same_result(lp_solve(lp), Infeasible((1, 1), (-1,)))
+        assert same_result(lp_solve(lp), fraction_phase_one(lp))
 
 
 class TestReplayChecks:

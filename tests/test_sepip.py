@@ -228,7 +228,7 @@ def forcing_nodes(monkeypatch):
         monkeypatch.undo()
         if res.proof is None:
             continue
-        _, W, _ = fcfam.sepip._integer_weights(w, dom)
+        _, W = fcfam.sepip._integer_weights(w, dom)
         for (ones, zeros, _), call in zip(proof_nodes(base, res.proof), calls, strict=True):
             forced = {s: {s | x for x in set(base.members) | ones}
                       for s in dom.members if W[s] > 0 and s not in ones | zeros}
@@ -422,8 +422,8 @@ class TestBitsets:
             seeds = rng.sample(range(1 << n), min(1 << n, rng.randint(1, 6)))
             dom = powerset_family(n) if rng.random() < 0.5 else union_closure(
                 Family.from_masks(n, seeds + [0]))
-            lcm, W, scaled = fcfam.sepip._integer_weights(w, dom)
-            weigh = weigher(lcm, scaled)
+            _, W = fcfam.sepip._integer_weights(w, dom)
+            weigh = weigher(w)
             F = bitset(x for x in dom.members if rng.random() < 0.5)
             assert weigh(F) == sum(W[x] for x in fcfam.setfam.bits(F))
 
@@ -456,7 +456,7 @@ class TestBitsets:
             monkeypatch.undo()
             if res.proof is None:
                 continue
-            _, W, _ = fcfam.sepip._integer_weights(w, dom)
+            _, W = fcfam.sepip._integer_weights(w, dom)
             pending = iter(calls)
             for ones, zeros, entry in proof_nodes(base, res.proof):
                 cands = separation_candidates(base, dom, W, ones, zeros)

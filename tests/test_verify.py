@@ -444,7 +444,7 @@ class TestProofReplay:
         for cert in larger_certs:
             base = union_closure(cert.family)
             dom = cert.domain if cert.domain is not None else powerset_family(cert.n)
-            _, W, _ = fcfam.sepip._integer_weights(cert.weights, dom)
+            _, W = fcfam.sepip._integer_weights(cert.weights, dom)
             want = []
             for ones, zeros, entry in proof_nodes(base, cert.proof):
                 if entry == LEAF:
