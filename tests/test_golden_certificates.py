@@ -10,9 +10,11 @@ certificates must say so and regenerate the digests:
 
 prints the current digest of every case and of the stream below.
 
-One more case pins a whole stream: every certificate that
+Two more cases pin whole streams.  One is every certificate that
 `fc_value(5, 7, 11)` decides, in order, all of them Non-FC, so each one ends
-in a Farkas certificate of the exact LP.
+in a Farkas certificate of the exact LP.  The other is the FC certificates
+that `fcv_value(5, 7)` decides over the no-singletons domain, in order, so
+each one ends in a separation proof (about 4,800 entries in all).
 """
 
 import hashlib
@@ -72,6 +74,9 @@ CASES = {
 # (decisions, kinds, sha256 over the certificates of fc_value(5, 7, 11))
 FC57_STREAM = (669, {"non-fc"},
                "d021ffaeae156d5d04c1340e811d141a2204ae1d78cc9d982dbac010ed6a7203")
+# (decisions, kinds, sha256 over the FC certificates of fcv_value(5, 7))
+VFC57_PROOFS = (7, {"fc"},
+                "1ceeb6fd8e6ee2a8f5a6d03e44ac40ddd5b5466e7efee1245673f719bd81a176")
 
 
 def digest_of(certs):
@@ -98,9 +103,10 @@ def test_certificate_is_pinned(name):
     assert digest == CASES[name][4]
 
 
-def fc57_stream():
-    """Every certificate that fc_value(5, 7, 11) decides, in order, recorded
-    by wrapping `enumfam.is_fc`: their count, their kinds and their digest."""
+def recorded_stream(run, keep=lambda cert: True):
+    """The certificates that `run()` decides and `keep` accepts, in order,
+    recorded by wrapping `enumfam.is_fc`: their count, their kinds and their
+    digest."""
     certs = []
     decide_one = enumfam.is_fc
 
@@ -110,17 +116,33 @@ def fc57_stream():
 
     enumfam.is_fc = recorded
     try:
-        enumfam.fc_value(5, 7, 11)
+        run()
     finally:
         enumfam.is_fc = decide_one
+    certs = [cert for cert in certs if keep(cert)]
     return len(certs), {cert.kind for cert in certs}, digest_of(certs)
+
+
+def fc57_stream():
+    """Every certificate that fc_value(5, 7, 11) decides."""
+    return recorded_stream(lambda: enumfam.fc_value(5, 7, 11))
+
+
+def vfc57_proofs():
+    """The FC certificates that fcv_value(5, 7) decides."""
+    return recorded_stream(lambda: enumfam.fcv_value(5, 7), lambda cert: cert.kind == "fc")
 
 
 def test_fc57_certificate_stream_is_pinned():
     assert fc57_stream() == FC57_STREAM
 
 
+def test_vfc57_proofs_are_pinned():
+    assert vfc57_proofs() == VFC57_PROOFS
+
+
 if __name__ == "__main__":
     for name in CASES:
         print(name, decide(name)[1])
     print("fc57-stream", *fc57_stream())
+    print("vfc57-proofs", *vfc57_proofs())

@@ -14,6 +14,7 @@ takes 0.3 s and runs with the default tests.  Run the slow ones with
     PYTHONPATH=src python -m pytest -m slow tests/test_pinned_values.py
 """
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +24,7 @@ import pytest
 import fcfam.enumfam
 import fcfam.fcsolve
 from fcfam.enumfam import fc_value
-from fcfam.fcsolve import is_fc
+from fcfam.fcsolve import certificate_to_dict, is_fc
 from fcfam.setfam import Family, lex_prefix
 from fcfam.verify import verify_certificate
 
@@ -66,16 +67,27 @@ def test_pinned_fc_value(monkeypatch, k, n, value, rows, labelings):
     assert verify_certificate(rep.witness_certificate).passed
 
 
+# sha256 of json.dumps(certificate_to_dict(cert), sort_keys=True) for the
+# n = 8 decision, warm and cold
+N8_SHA256 = {
+    True: "3e56e90d32814fd76a6e5623fd58843b101642dab2160d5ffdde474985307107",
+    False: "1abb1e8119b12dac010c7f8e1d11ea583ac695700fafcd71099734a10cf07445",
+}
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
 def test_n8_proof_stays_small(warm_start):
     # the first 12 4-subsets of [8]: a proof of 4,981 entries warm and 3,965
     # cold, against 6,703 and 7,757 when the first dive branched on its
-    # first escape, and 31,691 and 59,937 when every node did
+    # first escape, and 31,691 and 59,937 when every node did.  The digest
+    # moves only with a change to the search or the certificate
     cert = is_fc(lex_prefix(8, 4, 12), warm_start=warm_start)
     assert cert.kind == "fc"
     assert verify_certificate(cert).passed
     assert len(cert.proof) <= 6_000
+    digest = hashlib.sha256(json.dumps(certificate_to_dict(cert), sort_keys=True).encode())
+    assert digest.hexdigest() == N8_SHA256[warm_start]
 
 
 @pytest.mark.slow
