@@ -35,10 +35,14 @@ candidates' weight W(cands) minus a maximum flow on the bipartite forcing
 graph, source -> candidate S (capacity W[S]) -> each arc T of S -> sink
 (capacity -W[T]).  Any feasible flow f already bounds it by
 val(O) + W(cands) - f, so a node is pruned as soon as its flow (`_max_flow`)
-reaches val(O) + W(cands).  The flow is empty when val(O) + W(cands) <= 0;
-otherwise it starts greedily, each candidate pushing its weight straight
-into its arcs, then augments along shortest paths and stops at that value.
-A flow that stops short of it is a maximum flow.
+reaches val(O) + W(cands).  The root's and each left child's flow starts
+from nothing: it is empty when val(O) + W(cands) <= 0, and otherwise starts
+greedily, each candidate pushing its weight straight into its arcs.  A
+right child resumes its parent's maximum flow in place, less what the
+candidates it drops send (their sinks get that room back), which is a
+feasible flow on its graph, as source capacities only fall (Gallo,
+Grigoriadis & Tarjan 1989).  Either flow then augments along shortest paths
+and stops at that value.  A flow that stops short of it is a maximum flow.
 
 The graph has no candidate-to-candidate arcs: by transitivity a candidate
 already has an arc into every negative set a chain of candidates it forces
@@ -51,9 +55,10 @@ backward from S.  They are thus the minimal minimum cut with
 candidate-to-candidate arcs too, and the relaxed pick is the reached
 candidates and their arcs (every candidate forces itself, as the base holds
 the empty set); closing the arcs adds nothing to closing the candidates.
-Neither the shortcuts nor the stop change the proof: a node is pruned
-exactly when its maximum flow reaches the bound, and the pick, and with it
-the witness and the branch set, do not depend on the maximum flow found.
+Neither the shortcuts, the stop nor the start change the proof: a node is
+pruned exactly when its maximum flow reaches the bound, and the pick, and
+with it the witness and the branch set, do not depend on the maximum flow
+found.
 The relaxed solution either closes into a feasible family or yields the
 branching set.  `verify` builds its own arcs and calls the same `_max_flow`,
 whose flow it checks.
@@ -80,11 +85,14 @@ pick C into a negative set iff shift(C, S) & NEG & ~C is nonzero.  A right
 child has its parent's O (and so the same forcing sets and arcs) and its
 Z plus the branch set, so its candidates are its parent's, in the same
 order, but for those whose forcing set holds the branch set: it inherits
-them instead of filtering again.  The order of the arcs moves neither the
-proof nor any counter: the candidates, the bound, whether the flow reaches
-it and the pick do not depend on it.  The weight of a bitset F takes n+1
-popcounts, W(F) = L|F| - 2 sum_i L c_i |F & M[i]| with L the lcm of the
-weights' denominators (`weigher`).  This module is the only one that knows
+them, and its parent's flow, instead of filtering again.  A left child
+grows O and keeps Z, so each set's forcing set only grows and a set that
+was no candidate at the parent is none there: it filters only its
+parent's candidates, which are in the root's order.  The order of the arcs
+moves neither the proof nor any counter: the candidates, the bound,
+whether the flow reaches it and the pick do not depend on it.  The weight
+of a bitset F takes n+1 popcounts, W(F) = L|F| - 2 sum_i L c_i |F & M[i]|
+with L the lcm of the weights' denominators (`weigher`).  This module is the only one that knows
 this form: `is_fc` builds its classical cuts B_X = <A> |+| D_X with
 `classical_cut`, counts each cut's LP row |B & M[i]| with `element_counts`
 and weighs its pool of classical cuts with `weigher`.
@@ -247,6 +255,9 @@ def solve_separation(
     pos_order = sorted((s for s in problem.domain.members if W[s] > 0),
                        key=lambda s: (-W[s], s))
 
+    # every mask's capacity, |W|: each fresh flow's room starts as a copy
+    cap = list(map(abs, W))
+
     ticks = 0  # nodes visited
     proof: list[int] = []
 
@@ -264,30 +275,33 @@ def solve_separation(
                 ones |= _shift(base | ones, steps[s])
         return ones
 
-    def node(ones: int, val: int, zeros: int,
-             inherited: Optional[tuple[dict[int, list[int]], dict[int, int]]] = None) -> None:
+    def node(ones: int, val: int, zeros: int, scan,
+             inherited: Optional[tuple[dict[int, list[int]], dict[int, int], _Flow]] = None
+             ) -> None:
         tick()
         if val > 0:
             raise _Found(val, ones)
 
         free_neg = neg & ~ones
         if inherited is None:
-            # a free positive S is a candidate iff no set it forces, S | X for
-            # X in base | ones, is fixed to 0; forcing is transitive, so one pass
+            # a free positive S in scan is a candidate iff no set it forces,
+            # S | X for X in base | ones, is fixed to 0; forcing is
+            # transitive, so one pass suffices
             fixed, taken = base | ones, ones | zeros
             cands: dict[int, list[int]] = {}  # candidate -> its arcs
             forcing: dict[int, int] = {}  # candidate -> the sets it forces
-            for s in pos_order:
+            for s in scan:
                 if not taken >> s & 1:
                     forced = _shift(fixed, steps[s])
                     if not forced & zeros:
                         cands[s] = bits(forced & free_neg)
                         forcing[s] = forced
+            flow = _Flow(cap.copy())
         else:
-            cands, forcing = inherited
+            cands, forcing, flow = inherited
 
         bound = val + sum(W[s] for s in cands)
-        value, _, reached = _max_flow(cands, W, bound)
+        value, _, reached = _max_flow(cands, W, bound, flow)
         gap = bound - value
         if gap <= 0:
             proof.append(LEAF)
@@ -323,15 +337,22 @@ def solve_separation(
         proof.append(branch)
         grown = ones | forcing[branch]
         if not grown & zeros:
-            node(grown, val + weigh(grown & ~ones), zeros)
+            # its candidates are among these, in the same order
+            node(grown, val + weigh(grown & ~ones), zeros, cands)
         # the right child keeps ones and adds branch to zeros: its candidates
-        # are these, with these arcs, but for those that force branch
+        # are these, with these arcs, but for those that force branch, and
+        # this maximum flow without theirs is a flow there
         bit = 1 << branch
-        node(ones, val, zeros | bit,
-             ({s: arcs for s, arcs in cands.items() if not forcing[s] & bit}, forcing))
+        kept = {}
+        for s, arcs in cands.items():
+            if forcing[s] & bit:
+                flow.drop(s, arcs)
+            else:
+                kept[s] = arcs
+        node(ones, val, zeros | bit, None, (kept, forcing, flow))
 
     try:
-        node(0, 0, 0)
+        node(0, 0, 0, pos_order)
     except _Found as found:
         value, wit = found.args
         return SeparationResult(Fraction(value, lcm), Family.from_masks(n, bits(wit)),
@@ -340,45 +361,89 @@ def solve_separation(
                             nodes=ticks, pruned=proof.count(LEAF))
 
 
+class _Flow:
+    """A feasible flow on a bipartite forcing graph, held so that a search
+    node's right child can resume it: its value, by mask the capacity left
+    on each candidate's source arc or negative set's sink arc, the flow on
+    each arc (only positive entries) and, once the augmenting rounds of
+    `_max_flow` need them, each negative set's senders, the candidates
+    sending into it."""
+
+    __slots__ = ("value", "room", "flow", "senders")
+
+    def __init__(self, room: list[int]):
+        # the empty flow, with room[x] = |W[x]|
+        self.value = 0
+        self.room = room
+        self.flow: dict[tuple[int, int], int] = {}
+        self.senders: Optional[dict[int, set[int]]] = None
+
+    def drop(self, s: int, arcs: list[int]) -> None:
+        """Remove the candidate s, whose arcs are `arcs`, with what it sends,
+        giving each of its arcs' sinks that room back."""
+        flow, room, senders = self.flow, self.room, self.senders
+        for t in arcs:
+            f = flow.pop((s, t), 0)
+            if f:
+                room[s] += f
+                room[t] += f
+                self.value -= f
+                senders[t].discard(s)
+
+
 def _max_flow(
-    cands: dict[int, list[int]], W: list[int], need: int
+    cands: dict[int, list[int]], W: list[int], need: int, start: Optional[_Flow] = None
 ) -> tuple[int, dict[tuple[int, int], int], set[int]]:
     """A flow on the bipartite forcing graph that stops once its value
     reaches `need`, else a maximum flow.
 
     The source feeds each candidate S up to W[S], S sends without limit into
     each of its arcs `cands[S]`, and each arc T drains up to -W[T] into the
-    sink.  The flow starts greedily: each candidate in turn pushes what it
-    has straight into its arcs, up to what each one's sink arc has left.
-    Each later round augments along a shortest alternating path, found by
-    breadth-first search: source -> S -> T <- S' -> T' ... -> sink, where a
-    backward step T <- S' cancels flow that S' sends into T.
+    sink.  `start` is a feasible flow on this graph, which the call augments
+    in place; by default it is the empty flow.  An empty start is filled
+    greedily: each candidate in turn pushes what it has straight into its
+    arcs, up to what each one's sink arc has left.  Any other start, such
+    as a right child's, which resumes its parent's maximum flow less what
+    the dropped candidates sent, goes straight to the rounds.  The senders
+    are built only when the rounds need them.  Each round augments along a
+    shortest alternating path, found by breadth-first search: source -> S ->
+    T <- S' -> T' ... -> sink, where a backward step T <- S' cancels flow
+    that S' sends into T.
 
     Returns the value, the flow on each arc (only positive entries) and,
     for a maximum flow below `need`, the candidates the source still
-    reaches: the minimal minimum cut's, the same for every maximum flow.
-    A flow that reaches `need` (the empty flow if `need <= 0`) comes with
-    no candidates.
+    reaches: the minimal minimum cut's, the same for every maximum flow and
+    so for every start.  A flow that reaches `need` (the empty flow if
+    `need <= 0` and the start is empty) comes with no candidates.
     """
-    # by mask: capacity left on a candidate's source arc or a negative set's
-    # sink arc, |W| at the start
-    room = [abs(w) for w in W]
-    flow: dict[tuple[int, int], int] = {}
-    senders: dict[int, set[int]] = {}  # negative set -> candidates sending into it
-    value = 0
-    for s, arcs in cands.items():
-        if value >= need:
-            break
-        for t in arcs:
-            push = room[t] if room[t] < room[s] else room[s]
-            if push:
-                room[s] -= push
-                room[t] -= push
-                flow[s, t] = push
-                senders.setdefault(t, set()).add(s)
-                value += push
-                if not room[s]:
-                    break
+    state = start if start is not None else _Flow(list(map(abs, W)))
+    room, flow, senders = state.room, state.flow, state.senders
+    value = state.value
+    if not flow:
+        for s, arcs in cands.items():
+            if value >= need:
+                break
+            left = room[s]
+            for t in arcs:
+                sink = room[t]
+                if sink:
+                    push = sink if sink < left else left
+                    room[t] = sink - push
+                    flow[s, t] = push
+                    value += push
+                    left -= push
+                    if not left:
+                        break
+            room[s] = left
+        senders = state.senders = None
+    if senders is None and value < need:
+        # the senders, built only for the rounds
+        senders = state.senders = {}
+        for s, t in flow:
+            if t in senders:
+                senders[t].add(s)
+            else:
+                senders[t] = {s}
     while value < need:
         queue = [s for s in cands if room[s]]
         back = dict.fromkeys(queue)  # candidate -> the set it was reached from
@@ -399,6 +464,7 @@ def _max_flow(
             if end is not None:
                 break
         else:
+            state.value = value
             return value, flow, set(back)
         push, t = room[end], end
         while (prev := back[via[t]]) is not None:
@@ -421,6 +487,7 @@ def _max_flow(
                 del flow[s, prev]
                 senders[prev].discard(s)
             t = prev
+    state.value = value
     return value, flow, set()
 
 

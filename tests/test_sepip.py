@@ -20,6 +20,7 @@ from fcfam.setfam import (
 from fcfam.fcsolve import is_fc
 from fcfam.sepip import (
     LEAF,
+    _Flow,
     _max_flow,
     _shift,
     _shift_steps,
@@ -157,9 +158,9 @@ def test_stop_prunes_only_what_the_max_flow_prunes(monkeypatch):
 
     stopped = search()
     max_flow = fcfam.sepip._max_flow
-    for variant in (lambda cands, W, need: unstopped(cands, W),
-                    lambda cands, W, need: max_flow(
-                        {s: arcs[::-1] for s, arcs in cands.items()}, W, need)):
+    for variant in (lambda cands, W, need, start=None: unstopped(cands, W),
+                    lambda cands, W, need, start=None: max_flow(
+                        {s: arcs[::-1] for s, arcs in cands.items()}, W, need, start)):
         monkeypatch.setattr(fcfam.sepip, "_max_flow", variant)
         assert search() == stopped
         monkeypatch.undo()
@@ -198,10 +199,10 @@ def capture_nodes(monkeypatch, limit=400):
     nodes = []
     max_flow = fcfam.sepip._max_flow
 
-    def record(cands, W, need):
+    def record(cands, W, need, start=None):
         if len(nodes) < limit:
             nodes.append((cands, W, need))
-        return max_flow(cands, W, need)
+        return max_flow(cands, W, need, start)
 
     monkeypatch.setattr(fcfam.sepip, "_max_flow", record)
     for base, w, dom in flow_instances():
@@ -222,8 +223,8 @@ def forcing_nodes(monkeypatch):
     for base, w, dom in flow_instances():
         calls = []
         max_flow = fcfam.sepip._max_flow
-        monkeypatch.setattr(fcfam.sepip, "_max_flow", lambda cands, W, need: (
-            calls.append(cands) or max_flow(cands, W, need)))
+        monkeypatch.setattr(fcfam.sepip, "_max_flow", lambda cands, W, need, start=None: (
+            calls.append(cands) or max_flow(cands, W, need, start)))
         res = solve_separation(build_separation(base, dom), w)
         monkeypatch.undo()
         if res.proof is None:
@@ -262,6 +263,49 @@ def random_bipartite(rng):
     cands = {s: [t for t in rng.sample(negatives, q) if rng.random() < 0.3]
              for s in range(1, p + 1)}
     return cands, W
+
+
+def random_flow(rng, cands, W):
+    """A random feasible flow on the bipartite forcing graph: each arc in a
+    random order carries a random share of what both its ends have left."""
+    room = [abs(w) for w in W]
+    flow = {}
+    arcs = [(s, t) for s in cands for t in cands[s]]
+    rng.shuffle(arcs)
+    for s, t in arcs:
+        f = rng.randint(0, min(room[s], room[t]))
+        if f:
+            flow[s, t] = f
+            room[s] -= f
+            room[t] -= f
+    return flow
+
+
+def flow_state(cands, W, flow):
+    """A `_Flow` holding the feasible flow `flow`, with its senders."""
+    state = _Flow([abs(w) for w in W])
+    state.value = flow_value(cands, W, flow)
+    state.flow.update(flow)
+    state.senders = {}
+    for (s, t), f in flow.items():
+        state.room[s] -= f
+        state.room[t] -= f
+        state.senders.setdefault(t, set()).add(s)
+    return state
+
+
+def check_state(cands, W, state):
+    """A `_Flow` holds a feasible flow on the graph of `cands`, and its value,
+    its room and its senders, if built, are that flow's."""
+    assert state.value == flow_value(cands, W, state.flow)
+    for s, arcs in cands.items():
+        assert state.room[s] == W[s] - sum(f for (u, _), f in state.flow.items() if u == s)
+        for t in arcs:
+            assert state.room[t] == -W[t] - sum(f for (_, u), f in state.flow.items() if u == t)
+    if state.senders is not None:
+        into = {t for _, t in state.flow} | set(state.senders)
+        assert all(state.senders.get(t, set()) == {s for s, u in state.flow if u == t}
+                   for t in into)
 
 
 def greedy_flow(cands, W):
@@ -344,6 +388,66 @@ class TestFlows:
         rng = random.Random(9)
         for _ in range(500):
             check_max_flow(*random_bipartite(rng))
+
+    def test_resumed_flow_matches_cold_on_real_right_children(self, monkeypatch):
+        # a right child resumes its parent's maximum flow less what the
+        # candidates it drops sent: a feasible flow on its graph, from which
+        # it reaches the candidates a flow from nothing reaches and, below
+        # the node's bound, the same value.  Each branch set has one right
+        # child, and every other node starts from the empty flow
+        max_flow = fcfam.sepip._max_flow
+        resumed = 0
+
+        def check(cands, W, need, start=None):
+            nonlocal resumed
+            if start.senders is None:
+                assert (start.value, start.flow) == (0, {})
+                return max_flow(cands, W, need, start)
+            check_state(cands, W, start)
+            value, _, reached = max_flow(cands, W, need)
+            got = max_flow(cands, W, need, start)
+            check_state(cands, W, start)
+            assert got[2] == reached and got[0] == start.value
+            assert got[0] == value if value < need else got[0] >= need
+            resumed += 1
+            return got
+
+        checked = 0
+        for base, w, dom in flow_instances():
+            resumed = 0
+            monkeypatch.setattr(fcfam.sepip, "_max_flow", check)
+            res = solve_separation(build_separation(base, dom), w)
+            monkeypatch.undo()
+            if res.proof is not None:
+                assert resumed == sum(entry != LEAF for entry in res.proof)
+            checked += resumed
+        assert checked > 100
+
+    def test_resumed_flow_matches_cold_on_random_graphs(self):
+        # a random feasible flow, less what some dropped candidates send, is
+        # resumed on the rest of the graph to the oracle's minimum cut, and
+        # stops at a `need` it meets; its senders are kept or rebuilt
+        rng = random.Random(11)
+        for _ in range(500):
+            cands, W = random_bipartite(rng)
+            kept = {s: arcs for s, arcs in cands.items() if rng.random() < 0.7}
+            want, meet = brute_min_cut(kept, W)
+            for need in (want + 1, rng.randint(-2, want + 1)):
+                state = flow_state(cands, W, random_flow(rng, cands, W))
+                for s, arcs in cands.items():
+                    if s not in kept:
+                        state.drop(s, arcs)
+                check_state(kept, W, state)
+                start = state.value
+                if rng.random() < 0.5:
+                    state.senders = None
+                value, flow, reached = _max_flow(kept, W, need, state)
+                check_state(kept, W, state)
+                assert flow is state.flow and value == state.value >= start
+                if need > want:
+                    assert (value, reached) == (want, meet)
+                else:
+                    assert value >= need and reached == set()
 
     def test_stop_rule_on_real_nodes(self, monkeypatch):
         rng = random.Random(8)
@@ -442,20 +546,25 @@ class TestBitsets:
         assert 50 < escapes < 350
 
     def test_every_node_matches_the_set_rule(self, monkeypatch):
-        # every node of real proofs hands its candidates to the flow (a
-        # right child's inherited from its parent, any other node's filtered
-        # afresh), and they are the set rule's, in the same order and with
-        # the same arcs, and each branch set is the set rule's pick
+        # every node of real proofs hands its candidates to the flow, in one
+        # call (a right child's inherited from its parent, a left child's
+        # filtered from its parent's, the root's from all), and they are the
+        # set rule's, in the same order and with the same arcs, and each
+        # branch set is the set rule's pick.  A search that finds a violated
+        # family calls the flow at every node but, when that family is the
+        # node's 1-fixed sets, the last
         nodes = branches = 0
         for base, w, dom in flow_instances():
             calls = []
             max_flow = fcfam.sepip._max_flow
-            monkeypatch.setattr(fcfam.sepip, "_max_flow",
-                                lambda cands, W, need: calls.append(cands) or max_flow(cands, W, need))
+            monkeypatch.setattr(fcfam.sepip, "_max_flow", lambda cands, W, need, start=None: (
+                calls.append(cands) or max_flow(cands, W, need, start)))
             res = solve_separation(build_separation(base, dom), w)
             monkeypatch.undo()
             if res.proof is None:
+                assert res.nodes - 1 <= len(calls) <= res.nodes
                 continue
+            assert len(calls) == res.nodes
             _, W = fcfam.sepip._integer_weights(w, dom)
             pending = iter(calls)
             for ones, zeros, entry in proof_nodes(base, res.proof):
