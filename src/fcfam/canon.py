@@ -125,8 +125,13 @@ class OrbitPartition:
         return cls(tuple(ids))
 
 
-def _twin_classes(members: Sequence[int], u: int) -> list[int]:
-    """twin[i] = smallest j such that swapping elements i+1, j+1 fixes the family."""
+def twin_classes(members: Sequence[int], u: int) -> list[int]:
+    """twin[i] = smallest j such that swapping elements i+1, j+1 fixes the family.
+
+    Twins form an equivalence: (i k) = (i j)(j k)(i j) fixes the family
+    when (i j) and (j k) do.  So twin[i] names i's class by its lowest
+    element, and the transpositions generate the product of the symmetric
+    groups on the classes."""
     memberset = set(members)
     twin = list(range(u))
     for i in range(u):
@@ -188,7 +193,7 @@ def canonical_form(family: Family) -> Family:
     for j, m in enumerate(members):
         for e in bits(m):
             holds[e] |= _FIELD << 32 * j
-    twin = _twin_classes(members, u)
+    twin = twin_classes(members, u)
     # in order of degree: each member holding e sets 16 bits of holds[e]
     elem_order = sorted(range(u), key=lambda e: (holds[e].bit_count(), e))
     # opt: each member's placed bits plus its r unplaced elements on the

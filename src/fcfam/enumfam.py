@@ -26,28 +26,43 @@ universe size.  By monotonicity a skipped class is FC, so recording it
 hides no Non-FC class.  Each extension class is tested once, and a class
 is decided only when no one-down subfamily in a decided cell is FC: if F
 extends the parent F - y and F - x is FC, then (F - x) - y lies in F - y,
-is a parent too, and F - x was listed, so its class is in `fc`.  A
-subfamily is canonicalized only when the previous level has an FC class of
-its universe size, so runs whose previous levels are all Non-FC never
-canonicalize one.
+is a parent too, and F - x was listed, so its class is in `fc`.  The
+subfamily test runs only in a cell whose previous level knows an FC class,
+since with every table empty it cannot pass, and there it canonicalizes a
+subfamily only when the previous level has an FC class of its universe
+size.
 
-Before canonical labeling, `candidates` drops an extension whose new set
-does not reach the maximum of a member invariant over the extension: the
-degree sum of the member's elements, then the sorted sizes of its
-intersections with the other members, both unchanged by relabeling (the
-cheap half of McKay's canonical deletion, *J. Algorithms* 26, 1998).  Ties
-pass, and `seen` removes the duplicates left.  The degree sums come first:
-a parent's element degrees and member degree sums are counted once, an
-extension by s gives each old member y |y & s| more, and the sorted
-intersection sizes are compared only when the largest old sum ties with
-the new set's.  The filter runs only when
-every previous cell's `fc` set is empty, and then it drops no class.  A
-class reached from some parent F - x is still reached: delete a member y of
-maximum invariant.  (F - x) - y lies in the parent F - x, so it is a parent
-too and F - y was listed; with an empty `fc` set, F - y is then a parent,
-and its canonical family plus the image of y is a copy of F whose new set
-has the maximum.  So candidates, `fc` sets, decisions and witnesses are
-those of full extension.
+Before canonical labeling, `candidates` keeps one new set per orbit of the
+parent's twin transpositions.  Elements i and j of the parent are twins
+when the transposition (i j) fixes it (`canon.twin_classes`); twins form an
+equivalence, and their transpositions generate the product of the
+symmetric groups on the twin classes, a subgroup of Aut(parent).  Two new
+sets that meet every twin class in equally many elements are images of
+each other under it, so they extend the parent to isomorphic families, and
+a new set is kept only if it meets each class in that class's lowest
+elements.  The fresh elements lie outside the parent and stay fixed.  The
+test runs first, and it drops no class: the invariant filter below
+compares an invariant of the extension and its new member, and the
+subfamily test labels the extension less each member of the parent, which
+the parent's automorphisms permute, so both answer a dropped set as they
+answer its kept image.
+
+Next, `candidates` drops an extension whose new set does not reach the
+maximum of a member invariant over the extension: the degree sum of the
+member's elements, then the sorted sizes of its intersections with the
+other members, both unchanged by relabeling (the cheap half of McKay's
+canonical deletion, *J. Algorithms* 26, 1998).  Ties pass, and `seen`
+removes the duplicates left.  The degree sums come first: a parent's
+element degrees and member degree sums are counted once, an extension by s
+gives each old member y |y & s| more, and the sorted intersection sizes are
+compared only when the largest old sum ties with the new set's.  The filter
+runs only when every previous cell's `fc` set is empty, and then it drops
+no class.  A class reached from some parent F - x is still reached: delete
+a member y of maximum invariant.  (F - x) - y lies in the parent F - x, so
+it is a parent too and F - y was listed; with an empty `fc` set, F - y is
+then a parent, and its canonical family plus the image of y is a copy of F
+whose new set has the maximum.  So candidates, `fc` sets, decisions and
+witnesses are those of full extension.
 
 `fc_value` and `fcv_value` share one threshold scan, `_scan`, which reads
 the levels m = 1..min(m_max, C(n, k)) off the getNFC cells (u, k, m):
@@ -90,7 +105,7 @@ from .setfam import (
     no_singletons_family,
     universe,
 )
-from .canon import canonical_form
+from .canon import canonical_form, twin_classes
 from .fcsolve import (
     Certificate,
     FcCertificate,
@@ -110,7 +125,9 @@ class NfcRegistry:
     session's domain it holds every class, undecided.  `fc` holds the
     classes known to be FC: decided FC, or skipped by `candidates`.
     Only the certificate of `nfc[0]`, the cell's witness, is kept: all
-    Non-FC certificates of a cell can take megabytes.
+    Non-FC certificates of a cell can take megabytes.  A Non-FC
+    certificate is built on first read (see `NonFcCertificate.pending`),
+    so the ones dropped here are never built.
     """
 
     nfc: list[Family] = field(default_factory=list)
@@ -206,6 +223,25 @@ def _new_set_gate(parent: Family) -> Callable[[int], bool]:
     return wins
 
 
+def _twin_gate(parent: Family) -> Optional[Callable[[int], bool]]:
+    """Whether a new set s meets every twin class of the parent in that
+    class's lowest elements; None when the parent has no twins.
+
+    Each twin is linked to the one before it in its class, and s passes
+    when it holds the earlier element of every link whose later one it
+    holds.  Fresh elements lie outside the parent and are never linked.
+    """
+    last: dict[int, int] = {}
+    links = []
+    for e, rep in enumerate(twin_classes(parent.members, parent.n)):
+        if rep != e:
+            links.append((1 << e, 1 << last[rep]))
+        last[rep] = e
+    if not links:
+        return None
+    return lambda s: all(s & earlier or not s & later for later, earlier in links)
+
+
 def _decide(family: Family, *, domain: Optional[Family], symmetry: bool, warm_start: bool,
             deadline: Optional[float], time_limit: Optional[float]) -> Certificate:
     # monotonic clock values are system-wide, so a session deadline holds in workers too
@@ -283,9 +319,11 @@ class EnumSession:
         and those of the classes it skips as known FC: the single k-set
         at m = 1, else the extensions of the parents one member down (every
         class below the domain, else the Non-FC ones) whose one-down
-        subfamilies are not known FC.  While the previous level knows no FC
-        class, an extension is canonicalized only if its new set has the
-        maximum member invariant."""
+        subfamilies are not known FC.  An extension is canonicalized only
+        if its new set meets each twin class of the parent in its lowest
+        elements and, while the previous level knows no FC class, has the
+        maximum member invariant; the subfamily test runs only once the
+        previous level knows one."""
         if not (n >= k >= 3):
             raise ValueError("need n >= k >= 3")
         if m < 1:
@@ -300,7 +338,8 @@ class EnumSession:
         prev_fc = {i: reg.fc for i, reg in prev.items()}
 
         # with no known-FC class one level down, a class reached from a
-        # parent is reached by a new set of maximum member invariant
+        # parent is reached by a new set of maximum member invariant, and
+        # no subfamily is known FC
         augment = not any(prev_fc.values())
         seen: set[Family] = set()  # tested once per class, kept or not
         candidates: list[Family] = []
@@ -308,6 +347,10 @@ class EnumSession:
         for parent in (p for reg in prev.values() for p in reg.nfc):
             # the new set must cover the elements the parent's universe lacks
             new_sets = _new_sets(parent, k, n - parent.n)
+            # one new set per orbit of the twin transpositions, which fix the parent
+            lowest = _twin_gate(parent)
+            if lowest is not None:
+                new_sets = filter(lowest, new_sets)
             if augment:
                 new_sets = filter(_new_set_gate(parent), new_sets)
             for s in new_sets:
@@ -316,7 +359,7 @@ class EnumSession:
                 if canon in seen:
                     continue
                 seen.add(canon)
-                if _has_subfamily_in(ext, parent.members, prev_fc):
+                if not augment and _has_subfamily_in(ext, parent.members, prev_fc):
                     known_fc.add(canon)
                 else:
                     candidates.append(canon)

@@ -6,9 +6,14 @@ the variable domain with <A> |+| B = B.  The decision alternates a pure
 feasibility LP over the inequalities collected so far with the exact
 separation solve, which either returns a violated family (the next cut) or
 proves that none exists.  An LP-infeasibility ends in a Non-FC certificate
-(cuts plus Farkas multipliers).  A proof ends in an FC certificate: the
-weights and the final separation's search tree, with no cuts, because the
-cuts are only the LP's working set and an FC verdict does not rest on them.
+(cuts plus Farkas multipliers), once `lp_solve` has checked the Farkas
+multipliers against the LP.  The certificate is returned pending: it holds
+the stored cuts, the generators and the multipliers, and builds its cuts,
+multipliers and lambda the first time one of them is read, so a caller
+that keeps only some certificates builds only those.  A proof ends in an
+FC certificate: the weights and the final separation's search tree, with
+no cuts, because the cuts are only the LP's working set and an FC verdict
+does not rest on them.
 The separation instance is built once per decision, before the first LP,
 which validates a caller's domain; the full domain P([n]) skips the
 domain's union-closure check, so a decision that its first LP settles pays
@@ -109,6 +114,28 @@ class NonFcCertificate:
     lam: Fraction  # multiplier of sum(c) = 1
 
     kind = "non-fc"
+
+    @classmethod
+    def pending(cls, family: Family, n: int, domain: Optional[Family], cuts: list[int],
+                gens: list[tuple[int, ...]], farkas: Infeasible) -> "NonFcCertificate":
+        """The certificate of a decided Non-FC family, built by `_build_nonfc`
+        from the stored cut bitsets, the generators and the LP's Farkas
+        multipliers when `cuts`, `multipliers` or `lam` is first read."""
+        cert = cls.__new__(cls)
+        cert.family, cert.n, cert.domain = family, n, domain
+        cert._farkas = (cuts, gens, farkas)
+        return cert
+
+    def __getattr__(self, name: str):
+        # called only for a name the instance lacks: the three built fields
+        # of a pending certificate, which are filled in here once
+        farkas = self.__dict__.get("_farkas")
+        if name not in ("cuts", "multipliers", "lam") or farkas is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        built = _build_nonfc(self.family, self.n, self.domain, *farkas)
+        self.cuts, self.multipliers, self.lam = built.cuts, built.multipliers, built.lam
+        del self._farkas
+        return getattr(self, name)
 
 
 Certificate = Union[FcCertificate, NonFcCertificate]
@@ -216,7 +243,7 @@ def is_fc(
             raise TimeoutError("is_fc deadline exceeded")
         res = lp_solve(lp)
         if isinstance(res, Infeasible):
-            return _build_nonfc(family, n, domain, cuts, gens, res)
+            return NonFcCertificate.pending(family, n, domain, cuts, gens, res)
         point = tuple(res.point[o] for o in oid)
         # the LP point is orbit-constant and satisfies every stored row, so a
         # violated family, from the pool or the separation, is no image of a

@@ -54,10 +54,10 @@ def unpacked_canonical_form(family: Family) -> Family:
     """`canon.canonical_form` with each member's optimistic bound kept in its
     own list entry and updated, member by member, for the members that hold
     the element just placed.  The same search with the same twins, element
-    order and bounds (it shares `_twin_classes` and `_distinct_bound`), so
+    order and bounds (it shares `twin_classes` and `_distinct_bound`), so
     it checks the packed bookkeeping on universes too large for
     `brute_min_canonical`."""
-    from fcfam.canon import _distinct_bound, _twin_classes
+    from fcfam.canon import _distinct_bound, twin_classes
     from fcfam.setfam import frequencies
 
     fam, _ = compact_universe(family)
@@ -66,7 +66,7 @@ def unpacked_canonical_form(family: Family) -> Family:
     if not members or members == (0,):
         return fam
 
-    twin = _twin_classes(members, u)
+    twin = twin_classes(members, u)
     nm = len(members)
     degree = frequencies(fam).counts
     elem_order = sorted(range(u), key=lambda e: (degree[e], e))

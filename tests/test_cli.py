@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import itertools
 import json
 import os
@@ -25,6 +26,11 @@ from fcfam.setfam import (
     regularity,
     translates_family,
 )
+
+
+# sha256 of the getnfc -n 6 -k 4 -m 5 -o files, the manifest without its
+# timing, as json.dumps([files, manifest], sort_keys=True)
+GETNFC_N6_K4_M5 = "124c0551458e9bca7194116de59465a620d9844cef87109aca17cac898e75df8"
 
 
 @pytest.fixture
@@ -210,6 +216,20 @@ class TestBatchCommands:
             outputs.append((files, manifest))
         assert outputs[0] == outputs[1]
         assert len(outputs[0][1]["certificates"]) == 8
+
+    def test_getnfc_files_are_pinned(self, tmp_path):
+        # the 13 Non-FC families of cell (6, 4, 5) and their certificates,
+        # built as they are written, from workers at --jobs 2
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert dispatch(["getnfc", "-n", "6", "-k", "4", "-m", "5", "--jobs", jobs,
+                             "-o", str(out)]) == 0
+            files = {p.name: p.read_text() for p in out.iterdir()}
+            manifest = json.loads(files.pop("manifest_n6_k4_m5.json"))
+            del manifest["seconds"]
+            assert (len(files), manifest["count"]) == (14, 13)
+            blob = json.dumps([files, manifest], sort_keys=True).encode()
+            assert hashlib.sha256(blob).hexdigest() == GETNFC_N6_K4_M5
 
     def test_fcvalue(self, capsys):
         assert dispatch(["fcvalue", "-k", "3", "-n", "4"]) == 0

@@ -15,7 +15,7 @@ from fcfam.setfam import (
     powerset_family,
     universe,
 )
-from fcfam.canon import canonical_form
+from fcfam.canon import canonical_form, twin_classes
 from fcfam.fcsolve import certificate_to_dict, fc3_value, is_fc
 from fcfam.verify import verify_certificate
 from fcfam.enumfam import (
@@ -26,6 +26,7 @@ from fcfam.enumfam import (
     _new_set_gate,
     _new_set_wins,
     _new_sets,
+    _twin_gate,
     fc_value,
     fcv_value,
     get_nfc,
@@ -449,9 +450,10 @@ class TestWorkerPool:
             seq.witness_certificate
         )
 
-    @pytest.mark.parametrize("k,n", [(3, 5), (3, 6)])
+    @pytest.mark.parametrize("k,n", [(3, 5), (3, 6), (4, 6)])
     def test_fc_value_opens_one_pool(self, monkeypatch, k, n):
-        # (3, 6) classifies two batches of several families each
+        # (3, 6) classifies two batches of several families each; the
+        # workers send (4, 6)'s Non-FC certificates pending, unbuilt
         real = multiprocessing.Pool
         pools = []
 
@@ -487,11 +489,12 @@ class TestCanonicalLabelingCalls:
         assert seen
         assert all(len(f.members) == 4 for f in seen)
 
-    @pytest.mark.parametrize("k,n,value,calls", [(3, 7, 4, 31), (4, 6, 7, 66)],
+    @pytest.mark.parametrize("k,n,value,calls", [(3, 7, 4, 18), (4, 6, 7, 35)],
                              ids=["fc37", "fc46"])
     def test_one_subfamily_test_per_extension_class(self, monkeypatch, k, n, value, calls):
         # an extension class is tested for an FC subfamily once, whether it
-        # is kept or rejected, in every cell with m > 1
+        # is kept or rejected, in every cell whose previous level knows an
+        # FC class; a cell whose previous level knows none tests nothing
         classes = []
         real = fcfam.enumfam._has_subfamily_in
 
@@ -504,13 +507,14 @@ class TestCanonicalLabelingCalls:
         assert len(classes) == len(set(classes)) == calls
         assert rep.value == value
 
-    @pytest.mark.parametrize("run,k,n,calls", [("fc", 3, 7, 199), ("fc", 4, 6, 385),
-                                              ("fcv", 5, 6, 9)],
+    @pytest.mark.parametrize("run,k,n,calls", [("fc", 3, 7, 96), ("fc", 4, 6, 279),
+                                              ("fcv", 5, 6, 2)],
                              ids=["fc37", "fc46", "fcv56"])
     def test_canonical_labelings_per_run(self, monkeypatch, run, k, n, calls):
-        # with the member-invariant filter off, this path labels 215 and 486
-        # times for FC(3,7) and FC(4,6): the filter drops the rest before
-        # labeling
+        # with neither the twin test nor the member-invariant filter, this
+        # path labels 215, 486 and 9 times; with the twin test alone 105,
+        # 318 and 2, and with the invariant filter alone 199, 385 and 9.
+        # Both drop new sets before labeling, and neither drops a class
         count = [0]
         real = fcfam.enumfam.canonical_form
 
@@ -522,6 +526,55 @@ class TestCanonicalLabelingCalls:
         rep = fc_value(k, n) if run == "fc" else fcv_value(k, n)
         assert rep.status == "found"
         assert count[0] == calls
+
+
+def twin_prefix(parent, s):
+    """s with its elements in each twin class of the parent moved to the
+    lowest ones of that class: an image of s under the parent's twin
+    transpositions, so its extension is isomorphic to that by s."""
+    classes = {}
+    for e, rep in enumerate(twin_classes(parent.members, parent.n)):
+        classes.setdefault(rep, []).append(e)
+    out = s >> parent.n << parent.n  # the fresh elements
+    for elems in classes.values():
+        for e in elems[:sum(s >> e & 1 for e in elems)]:
+            out |= 1 << e
+    return out
+
+
+class TestTwinFilter:
+    @pytest.mark.parametrize("k,n,v,closed", [(3, 7, False, True), (4, 6, False, True),
+                                              (5, 7, False, False), (5, 6, True, False)],
+                             ids=["fc37", "fc46", "fc57", "fcv56"])
+    def test_dropped_sets_label_as_their_representative(self, k, n, v, closed):
+        # over every parent of every cell up to m = 8: a new set the twin
+        # test drops extends the parent to a copy of the extension by its
+        # twin prefix, which the test keeps.  In FC(3,7) and FC(4,6) it also
+        # drops sets in cells whose previous level knows an FC class, where
+        # the invariant filter is off
+        domain = no_singletons_family(n) if v else None
+        dropped = dropped_closed = 0
+        with EnumSession(domain=domain) as session:
+            for m in range(2, 9):
+                for u in range(k, n + 1):
+                    prev = [session.get_nfc(i, k, m - 1) for i in range(max(k, u - k), u + 1)]
+                    augment = not any(reg.fc for reg in prev)
+                    for parent in (p for reg in prev for p in reg.nfc):
+                        lowest = _twin_gate(parent)
+                        for s in _new_sets(parent, k, u - parent.n):
+                            rep = twin_prefix(parent, s)
+                            kept = lowest is None or lowest(s)
+                            assert kept == (rep == s), (parent, s)
+                            if kept:
+                                continue
+                            assert lowest(rep)
+                            ext = Family.from_masks(u, parent.members + (s,))
+                            twin = Family.from_masks(u, parent.members + (rep,))
+                            assert canonical_form(ext) == canonical_form(twin), (parent, s)
+                            dropped += 1
+                            dropped_closed += not augment
+        assert dropped > 0
+        assert (dropped_closed > 0) == closed
 
 
 class TestInvariantFilter:

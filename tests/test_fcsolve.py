@@ -1,10 +1,12 @@
 import ast
+import dataclasses
 import functools
 import importlib.util
 import json
 import math
 import operator
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import fcfam.canon
+import fcfam.enumfam
 import fcfam.fcsolve
 from fcfam.canon import apply_perm_family, family_orbit, generating_set, orbits
 from fcfam.enumfam import fc_value
@@ -386,6 +389,27 @@ class TestSymmetryReduce:
             assert {apply_perm_family(g, cut): y for cut, y in mult.items()} == mult
 
 
+def certify_n6_nonfc():
+    """The Non-FC families of the certify-n6 pool."""
+    pool = json.loads((Path(__file__).parent.parent / "bench" / "pool.json").read_text())
+    p = pool["certify-n6"]["full"]
+    return [Family(p["n"], tuple(members)) for stratum in p["strata"]
+            if stratum["kind"] == "non-fc" for members in stratum["families"]]
+
+
+def read_every_decision(monkeypatch):
+    """Make each decision of an enumeration driver read its certificate, so
+    that a Non-FC certificate is built as soon as it is decided."""
+    decide = fcfam.enumfam.is_fc
+
+    def reading(*args, **kwargs):
+        cert = decide(*args, **kwargs)
+        certificate_to_dict(cert)
+        return cert
+
+    monkeypatch.setattr(fcfam.enumfam, "is_fc", reading)
+
+
 class TestNonFcNormalization:
     """`_build_nonfc` normalizes the LP's integer multipliers in integers;
     `oracles.fraction_nonfc_certificate` does it in `Fraction` arithmetic."""
@@ -401,14 +425,13 @@ class TestNonFcNormalization:
             return cert
 
         monkeypatch.setattr(fcfam.fcsolve, "_build_nonfc", recording)
+        read_every_decision(monkeypatch)
         # the Non-FC decisions of FC(4,6) and of the certify-n6 pool
         fc_value(4, 6, symmetry=symmetry)
-        pool = json.loads((Path(__file__).parent.parent / "bench" / "pool.json").read_text())
-        p = pool["certify-n6"]["full"]
-        for stratum in p["strata"]:
-            if stratum["kind"] == "non-fc":
-                for members in stratum["families"]:
-                    assert is_fc(Family(p["n"], tuple(members)), symmetry=symmetry).kind == "non-fc"
+        for fam in certify_n6_nonfc():
+            cert = is_fc(fam, symmetry=symmetry)
+            assert cert.kind == "non-fc"
+            certificate_to_dict(cert)
         assert len(built) > 20
         shared = 0
         for args, cert in built:
@@ -447,6 +470,8 @@ class TestNonFcNormalization:
 
         monkeypatch.setattr(fcfam.fcsolve, "lp_solve", solved)
         monkeypatch.setattr(fcfam.fcsolve, "_build_nonfc", building)
+        # each certificate is built before the next decision's first LP
+        read_every_decision(monkeypatch)
         fc_value(4, 6, symmetry=symmetry)
         built = [entry for entry in built if isinstance(entry[1], Infeasible)]
         assert len(built) > 10
@@ -464,6 +489,95 @@ class TestNonFcNormalization:
                 negative = ge[:i] + (-max(y, 1),) + ge[i + 1:]
                 assert not check_farkas(lp, Infeasible(negative, eq))
             assert verify_certificate(cert).passed
+
+
+class TestPendingCertificate:
+    """A Non-FC verdict returns its certificate pending: `_build_nonfc` runs
+    when `cuts`, `multipliers` or `lam` is first read."""
+
+    @staticmethod
+    def recording(monkeypatch):
+        built = []
+        real = fcfam.fcsolve._build_nonfc
+
+        def build(*args):
+            built.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(fcfam.fcsolve, "_build_nonfc", build)
+        return built
+
+    def test_fc_value_builds_only_what_is_read(self, monkeypatch):
+        built = self.recording(monkeypatch)
+        decided = []
+        decide = fcfam.enumfam.is_fc
+
+        def counting(*args, **kwargs):
+            decided.append(decide(*args, **kwargs))
+            return decided[-1]
+
+        monkeypatch.setattr(fcfam.enumfam, "is_fc", counting)
+        rep = fc_value(5, 7, 11)
+        assert sum(cert.kind == "non-fc" for cert in decided) == len(decided) == 669
+        assert built == []
+        assert rep.witness == rep.witness_certificate.family
+        assert built == []
+        first = certificate_to_dict(rep.witness_certificate)
+        assert built == [rep.witness]
+        assert certificate_to_dict(rep.witness_certificate) == first
+        assert verify_certificate(rep.witness_certificate).passed
+        assert built == [rep.witness]
+
+    @pytest.mark.parametrize("symmetry", [False, True], ids=["plain", "symmetry"])
+    def test_pending_equals_eager(self, monkeypatch, symmetry):
+        built = self.recording(monkeypatch)
+        fams = certify_n6_nonfc()
+        assert len(fams) > 5
+        for fam in fams:
+            eager = is_fc(fam, symmetry=symmetry)
+            expected = certificate_to_dict(eager)
+            plain = NonFcCertificate(eager.family, eager.n, eager.domain, eager.cuts,
+                                     eager.multipliers, eager.lam)
+            assert is_fc(fam, symmetry=symmetry) == eager == plain
+            assert certificate_to_dict(dataclasses.replace(is_fc(fam, symmetry=symmetry))) \
+                == expected
+            changed = dataclasses.replace(is_fc(fam, symmetry=symmetry), lam=eager.lam + 1)
+            assert (changed.cuts, changed.multipliers) == (eager.cuts, eager.multipliers)
+            assert not verify_certificate(changed).passed
+            count = len(built)
+            sent = pickle.loads(pickle.dumps(is_fc(fam, symmetry=symmetry)))
+            assert len(built) == count
+            assert certificate_to_dict(sent) == expected
+            assert len(built) == count + 1
+            again = pickle.loads(pickle.dumps(sent))
+            assert certificate_to_dict(again) == expected
+            assert len(built) == count + 1
+            assert verify_certificate(sent).passed
+
+    def test_broken_farkas_data_fails_on_read(self, monkeypatch):
+        pending = []
+        real = NonFcCertificate.pending.__func__
+
+        def recording(cls, *args):
+            pending.append(args)
+            return real(cls, *args)
+
+        monkeypatch.setattr(NonFcCertificate, "pending", classmethod(recording))
+        fam = certify_n6_nonfc()[0]
+        assert is_fc(fam).kind == "non-fc"
+        family, n, domain, cuts, gens, farkas = pending[0]
+        # the negated multipliers aggregate to a negative right side
+        negated = Infeasible(tuple(-y for y in farkas.ge_multipliers),
+                             tuple(-y for y in farkas.eq_multipliers))
+        broken = NonFcCertificate.pending(family, n, domain, cuts, gens, negated)
+        assert (broken.family, broken.n, broken.domain) == (fam, fam.n, None)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="nonpositive right side"):
+                broken.multipliers
+        with pytest.raises(RuntimeError, match="nonpositive right side"):
+            certificate_to_dict(broken)
+        with pytest.raises(AttributeError):
+            broken.weights
 
 
 def asymmetric_domain(n, drop, closure):

@@ -45,12 +45,13 @@ FC68_ROWS = {
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "k,n,value,rows,labelings",
-    [(5, 7, 14, FC57_ROWS, 4_312), (6, 8, 26, FC68_ROWS, 28_545)],
+    [(5, 7, 14, FC57_ROWS, 3_627), (6, 8, 26, FC68_ROWS, 25_237)],
     ids=["fc57", "fc68"],
 )
 def test_pinned_fc_value(monkeypatch, k, n, value, rows, labelings):
-    # with the member-invariant filter off, this path labels 10,481 and
-    # 172,805 times; the filter skips the rest
+    # with neither the twin test nor the member-invariant filter, this path
+    # labels 10,481 and 172,805 times, and with the invariant filter alone
+    # 4,312 and 28,545; the two skip the rest
     count = [0]
     real = fcfam.enumfam.canonical_form
 
