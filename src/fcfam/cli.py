@@ -55,18 +55,18 @@ def _read_family(path: str, ground_size: Optional[int] = None) -> Family:
 
 
 def _load_family(path: str, v: Optional[str] = None) -> Family:
-    """The family in path, compacted to its universe; a domain spec v is
-    refused for a family that needs compacting, since V-FC is defined only
-    for universe [n]."""
+    """The family in path, compacted to its universe; a family with no
+    elements is refused, and so is a domain spec v for a family that needs
+    compacting, since V-FC is defined only for universe [n]."""
     fam = _read_family(path)
+    if not universe(fam):
+        raise ValueError("the family has no elements: its universe is empty")
     if universe(fam) != (1 << fam.n) - 1:
         compacted, elems = compact_universe(fam)
         if v is not None:
             raise ValueError(f"--v needs a family with universe [{fam.n}], "
                              f"but this one keeps only elements {list(elems)}")
-        _progress(
-            f"note: universe compacted to [{compacted.n}] (kept elements {list(elems)})"
-        )
+        _progress(f"note: universe compacted to [{compacted.n}] (kept elements {list(elems)})")
         return compacted
     return fam
 

@@ -88,14 +88,23 @@ order, but for those whose forcing set holds the branch set: it inherits
 them, and its parent's flow, instead of filtering again.  A left child
 grows O and keeps Z, so each set's forcing set only grows and a set that
 was no candidate at the parent is none there: it filters only its
-parent's candidates, which are in the root's order.  The order of the arcs
-moves neither the proof nor any counter: the candidates, the bound,
-whether the flow reaches it and the pick do not depend on it.  The weight
-of a bitset F takes n+1 popcounts, W(F) = L|F| - 2 sum_i L c_i |F & M[i]|
-with L the lcm of the weights' denominators (`weigher`).  This module is the only one that knows
-this form: `is_fc` builds its classical cuts B_X = <A> |+| D_X with
-`classical_cut`, counts each cut's LP row |B & M[i]| with `element_counts`
-and weighs its pool of classical cuts with `weigher`.
+parent's candidates, which are in the root's order.  Every node is thus
+entered one way, with its candidates, their arcs and forcing sets, and a
+flow: the root and a left child build theirs from a scan and start from
+the empty flow, a right child passes what it inherits.  The order of the
+arcs moves neither the proof nor any counter: the candidates, the bound,
+whether the flow reaches it and the pick do not depend on it.
+
+`weigher` is the producer's one value formula: the weight of a bitset F
+takes n+1 popcounts, W(F) = L|F| - 2 sum_i L c_i |F & M[i]| with L the lcm
+of the weights' denominators.  `_integer_weights` checks a round's weights
+and reads each domain set's W[S] off it as the weight of {S}; the scale L
+that a result's value divides by is the weight of {empty set}.  Of the
+producer's modules, this is the only one that knows this form: `is_fc`
+builds its classical cuts B_X = <A> |+| D_X with `classical_cut`, counts
+each cut's LP row |B & M[i]| with `element_counts` and weighs its pool of
+classical cuts with `weigher`.  `verify` scales the weights with its own
+formula.
 
 `brute_separation` is the independent oracle: exhaustive enumeration over
 all subfamilies of D, returning the maximum.
@@ -135,10 +144,10 @@ class SeparationProblem:
     domain_bits: int  # bit x for each domain set x
 
 
-def _integer_weights(weights: Sequence, domain: Family) -> tuple[int, list[int]]:
-    """Check one round's weights and scale them to integers: the lcm L of
-    their denominators, and by mask W[S] = L - 2 * sum_{i in S} L*c_i for
-    each domain set S (0 elsewhere)."""
+def _integer_weights(weights: Sequence, domain: Family) -> tuple[Callable[[int], int], list[int]]:
+    """Check one round's weights and scale them to integers: `weigher`'s
+    weigh, and by mask W[S] = weigh({S}) for each domain set S (0
+    elsewhere)."""
     w = tuple(Fraction(x) for x in weights)
     if len(w) != domain.n:
         raise ValueError(f"expected {domain.n} weights, got {len(w)}")
@@ -146,12 +155,11 @@ def _integer_weights(weights: Sequence, domain: Family) -> tuple[int, list[int]]
         raise ValueError("weights must be nonnegative")
     if sum(w) != 1:
         raise ValueError("weights must sum to 1")
-    lcm = math.lcm(*(x.denominator for x in w))
-    scaled = [int(x * lcm) for x in w]
+    weigh = weigher(w)
     W = [0] * (1 << domain.n)
     for s in domain.members:
-        W[s] = lcm - 2 * sum(c for i, c in enumerate(scaled) if s >> i & 1)
-    return lcm, W
+        W[s] = weigh(1 << s)
+    return weigh, W
 
 
 def build_separation(base: Family, domain: Family) -> SeparationProblem:
@@ -208,7 +216,7 @@ def weigher(weights: Sequence) -> Callable[[int], int]:
     """weigh(F), the total weight W(F) of a bitset F of domain sets under the
     exact weights c, by n+1 popcounts instead of listing F:
     W(F) = L*|F| - 2 * sum_i L*c_i * |F & M[i]|, for the lcm L of the
-    weights' denominators, the scale of `_integer_weights`."""
+    weights' denominators, so that weigh(1), the weight of {empty set}, is L."""
     w = [Fraction(x) for x in weights]
     lcm = math.lcm(*(x.denominator for x in w))
     # the steps of the full mask hold every M[i], in element order
@@ -247,8 +255,7 @@ def solve_separation(
 ) -> SeparationResult:
     """A violated family (optimum > 0), or optimum 0 with its proof."""
     n = problem.base.n
-    lcm, W = _integer_weights(weights, problem.domain)
-    weigh = weigher(weights)
+    weigh, W = _integer_weights(weights, problem.domain)
     steps = _shift_steps(n)
     base = sum(1 << x for x in problem.base.members)
     neg = sum(1 << s for s in problem.domain.members if W[s] < 0)
@@ -275,30 +282,26 @@ def solve_separation(
                 ones |= _shift(base | ones, steps[s])
         return ones
 
-    def node(ones: int, val: int, zeros: int, scan,
-             inherited: Optional[tuple[dict[int, list[int]], dict[int, int], _Flow]] = None
-             ) -> None:
+    def fresh(ones: int, zeros: int, scan) -> tuple[dict[int, list[int]], dict[int, int], _Flow]:
+        # a free positive S in scan is a candidate iff no set it forces,
+        # S | X for X in base | ones, is fixed to 0; forcing is transitive,
+        # so one pass suffices.  The flow starts empty
+        fixed, taken, free_neg = base | ones, ones | zeros, neg & ~ones
+        cands: dict[int, list[int]] = {}  # candidate -> its arcs
+        forcing: dict[int, int] = {}  # candidate -> the sets it forces
+        for s in scan:
+            if not taken >> s & 1:
+                forced = _shift(fixed, steps[s])
+                if not forced & zeros:
+                    cands[s] = bits(forced & free_neg)
+                    forcing[s] = forced
+        return cands, forcing, _Flow(cap.copy())
+
+    def node(ones: int, val: int, zeros: int, cands: dict[int, list[int]],
+             forcing: dict[int, int], flow: _Flow) -> None:
         tick()
         if val > 0:
             raise _Found(val, ones)
-
-        free_neg = neg & ~ones
-        if inherited is None:
-            # a free positive S in scan is a candidate iff no set it forces,
-            # S | X for X in base | ones, is fixed to 0; forcing is
-            # transitive, so one pass suffices
-            fixed, taken = base | ones, ones | zeros
-            cands: dict[int, list[int]] = {}  # candidate -> its arcs
-            forcing: dict[int, int] = {}  # candidate -> the sets it forces
-            for s in scan:
-                if not taken >> s & 1:
-                    forced = _shift(fixed, steps[s])
-                    if not forced & zeros:
-                        cands[s] = bits(forced & free_neg)
-                        forcing[s] = forced
-            flow = _Flow(cap.copy())
-        else:
-            cands, forcing, flow = inherited
 
         bound = val + sum(W[s] for s in cands)
         value, _, reached = _max_flow(cands, W, bound, flow)
@@ -318,6 +321,7 @@ def solve_separation(
         # way tightens exactly that gap.  Take the heaviest escape, which
         # shrinks the proof, and stop the scan at one that outweighs the
         # node's gap
+        free_neg = neg & ~ones
         chosen = ones
         for s in reached:
             chosen |= 1 << s | forcing[s] & free_neg
@@ -338,7 +342,7 @@ def solve_separation(
         grown = ones | forcing[branch]
         if not grown & zeros:
             # its candidates are among these, in the same order
-            node(grown, val + weigh(grown & ~ones), zeros, cands)
+            node(grown, val + weigh(grown & ~ones), zeros, *fresh(grown, zeros, cands))
         # the right child keeps ones and adds branch to zeros: its candidates
         # are these, with these arcs, but for those that force branch, and
         # this maximum flow without theirs is a flow there
@@ -349,13 +353,14 @@ def solve_separation(
                 flow.drop(s, arcs)
             else:
                 kept[s] = arcs
-        node(ones, val, zeros | bit, None, (kept, forcing, flow))
+        node(ones, val, zeros | bit, kept, forcing, flow)
 
     try:
-        node(0, 0, 0, pos_order)
+        node(0, 0, 0, *fresh(0, 0, pos_order))
     except _Found as found:
         value, wit = found.args
-        return SeparationResult(Fraction(value, lcm), Family.from_masks(n, bits(wit)),
+        # weigh(1), the weight of {empty set}, is the scale L of W
+        return SeparationResult(Fraction(value, weigh(1)), Family.from_masks(n, bits(wit)),
                                 nodes=ticks, pruned=proof.count(LEAF))
     return SeparationResult(Fraction(0), Family.from_masks(n, ()), tuple(proof),
                             nodes=ticks, pruned=proof.count(LEAF))
@@ -494,7 +499,7 @@ def _max_flow(
 def brute_separation(base: Family, weights: Sequence, domain: Family) -> SeparationResult:
     """Exhaustive oracle over all subfamilies of the domain (|D| <= 16)."""
     build_separation(base, domain)
-    lcm, W = _integer_weights(weights, domain)
+    weigh, W = _integer_weights(weights, domain)
     mem = domain.members
     nd = len(mem)
     if nd > BRUTE_DOMAIN_CAP:
@@ -539,4 +544,5 @@ def brute_separation(base: Family, weights: Sequence, domain: Family) -> Separat
         if req[f] & ~f == 0 and val[f] > best:
             best, best_f = val[f], f
     masks = [mem[i] for i in range(nd) if best_f >> i & 1]
-    return SeparationResult(Fraction(best, lcm), Family.from_masks(base.n, masks))
+    # weigh(1), the weight of {empty set}, is the scale L of W
+    return SeparationResult(Fraction(best, weigh(1)), Family.from_masks(base.n, masks))

@@ -46,7 +46,7 @@ multipliers y_B >= 0 and lambda on sum(c) = 1,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -77,38 +77,34 @@ from .sepip import (
 
 @dataclass
 class VerificationReport:
-    passed: bool
-    checked: list[tuple[str, bool]]
+    """The checks run on a certificate, in order, and the first failure."""
+
+    checked: list[tuple[str, bool]] = field(default_factory=list)
     failure: Optional[str] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.failure is None
 
     def summary(self) -> str:
         lines = [f"{'ok' if ok else 'FAIL'}  {name}" for name, ok in self.checked]
         lines.append("PASS" if self.passed else f"FAIL: {self.failure}")
         return "\n".join(lines)
 
-
-class _Checker:
-    def __init__(self):
-        self.checked: list[tuple[str, bool]] = []
-        self.failure: Optional[str] = None
-
-    def run(self, name: str, ok: bool, detail: str = "") -> bool:
+    def _run(self, name: str, ok: bool, detail: str = "") -> bool:
         self.checked.append((name, ok))
         if not ok and self.failure is None:
             self.failure = f"{name}: {detail}" if detail else name
         return ok
 
-    def report(self) -> VerificationReport:
-        return VerificationReport(self.failure is None, self.checked, self.failure)
 
-
-def _structural(cert: Certificate, ck: _Checker) -> Optional[tuple[Family, Family]]:
+def _structural(cert: Certificate, rep: VerificationReport) -> Optional[tuple[Family, Family]]:
     """Shared structural checks; returns the domain and <A> when they pass."""
     n = cert.n
-    if not ck.run("ground-size", 1 <= n <= DECISION_GROUND_CAP, f"n={n}"):
+    if not rep._run("ground-size", 1 <= n <= DECISION_GROUND_CAP, f"n={n}"):
         return None
     full = (1 << n) - 1
-    if not ck.run(
+    if not rep._run(
         "family-universe", cert.family.n == n and universe(cert.family) == full,
         "family universe is not all of [n]",
     ):
@@ -121,46 +117,47 @@ def _structural(cert: Certificate, ck: _Checker) -> Optional[tuple[Family, Famil
         and is_union_closed(dom)
         and set(closure.members) <= set(dom.members)
     )
-    if not ck.run("domain-valid", ok, "domain must be union-closed, contain {} and <A>"):
+    if not rep._run("domain-valid", ok, "domain must be union-closed, contain {} and <A>"):
         return None
     return dom, closure
 
 
-def _cuts_wellformed(cert: NonFcCertificate, dom: Family, closure: Family, ck: _Checker) -> bool:
+def _cuts_wellformed(cert: NonFcCertificate, dom: Family, closure: Family,
+                     rep: VerificationReport) -> bool:
     dom_set = set(dom.members)
     for idx, cut in enumerate(cert.cuts):
         if cut.n != cert.n:
-            return ck.run("cuts-wellformed", False, f"cut {idx}: ground size mismatch")
+            return rep._run("cuts-wellformed", False, f"cut {idx}: ground size mismatch")
         if not set(cut.members) <= dom_set:
-            return ck.run("cuts-wellformed", False, f"cut {idx}: leaves the domain")
+            return rep._run("cuts-wellformed", False, f"cut {idx}: leaves the domain")
         if not is_union_closed(cut):
-            return ck.run("cuts-wellformed", False, f"cut {idx}: not union-closed")
+            return rep._run("cuts-wellformed", False, f"cut {idx}: not union-closed")
         if uplus(closure, cut) != cut:
-            return ck.run("cuts-wellformed", False, f"cut {idx}: not absorbed by <A>")
-    return ck.run("cuts-wellformed", True)
+            return rep._run("cuts-wellformed", False, f"cut {idx}: not absorbed by <A>")
+    return rep._run("cuts-wellformed", True)
 
 
 def verify_fc(cert: FcCertificate) -> VerificationReport:
     """Check an FC certificate: weights on the simplex and a replay of the
     separation proof showing that no family violates them."""
-    ck = _Checker()
-    checked = _structural(cert, ck)
+    rep = VerificationReport()
+    checked = _structural(cert, rep)
     if checked is None:
-        return ck.report()
+        return rep
     dom, closure = checked
     ok = (
         len(cert.weights) == cert.n
         and all(w >= 0 for w in cert.weights)
         and sum(cert.weights, Fraction(0)) == 1
     )
-    if not ck.run("weights-simplex", ok, "weights must be nonnegative and sum to 1"):
-        return ck.report()
+    if not rep._run("weights-simplex", ok, "weights must be nonnegative and sum to 1"):
+        return rep
     if cert.proof is None:
         failure = "the certificate carries no separation proof"
     else:
         failure = check_separation_proof(closure, dom, cert.weights, cert.proof)
-    ck.run("separation-nonpositive", failure is None, failure or "")
-    return ck.report()
+    rep._run("separation-nonpositive", failure is None, failure or "")
+    return rep
 
 
 class _ProofError(Exception):
@@ -239,22 +236,20 @@ def _flow_value(cands: dict[int, list[int]], W: list[int],
 
 def verify_nonfc(cert: NonFcCertificate) -> VerificationReport:
     """Replay a Non-FC certificate's Farkas combination exactly."""
-    ck = _Checker()
-    checked = _structural(cert, ck)
+    rep = VerificationReport()
+    checked = _structural(cert, rep)
     if checked is None:
-        return ck.report()
+        return rep
     dom, closure = checked
-    if not ck.run(
+    if not rep._run(
         "multiplier-count", len(cert.multipliers) == len(cert.cuts),
         "one multiplier per cut required",
     ):
-        return ck.report()
-    if not _cuts_wellformed(cert, dom, closure, ck):
-        return ck.report()
-    if not ck.run(
-        "multipliers-nonnegative", all(y >= 0 for y in cert.multipliers)
-    ):
-        return ck.report()
+        return rep
+    if not _cuts_wellformed(cert, dom, closure, rep):
+        return rep
+    if not rep._run("multipliers-nonnegative", all(y >= 0 for y in cert.multipliers)):
+        return rep
     freqs = [frequencies(cut).counts for cut in cert.cuts]
     coeffs = (
         sum((y * freq[i] for y, freq in zip(cert.multipliers, freqs)), Fraction(0))
@@ -263,17 +258,17 @@ def verify_nonfc(cert: NonFcCertificate) -> VerificationReport:
     )
     bad = next(((i, c) for i, c in enumerate(coeffs) if c > 0), None)
     detail = f"element {bad[0] + 1}: aggregated coefficient {bad[1]} > 0" if bad else ""
-    if not ck.run("farkas-aggregation", bad is None, detail):
-        return ck.report()
+    if not rep._run("farkas-aggregation", bad is None, detail):
+        return rep
     rhs = sum(
         (y * Fraction(len(cut.members), 2) for y, cut in zip(cert.multipliers, cert.cuts)),
         Fraction(0),
     ) + cert.lam
-    ck.run(
+    rep._run(
         "farkas-normalized", rhs == 1,
         f"aggregated right side is {rhs}, expected exactly 1",
     )
-    return ck.report()
+    return rep
 
 
 def verify_certificate(cert: Certificate) -> VerificationReport:

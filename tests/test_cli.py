@@ -140,6 +140,16 @@ class TestIsfcAndVerify:
         data = json.loads(capsys.readouterr().out)
         assert data["n"] == 3
 
+    @pytest.mark.parametrize("text", ["n=4\n", "n=4\n{}\n"])
+    def test_family_without_elements_refused(self, text, tmp_path, capsys):
+        # its universe is empty, so there is nothing to compact it to
+        path = tmp_path / "empty.fam"
+        path.write_text(text)
+        assert dispatch(["isfc", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the family has no elements: its universe is empty\n"
+
     @pytest.mark.parametrize("spec", ["no-singletons", "file"])
     def test_domain_refused_for_a_compacted_family(self, spec, tmp_path, capsys):
         # V-FC is defined only for universe [n], so a family that leaves out

@@ -285,6 +285,32 @@ class TestInvariants:
                         and node.value.id in modules and node.attr.startswith("_")]
         assert sorted(reached) == ["verify.py: sepip._max_flow"]
 
+    def test_checker_takes_from_the_producer_only_the_flow_kernel(self):
+        # verify imports from sepip the leaf marker, the flow kernel it
+        # replays and the names bench/spans.py wraps on it, nothing else:
+        # the producer's value formula, `weigher`, stays out of the checker
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+        def parse(*parts):
+            with open(os.path.join(root, *parts), encoding="utf-8") as fh:
+                return ast.parse(fh.read())
+
+        imported = []
+        for node in ast.walk(parse("src", "fcfam", "verify.py")):
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+                assert "sepip" not in names
+                if (node.module or "").split(".")[-1] == "sepip":
+                    imported += names
+            elif isinstance(node, ast.Import):
+                assert not any(a.name.endswith("sepip") for a in node.names)
+        wrapped = [node.args[1].value for node in ast.walk(parse("bench", "spans.py"))
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "wrap" and isinstance(node.args[0], ast.Name)
+                   and node.args[0].id == "verify"]
+        assert sorted(wrapped) == ["brute_separation", "build_separation", "solve_separation"]
+        assert sorted(imported) == sorted(["LEAF", "_max_flow", *wrapped])
+
     def test_one_lowest_set_bit_loop(self):
         # `x & -x` lists set bits in setfam.bits; the other two uses are
         # Gosper's step and the reference oracle, so a new one fails here

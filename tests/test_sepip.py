@@ -530,6 +530,13 @@ class TestBitsets:
             weigh = weigher(w)
             F = bitset(x for x in dom.members if rng.random() < 0.5)
             assert weigh(F) == sum(W[x] for x in fcfam.setfam.bits(F))
+            # W derives from weigh, so both answer to the Fraction formula,
+            # scaled by an lcm taken here
+            L = math.lcm(*(x.denominator for x in w))
+            fam = Family.from_masks(n, fcfam.setfam.bits(F))
+            assert weigh(F) == L * family_value(fam, w)
+            assert all(W[s] == L * family_value(Family.from_masks(n, [s]), w)
+                       for s in dom.members)
 
     def test_branch_test_is_the_escape_rule(self):
         rng = random.Random(32)
