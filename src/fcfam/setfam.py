@@ -129,7 +129,7 @@ def parse_family(text: str, ground_size: Optional[int] = None) -> Family:
     One member per line as comma-separated 1-based elements; "#" starts a
     comment; "{}" or a fully blank line is the empty set; an optional
     header line "n=<ground_size>" fixes the ground size (defaults to the
-    maximum element seen).
+    maximum element seen); a repeated header must give the same size.
     """
     header_n = None
     raw_members: list[list[int]] = []
@@ -144,7 +144,10 @@ def parse_family(text: str, ground_size: Optional[int] = None) -> Family:
             raw_members.append([])
             continue
         if body.lower().startswith("n="):
-            header_n = int(body[2:].strip())
+            line_n = int(body[2:].strip())
+            if header_n not in (None, line_n):
+                raise ValueError(f"header n={line_n} conflicts with header n={header_n}")
+            header_n = line_n
             continue
         raw_members.append([int(tok) for tok in body.split(",") if tok.strip()])
     if ground_size is not None and header_n is not None and ground_size != header_n:

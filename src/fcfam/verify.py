@@ -5,6 +5,13 @@ domain; the checks share nothing with the solving path beyond the set
 algebra, exact arithmetic and the flow routines, whose output is checked
 arithmetically before it is used.
 
+A report lists the checks in the order they ran, and the first failed check
+ends the verification: it is the report's last entry and its failure, and
+nothing after it runs on data that has already failed.  Numbers must be
+exact: an FC weight, a Farkas multiplier or lambda that is not an int (a bool
+is not one) or a Fraction fails its check (`weights-simplex`,
+`multipliers-nonnegative`), so no verdict rests on floating point.
+
 An FC certificate is its weights and the search tree of its final
 separation solve, in preorder (`sepip.LEAF` for a pruned node, else the
 branch set).  The checker replays that tree without searching: from its own
@@ -46,6 +53,7 @@ multipliers y_B >= 0 and lambda on sum(c) = 1,
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -75,6 +83,10 @@ from .sepip import (
 )
 
 
+class _Refused(Exception):
+    """A check failed; the report that raised it holds its name and detail."""
+
+
 @dataclass
 class VerificationReport:
     """The checks run on a certificate, in order, and the first failure."""
@@ -91,24 +103,28 @@ class VerificationReport:
         lines.append("PASS" if self.passed else f"FAIL: {self.failure}")
         return "\n".join(lines)
 
-    def _run(self, name: str, ok: bool, detail: str = "") -> bool:
+    def _check(self, name: str, ok: bool, detail: str = "") -> None:
+        """Record a check; a failed one is the report's failure and ends it."""
         self.checked.append((name, ok))
-        if not ok and self.failure is None:
+        if not ok:
             self.failure = f"{name}: {detail}" if detail else name
-        return ok
+            raise _Refused
 
 
-def _structural(cert: Certificate, rep: VerificationReport) -> Optional[tuple[Family, Family]]:
-    """Shared structural checks; returns the domain and <A> when they pass."""
+def _inexact(what: str, values: Sequence) -> str:
+    """Why `values` are not all exact (an int but not a bool, or a Fraction);
+    empty if they are."""
+    kind = next((type(v).__name__ for v in values
+                 if isinstance(v, bool) or not isinstance(v, (int, Fraction))), "")
+    return f"{what} must be int or Fraction, not {kind}" if kind else ""
+
+
+def _structural(cert: Certificate, rep: VerificationReport) -> tuple[Family, Family]:
+    """Shared structural checks; returns the domain and <A>."""
     n = cert.n
-    if not rep._run("ground-size", 1 <= n <= DECISION_GROUND_CAP, f"n={n}"):
-        return None
-    full = (1 << n) - 1
-    if not rep._run(
-        "family-universe", cert.family.n == n and universe(cert.family) == full,
-        "family universe is not all of [n]",
-    ):
-        return None
+    rep._check("ground-size", 1 <= n <= DECISION_GROUND_CAP, f"n={n}")
+    rep._check("family-universe", cert.family.n == n and universe(cert.family) == (1 << n) - 1,
+               "family universe is not all of [n]")
     closure = union_closure(cert.family)
     dom = cert.domain if cert.domain is not None else powerset_family(n)
     ok = (
@@ -117,46 +133,43 @@ def _structural(cert: Certificate, rep: VerificationReport) -> Optional[tuple[Fa
         and is_union_closed(dom)
         and set(closure.members) <= set(dom.members)
     )
-    if not rep._run("domain-valid", ok, "domain must be union-closed, contain {} and <A>"):
-        return None
+    rep._check("domain-valid", ok, "domain must be union-closed, contain {} and <A>")
     return dom, closure
 
 
 def _cuts_wellformed(cert: NonFcCertificate, dom: Family, closure: Family,
-                     rep: VerificationReport) -> bool:
+                     rep: VerificationReport) -> None:
     dom_set = set(dom.members)
     for idx, cut in enumerate(cert.cuts):
-        if cut.n != cert.n:
-            return rep._run("cuts-wellformed", False, f"cut {idx}: ground size mismatch")
-        if not set(cut.members) <= dom_set:
-            return rep._run("cuts-wellformed", False, f"cut {idx}: leaves the domain")
-        if not is_union_closed(cut):
-            return rep._run("cuts-wellformed", False, f"cut {idx}: not union-closed")
-        if uplus(closure, cut) != cut:
-            return rep._run("cuts-wellformed", False, f"cut {idx}: not absorbed by <A>")
-    return rep._run("cuts-wellformed", True)
+        fault = ("ground size mismatch" if cut.n != cert.n
+                 else "leaves the domain" if not set(cut.members) <= dom_set
+                 else "not union-closed" if not is_union_closed(cut)
+                 else "not absorbed by <A>" if uplus(closure, cut) != cut
+                 else "")
+        if fault:
+            rep._check("cuts-wellformed", False, f"cut {idx}: {fault}")
+    rep._check("cuts-wellformed", True)
 
 
 def verify_fc(cert: FcCertificate) -> VerificationReport:
     """Check an FC certificate: weights on the simplex and a replay of the
     separation proof showing that no family violates them."""
     rep = VerificationReport()
-    checked = _structural(cert, rep)
-    if checked is None:
-        return rep
-    dom, closure = checked
-    ok = (
-        len(cert.weights) == cert.n
-        and all(w >= 0 for w in cert.weights)
-        and sum(cert.weights, Fraction(0)) == 1
-    )
-    if not rep._run("weights-simplex", ok, "weights must be nonnegative and sum to 1"):
-        return rep
-    if cert.proof is None:
-        failure = "the certificate carries no separation proof"
-    else:
-        failure = check_separation_proof(closure, dom, cert.weights, cert.proof)
-    rep._run("separation-nonpositive", failure is None, failure or "")
+    with suppress(_Refused):
+        dom, closure = _structural(cert, rep)
+        inexact = _inexact("weights", cert.weights)
+        ok = (
+            not inexact
+            and len(cert.weights) == cert.n
+            and all(w >= 0 for w in cert.weights)
+            and sum(cert.weights, Fraction(0)) == 1
+        )
+        rep._check("weights-simplex", ok, inexact or "weights must be nonnegative and sum to 1")
+        if cert.proof is None:
+            failure = "the certificate carries no separation proof"
+        else:
+            failure = check_separation_proof(closure, dom, cert.weights, cert.proof)
+        rep._check("separation-nonpositive", failure is None, failure or "")
     return rep
 
 
@@ -171,8 +184,10 @@ def check_separation_proof(
     union-closed family in `domain` absorbed by `base` has positive value at
     `weights`, else the reason it does not.
 
-    `base` must be union-closed with the empty set, and `domain`
-    union-closed and containing `base` (what `verify_fc` checks first).
+    `base` must be union-closed with the empty set, `domain` union-closed
+    and containing `base`, and `weights` exact (int or Fraction),
+    nonnegative and summing to 1: `verify_fc` checks all of this, the
+    weights included, before it replays the proof.
     """
     lcm = math.lcm(*(w.denominator for w in weights))
     scaled = [int(w * lcm) for w in weights]
@@ -237,37 +252,29 @@ def _flow_value(cands: dict[int, list[int]], W: list[int],
 def verify_nonfc(cert: NonFcCertificate) -> VerificationReport:
     """Replay a Non-FC certificate's Farkas combination exactly."""
     rep = VerificationReport()
-    checked = _structural(cert, rep)
-    if checked is None:
-        return rep
-    dom, closure = checked
-    if not rep._run(
-        "multiplier-count", len(cert.multipliers) == len(cert.cuts),
-        "one multiplier per cut required",
-    ):
-        return rep
-    if not _cuts_wellformed(cert, dom, closure, rep):
-        return rep
-    if not rep._run("multipliers-nonnegative", all(y >= 0 for y in cert.multipliers)):
-        return rep
-    freqs = [frequencies(cut).counts for cut in cert.cuts]
-    coeffs = (
-        sum((y * freq[i] for y, freq in zip(cert.multipliers, freqs)), Fraction(0))
-        + cert.lam
-        for i in range(cert.n)
-    )
-    bad = next(((i, c) for i, c in enumerate(coeffs) if c > 0), None)
-    detail = f"element {bad[0] + 1}: aggregated coefficient {bad[1]} > 0" if bad else ""
-    if not rep._run("farkas-aggregation", bad is None, detail):
-        return rep
-    rhs = sum(
-        (y * Fraction(len(cut.members), 2) for y, cut in zip(cert.multipliers, cert.cuts)),
-        Fraction(0),
-    ) + cert.lam
-    rep._run(
-        "farkas-normalized", rhs == 1,
-        f"aggregated right side is {rhs}, expected exactly 1",
-    )
+    with suppress(_Refused):
+        dom, closure = _structural(cert, rep)
+        rep._check("multiplier-count", len(cert.multipliers) == len(cert.cuts),
+                   "one multiplier per cut required")
+        _cuts_wellformed(cert, dom, closure, rep)
+        inexact = _inexact("multipliers and lambda", (*cert.multipliers, cert.lam))
+        rep._check("multipliers-nonnegative",
+                   not inexact and all(y >= 0 for y in cert.multipliers), inexact)
+        freqs = [frequencies(cut).counts for cut in cert.cuts]
+        coeffs = (
+            sum((y * freq[i] for y, freq in zip(cert.multipliers, freqs)), Fraction(0))
+            + cert.lam
+            for i in range(cert.n)
+        )
+        bad = next(((i, c) for i, c in enumerate(coeffs) if c > 0), None)
+        detail = f"element {bad[0] + 1}: aggregated coefficient {bad[1]} > 0" if bad else ""
+        rep._check("farkas-aggregation", bad is None, detail)
+        rhs = sum(
+            (y * Fraction(len(cut.members), 2) for y, cut in zip(cert.multipliers, cert.cuts)),
+            Fraction(0),
+        ) + cert.lam
+        rep._check("farkas-normalized", rhs == 1,
+                   f"aggregated right side is {rhs}, expected exactly 1")
     return rep
 
 

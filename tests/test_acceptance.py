@@ -34,7 +34,7 @@ from oracles import (
     random_family,
     uc_reps_with_full_universe,
 )
-from test_verify import make_pool, tamper
+from test_verify import make_pool, refused, tamper
 
 
 def report(line):
@@ -217,8 +217,9 @@ def test_criterion_11_tamper_suite():
     detected = 0
     for _ in range(500):
         cert = rng.choice(pool)
-        bad = tamper(cert, rng)
-        if not verify_certificate(bad).passed:
+        rep = verify_certificate(tamper(cert, rng))
+        if not rep.passed:
+            refused(rep)
             detected += 1
     assert detected == 500
     report("criterion 11: 500 random single-field certificate tampers all fail verification")

@@ -150,6 +150,14 @@ class TestIsfcAndVerify:
         assert out == ""
         assert err == "error: the family has no elements: its universe is empty\n"
 
+    def test_conflicting_headers_refused(self, tmp_path, capsys):
+        path = tmp_path / "headers.fam"
+        path.write_text("n=5\n1,2\nn=3\n")
+        assert dispatch(["isfc", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: header n=3 conflicts with header n=5\n"
+
     @pytest.mark.parametrize("spec", ["no-singletons", "file"])
     def test_domain_refused_for_a_compacted_family(self, spec, tmp_path, capsys):
         # V-FC is defined only for universe [n], so a family that leaves out

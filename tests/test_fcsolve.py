@@ -311,6 +311,24 @@ class TestInvariants:
         assert sorted(wrapped) == ["brute_separation", "build_separation", "solve_separation"]
         assert sorted(imported) == sorted(["LEAF", "_max_flow", *wrapped])
 
+    def test_checker_takes_from_the_decider_only_the_certificate_types(self):
+        # verify reads the certificate classes from fcsolve and nothing that
+        # decides, parses or enumerates: not `_rational`, not `check_farkas`,
+        # not canon, ratlp, enumfam or cli
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "src", "fcfam", "verify.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = {}  # module -> names imported from it
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                module = getattr(node, "module", None) or ""
+                for a in node.names:
+                    # `from . import x`, `from fcfam import x` and `import fcfam.x` import x
+                    source = a.name if module in ("", "fcfam") else module
+                    imported.setdefault(source.split(".")[-1], []).append(a.name)
+        assert sorted(imported["fcsolve"]) == ["Certificate", "FcCertificate", "NonFcCertificate"]
+        assert not {"canon", "ratlp", "enumfam", "cli"} & set(imported)
+
     def test_one_lowest_set_bit_loop(self):
         # `x & -x` lists set bits in setfam.bits; the other two uses are
         # Gosper's step and the reference oracle, so a new one fails here

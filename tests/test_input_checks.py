@@ -73,6 +73,8 @@ CASES = {
                       "torus with 289 cells exceeds cap 256"),
     "parse-comment-only": (lambda: parse_family("# only a comment"),
                            "cannot determine a positive ground size"),
+    "parse-headers-differ": (lambda: parse_family("n=5\n1,2\nn=3\n"),
+                             "header n=3 conflicts with header n=5"),
     "short-permutation": (lambda: apply_perm_family((1, 2), P3),
                           "permutation size does not match ground size"),
     "canonical-form-17": (lambda: canonical_form(WIDE), "ground size 17 exceeds cap 16"),

@@ -54,6 +54,8 @@ class TestParse:
         text = "# a comment\nn=4\n1,2 # trailing\n3\n"
         fam = parse_family(text)
         assert fam.n == 4 and fam.member_sets() == [(1, 2), (3,)]
+        # a header may be repeated with the same size
+        assert parse_family(text + "n=4\n") == fam
 
     def test_header_conflict(self):
         with pytest.raises(ValueError, match="conflicts"):

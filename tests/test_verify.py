@@ -87,6 +87,16 @@ def tamper(cert, rng):
     return cert
 
 
+def refused(rep):
+    """A refused report's failure, once it is shown that the first failed
+    check ended the verification: that check is the last entry, every entry
+    before it passed, and the failure starts with its name."""
+    *before, (name, ok) = rep.checked
+    assert not ok and all(ok for _, ok in before), rep.checked
+    assert rep.failure.startswith(name)
+    return rep.failure
+
+
 class TestValidCertificates:
     def test_roundtrip_small_k_set_families(self):
         # every certificate produced over small generator families verifies,
@@ -178,28 +188,50 @@ class TestCertificateFields:
                 cert = certificate_from_dict(dict(data, **{field: change(data)}))
             except CertificateError:
                 continue
-            assert not verify_certificate(cert).passed, field
+            refused(verify_certificate(cert))
 
 
 class TestTargetedTampers:
     def test_weights_replaced_by_unit_vector(self):
         cert = is_fc(Family.from_sets(2, [[1, 2]]))
         cert.weights = (Fraction(1), Fraction(0))
-        rep = verify_fc(cert)
-        assert not rep.passed
+        refused(verify_fc(cert))
 
     def test_weights_not_summing_to_one(self):
         cert = is_fc(Family.from_sets(2, [[1, 2]]))
         cert.weights = (Fraction(1, 2), Fraction(1, 3))
-        rep = verify_fc(cert)
-        assert not rep.passed and "weights-simplex" in rep.failure
+        assert "weights-simplex" in refused(verify_fc(cert))
 
     def test_fc_without_proof_fails_without_raising(self):
         cert = is_fc(Family.from_sets(2, [[1, 2]]))
         rep = verify_fc(dataclasses.replace(cert, proof=None))
-        assert not rep.passed
-        assert rep.failure == ("separation-nonpositive: "
-                               "the certificate carries no separation proof")
+        assert refused(rep) == ("separation-nonpositive: "
+                                "the certificate carries no separation proof")
+
+    @pytest.mark.parametrize("weights, kind", [((0.25,) * 4, "float"),
+                                               ((True, False, False, False), "bool")],
+                             ids=["float", "bool"])
+    def test_inexact_weights_refused(self, weights, kind):
+        # the four 3-subsets of [4] are FC at weight 1/4 each; as floats
+        # those weights reached the proof replay, which raised, and bools
+        # are refused although True == 1
+        cert = is_fc(Family.from_sets(4, list(combinations(range(1, 5), 3))))
+        assert verify_fc(cert).passed
+        rep = verify_fc(dataclasses.replace(cert, weights=weights))
+        assert refused(rep) == f"weights-simplex: weights must be int or Fraction, not {kind}"
+
+    def test_float_farkas_refused(self):
+        # read as the binary rationals they are, these floats aggregate to
+        # 5/2^51 > 0 at element 1, which Fraction * float rounds away
+        cert = is_fc(Family.from_sets(*NONFC_N5))
+        y = [float(v) for v in cert.multipliers]
+        y[0] *= 1 + 2 ** -52
+        bad = dataclasses.replace(cert, multipliers=tuple(y), lam=float(cert.lam))
+        assert refused(verify_nonfc(bad)) == (
+            "multipliers-nonnegative: multipliers and lambda must be int or Fraction, not float")
+        exact = dataclasses.replace(bad, multipliers=tuple(map(Fraction, y)),
+                                    lam=Fraction(bad.lam))
+        assert refused(verify_nonfc(exact)).startswith("farkas-aggregation: element 1:")
 
     def test_not_a_certificate(self):
         with pytest.raises(TypeError, match="not a certificate: object"):
@@ -210,16 +242,14 @@ class TestTargetedTampers:
         bad = Family.from_sets(3, [[1], [2]])
         cert.cuts[0] = bad
         # restore plausible multiplier count
-        rep = verify_nonfc(cert)
-        assert not rep.passed
+        refused(verify_nonfc(cert))
 
     def test_negative_multiplier(self):
         cert = is_fc(Family.from_sets(3, [[1, 2, 3]]))
         y = list(cert.multipliers)
         y[0] = -abs(y[0]) - 1
         cert.multipliers = tuple(y)
-        rep = verify_nonfc(cert)
-        assert not rep.passed
+        refused(verify_nonfc(cert))
 
     @pytest.mark.parametrize("change,failure", [
         (lambda c: {"n": 9}, "ground-size: n=9"),
@@ -234,8 +264,7 @@ class TestTargetedTampers:
         cert = is_fc(Family.from_sets(7, [[1, 2, 3, 4, 5], [3, 4, 5, 6, 7]]), warm_start=True,
                      domain=no_singletons_family(7))
         assert isinstance(cert, NonFcCertificate) and verify_nonfc(cert).passed
-        rep = verify_nonfc(dataclasses.replace(cert, **change(cert)))
-        assert not rep.passed and rep.failure == failure
+        assert refused(verify_nonfc(dataclasses.replace(cert, **change(cert)))) == failure
 
     @pytest.mark.parametrize("n", [0, 9])
     def test_file_ground_size_out_of_range(self, n):
@@ -259,9 +288,7 @@ class TestRandomTampers:
         pool = make_pool()
         for _ in range(120):
             cert = rng.choice(pool)
-            bad = tamper(cert, rng)
-            rep = verify_certificate(bad)
-            assert not rep.passed, (cert.kind, bad)
+            refused(verify_certificate(tamper(cert, rng)))
 
 
 @pytest.fixture(scope="module")
@@ -305,16 +332,14 @@ class TestProofTampers:
         for cert in larger_certs:
             bad = copy.deepcopy(cert)
             bad.proof = bad.proof[:-1]
-            rep = verify_fc(bad)
-            assert not rep.passed and "ends before" in rep.failure
+            assert "ends before" in refused(verify_fc(bad))
 
     def test_extended_proof(self, larger_certs):
         for cert in larger_certs:
             for extra in (LEAF, 0, (1 << cert.n) - 1):
                 bad = copy.deepcopy(cert)
                 bad.proof = bad.proof + (extra,)
-                rep = verify_fc(bad)
-                assert not rep.passed and "left over" in rep.failure
+                assert "left over" in refused(verify_fc(bad))
 
     def test_branch_set_already_in_zeros(self, larger_certs):
         # the root's right child has the root's branch set fixed to 0;
@@ -326,16 +351,14 @@ class TestProofTampers:
             right = subtree_end(cert.proof, 1, grown, frozenset(), base)
             bad = copy.deepcopy(cert)
             bad.proof = cert.proof[:right] + (b,) + cert.proof[right + 1:]
-            rep = verify_fc(bad)
-            assert not rep.passed and "already fixed" in rep.failure
+            assert "already fixed" in refused(verify_fc(bad))
 
     def test_branch_set_outside_domain(self, larger_certs):
         vfc = larger_certs[2]
         assert vfc.domain is not None
         bad = copy.deepcopy(vfc)
         bad.proof = (0b000001,) + vfc.proof[1:]  # a singleton
-        rep = verify_fc(bad)
-        assert not rep.passed and "outside the domain" in rep.failure
+        assert "outside the domain" in refused(verify_fc(bad))
 
     def test_proof_of_another_certificate(self, larger_certs):
         for n in (5, 6):
@@ -343,7 +366,7 @@ class TestProofTampers:
             for cert, other in zip(same_n, same_n[1:] + same_n[:1]):
                 bad = copy.deepcopy(cert)
                 bad.proof = other.proof
-                assert not verify_fc(bad).passed
+                refused(verify_fc(bad))
 
     def test_weights_moved_so_leaf_bounds_fail(self, larger_certs):
         # the proof alone vouches for the weights; moving them halfway to a
@@ -356,8 +379,7 @@ class TestProofTampers:
             dom = cert.domain or powerset_family(cert.n)
             prob = build_separation(union_closure(cert.family), dom)
             assert solve_separation(prob, bad.weights).optimum > 0
-            rep = verify_fc(bad)
-            assert not rep.passed and "a leaf bounds" in rep.failure
+            assert "a leaf bounds" in refused(verify_fc(bad))
 
     def test_missing_or_malformed_proof_in_file(self, larger_certs):
         data = certificate_to_dict(larger_certs[0])
@@ -434,7 +456,7 @@ class TestProofReplay:
             monkeypatch.undo()
             # every proof has a leaf the flow must settle
             assert calls
-            assert not rep.passed and failure in rep.failure
+            assert failure in refused(rep)
 
     def test_one_max_flow_per_leaf(self, monkeypatch, larger_certs):
         # the checker asks for one flow at each leaf, with the leaf's bound
