@@ -177,8 +177,6 @@ def canonical_form(family: Family) -> Family:
     fam, _ = compact_universe(family)
     u = fam.n
     members = fam.members
-    if not members or members == (0,):
-        return fam
 
     # member j owns bits 32j..32j+31 of each packed int (see the module
     # docstring); its values stay below 2^16, so a field never carries

@@ -52,17 +52,16 @@ maximum of a member invariant over the extension: the degree sum of the
 member's elements, then the sorted sizes of its intersections with the
 other members, both unchanged by relabeling (the cheap half of McKay's
 canonical deletion, *J. Algorithms* 26, 1998).  Ties pass, and `seen`
-removes the duplicates left.  The degree sums come first: a parent's
-element degrees and member degree sums are counted once, an extension by s
-gives each old member y |y & s| more, and the sorted intersection sizes are
-compared only when the largest old sum ties with the new set's.  The filter
-runs only when every previous cell's `fc` set is empty, and then it drops
-no class.  A class reached from some parent F - x is still reached: delete
-a member y of maximum invariant.  (F - x) - y lies in the parent F - x, so
-it is a parent too and F - y was listed; with an empty `fc` set, F - y is
-then a parent, and its canonical family plus the image of y is a copy of F
-whose new set has the maximum.  So candidates, `fc` sets, decisions and
-witnesses are those of full extension.
+removes the duplicates left.  Each extension's invariants are computed
+afresh, and they compare the degree sums first, so the intersection sizes
+decide only a tie.  The filter runs only when every previous cell's `fc`
+set is empty, and then it drops no class.  A class reached from some
+parent F - x is still reached: delete a member y of maximum invariant.
+(F - x) - y lies in the parent F - x, so it is a parent too and F - y was
+listed; with an empty `fc` set, F - y is then a parent, and its canonical
+family plus the image of y is a copy of F whose new set has the maximum.
+So candidates, `fc` sets, decisions and witnesses are those of full
+extension.
 
 `fc_value` and `fcv_value` share one threshold scan, `_scan`, which reads
 the levels m = 1..min(m_max, C(n, k)) off the getNFC cells (u, k, m):
@@ -97,14 +96,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .setfam import (
-    Family,
-    bits,
-    frequencies,
-    lex_ksets,
-    no_singletons_family,
-    universe,
-)
+from .setfam import Family, lex_ksets, no_singletons_family, universe
 from .canon import canonical_form, twin_classes
 from .fcsolve import (
     Certificate,
@@ -193,43 +185,22 @@ def _member_invariant(members: Sequence[int], s: int) -> tuple[int, list[int]]:
     return s.bit_count() + sum(meets), meets
 
 
-def _new_set_wins(members: Sequence[int], old: Sequence[int]) -> bool:
-    """Whether the one member of `members` missing from `old` has the
-    maximum member invariant; ties win."""
-    new = next(s for s in members if s not in old)
-    mine = _member_invariant(members, new)
+def _new_set_wins(old: Sequence[int], s: int) -> bool:
+    """Whether the new set s has the maximum member invariant in the
+    extension of the members `old` by s; ties win."""
+    members = (*old, s)
+    mine = _member_invariant(members, s)
     return all(_member_invariant(members, y) <= mine for y in old)
 
 
-def _new_set_gate(parent: Family) -> Callable[[int], bool]:
-    """`_new_set_wins` for the extensions of one parent by a new set s.
-
-    The parent's element degrees and its members' degree sums are counted
-    once.  In the extension an old member y's degree sum grows by |y & s|,
-    and s's is |s| plus the parent degrees of its elements; the first
-    component of the invariant decides unless the largest old sum ties
-    with s's, and only then is the whole invariant compared.
-    """
-    old = parent.members
-    degree = frequencies(parent).counts
-    sums = [(y, sum(degree[e] for e in bits(y))) for y in old]
-    inside = (1 << parent.n) - 1
-
-    def wins(s: int) -> bool:
-        mine = s.bit_count() + sum(degree[e] for e in bits(s & inside))
-        top = max(total + (y & s).bit_count() for y, total in sums)
-        return top < mine or top == mine and _new_set_wins(old + (s,), old)
-
-    return wins
-
-
-def _twin_gate(parent: Family) -> Optional[Callable[[int], bool]]:
+def _twin_gate(parent: Family) -> Callable[[int], bool]:
     """Whether a new set s meets every twin class of the parent in that
-    class's lowest elements; None when the parent has no twins.
+    class's lowest elements.
 
     Each twin is linked to the one before it in its class, and s passes
     when it holds the earlier element of every link whose later one it
-    holds.  Fresh elements lie outside the parent and are never linked.
+    holds, so every s passes when the parent has no twins.  Fresh elements
+    lie outside the parent and are never linked.
     """
     last: dict[int, int] = {}
     links = []
@@ -237,8 +208,6 @@ def _twin_gate(parent: Family) -> Optional[Callable[[int], bool]]:
         if rep != e:
             links.append((1 << e, 1 << last[rep]))
         last[rep] = e
-    if not links:
-        return None
     return lambda s: all(s & earlier or not s & later for later, earlier in links)
 
 
@@ -321,8 +290,9 @@ class EnumSession:
         class below the domain, else the Non-FC ones) whose one-down
         subfamilies are not known FC.  An extension is canonicalized only
         if its new set meets each twin class of the parent in its lowest
-        elements and, while the previous level knows no FC class, has the
-        maximum member invariant; the subfamily test runs only once the
+        elements (every new set of a parent without twins does) and, while
+        the previous level knows no FC class, has the maximum member
+        invariant (`_new_set_wins`); the subfamily test runs only once the
         previous level knows one."""
         if not (n >= k >= 3):
             raise ValueError("need n >= k >= 3")
@@ -348,11 +318,9 @@ class EnumSession:
             # the new set must cover the elements the parent's universe lacks
             new_sets = _new_sets(parent, k, n - parent.n)
             # one new set per orbit of the twin transpositions, which fix the parent
-            lowest = _twin_gate(parent)
-            if lowest is not None:
-                new_sets = filter(lowest, new_sets)
+            new_sets = filter(_twin_gate(parent), new_sets)
             if augment:
-                new_sets = filter(_new_set_gate(parent), new_sets)
+                new_sets = filter(functools.partial(_new_set_wins, parent.members), new_sets)
             for s in new_sets:
                 ext = Family.from_masks(n, parent.members + (s,))
                 canon = canonical_form(ext)

@@ -299,9 +299,7 @@ def _build_nonfc(
     integers, and each cut's share becomes one `Fraction`."""
     lam = farkas.eq_multipliers[0]
     ys = farkas.ge_multipliers
-    # with no generators a cut is its own orbit, and no symmetry work runs
-    cut_images = [family_orbit(fam, gens) if gens else [fam]
-                  for fam in (Family(n, tuple(bits(cut))) for cut in cuts)]
+    cut_images = [family_orbit(Family(n, tuple(bits(cut))), gens) for cut in cuts]
     # den makes every share y / len(images) an integer, and every share
     # even, so that the halved right side below is an integer too
     den = 2 * math.lcm(*(len(images) for images in cut_images))

@@ -33,19 +33,9 @@ def mask_from_elements(elements: Iterable[int], n: int) -> int:
     return mask
 
 
-# bits() reads a mask with at least this many set bits off its binary
-# digits; below it, one loop step per set bit is cheaper, at every width up
-# to WIDE_GROUND_CAP
-DENSE_BITS = 32
-_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
-
-
 def bits(x: int) -> list[int]:
-    """The 0-based positions of the set bits of x, ascending."""
-    if x.bit_count() >= DENSE_BITS:
-        # the digits, lowest first, as bytes 0 and 1 select their positions
-        digits = bin(x)[:1:-1].encode("ascii").translate(_DIGIT_VALUES)
-        return list(itertools.compress(range(len(digits)), digits))
+    """The 0-based positions of the set bits of x, ascending: one loop step
+    per set bit, each taking the lowest with x & -x."""
     out = []
     while x:
         low = x & -x

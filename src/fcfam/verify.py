@@ -10,7 +10,8 @@ ends the verification: it is the report's last entry and its failure, and
 nothing after it runs on data that has already failed.  Numbers must be
 exact: an FC weight, a Farkas multiplier or lambda that is not an int (a bool
 is not one) or a Fraction fails its check (`weights-simplex`,
-`multipliers-nonnegative`), so no verdict rests on floating point.
+`multipliers-nonnegative`), and so does a proof entry that is not an int
+(`separation-nonpositive`), so no verdict rests on floating point.
 
 An FC certificate is its weights and the search tree of its final
 separation solve, in preorder (`sepip.LEAF` for a pruned node, else the
@@ -187,7 +188,9 @@ def check_separation_proof(
     `base` must be union-closed with the empty set, `domain` union-closed
     and containing `base`, and `weights` exact (int or Fraction),
     nonnegative and summing to 1: `verify_fc` checks all of this, the
-    weights included, before it replays the proof.
+    weights included, before it replays the proof.  A proof entry that is
+    not an int (a bool is not one) is refused before it is read as `LEAF`
+    or as a set.
     """
     lcm = math.lcm(*(w.denominator for w in weights))
     scaled = [int(w * lcm) for w in weights]
@@ -216,6 +219,8 @@ def check_separation_proof(
         entry = next(entries, None)
         if entry is None:
             raise _ProofError("the proof ends before the tree does")
+        if type(entry) is not int:
+            raise _ProofError(f"proof entry {entry!r} is not an int")
         if entry == LEAF:
             leaf(ones, val, zeros)
             return

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from fcfam.setfam import (
-    DENSE_BITS,
     Family,
     bits,
     compact_universe,
@@ -85,10 +84,7 @@ class TestMasks:
                 x = rng.getrandbits(width)
                 assert bits(x) == [i for i in range(width) if x >> i & 1]
                 assert mask_elements(x) == tuple(i + 1 for i in bits(x))
-        # every popcount from 0 to 256, at widths up to 256 bits, on both
-        # sides of the threshold where bits() switches from one step per set
-        # bit to reading the binary digits
-        assert 0 < DENSE_BITS <= 256
+        # every popcount from 0 to 256, at widths up to 256 bits
         for count in range(257):
             narrowest = max(count, 1)
             for width in (narrowest, rng.randint(narrowest, 256), 256):

@@ -382,8 +382,23 @@ class TestProofTampers:
             assert "a leaf bounds" in refused(verify_fc(bad))
 
     def test_missing_or_malformed_proof_in_file(self, larger_certs):
-        data = certificate_to_dict(larger_certs[0])
-        for proof in ([LEAF, -2], [1 << 5], [True], ["3"], 7):
+        # each bad entry takes the place of the first proof entry it equals
+        # (True and 1.0 that of the root's branch set 1, -1.0 that of the
+        # first LEAF), else of the root's; the loader refuses it in a file,
+        # and the checker in memory
+        cert = larger_certs[0]
+        assert cert.proof[0] == 1
+        data = certificate_to_dict(cert)
+        for entry in (-2, 1 << 5, True, "3", 1.0, -1.0):
+            at = next((i for i, x in enumerate(cert.proof) if x == entry), 0)
+            proof = cert.proof[:at] + (entry,) + cert.proof[at + 1:]
+            with pytest.raises(CertificateError):
+                certificate_from_dict(dict(data, proof=list(proof)))
+            failure = refused(verify_fc(dataclasses.replace(cert, proof=proof)))
+            assert failure.startswith("separation-nonpositive"), entry
+            if type(entry) is not int:
+                assert f"proof entry {entry!r} is not an int" in failure
+        for proof in ([LEAF, -2], 7):
             with pytest.raises(CertificateError):
                 certificate_from_dict(dict(data, proof=proof))
         del data["proof"]
