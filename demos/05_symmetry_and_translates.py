@@ -36,7 +36,7 @@ print("are_isomorphic:", are_isomorphic(a, b))
 print("\n== automorphisms and orbits ==")
 closure = union_closure(Family.from_sets(6, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6], [1, 2, 3, 5, 6]]))
 print("group order:", len(automorphism_group(closure)))
-print("orbits:", orbits(closure).orbit_sets())
+print("orbits:", orbits(closure))
 
 print("\n== symmetry halves the LP dimension here ==")
 fam = Family.from_sets(4, [[1, 2], [3, 4]])
@@ -52,7 +52,7 @@ for n in (4, 5, 6):
 print("\n== transitive families need only the uniform weight check ==")
 fam = Family.from_sets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
 closure = union_closure(fam)
-print("orbit count:", orbits(closure).num_orbits)
+print("orbit count:", len(orbits(closure)))
 prob = build_separation(closure, powerset_family(4))
 print("uniform weights admit no separating family:",
       solve_separation(prob, [Fraction(1, 4)] * 4).optimum <= 0)

@@ -20,7 +20,6 @@ from .setfam import (
     uplus,
 )
 from .canon import (
-    OrbitPartition,
     are_isomorphic,
     automorphism_group,
     canonical_form,

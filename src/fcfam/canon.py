@@ -59,7 +59,6 @@ generators; no decision lists the group.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from struct import Struct
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -94,35 +93,6 @@ def apply_perm_family(p: Permutation, family: Family) -> Family:
     if len(p) != family.n:
         raise ValueError("permutation size does not match ground size")
     return Family.from_masks(family.n, (apply_perm_mask(p, m) for m in family.members))
-
-
-@dataclass(frozen=True)
-class OrbitPartition:
-    """Automorphism orbits of the ground elements; ids dense from 0."""
-
-    orbit_id: tuple[int, ...]
-
-    @property
-    def num_orbits(self) -> int:
-        return max(self.orbit_id) + 1 if self.orbit_id else 0
-
-    def orbit_sets(self) -> list[tuple[int, ...]]:
-        out: list[list[int]] = [[] for _ in range(self.num_orbits)]
-        for i, oid in enumerate(self.orbit_id):
-            out[oid].append(i + 1)
-        return [tuple(o) for o in out]
-
-    @classmethod
-    def from_generators(cls, gens: Sequence[Permutation], n: int) -> "OrbitPartition":
-        """Orbits on [n] of the group the gens generate, numbered by first appearance."""
-        ids = [-1] * n
-        count = 0
-        for i in range(1, n + 1):
-            if ids[i - 1] < 0:
-                for x in _orbit(i, gens, _image):
-                    ids[x - 1] = count
-                count += 1
-        return cls(tuple(ids))
 
 
 def twin_classes(members: Sequence[int], u: int) -> list[int]:
@@ -314,8 +284,6 @@ def generating_set(family: Family) -> list[Permutation]:
     non-universe elements pointwise.  Capped at universes of 16 elements.
     """
     fam, compaction = compact_universe(family)
-    if not universe(family):
-        return []
     u = fam.n
     if u > GROUND_CAP:
         raise ValueError(f"universe of {u} elements exceeds cap {GROUND_CAP}")
@@ -351,13 +319,20 @@ def automorphism_group(family: Family) -> list[Permutation]:
     return sorted(_orbit(identity_perm(family.n), generating_set(family), compose))
 
 
-def orbits(family: Family) -> OrbitPartition:
+def element_orbits(gens: Sequence[Permutation], n: int) -> list[tuple[int, ...]]:
+    """Orbits on [n] of the group the gens generate: ascending tuples, in
+    order of least element (the orbits are disjoint, so sorting the tuples
+    sorts them by their first entries)."""
+    return sorted({tuple(sorted(_orbit(i, gens, _image))) for i in range(1, n + 1)})
+
+
+def orbits(family: Family) -> list[tuple[int, ...]]:
     """Automorphism orbits of the ground elements, from `generating_set`.
 
     The group is never listed, so universes up to 16 elements are handled;
     non-universe elements sit in singletons.
     """
-    return OrbitPartition.from_generators(generating_set(family), family.n)
+    return element_orbits(generating_set(family), family.n)
 
 
 def family_orbit(family: Family, gens: Sequence[Permutation]) -> list[Family]:

@@ -250,7 +250,7 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    for orbit in orbits(_read_family(args.family)).orbit_sets():
+    for orbit in orbits(_read_family(args.family)):
         print(",".join(map(str, orbit)))
     return 0
 

@@ -19,7 +19,9 @@ which validates a caller's domain; the full domain P([n]) skips the
 domain's union-closure check, so a decision that its first LP settles pays
 little for it.  `sepip` owns the bitset form of a family that the instance
 holds, and `is_fc` takes its classical cuts (`classical_cut`) and its LP
-rows (`element_counts`) from there.
+rows (`element_counts`) from there; `is_fc` itself encodes a violated
+witness as a bitset, reads |B| as the cut's popcount, and `_build_nonfc`
+decodes each Non-FC cut with `setfam.bits`.
 
 A warm decision (the default) also uses the classical cuts B_X = <A> |+| D_X,
 with D_X the domain sets disjoint from X.  D_X is union-closed and holds the
@@ -77,9 +79,9 @@ from .setfam import (
     universe,
 )
 from .canon import (
-    OrbitPartition,
     apply_perm_family,
     automorphism_group,  # noqa: F401  (not called here; bench/spans.py wraps it by name)
+    element_orbits,
     family_orbit,
     generating_set,
 )
@@ -118,9 +120,9 @@ class NonFcCertificate:
     @classmethod
     def pending(cls, family: Family, n: int, domain: Optional[Family], cuts: list[int],
                 gens: list[tuple[int, ...]], farkas: Infeasible) -> "NonFcCertificate":
-        """The certificate of a decided Non-FC family, built by `_build_nonfc`
-        from the stored cut bitsets, the generators and the LP's Farkas
-        multipliers when `cuts`, `multipliers` or `lam` is first read."""
+        """The certificate of a decided Non-FC family, whose cuts, multipliers
+        and lambda `_build_nonfc` builds from the stored cut bitsets, the
+        generators and the LP's Farkas multipliers when one is first read."""
         cert = cls.__new__(cls)
         cert.family, cert.n, cert.domain = family, n, domain
         cert._farkas = (cuts, gens, farkas)
@@ -132,8 +134,7 @@ class NonFcCertificate:
         farkas = self.__dict__.get("_farkas")
         if name not in ("cuts", "multipliers", "lam") or farkas is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        built = _build_nonfc(self.family, self.n, self.domain, *farkas)
-        self.cuts, self.multipliers, self.lam = built.cuts, built.multipliers, built.lam
+        self.cuts, self.multipliers, self.lam = _build_nonfc(self.n, *farkas)
         del self._farkas
         return getattr(self, name)
 
@@ -201,11 +202,12 @@ def is_fc(
     gens: list[tuple[int, ...]] = generating_set(closure) if symmetry else []
     if domain is not None:
         gens = [g for g in gens if apply_perm_family(g, domain) == domain]
-    orbit_part = OrbitPartition.from_generators(gens, n)
-    oid = orbit_part.orbit_id
+    orbits = element_orbits(gens, n)
+    # oid[j]: the index of element j+1's orbit
+    oid = [k for _, k in sorted((x, k) for k, orbit in enumerate(orbits) for x in orbit)]
 
     def over_orbits(coeffs: Sequence[int]) -> tuple[int, ...]:
-        out = [0] * orbit_part.num_orbits
+        out = [0] * len(orbits)
         for j, c in enumerate(coeffs):
             out[oid[j]] += c
         return tuple(out)
@@ -216,7 +218,7 @@ def is_fc(
     # its row over the orbits is counted by `sepip.element_counts`, the
     # |B_i| of each element i.  Every row is doubled, so that |B|/2 is an
     # integer: 2 sum(c) = 2 and sum_i 2 c_i |B_i| >= |B|
-    lp = LinearProgram(orbit_part.num_orbits, [(over_orbits([2] * n), 2)])
+    lp = LinearProgram(len(orbits), [(over_orbits([2] * n), 2)])
     cuts: list[int] = []
 
     def add_cut(cut: int) -> None:
@@ -228,7 +230,7 @@ def is_fc(
         # the first element of each orbit gets one, since the other B_i are
         # its images; the B_i of two orbits can still coincide, and are then
         # stored once
-        for orbit in orbit_part.orbit_sets():
+        for orbit in orbits:
             b = classical_cut(prob, family, 1 << (orbit[0] - 1))
             if b not in cuts:
                 add_cut(b)
@@ -283,20 +285,15 @@ def is_fc(
         return FcCertificate(family=family, n=n, domain=domain, weights=point, proof=sep.proof)
 
 
-def _build_nonfc(
-    family: Family,
-    n: int,
-    domain: Optional[Family],
-    cuts: list[int],
-    gens: list[tuple[int, ...]],
-    farkas: Infeasible,
-) -> NonFcCertificate:
-    """The certificate over the original system: each stored cut's orbit of
-    images, with its multiplier spread uniformly over them.  The LP's
-    multipliers are integers, fixed only up to a positive factor, and its
-    rows are twice the inequalities; the normalization below, which divides
-    by the aggregated right side, removes both factors.  It runs in
-    integers, and each cut's share becomes one `Fraction`."""
+def _build_nonfc(n: int, cuts: list[int], gens: list[tuple[int, ...]],
+                 farkas: Infeasible) -> tuple[list[Family], tuple[Fraction, ...], Fraction]:
+    """The cuts, multipliers and lambda of a Non-FC certificate over the
+    original system: each stored cut's orbit of images, with its multiplier
+    spread uniformly over them.  The LP's multipliers are integers, fixed
+    only up to a positive factor, and its rows are twice the inequalities;
+    the normalization below, which divides by the aggregated right side,
+    removes both factors.  It runs in integers, and each cut's share becomes
+    one `Fraction`."""
     lam = farkas.eq_multipliers[0]
     ys = farkas.ge_multipliers
     cut_images = [family_orbit(Family(n, tuple(bits(cut))), gens) for cut in cuts]
@@ -316,14 +313,7 @@ def _build_nonfc(
         y = Fraction(share, rhs)
         cut_mult.extend((img, y) for img in images)
     cut_mult.sort(key=lambda pair: pair[0].members)
-    return NonFcCertificate(
-        family=family,
-        n=n,
-        domain=domain,
-        cuts=[c for c, _ in cut_mult],
-        multipliers=tuple(y for _, y in cut_mult),
-        lam=Fraction(scaled_lam, rhs),
-    )
+    return [c for c, _ in cut_mult], tuple(y for _, y in cut_mult), Fraction(scaled_lam, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -277,8 +277,6 @@ def translates_family(n: int, residues: Iterable[int]) -> Family:
 def regularity(family: Family) -> Optional[int]:
     """Common degree of the universe elements, or None if not regular."""
     uni = universe(family)
-    if uni == 0:
-        return None
     counts = frequencies(family).counts
     degs = {counts[i] for i in bits(uni)}
     return degs.pop() if len(degs) == 1 else None

@@ -123,7 +123,7 @@ def _inexact(what: str, values: Sequence) -> str:
 def _structural(cert: Certificate, rep: VerificationReport) -> tuple[Family, Family]:
     """Shared structural checks; returns the domain and <A>."""
     n = cert.n
-    rep._check("ground-size", 1 <= n <= DECISION_GROUND_CAP, f"n={n}")
+    rep._check("ground-size", type(n) is int and 1 <= n <= DECISION_GROUND_CAP, f"n={n!r}")
     rep._check("family-universe", cert.family.n == n and universe(cert.family) == (1 << n) - 1,
                "family universe is not all of [n]")
     closure = union_closure(cert.family)

@@ -459,14 +459,13 @@ def fraction_check_farkas(lp: LinearProgram, cert: Infeasible) -> bool:
     return all(a <= 0 for a in agg) and rhs > 0
 
 
-def fraction_nonfc_certificate(family: Family, n: int, domain, cuts: list[int], gens,
-                               farkas: Infeasible):
-    """`fcsolve._build_nonfc` in `Fraction` arithmetic, its reference: each
-    stored cut (a bitset of sets) spreads its LP multiplier uniformly over
-    its orbit of images under gens, and every multiplier is divided by the
-    aggregated right side so that it becomes exactly 1."""
+def fraction_nonfc_certificate(n: int, cuts: list[int], gens, farkas: Infeasible):
+    """`fcsolve._build_nonfc` in `Fraction` arithmetic, its reference: the
+    cuts, multipliers and lambda of a Non-FC certificate.  Each stored cut
+    (a bitset of sets) spreads its LP multiplier uniformly over its orbit of
+    images under gens, and every multiplier is divided by the aggregated
+    right side so that it becomes exactly 1."""
     from fcfam.canon import family_orbit
-    from fcfam.fcsolve import NonFcCertificate
 
     lam = farkas.eq_multipliers[0]
     cut_mult = []
@@ -476,8 +475,7 @@ def fraction_nonfc_certificate(family: Family, n: int, domain, cuts: list[int], 
         cut_mult.extend((img, Fraction(y) / len(images)) for img in images)
     rhs = sum(y * Fraction(len(c.members), 2) for c, y in cut_mult) + lam
     cut_mult = sorted(((c, y / rhs) for c, y in cut_mult), key=lambda pair: pair[0].members)
-    return NonFcCertificate(family, n, domain, [c for c, _ in cut_mult],
-                            tuple(y for _, y in cut_mult), lam / rhs)
+    return [c for c, _ in cut_mult], tuple(y for _, y in cut_mult), lam / rhs
 
 
 def same_result(res: LPResult, ref: LPResult) -> bool:

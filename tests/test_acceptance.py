@@ -143,8 +143,7 @@ def test_criterion_06_symmetry_equivalence():
         without = is_fc(fam, symmetry=False)
         assert with_sym.kind == without.kind, fam
         closure = union_closure(fam)
-        part = orbits(closure)
-        if part.num_orbits == 1:
+        if len(orbits(closure)) == 1:
             n = fam.n
             uniform = [Fraction(1, n)] * n
             prob = build_separation(closure, powerset_family(n))

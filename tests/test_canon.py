@@ -21,6 +21,7 @@ from fcfam.canon import (
     automorphism_group,
     canonical_form,
     compose,
+    element_orbits,
     family_orbit,
     generating_set,
     identity_perm,
@@ -219,31 +220,28 @@ class TestAutomorphisms:
 class TestOrbits:
     def test_transitive_complete_family(self):
         fam = Family.from_sets(3, [[1, 2], [1, 3], [2, 3]])
-        assert orbits(fam).orbit_sets() == [(1, 2, 3)]
+        assert orbits(fam) == [(1, 2, 3)]
 
     def test_path_family(self):
-        assert orbits(Family.from_sets(3, [[1, 2], [2, 3]])).orbit_sets() == [(1, 3), (2,)]
+        assert orbits(Family.from_sets(3, [[1, 2], [2, 3]])) == [(1, 3), (2,)]
 
     def test_translates_single_orbit(self):
         fam = translates_family(4, {0, 1, 2})
-        part = orbits(fam)
-        assert part.num_orbits == 1
-        assert len(part.orbit_id) == 16
+        assert orbits(fam) == [tuple(range(1, 17))]
 
     def test_closure_of_three_5sets(self):
         fam = union_closure(
             Family.from_sets(6, [[1, 2, 3, 4, 5], [1, 2, 3, 4, 6], [1, 2, 3, 5, 6]])
         )
         # derived by brute force over all 6! permutations
-        assert orbits(fam).orbit_sets() == [(1, 2, 3), (4, 5, 6)]
+        assert orbits(fam) == [(1, 2, 3), (4, 5, 6)]
 
     def test_orbit_elements_share_frequency(self):
         rng = random.Random(43)
         for _ in range(50):
             fam = random_family(rng, max_n=6)
-            part = orbits(fam)
             counts = frequencies(fam).counts
-            for orbit in part.orbit_sets():
+            for orbit in orbits(fam):
                 assert len({counts[i - 1] for i in orbit}) == 1
 
     def test_matches_brute_orbits(self):
@@ -251,16 +249,21 @@ class TestOrbits:
         for _ in range(60):
             fam = random_family(rng, max_n=6)
             group = brute_automorphisms(fam)
-            # the orbit of i is {p(i)}; number orbits by first appearance
-            first: dict[int, int] = {}
-            expected = tuple(
-                first.setdefault(min(p[i] for p in group), len(first)) for i in range(fam.n)
-            )
-            assert orbits(fam).orbit_id == expected
+            # the orbit of i is {p(i)}; list orbits by least element
+            expected = sorted({tuple(sorted({p[i] for p in group})) for i in range(fam.n)})
+            assert orbits(fam) == expected
 
     def test_singletons_outside_universe(self):
         fam = Family.from_sets(4, [[2, 3]])
-        assert orbits(fam).orbit_sets() == [(1,), (2, 3), (4,)]
+        assert orbits(fam) == [(1,), (2, 3), (4,)]
+
+    def test_element_orbits(self):
+        # no generators: the n singletons; a family's generators: its orbits
+        assert element_orbits([], 4) == [(1,), (2,), (3,), (4,)]
+        rng = random.Random(67)
+        for _ in range(30):
+            fam = random_family(rng, max_n=6)
+            assert element_orbits(generating_set(fam), fam.n) == orbits(fam)
 
 
 class TestGroupHelpers:
@@ -284,5 +287,5 @@ class TestGroupHelpers:
         gens = generating_set(closure)
         assert len(gens) <= 7
         assert all(apply_perm_family(g, closure) == closure for g in gens)
-        assert orbits(closure).num_orbits == 1
+        assert len(orbits(closure)) == 1
         assert len(family_orbit(Family.from_sets(8, [[1, 2, 3, 4]]), gens)) == 70

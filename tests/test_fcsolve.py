@@ -417,7 +417,7 @@ class TestSymmetryReduce:
         # warm-start cut for each
         fam = Family.from_sets(6, K4_N6)
         lp = first_lp(monkeypatch, fam, symmetry=True, warm_start=True)
-        assert lp.num_vars == len(lp.ge_rows) == orbits(union_closure(fam)).num_orbits < fam.n
+        assert lp.num_vars == len(lp.ge_rows) == len(orbits(union_closure(fam))) < fam.n
 
     def test_nonfc_cuts_closed_under_the_group(self):
         # every generator maps the certificate's cuts onto themselves, each
@@ -463,10 +463,10 @@ class TestNonFcNormalization:
         built = []
         real = fcfam.fcsolve._build_nonfc
 
-        def recording(family, n, domain, cuts, gens, farkas):
-            cert = real(family, n, domain, cuts, gens, farkas)
-            built.append(((family, n, domain, list(cuts), gens, farkas), cert))
-            return cert
+        def recording(n, cuts, gens, farkas):
+            fields = real(n, cuts, gens, farkas)
+            built.append(((n, list(cuts), gens, farkas), fields))
+            return fields
 
         monkeypatch.setattr(fcfam.fcsolve, "_build_nonfc", recording)
         read_every_decision(monkeypatch)
@@ -478,15 +478,12 @@ class TestNonFcNormalization:
             certificate_to_dict(cert)
         assert len(built) > 20
         shared = 0
-        for args, cert in built:
-            ref = fraction_nonfc_certificate(*args)
-            assert (cert.family, cert.n, cert.domain) == (ref.family, ref.n, ref.domain)
-            assert cert.cuts == ref.cuts
-            assert cert.multipliers == ref.multipliers
-            assert cert.lam == ref.lam
+        for args, fields in built:
+            assert fields == fraction_nonfc_certificate(*args)
             # the images of each stored cut share one multiplier
-            family, n, _, cuts, gens, _ = args
-            mult = dict(zip(cert.cuts, cert.multipliers))
+            n, cuts, gens, _ = args
+            cert_cuts, multipliers, _ = fields
+            mult = dict(zip(cert_cuts, multipliers))
             for cut in cuts:
                 images = family_orbit(Family(n, tuple(bits(cut))), gens) if gens else []
                 assert len({mult[img] for img in images}) <= 1
@@ -508,26 +505,35 @@ class TestNonFcNormalization:
             return res
 
         def building(*args):
-            cert = build(*args)
-            built[-1].append((args[:-1], cert))
-            return cert
+            fields = build(*args)
+            built[-1].append((args[:-1], fields))
+            return fields
 
         monkeypatch.setattr(fcfam.fcsolve, "lp_solve", solved)
         monkeypatch.setattr(fcfam.fcsolve, "_build_nonfc", building)
-        # each certificate is built before the next decision's first LP
+        # each certificate is built before the next decision's first LP, and
+        # recorded beside its fields
         read_every_decision(monkeypatch)
+        reading = fcfam.enumfam.is_fc
+
+        def recorded(*args, **kwargs):
+            cert = reading(*args, **kwargs)
+            if cert.kind == "non-fc":
+                built[-1].append(cert)
+            return cert
+
+        monkeypatch.setattr(fcfam.enumfam, "is_fc", recorded)
         fc_value(4, 6, symmetry=symmetry)
         built = [entry for entry in built if isinstance(entry[1], Infeasible)]
         assert len(built) > 10
-        for lp, res, (args, cert) in built:
+        for lp, res, (args, fields), cert in built:
+            assert (cert.cuts, cert.multipliers, cert.lam) == fields
             ge, eq = res.ge_multipliers, res.eq_multipliers
             assert all(type(y) is int for y in ge + eq)
             for k in (1, 2, 7):
                 scaled = Infeasible(tuple(k * y for y in ge), tuple(k * y for y in eq))
                 assert check_farkas(lp, scaled)
-                again = build(*args, scaled)
-                assert again == cert
-                assert certificate_to_dict(again) == certificate_to_dict(cert)
+                assert build(*args, scaled) == fields
             assert not check_farkas(lp, Infeasible(tuple(-y for y in ge), tuple(-y for y in eq)))
             for i, y in enumerate(ge):
                 negative = ge[:i] + (-max(y, 1),) + ge[i + 1:]
@@ -545,8 +551,8 @@ class TestPendingCertificate:
         real = fcfam.fcsolve._build_nonfc
 
         def build(*args):
-            built.append(args[0])
-            return real(*args)
+            built.append(real(*args))
+            return built[-1]
 
         monkeypatch.setattr(fcfam.fcsolve, "_build_nonfc", build)
         return built
@@ -566,11 +572,12 @@ class TestPendingCertificate:
         assert built == []
         assert rep.witness == rep.witness_certificate.family
         assert built == []
-        first = certificate_to_dict(rep.witness_certificate)
-        assert built == [rep.witness]
-        assert certificate_to_dict(rep.witness_certificate) == first
-        assert verify_certificate(rep.witness_certificate).passed
-        assert built == [rep.witness]
+        cert = rep.witness_certificate
+        first = certificate_to_dict(cert)
+        assert built == [(cert.cuts, cert.multipliers, cert.lam)]
+        assert certificate_to_dict(cert) == first
+        assert verify_certificate(cert).passed
+        assert built == [(cert.cuts, cert.multipliers, cert.lam)]
 
     @pytest.mark.parametrize("symmetry", [False, True], ids=["plain", "symmetry"])
     def test_pending_equals_eager(self, monkeypatch, symmetry):
@@ -1224,7 +1231,10 @@ class TestWorkDoneOnce:
                 fam = Family.from_sets(5, sets)
                 cert = is_fc(fam, symmetry=symmetry, warm_start=False)
                 closure = union_closure(fam)
-                oid = orbits(closure).orbit_id if symmetry else None
+                # the index of each element's orbit, the LP variable it shares
+                parts = orbits(closure)
+                oid = [next(k for k, orbit in enumerate(parts) if j in orbit)
+                       for j in range(1, fam.n + 1)] if symmetry else None
                 rows = lps[-1][0].ge_rows
                 assert len(witnesses) == len(set(witnesses)) == len(rows)
                 assert rows == [lp_row(w, oid) for w in witnesses]

@@ -266,6 +266,18 @@ class TestTargetedTampers:
         assert isinstance(cert, NonFcCertificate) and verify_nonfc(cert).passed
         assert refused(verify_nonfc(dataclasses.replace(cert, **change(cert)))) == failure
 
+    @pytest.mark.parametrize("n", [4.0, "4", True], ids=["float", "str", "bool"])
+    def test_ground_size_must_be_an_int(self, n):
+        # the loader refuses such an n in a file; in memory the checker
+        # fails ground-size on it, and neither kind raises
+        certs = [is_fc(Family.from_sets(3, [[1, 2, 3]])),
+                 is_fc(Family.from_sets(4, combinations([1, 2, 3, 4], 3)))]
+        assert [cert.kind for cert in certs] == ["non-fc", "fc"]
+        for cert in certs:
+            assert verify_certificate(cert).passed
+            bad = dataclasses.replace(cert, n=n)
+            assert refused(verify_certificate(bad)) == f"ground-size: n={n!r}"
+
     @pytest.mark.parametrize("n", [0, 9])
     def test_file_ground_size_out_of_range(self, n):
         data = certificate_to_dict(is_fc(Family.from_sets(2, [[1, 2]])))
