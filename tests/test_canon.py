@@ -258,12 +258,13 @@ class TestOrbits:
         assert orbits(fam) == [(1,), (2, 3), (4,)]
 
     def test_element_orbits(self):
-        # no generators: the n singletons; a family's generators: its orbits
+        # no generators: the n singletons; generators that are not a whole
+        # generating_set (as is_fc passes): a transposition, a 3-cycle, both
         assert element_orbits([], 4) == [(1,), (2,), (3,), (4,)]
-        rng = random.Random(67)
-        for _ in range(30):
-            fam = random_family(rng, max_n=6)
-            assert element_orbits(generating_set(fam), fam.n) == orbits(fam)
+        swap, cycle = (2, 1, 3, 4, 5), (1, 2, 4, 5, 3)
+        assert element_orbits([swap], 5) == [(1, 2), (3,), (4,), (5,)]
+        assert element_orbits([cycle], 5) == [(1,), (2,), (3, 4, 5)]
+        assert element_orbits([swap, cycle], 5) == [(1, 2), (3, 4, 5)]
 
 
 class TestGroupHelpers:

@@ -4,7 +4,7 @@ A line counts when it holds a token that is not a comment, a NEWLINE, NL,
 INDENT or DEDENT token, or part of a module, class or function docstring.
 A token that spans lines (a multi-line string) counts on each of them.
 
-Run from the repository root:  python tools/code_lines.py [DIR]
+Run from the repository root:  python tools/code_lines.py
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ def code_lines(source: str) -> int:
     return len(lines - docs)
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "fcfam"
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent / "src" / "fcfam"
     total = 0
     for path in sorted(root.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
@@ -54,4 +54,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
