@@ -223,7 +223,6 @@ def _find_automorphism(
     sizes = [m.bit_count() for m in members]
     inc = [[j for j in range(nm) if members[j] >> d & 1] for d in range(u)]
     images = [0] * u
-    used = [False] * u
     val_mask = 0  # bits of assigned target values (0-based)
     # img[j] = phi(members[j] n assigned domain)
     img = [0] * nm
@@ -236,10 +235,9 @@ def _find_automorphism(
         if d == u:
             return True
         for v in (prefix[d],) if d < len(prefix) else range(u):
-            if used[v]:
-                continue
             bit = 1 << v
-            used[v] = True
+            if val_mask & bit:
+                continue
             images[d] = v + 1
             val_mask |= bit
             for j in inc[d]:
@@ -250,7 +248,6 @@ def _find_automorphism(
             for j in inc[d]:
                 img[j] ^= bit
             val_mask ^= bit
-            used[v] = False
             if found:
                 return True
         return False

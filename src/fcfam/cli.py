@@ -30,7 +30,7 @@ from typing import Optional
 
 from . import enumfam, fcsolve, verify as verifymod
 from .canon import canonical_form, orbits
-from .fcsolve import CertificateError, certificate_to_dict, fc3_value, is_fc, upper_bound
+from .fcsolve import certificate_to_dict, fc3_value, is_fc, upper_bound
 from .setfam import (
     Family,
     compact_universe,
@@ -258,7 +258,7 @@ def _cmd_orbits(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         cert = fcsolve.load_certificate(args.certificate)
-    except (CertificateError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"structural error: {exc}", file=sys.stderr)
         return 2
     report = verifymod.verify_certificate(cert)

@@ -51,11 +51,11 @@ Next, `candidates` drops an extension whose new set does not reach the
 maximum of a member invariant over the extension: the degree sum of the
 member's elements, then the sorted sizes of its intersections with the
 other members, both unchanged by relabeling (the cheap half of McKay's
-canonical deletion, *J. Algorithms* 26, 1998).  Ties pass, and `seen`
-removes the duplicates left.  Each extension's invariants are computed
-afresh, and they compare the degree sums first, so the intersection sizes
-decide only a tie.  The filter runs only when every previous cell's `fc`
-set is empty, and then it drops no class.  A class reached from some
+canonical deletion, *J. Algorithms* 26, 1998).  Ties pass, and a class
+already kept, as a candidate or as known FC, is skipped.  Each extension's
+invariants are computed afresh, and they compare the degree sums first, so
+the intersection sizes decide only a tie.  The filter runs only when every
+previous cell's `fc` set is empty, and then it drops no class.  A class reached from some
 parent F - x is still reached: delete a member y of maximum invariant.
 (F - x) - y lies in the parent F - x, so it is a parent too and F - y was
 listed; with an empty `fc` set, F - y is then a parent, and its canonical
@@ -311,8 +311,8 @@ class EnumSession:
         # parent is reached by a new set of maximum member invariant, and
         # no subfamily is known FC
         augment = not any(prev_fc.values())
-        seen: set[Family] = set()  # tested once per class, kept or not
-        candidates: list[Family] = []
+        # every class tested lands in one of these two, so it is tested once
+        candidates: set[Family] = set()
         known_fc: set[Family] = set()
         for parent in (p for reg in prev.values() for p in reg.nfc):
             # the new set must cover the elements the parent's universe lacks
@@ -324,17 +324,15 @@ class EnumSession:
             for s in new_sets:
                 ext = Family.from_masks(n, parent.members + (s,))
                 canon = canonical_form(ext)
-                if canon in seen:
+                if canon in candidates or canon in known_fc:
                     continue
-                seen.add(canon)
                 if not augment and _has_subfamily_in(ext, parent.members, prev_fc):
                     known_fc.add(canon)
                 else:
-                    candidates.append(canon)
-        candidates.sort(key=lambda f: f.members)
+                    candidates.add(canon)
         self._say(f"getNFC({n},{k},{m}): {len(candidates)} candidates, "
                   f"{len(known_fc)} known FC")
-        return candidates, known_fc
+        return sorted(candidates, key=lambda f: f.members), known_fc
 
     def get_nfc(self, n: int, k: int, m: int) -> NfcRegistry:
         if (n, k, m) not in self.memo:

@@ -118,13 +118,13 @@ class NonFcCertificate:
     kind = "non-fc"
 
     @classmethod
-    def pending(cls, family: Family, n: int, domain: Optional[Family], cuts: list[int],
+    def pending(cls, family: Family, domain: Optional[Family], cuts: list[int],
                 gens: list[tuple[int, ...]], farkas: Infeasible) -> "NonFcCertificate":
         """The certificate of a decided Non-FC family, whose cuts, multipliers
         and lambda `_build_nonfc` builds from the stored cut bitsets, the
         generators and the LP's Farkas multipliers when one is first read."""
         cert = cls.__new__(cls)
-        cert.family, cert.n, cert.domain = family, n, domain
+        cert.family, cert.n, cert.domain = family, family.n, domain
         cert._farkas = (cuts, gens, farkas)
         return cert
 
@@ -245,7 +245,7 @@ def is_fc(
             raise TimeoutError("is_fc deadline exceeded")
         res = lp_solve(lp)
         if isinstance(res, Infeasible):
-            return NonFcCertificate.pending(family, n, domain, cuts, gens, res)
+            return NonFcCertificate.pending(family, domain, cuts, gens, res)
         point = tuple(res.point[o] for o in oid)
         # the LP point is orbit-constant and satisfies every stored row, so a
         # violated family, from the pool or the separation, is no image of a

@@ -20,7 +20,9 @@ FC certificate carries and `verify` replays without searching.  Each
 branching node adds its branch set S (the left child fixes S and its
 closure to 1, the right child fixes S to 0; a left child whose closure
 meets a 0-fixed set is infeasible and has no entries) and each pruned node
-adds `LEAF`.
+adds `LEAF`.  Each node thus adds one entry before its children are
+entered, but for one that finds a violated family, which ends the search:
+the node count `nodes` is the proof's length, plus that one node.
 
 The solve is exact branch and bound on integer-scaled weights.  A node with
 1-fixed sets O and 0-fixed sets Z filters and bounds exactly the way
@@ -253,7 +255,8 @@ def solve_separation(
     weights: Sequence,
     deadline: Optional[float] = None,
 ) -> SeparationResult:
-    """A violated family (optimum > 0), or optimum 0 with its proof."""
+    """A violated family (optimum > 0), or optimum 0 with its proof; the
+    proof's length counts the nodes."""
     n = problem.base.n
     weigh, W = _integer_weights(weights, problem.domain)
     steps = _shift_steps(n)
@@ -265,14 +268,9 @@ def solve_separation(
     # every mask's capacity, |W|: each fresh flow's room starts as a copy
     cap = list(map(abs, W))
 
-    ticks = 0  # nodes visited
+    # every node entered has its entry before the next one is, so
+    # len(proof) nodes came before the one being entered
     proof: list[int] = []
-
-    def tick() -> None:
-        nonlocal ticks
-        ticks += 1
-        if deadline is not None and ticks % 64 == 0 and time.monotonic() > deadline:
-            raise TimeoutError("separation deadline exceeded")
 
     def close(ones: int, seeds) -> int:
         # ones is closed under unions with itself and the base, so base | ones
@@ -299,7 +297,9 @@ def solve_separation(
 
     def node(ones: int, val: int, zeros: int, cands: dict[int, list[int]],
              forcing: dict[int, int], flow: _Flow) -> None:
-        tick()
+        # the clock is read at the 64th, 128th, ... node
+        if deadline is not None and len(proof) % 64 == 63 and time.monotonic() > deadline:
+            raise TimeoutError("separation deadline exceeded")
         if val > 0:
             raise _Found(val, ones)
 
@@ -359,20 +359,21 @@ def solve_separation(
         node(0, 0, 0, *fresh(0, 0, pos_order))
     except _Found as found:
         value, wit = found.args
-        # weigh(1), the weight of {empty set}, is the scale L of W
+        # weigh(1), the weight of {empty set}, is the scale L of W; the node
+        # that found it has no proof entry
         return SeparationResult(Fraction(value, weigh(1)), Family.from_masks(n, bits(wit)),
-                                nodes=ticks, pruned=proof.count(LEAF))
+                                nodes=len(proof) + 1, pruned=proof.count(LEAF))
     return SeparationResult(Fraction(0), Family.from_masks(n, ()), tuple(proof),
-                            nodes=ticks, pruned=proof.count(LEAF))
+                            nodes=len(proof), pruned=proof.count(LEAF))
 
 
 class _Flow:
     """A feasible flow on a bipartite forcing graph, held so that a search
     node's right child can resume it: its value, by mask the capacity left
-    on each candidate's source arc or negative set's sink arc, the flow on
-    each arc (only positive entries) and, once the augmenting rounds of
-    `_max_flow` need them, each negative set's senders, the candidates
-    sending into it."""
+    on the source arc of each candidate it still holds and on each negative
+    set's sink arc, the flow on each arc (only positive entries) and, once
+    the augmenting rounds of `_max_flow` need them, each negative set's
+    senders, the candidates sending into it."""
 
     __slots__ = ("value", "room", "flow", "senders")
 
@@ -385,12 +386,12 @@ class _Flow:
 
     def drop(self, s: int, arcs: list[int]) -> None:
         """Remove the candidate s, whose arcs are `arcs`, with what it sends,
-        giving each of its arcs' sinks that room back."""
+        giving each of its arcs' sinks that room back; no node reads the
+        room of s again."""
         flow, room, senders = self.flow, self.room, self.senders
         for t in arcs:
             f = flow.pop((s, t), 0)
             if f:
-                room[s] += f
                 room[t] += f
                 self.value -= f
                 senders[t].discard(s)

@@ -616,11 +616,11 @@ class TestPendingCertificate:
         monkeypatch.setattr(NonFcCertificate, "pending", classmethod(recording))
         fam = certify_n6_nonfc()[0]
         assert is_fc(fam).kind == "non-fc"
-        family, n, domain, cuts, gens, farkas = pending[0]
+        family, domain, cuts, gens, farkas = pending[0]
         # the negated multipliers aggregate to a negative right side
         negated = Infeasible(tuple(-y for y in farkas.ge_multipliers),
                              tuple(-y for y in farkas.eq_multipliers))
-        broken = NonFcCertificate.pending(family, n, domain, cuts, gens, negated)
+        broken = NonFcCertificate.pending(family, domain, cuts, gens, negated)
         assert (broken.family, broken.n, broken.domain) == (fam, fam.n, None)
         for _ in range(2):
             with pytest.raises(RuntimeError, match="nonpositive right side"):

@@ -169,8 +169,8 @@ def test_stop_prunes_only_what_the_max_flow_prunes(monkeypatch):
 
 def fc_proof_over_6(symmetry=True):
     """The final separation instance of an FC decision over [6], whose
-    search reaches the max flow at many nodes: 63 decided with symmetry,
-    113 without."""
+    search reaches the max flow at many nodes: with symmetry or without,
+    the decision ends at the barycenter, in 89 nodes, 45 of them pruned."""
     fam = Family.from_sets(6, [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 6], [1, 3, 5, 6],
                                [2, 4, 5, 6], [3, 4, 5, 6], [1, 2, 5, 6]])
     cert = is_fc(fam, symmetry=symmetry)
@@ -185,6 +185,28 @@ def test_past_deadline_names_the_separation():
         solve_separation(build_separation(base, dom), w, deadline=time.monotonic() - 1)
     assert type(info.value) is TimeoutError
     assert str(info.value) == "separation deadline exceeded"
+
+
+def test_deadline_is_read_at_every_64th_node(monkeypatch):
+    # a search reads the clock at its 64th, 128th, ... node and at no other
+    instances = [fc_proof_over_6(symmetry=False), *trajectory_instances()]
+    deadline = time.monotonic() + 3600
+    monotonic = time.monotonic
+    reads = 0
+
+    def counting():
+        nonlocal reads
+        reads += 1
+        return monotonic()
+
+    monkeypatch.setattr(fcfam.sepip.time, "monotonic", counting)
+    most = 0
+    for base, w, dom in instances:
+        reads = 0
+        res = solve_separation(build_separation(base, dom), w, deadline=deadline)
+        assert reads == res.nodes // 64
+        most = max(most, res.nodes)
+    assert most > 64
 
 
 def flow_instances():
