@@ -19,18 +19,17 @@ the domain, where every class is a parent, or the subfamily is Non-FC too,
 because FC is monotone under supersets and V-FC is monotone for a fixed
 [n] and V (a larger <A> leaves A fewer constraints).
 
-Both drivers share one known-FC rule.  A cell's `fc` set holds every class
-known to be FC: those decided FC, and the extension classes skipped
-because a one-down subfamily is in the previous level's `fc` set of its
-universe size.  By monotonicity a skipped class is FC, so recording it
-hides no Non-FC class.  Each extension class is tested once, and a class
-is decided only when no one-down subfamily in a decided cell is FC: if F
-extends the parent F - y and F - x is FC, then (F - x) - y lies in F - y,
-is a parent too, and F - x was listed, so its class is in `fc`.  The
-subfamily test runs only in a cell whose previous level knows an FC class,
-since with every table empty it cannot pass, and there it canonicalizes a
-subfamily only when the previous level has an FC class of its universe
-size.
+Both drivers share one known-FC rule.  A cell's `fc` set holds the classes
+known to be FC: those decided FC, and the extension classes skipped because
+dropping a member of the parent leaves a class in the previous level's `fc`
+set of its universe size.  By monotonicity a skipped class is FC, so
+recording it hides no Non-FC class, and each extension class is tested
+once.  The test saves decisions and is not needed for exactness: an FC
+class whose every deletion of a member of maximum invariant (below) is FC
+is never listed, so an extension that holds it may be decided FC instead of
+skipped.  The subfamily test runs only in a cell whose previous level knows
+an FC class, and there it canonicalizes a subfamily only when the previous
+level has an FC class of its universe size.
 
 Before canonical labeling, `candidates` keeps one new set per orbit of the
 parent's twin transpositions.  Elements i and j of the parent are twins
@@ -54,14 +53,14 @@ other members, both unchanged by relabeling (the cheap half of McKay's
 canonical deletion, *J. Algorithms* 26, 1998).  Ties pass, and a class
 already kept, as a candidate or as known FC, is skipped.  Each extension's
 invariants are computed afresh, and they compare the degree sums first, so
-the intersection sizes decide only a tie.  The filter runs only when every
-previous cell's `fc` set is empty, and then it drops no class.  A class reached from some
-parent F - x is still reached: delete a member y of maximum invariant.
-(F - x) - y lies in the parent F - x, so it is a parent too and F - y was
-listed; with an empty `fc` set, F - y is then a parent, and its canonical
-family plus the image of y is a copy of F whose new set has the maximum.
-So candidates, `fc` sets, decisions and witnesses are those of full
-extension.
+the intersection sizes decide only a tie.  The filter drops no Non-FC
+class, and below the domain no class.  Let F be such a class and y a
+member of maximum invariant: by the argument above, F - y is a parent, and
+its canonical family plus the image of y is a copy of F whose new set has
+the maximum, as has the image of that set that the twin test keeps.  F has
+no FC subfamily, so the subfamily test does not skip it.  So the Non-FC
+classes, their counts and the witnesses are those of full extension, and
+the classes full extension lists and `candidates` does not are FC.
 
 `fc_value` and `fcv_value` share one threshold scan, `_scan`, which reads
 the levels m = 1..min(m_max, C(n, k)) off the getNFC cells (u, k, m):
@@ -287,13 +286,13 @@ class EnumSession:
         """The canonical families of the (n, k, m) cell, sorted by members,
         and those of the classes it skips as known FC: the single k-set
         at m = 1, else the extensions of the parents one member down (every
-        class below the domain, else the Non-FC ones) whose one-down
-        subfamilies are not known FC.  An extension is canonicalized only
-        if its new set meets each twin class of the parent in its lowest
-        elements (every new set of a parent without twins does) and, while
-        the previous level knows no FC class, has the maximum member
-        invariant (`_new_set_wins`); the subfamily test runs only once the
-        previous level knows one."""
+        class below the domain, else the Non-FC ones) that no parent member's
+        deletion puts in a known-FC class.  An extension is canonicalized
+        only if its new set meets each twin class of the parent in its
+        lowest elements (every new set of a parent without twins does) and
+        has the maximum member invariant (`_new_set_wins`); the subfamily
+        test runs only once the previous level knows an FC class.  No
+        Non-FC class is lost (see the module docstring)."""
         if not (n >= k >= 3):
             raise ValueError("need n >= k >= 3")
         if m < 1:
@@ -305,12 +304,7 @@ class EnumSession:
             return [Family.from_masks(k, [(1 << k) - 1])], set()
 
         prev = {i: self.get_nfc(i, k, m - 1) for i in range(max(k, n - k), n + 1)}
-        prev_fc = {i: reg.fc for i, reg in prev.items()}
-
-        # with no known-FC class one level down, a class reached from a
-        # parent is reached by a new set of maximum member invariant, and
-        # no subfamily is known FC
-        augment = not any(prev_fc.values())
+        prev_fc = {i: reg.fc for i, reg in prev.items() if reg.fc}
         # every class tested lands in one of these two, so it is tested once
         candidates: set[Family] = set()
         known_fc: set[Family] = set()
@@ -319,14 +313,14 @@ class EnumSession:
             new_sets = _new_sets(parent, k, n - parent.n)
             # one new set per orbit of the twin transpositions, which fix the parent
             new_sets = filter(_twin_gate(parent), new_sets)
-            if augment:
-                new_sets = filter(functools.partial(_new_set_wins, parent.members), new_sets)
+            # new sets of maximum member invariant still reach every Non-FC class
+            new_sets = filter(functools.partial(_new_set_wins, parent.members), new_sets)
             for s in new_sets:
                 ext = Family.from_masks(n, parent.members + (s,))
                 canon = canonical_form(ext)
                 if canon in candidates or canon in known_fc:
                     continue
-                if not augment and _has_subfamily_in(ext, parent.members, prev_fc):
+                if prev_fc and _has_subfamily_in(ext, parent.members, prev_fc):
                     known_fc.add(canon)
                 else:
                     candidates.add(canon)
@@ -484,9 +478,11 @@ def _scan(session: EnumSession, k: int, n: int, sizes: Sequence[int], last: int,
 def _has_subfamily_in(fam: Family, old: Sequence[int], tables: dict[int, set[Family]]) -> bool:
     """Whether dropping one member of fam that is in old, the parent's
     members, leaves a family whose canonical family is in the table of its
-    universe size; a subfamily whose size has no table, or an empty one, is
-    not canonicalized.  Dropping the new set gives back the parent, a
-    Non-FC class or one below the domain, never in a table."""
+    universe size, a set of classes known to be FC; a subfamily whose size
+    has no table, or an empty one, is not canonicalized.  Dropping the new
+    set gives back the parent, a Non-FC class or one below the domain,
+    never in a table.  An FC subfamily that the member-invariant filter
+    never listed is in no table, so a family that holds it is decided."""
     for y in old:
         sub = Family.from_masks(fam.n, [x for x in fam.members if x != y])
         table = tables.get(universe(sub).bit_count())

@@ -291,29 +291,22 @@ def _build_nonfc(n: int, cuts: list[int], gens: list[tuple[int, ...]],
     original system: each stored cut's orbit of images, with its multiplier
     spread uniformly over them.  The LP's multipliers are integers, fixed
     only up to a positive factor, and its rows are twice the inequalities;
-    the normalization below, which divides by the aggregated right side,
-    removes both factors.  It runs in integers, and each cut's share becomes
-    one `Fraction`."""
+    dividing by rhs = 2 lambda + sum y |B|, the aggregated right side in the
+    LP's integer scale, removes both factors and makes the original system's
+    aggregated right side exactly 1, so any single-field change breaks the
+    replay.  Each cut orbit's share becomes one `Fraction`."""
     lam = farkas.eq_multipliers[0]
     ys = farkas.ge_multipliers
     cut_images = [family_orbit(Family(n, tuple(bits(cut))), gens) for cut in cuts]
-    # den makes every share y / len(images) an integer, and every share
-    # even, so that the halved right side below is an integer too
-    den = 2 * math.lcm(*(len(images) for images in cut_images))
-    shares = [y * (den // len(images)) for y, images in zip(ys, cut_images)]
-    scaled_lam = lam * den
-    # normalize so the aggregated right side is exactly 1; any single-field
-    # change then breaks the replay
-    rhs = scaled_lam + sum(share * len(images) * cut.bit_count()
-                           for share, images, cut in zip(shares, cut_images, cuts)) // 2
+    rhs = 2 * lam + sum(y * cut.bit_count() for y, cut in zip(ys, cuts))
     if rhs <= 0:
         raise RuntimeError("Farkas certificate has a nonpositive right side")
     cut_mult: list[tuple[Family, Fraction]] = []
-    for images, share in zip(cut_images, shares):
-        y = Fraction(share, rhs)
-        cut_mult.extend((img, y) for img in images)
+    for images, y in zip(cut_images, ys):
+        share = Fraction(2 * y, len(images) * rhs)
+        cut_mult.extend((img, share) for img in images)
     cut_mult.sort(key=lambda pair: pair[0].members)
-    return [c for c, _ in cut_mult], tuple(y for _, y in cut_mult), Fraction(scaled_lam, rhs)
+    return [c for c, _ in cut_mult], tuple(y for _, y in cut_mult), Fraction(2 * lam, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -292,7 +292,8 @@ def full_candidates(session, n: int, k: int, m: int) -> tuple[list[Family], set[
     extension of every parent in the session's cells one member down is
     canonicalized, with no invariant filter, and the known-FC test drops
     every member of an extension, its new set too.  The reference for the
-    filtered path, which must return the same lists."""
+    filtered path, whose lists are subsets of these and miss only FC
+    classes."""
     from fcfam.canon import canonical_form
     from fcfam.enumfam import _has_subfamily_in, _new_sets
 
