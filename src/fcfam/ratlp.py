@@ -24,9 +24,11 @@ other rows: the tableau is the rows as given (a row with a negative right
 side negated), every artificial costs 1, and a row added between solves
 changes no other row.  Pivots are fraction-free (Edmonds/Bareiss): every
 entry is an integer over one shared denominator, the previous pivot, which
-each update divides out exactly, so no operation pays a gcd.  `check_point`
-and `check_farkas`, which sums the integer rows with the integer
-multipliers, replay every answer before it is returned.
+each update divides out exactly, so no operation pays a gcd.  Both answers
+replay in integers before they are returned: `check_point` puts the point
+over one common denominator d and compares each integer row sum with the
+right side times d, and `check_farkas` sums the integer rows with the
+integer multipliers.
 
 Built for the small, dense systems of the cutting-plane loop (tens of
 variables, up to a few hundred rows), not for sparse large-scale work.
@@ -34,6 +36,7 @@ variables, up to a few hundred rows), not for sparse large-scale work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
@@ -90,16 +93,24 @@ LPResult = Union[Feasible, Infeasible]
 
 
 def check_point(lp: LinearProgram, point: Sequence[Fraction]) -> bool:
-    """Exact feasibility of a point."""
+    """Exact feasibility of a point, in integers: each entry, read exactly
+    as `Fraction(x)`, is put over the point's one common denominator d, and
+    each integer row sum is compared with the right side times d."""
     if len(point) != lp.num_vars:
         return False
-    if any(x < 0 for x in point):
+    try:
+        xs = [Fraction(x) for x in point]
+    except (ValueError, OverflowError):  # a float nan or infinity is no point
         return False
+    if any(x < 0 for x in xs):
+        return False
+    d = math.lcm(*(x.denominator for x in xs))
+    nums = [x.numerator * (d // x.denominator) for x in xs]
     for coeffs, rhs in lp.eq_rows:
-        if sum(c * x for c, x in zip(coeffs, point)) != rhs:
+        if sum(c * x for c, x in zip(coeffs, nums)) != rhs * d:
             return False
     for coeffs, rhs in lp.ge_rows:
-        if sum(c * x for c, x in zip(coeffs, point)) < rhs:
+        if sum(c * x for c, x in zip(coeffs, nums)) < rhs * d:
             return False
     return True
 

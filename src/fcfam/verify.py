@@ -25,11 +25,13 @@ positive set S that a family could still take is a candidate: S is free and
 {S u X : X in base or O} misses Z.  Base u O is union-closed, so forcing is
 transitive and this one pass needs no fixpoint.  It is the rule the
 producer's search applies at every node, but `sepip` keeps its own copy:
-the two modules share no leaf code.  Each candidate S keeps its arcs, the
-negative sets T not in O that it forces, filtered here from this leaf's own
-forcing sets.  The leaf holds if val + W(candidates) - F <= 0 for a flow of
-value F on the bipartite forcing graph: S sends f(S, T) > 0 only along one
-of its arcs, S sends at most W[S] in all and T takes at most -W[T].  Such a
+the checker replays on its own bitsets (`check_separation_proof`) and
+shares only `setfam.bits`, `LEAF` and `_max_flow` with the producer.  Each
+candidate S keeps its arcs, the negative sets T not in O that it forces,
+listed here from this leaf's own forcing sets.  The leaf holds if
+val + W(candidates) - F <= 0 for a flow of value F on the bipartite
+forcing graph: S sends f(S, T) > 0 only along one of its arcs, S sends at
+most W[S] in all and T takes at most -W[T].  Such a
 flow need not be maximum nor conserved anywhere, by weak duality: take a
 feasible family B below the leaf, C the candidates in B and N(C) the
 negative sets outside O that C forces, all in B.  Every unit of flow
@@ -62,6 +64,7 @@ from typing import Optional, Sequence
 from .setfam import (
     DECISION_GROUND_CAP,
     Family,
+    bits,
     frequencies,
     is_union_closed,
     powerset_family,
@@ -127,7 +130,11 @@ def _structural(cert: Certificate, rep: VerificationReport) -> tuple[Family, Fam
     rep._check("family-universe", cert.family.n == n and universe(cert.family) == (1 << n) - 1,
                "family universe is not all of [n]")
     closure = union_closure(cert.family)
-    dom = cert.domain if cert.domain is not None else powerset_family(n)
+    if cert.domain is None:
+        # P([n]), built here, is union-closed and holds {} and <A>
+        rep._check("domain-valid", True)
+        return powerset_family(n), closure
+    dom = cert.domain
     ok = (
         dom.n == n
         and 0 in dom.members
@@ -190,32 +197,49 @@ def check_separation_proof(
     nonnegative and summing to 1: `verify_fc` checks all of this, the
     weights included, before it replays the proof.  A proof entry that is
     not an int (a bool is not one) is refused before it is read as `LEAF`
-    or as a set.
+    or as a set, and a branch set outside 0 <= S < 2^n before it is read
+    as a bit.
+
+    The replay runs on the checker's own bitsets, 2^n-bit ints in which bit
+    x stands for the set x: O, Z, the base, the domain and the negative sets
+    are one int each.  With M[i] the bitset of the masks that hold element
+    i, {S u X : X in F} takes one step per element i of S, which keeps
+    F & M[i] and moves F & ~M[i] up by 2^i.  It shares only `setfam.bits`,
+    which lists the arcs, `LEAF` and `_max_flow` with the producer.
     """
+    n = domain.n
+    size = 1 << n
     lcm = math.lcm(*(w.denominator for w in weights))
     scaled = [int(w * lcm) for w in weights]
-    W = [0] * (1 << domain.n)
+    W = [0] * size
     for s in domain.members:
         W[s] = lcm - 2 * sum(c for i, c in enumerate(scaled) if s >> i & 1)
-    dom_set = frozenset(domain.members)
-    base_set = frozenset(base.members)
+    full = (1 << size) - 1
+    M = [sum(1 << x for x in range(size) if x >> i & 1) for i in range(n)]
+    # for each domain set S, its steps (M[i], the complement of M[i], 2^i)
+    steps = {s: [(M[i], full ^ M[i], 1 << i) for i in bits(s)] for s in domain.members}
+    dom = sum(1 << s for s in domain.members)
+    base_bits = sum(1 << x for x in base.members)
+    neg = sum(1 << s for s in domain.members if W[s] < 0)
     positives = [s for s in domain.members if W[s] > 0]
     entries = iter(proof)
 
-    def leaf(ones: frozenset[int], val: int, zeros: frozenset[int]) -> None:
-        fixed = base_set | ones
+    def leaf(ones: int, val: int, zeros: int) -> None:
+        fixed, taken, free_neg = base_bits | ones, ones | zeros, neg & ~ones
         cands = {}  # candidate -> its arcs, the negative sets outside O it forces
         for s in positives:
-            if s not in ones and s not in zeros:
-                forced = {s | x for x in fixed}
-                if forced.isdisjoint(zeros):
-                    cands[s] = [t for t in forced if W[t] < 0 and t not in ones]
+            if not taken >> s & 1:
+                forced = fixed
+                for keep, move, by in steps[s]:
+                    forced = forced & keep | (forced & move) << by
+                if not forced & zeros:
+                    cands[s] = bits(forced & free_neg)
         bound = val + sum(W[s] for s in cands)
         bound -= _flow_value(cands, W, _max_flow(cands, W, bound)[1])
         if bound > 0:
             raise _ProofError(f"a leaf bounds the value only by {bound}/{lcm} > 0")
 
-    def replay(ones: frozenset[int], val: int, zeros: frozenset[int]) -> None:
+    def replay(ones: int, val: int, zeros: int) -> None:
         entry = next(entries, None)
         if entry is None:
             raise _ProofError("the proof ends before the tree does")
@@ -224,15 +248,18 @@ def check_separation_proof(
         if entry == LEAF:
             leaf(ones, val, zeros)
             return
-        if entry not in dom_set or entry in ones or entry in zeros:
+        if not (0 <= entry < size and dom >> entry & 1 and not (ones | zeros) >> entry & 1):
             raise _ProofError(f"branch set {entry} is outside the domain or already fixed")
-        grown = ones | {entry | x for x in base_set | ones}
-        if grown.isdisjoint(zeros):
-            replay(grown, val + sum(W[s] for s in grown - ones), zeros)
-        replay(ones, val, zeros | {entry})
+        grown = base_bits | ones
+        for keep, move, by in steps[entry]:
+            grown = grown & keep | (grown & move) << by
+        grown |= ones
+        if not grown & zeros:
+            replay(grown, val + sum(W[s] for s in bits(grown & ~ones)), zeros)
+        replay(ones, val, zeros | 1 << entry)
 
     try:
-        replay(frozenset(), 0, frozenset())
+        replay(0, 0, 0)
         if next(entries, None) is not None:
             raise _ProofError("the proof has entries left over after the tree")
     except _ProofError as exc:

@@ -12,7 +12,11 @@ counts, and `full_candidates` is the unfiltered reference for
 form: `unpacked_canonical_form`, the canonical search with one bound per
 member (it shares the twin classes and the distinct bound of `canon`), and
 `fraction_nonfc_certificate`, the Non-FC normalization in `Fraction`
-arithmetic (it lists images with `canon.family_orbit`).
+arithmetic (it lists images with `canon.family_orbit`).  Two replays keep
+their old form as the reference of the exact checks: `fraction_check_point`,
+the LP point check in `Fraction` arithmetic, and
+`set_check_separation_proof`, the proof replay on frozensets (it shares
+the leaf's flow kernel and its checks with `verify`).
 """
 
 from __future__ import annotations
@@ -458,6 +462,79 @@ def fraction_check_farkas(lp: LinearProgram, cert: Infeasible) -> bool:
             agg[j] += lam * c
         rhs += lam * b
     return all(a <= 0 for a in agg) and rhs > 0
+
+
+def fraction_check_point(lp: LinearProgram, point) -> bool:
+    """Exact feasibility of a point in `Fraction` arithmetic, row by row:
+    the reference for `ratlp.check_point`."""
+    if len(point) != lp.num_vars:
+        return False
+    if any(x < 0 for x in point):
+        return False
+    for coeffs, rhs in lp.eq_rows:
+        if sum(c * x for c, x in zip(coeffs, point)) != rhs:
+            return False
+    for coeffs, rhs in lp.ge_rows:
+        if sum(c * x for c, x in zip(coeffs, point)) < rhs:
+            return False
+    return True
+
+
+def set_check_separation_proof(base: Family, domain: Family, weights, proof):
+    """`verify.check_separation_proof` on frozensets of masks, its
+    reference: the same preorder walk, candidates, arcs, bound, flow kernel
+    (`sepip._max_flow`) and flow checks (`verify._flow_value`), and the same
+    failure messages, with every leaf's forcing sets built as
+    {S | X : X in base or ones}."""
+    from fcfam.sepip import LEAF, _max_flow
+    from fcfam.verify import _flow_value, _ProofError
+
+    lcm = math.lcm(*(w.denominator for w in weights))
+    scaled = [int(w * lcm) for w in weights]
+    W = [0] * (1 << domain.n)
+    for s in domain.members:
+        W[s] = lcm - 2 * sum(c for i, c in enumerate(scaled) if s >> i & 1)
+    dom_set = frozenset(domain.members)
+    base_set = frozenset(base.members)
+    positives = [s for s in domain.members if W[s] > 0]
+    entries = iter(proof)
+
+    def leaf(ones, val, zeros):
+        fixed = base_set | ones
+        cands = {}
+        for s in positives:
+            if s not in ones and s not in zeros:
+                forced = {s | x for x in fixed}
+                if forced.isdisjoint(zeros):
+                    cands[s] = [t for t in forced if W[t] < 0 and t not in ones]
+        bound = val + sum(W[s] for s in cands)
+        bound -= _flow_value(cands, W, _max_flow(cands, W, bound)[1])
+        if bound > 0:
+            raise _ProofError(f"a leaf bounds the value only by {bound}/{lcm} > 0")
+
+    def replay(ones, val, zeros):
+        entry = next(entries, None)
+        if entry is None:
+            raise _ProofError("the proof ends before the tree does")
+        if type(entry) is not int:
+            raise _ProofError(f"proof entry {entry!r} is not an int")
+        if entry == LEAF:
+            leaf(ones, val, zeros)
+            return
+        if entry not in dom_set or entry in ones or entry in zeros:
+            raise _ProofError(f"branch set {entry} is outside the domain or already fixed")
+        grown = ones | {entry | x for x in base_set | ones}
+        if grown.isdisjoint(zeros):
+            replay(grown, val + sum(W[s] for s in grown - ones), zeros)
+        replay(ones, val, zeros | {entry})
+
+    try:
+        replay(frozenset(), 0, frozenset())
+        if next(entries, None) is not None:
+            raise _ProofError("the proof has entries left over after the tree")
+    except _ProofError as exc:
+        return str(exc)
+    return None
 
 
 def fraction_nonfc_certificate(n: int, cuts: list[int], gens, farkas: Infeasible):

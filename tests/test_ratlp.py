@@ -21,7 +21,7 @@ from fcfam.ratlp import (
 )
 from fcfam.setfam import Family, no_singletons_family
 
-from oracles import fraction_check_farkas, fraction_phase_one, same_result
+from oracles import fraction_check_farkas, fraction_check_point, fraction_phase_one, same_result
 
 
 def integer_row(coeffs, rhs):
@@ -311,6 +311,60 @@ class TestFarkasReplay:
             verdicts.append(check_farkas(lp, cert))
             assert verdicts[-1] == fraction_check_farkas(lp, cert)
         assert any(verdicts) and not all(verdicts)
+
+
+class TestPointReplay:
+    def test_integer_replay_matches_fraction_reference(self, monkeypatch):
+        # the points lp_solve returns, and each of them with one coordinate
+        # moved by 1/d either way (d the point's common denominator, so a
+        # zero coordinate turns negative), get the same verdict from the
+        # integer replay and from the row-by-row Fraction reference
+        verdicts = set()
+        feasible = 0
+        for lp in [*_seeded_lps(), *_decision_lps(monkeypatch)]:
+            res = lp_solve(lp)
+            if isinstance(res, Infeasible):
+                continue
+            feasible += 1
+            point = res.point
+            assert check_point(lp, point) and fraction_check_point(lp, point)
+            d = math.lcm(*(x.denominator for x in point))
+            for j in range(len(point)):
+                for step in (Fraction(1, d), Fraction(-1, d)):
+                    moved = point[:j] + (point[j] + step,) + point[j + 1:]
+                    verdict = check_point(lp, moved)
+                    assert verdict == fraction_check_point(lp, moved)
+                    verdicts.add(verdict)
+        assert feasible > 50 and verdicts == {True, False}
+
+    @pytest.mark.parametrize("point, holds", [
+        ((Fraction(1, 2), Fraction(1, 2)), True),
+        ((1, 0), True),  # all ints
+        ((0, 1), False),  # 2x >= 1 fails
+        ((2, -1), False),  # a negative entry, every row holding
+        ((Fraction(1, 2),), False),
+        ((Fraction(1, 2), Fraction(1, 2), 0), False),
+        ((0.75, Fraction(1, 4)), True),  # a float that is a dyadic fraction
+        ((0.25, 0.75), False),
+    ])
+    def test_edge_points_match_fraction_reference(self, point, holds):
+        # x + y = 1 and 2x >= 1
+        lp = LinearProgram(2, [([1, 1], 1)], [([2, 0], 1)])
+        assert check_point(lp, point) is holds
+        assert fraction_check_point(lp, point) is holds
+
+    def test_float_entry_is_read_exactly(self):
+        # 0.1 is not 1/10: floating point rounds 10 * 0.1 to 1.0, the exact
+        # reading does not
+        lp = LinearProgram(1, [([10], 1)])
+        assert fraction_check_point(lp, (0.1,))
+        assert not check_point(lp, (0.1,))
+        assert check_point(lp, (Fraction(1, 10),))
+        # no real point is infinite: x >= 1 holds at inf in floating point
+        lp = LinearProgram(1, [], [([1], 1)])
+        assert fraction_check_point(lp, (float("inf"),))
+        for x in (float("inf"), float("nan")):
+            assert not check_point(lp, (x,))
 
 
 class TestEdgeCases:

@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +27,14 @@ from fcfam.verify import (
     verify_nonfc,
 )
 
-from oracles import gen_noniso_families, proof_nodes, random_family, separation_candidates
+from oracles import (
+    gen_noniso_families,
+    proof_nodes,
+    random_family,
+    separation_candidates,
+    set_check_separation_proof,
+)
+from test_golden_certificates import CASES, decide
 from test_sepip import random_instance, random_weights
 
 
@@ -393,6 +401,22 @@ class TestProofTampers:
             assert solve_separation(prob, bad.weights).optimum > 0
             assert "a leaf bounds" in refused(verify_fc(bad))
 
+    def test_branch_entry_out_of_range(self, larger_certs):
+        # an int below LEAF or past the last set of [n] is no set of the
+        # domain, at the root and in place of the first LEAF: refused as
+        # such, never read as a bit (a negative shift would raise)
+        for cert in larger_certs:
+            first_leaf = cert.proof.index(LEAF)
+            for at in (0, first_leaf):
+                for entry in (-2, -5, 1 << cert.n, (1 << cert.n) + 3, 1 << 70, 1.0, True):
+                    proof = cert.proof[:at] + (entry,) + cert.proof[at + 1:]
+                    failure = refused(verify_fc(dataclasses.replace(cert, proof=proof)))
+                    if type(entry) is int:
+                        detail = f"branch set {entry} is outside the domain or already fixed"
+                    else:
+                        detail = f"proof entry {entry!r} is not an int"
+                    assert failure == f"separation-nonpositive: {detail}"
+
     def test_missing_or_malformed_proof_in_file(self, larger_certs):
         # each bad entry takes the place of the first proof entry it equals
         # (True and 1.0 that of the root's branch set 1, -1.0 that of the
@@ -519,3 +543,95 @@ class TestProofReplay:
         for cert in make_pool() + larger_certs:
             if cert.kind == "fc":
                 assert verify_fc(cert).passed
+
+
+@pytest.fixture(scope="module")
+def pool_certs():
+    """The 216 certificates that tools/certdigest.py hashes: every full
+    family of bench/pool.json, decided without and then with symmetry."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "pool.json"
+    certs = []
+    for workload in json.loads(path.read_text(encoding="utf-8")).values():
+        full = workload["full"]
+        for stratum in full["strata"]:
+            for masks in stratum["families"]:
+                fam = Family.from_masks(full["n"], masks)
+                certs += [is_fc(fam, symmetry=symmetry) for symmetry in (False, True)]
+    assert len(certs) == 216
+    return certs
+
+
+def proof_tampers(cert, rng):
+    """Five changed proofs of an FC certificate, by name: an entry dropped,
+    an entry added, a LEAF replaced by a domain set, a branch set replaced
+    by a set already fixed at its node, and a branching node's subtree cut
+    to a LEAF, whose bound is then positive."""
+    proof, closure = cert.proof, union_closure(cert.family)
+    dom = cert.domain or powerset_family(cert.n)
+    base = frozenset(closure.members)
+    at = rng.randrange(len(proof))
+    yield "dropped", proof[:at] + proof[at + 1:]
+    at = rng.randrange(len(proof) + 1)
+    extra = rng.choice([LEAF, *dom.members])
+    yield "extra", proof[:at] + (extra,) + proof[at:]
+    at = rng.choice([i for i, x in enumerate(proof) if x == LEAF])
+    yield "leaf-to-branch", proof[:at] + (rng.choice(dom.members),) + proof[at + 1:]
+    nodes = list(proof_nodes(closure, proof))
+    fixed = [(i, sorted(ones | zeros)) for i, (ones, zeros, entry) in enumerate(nodes)
+             if entry != LEAF and ones | zeros]
+    if fixed:
+        at, sets = rng.choice(fixed)
+        yield "branch-fixed", proof[:at] + (rng.choice(sets),) + proof[at + 1:]
+    branching = [i for i, (_, _, entry) in enumerate(nodes) if entry != LEAF]
+    if branching:
+        at = rng.choice(branching)
+        ones, zeros, _ = nodes[at]
+        yield "positive-leaf", proof[:at] + (LEAF,) + proof[subtree_end(proof, at, ones,
+                                                                           zeros, base):]
+
+
+def both_replays(cert, proof):
+    """The bitset replay's result on `proof`, once the frozenset replay is
+    shown to return the same."""
+    args = (union_closure(cert.family), cert.domain or powerset_family(cert.n), cert.weights,
+            proof)
+    result = check_separation_proof(*args)
+    assert result == set_check_separation_proof(*args)
+    return result
+
+
+@pytest.fixture(scope="module")
+def golden_and_pool_fc(pool_certs):
+    """The FC certificates of the golden cases, then those of the pool."""
+    golden = [decide(name)[0] for name in sorted(CASES)]
+    golden = [cert for cert in golden if cert.kind == "fc"]
+    pool = [cert for cert in pool_certs if cert.kind == "fc"]
+    assert (len(golden), len(pool)) == (6, 176)
+    return golden, pool
+
+
+class TestSetReplayReference:
+    def test_golden_and_pool_certificates(self, golden_and_pool_fc):
+        golden, pool = golden_and_pool_fc
+        for cert in golden + pool:
+            assert both_replays(cert, cert.proof) is None
+
+    def test_tampered_proofs(self, larger_certs, golden_and_pool_fc):
+        # every golden FC certificate, the larger ones above and a seeded
+        # sample of the pool's, each with every tamper of `proof_tampers`
+        rng = random.Random(4811)
+        golden, pool = golden_and_pool_fc
+        certs = golden + larger_certs + rng.sample(pool, 24)
+        seen = {}
+        for cert in certs:
+            for kind, proof in proof_tampers(cert, rng):
+                failure = both_replays(cert, proof)
+                assert failure is not None, kind
+                if kind == "branch-fixed":
+                    assert failure.endswith("already fixed")
+                if kind == "positive-leaf":
+                    assert failure.startswith("a leaf bounds the value only by")
+                seen[kind] = seen.get(kind, 0) + 1
+        assert seen.keys() == {"dropped", "extra", "leaf-to-branch", "branch-fixed",
+                               "positive-leaf"}
+        assert min(seen.values()) > 20
